@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint test race bench bench-go bench-guard flame fuzz-smoke chaos cluster-chaos leak sched-check overload tier1 clean
+.PHONY: all build vet lint test race bench-go flame fuzz-smoke tier1 clean
 
 all: tier1
 
@@ -22,61 +22,26 @@ lint: vet
 test:
 	$(GO) test ./...
 
+# race is the whole suite under the race detector, uncached: the chaos
+# soaks, leak, overload, cluster and scheduling tests all run here. For
+# a focused local run, narrow it: go test -race -run TestChaos ./internal/serve
 race:
-	$(GO) test -race ./...
-
-# bench measures the sweep engine (warm two-plane replay vs
-# rebuild-per-cell) on the Figure 9 grid and records ns/cell,
-# steady-state allocs/cell, cells/sec and the speedup factor in
-# BENCH_PR8.json.
-bench:
-	$(GO) run ./cmd/espperf -out BENCH_PR8.json
+	$(GO) test -race -count=1 ./...
 
 # bench-go runs the full Go benchmark suite (per-figure regeneration
-# plus raw simulator throughput).
+# plus raw simulator throughput). The end-to-end and per-layer numbers
+# live in ledgerbench/ (see ledgerbench/README.md).
 bench-go:
 	$(GO) test -bench=. -benchmem .
 
-# bench-guard re-measures sweep throughput and fails when the two-plane
-# engine's cells/sec fell more than 20% below the committed baseline,
-# when a warm replay cell exceeds the hard allocation ceiling (the
-# hot path is allocation-zero; the ceiling of 40 leaves room only for
-# result assembly), when the fault-free recovery stack (retries +
-# breakers, no injector) costs more than 5% of reuse throughput, or
-# when the tenant fair-queue admission stack costs more than 2% of it
-# with a single unthrottled tenant.
-bench-guard:
-	$(GO) run ./cmd/espperf -out - -guard BENCH_PR8.json -maxloss 0.20 -maxallocs 40 -maxoverhead 0.05
-
-# flame captures a CPU profile of the measured sweeps and renders the
-# top of the replay hot path; pass PPROF_FLAGS=-http=:8080 for the
-# interactive flame graph.
+# flame profiles warm two-plane replay (BenchmarkSweepReuse) and renders
+# the top of the hot path; pass PPROF_FLAGS=-http=:8080 for the
+# interactive flame graph. The profile and test binary land in the
+# ignored .flame/ directory.
 flame:
-	$(GO) run ./cmd/espperf -out - -cpuprofile espperf.cpu.pprof > /dev/null
-	$(GO) tool pprof $(PPROF_FLAGS) -top -nodecount=20 espperf.cpu.pprof
-
-# chaos is the seeded fault-injection soak under the race detector: a
-# sweep with injected panics, stalls, and build failures on >=25% of its
-# cells must return every cell, match the golden corpus bit-for-bit on
-# recovered cells, trip and honor circuit breakers, and resume from its
-# journal after a mid-sweep kill with a torn tail write.
-chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestDrainWaits' ./internal/serve -v
-
-# leak asserts the admission machinery (queue tickets, worker slots,
-# queue-depth gauge) drains to zero after every request path, including
-# rejections, cancellations, timeouts, and conflicts.
-leak:
-	$(GO) test -race -count=1 -run 'TestAdmissionNoLeak|TestErrorPathsNoLeak' ./internal/serve -v
-
-# cluster-chaos is the fleet-level soak under the race detector: a
-# seeded sharded sweep over three in-process workers, one killed
-# mid-shard and one quarantined behind injected network faults, must
-# complete via journal handoff bit-identical to the single-node golden
-# corpus, refuse digest-mismatched journals, and report every
-# quarantine, reschedule, and steal on the coordinator's /metrics.
-cluster-chaos:
-	$(GO) test -race -count=1 -run 'TestClusterChaos|TestHandoffDigestMismatch|TestProbeQuarantines' ./internal/cluster -v
+	mkdir -p .flame
+	$(GO) test -run='^$$' -bench='^BenchmarkSweepReuse$$' -o .flame/espsim.test -cpuprofile .flame/cpu.pprof .
+	$(GO) tool pprof $(PPROF_FLAGS) -top -nodecount=20 .flame/espsim.test .flame/cpu.pprof
 
 # fuzz-smoke gives every fuzz target a short adversarial shake on each
 # gate run (FUZZTIME per target); longer campaigns raise FUZZTIME.
@@ -87,36 +52,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerConfig -fuzztime=$(FUZZTIME) ./internal/eventq
 
-# sched-check proves the scheduling dimension under the race detector:
-# the scheduler property suite (permutation, time monotonicity, strict
-# priority, EDF choice, untimed FIFO degeneration, cross-goroutine
-# determinism), the metamorphic scheduler laws (deadline-aware policies
-# never miss more than FIFO, slack monotonicity, ESP ordering under
-# every policy), the scheduled golden cells, and the scheduled
-# zero-allocation replay contract.
-sched-check:
-	$(GO) test -race -count=1 -run 'TestSched|TestScheduleIsPermutation|TestScheduleTimesConsistent|TestStrictPriorityNoInversions|TestEDFPicksEarliestDeadline|TestUntimedDegeneratesToFIFO|TestScheduleDeterministic|TestSchedByNameRoundTrip' ./internal/eventq -v
-	$(GO) test -race -count=1 -run 'TestInvariantSchedulerDeadlines|TestInvariantSlackMonotone|TestInvariantESPOrderingScheduled|TestGolden' . -v
-	$(GO) test -count=1 -run 'TestReplayAllocFreeScheduled' ./internal/sim -v
-
-# overload proves tenant-scale robustness under the race detector: DRR
-# fairness under saturation (completed-cell shares track tenant
-# weights), deadline-aware shedding (an expired sweep answers partial
-# results fast with zero simulation), per-tenant quotas with distinct
-# HTTP statuses, memory-pressure brownout with hysteresis recovery, and
-# the fleet-level chaos — a hedged straggler merging bit-identically and
-# a greedy tenant flood that cannot starve a victim on a degraded fleet.
-overload:
-	$(GO) test -race -count=1 ./internal/tenantq -v
-	$(GO) test -race -count=1 -run 'TestTenantFairnessUnderSaturation|TestSweepExpiredDeadlineFastPath|TestRunDeadlineShedOnEvidence|TestTenantQuotaAndHeader|TestBrownoutDegradationAndRecovery' ./internal/serve -v
-	$(GO) test -race -count=1 -run 'TestHedgedStragglerParity|TestGreedyTenantFloodDegradedFleet' ./internal/cluster -v
-
 # tier1 is the robustness gate: everything must be green before merge.
-# race already runs the chaos soak and leak tests (they live in the
-# normal test set); leak re-runs them uncached so the gate cannot be
-# satisfied by a stale pass. lint subsumes vet and adds the domain
-# analyzers, so a contract violation fails the gate before any test runs.
-tier1: lint build race fuzz-smoke leak cluster-chaos sched-check overload
+# lint subsumes vet and adds the domain analyzers, so a contract
+# violation fails the gate before any test runs; race then runs every
+# test uncached, so a stale pass cannot satisfy it.
+tier1: lint build race fuzz-smoke
 
 clean:
 	$(GO) clean ./...

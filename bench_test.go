@@ -172,7 +172,8 @@ func BenchmarkSimulateESP(b *testing.B) { benchSimulate(b, ESPNLConfig()) }
 // either materializing the workload once and resetting pooled machines
 // (Reuse — the Runner's hot loop), or rebuilding the session and machine
 // for every cell (Rebuild — what Run does). allocs/op of Reuse must stay
-// flat as the cell count grows; the espperf command records the ratio.
+// flat as the cell count grows; `go test -bench 'Sweep(Reuse|Rebuild)'
+// -benchmem` prints the ratio, and `make flame` profiles Reuse.
 
 func sweepConfigs() []Config {
 	return []Config{

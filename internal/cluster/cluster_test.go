@@ -239,3 +239,67 @@ func TestProbeQuarantines(t *testing.T) {
 		t.Errorf("sick worker served %d shards through a dead network", got)
 	}
 }
+
+// gatedProbeWorker holds its first probe until released, then answers
+// healthy; later probes wait for the prober to stop. Each probe
+// announces itself on started.
+type gatedProbeWorker struct {
+	started chan struct{}
+	release chan struct{}
+	calls   int
+}
+
+func (g *gatedProbeWorker) Name() string { return "gated" }
+
+func (g *gatedProbeWorker) Sweep(context.Context, serve.SweepRequest) (serve.SweepResponse, error) {
+	return serve.SweepResponse{}, ErrWorkerDown
+}
+
+func (g *gatedProbeWorker) Probe(ctx context.Context) error {
+	g.calls++ // the prober probes one node at a time
+	select {
+	case g.started <- struct{}{}:
+	default:
+	}
+	if g.calls == 1 {
+		<-g.release
+		return nil
+	}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestStaleProbeKeepsQuarantine: a node that trips while a probe is in
+// flight stays quarantined when that probe then succeeds, because the
+// success describes the node before it failed.
+func TestStaleProbeKeepsQuarantine(t *testing.T) {
+	g := &gatedProbeWorker{started: make(chan struct{}, 1), release: make(chan struct{})}
+	c, err := New(Options{
+		Workers:          []Worker{g},
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+		ProbeInterval:    time.Millisecond,
+		Logger:           quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		c.probeLoop(ctx)
+		close(stopped)
+	}()
+	defer func() {
+		cancel()
+		<-stopped
+	}()
+
+	<-g.started                       // first probe in flight on a healthy node
+	c.breakers.Record("gated", false) // a shard fails on the node meanwhile
+	close(g.release)                  // the first probe then answers healthy
+	<-g.started                       // second probe started: the first is accounted
+	if st := c.breakers.StateOf("gated"); st != "open" {
+		t.Fatalf("a probe that started before the trip left the breaker %s, want open", st)
+	}
+}

@@ -40,10 +40,8 @@ type Options struct {
 	BreakerMaxCooldown time.Duration
 	// ProbeInterval spaces background health probes while a sweep
 	// runs; 0 disables probing (failures still quarantine via the
-	// sweep path).
+	// sweep path). Each probe is bounded by probeTimeout.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe (default 2s).
-	ProbeTimeout time.Duration
 	// CheckpointDir is the journal directory the fleet shares, when it
 	// does (local fleets, network volumes). It enables journal
 	// handoff: a dead worker's shard journal is digest-checked here
@@ -57,17 +55,16 @@ type Options struct {
 	// rather than resumes; results are bit-identical either way.
 	// 0 disables hedging.
 	HedgeAfter time.Duration
-	// TenantDefault and Tenants mirror espd's fair-queue configuration
-	// at the coordination layer: a sweep is admitted against its
-	// tenant's weight and quotas (cost: the whole grid's cell count)
-	// before any shard is dispatched, so one greedy tenant queues
-	// behind its share of the fleet instead of flooding it.
-	// TenantSlots bounds concurrently admitted sweeps fleet-wide
-	// (default: 64 × workers); lower it to serialize admission and let
-	// DRR order fully decide who runs next.
-	TenantDefault tenantq.TenantConfig
-	Tenants       map[string]tenantq.TenantConfig
-	TenantSlots   int
+	// Tenants mirrors espd's fair-queue configuration at the
+	// coordination layer (unnamed tenants get weight 1, no quotas): a
+	// sweep is admitted against its tenant's weight and quotas (cost:
+	// the whole grid's cell count) before any shard is dispatched, so
+	// one greedy tenant queues behind its share of the fleet instead of
+	// flooding it. TenantSlots bounds concurrently admitted sweeps
+	// fleet-wide (default: 64 × workers); lower it to serialize
+	// admission and let DRR order fully decide who runs next.
+	Tenants     map[string]tenantq.TenantConfig
+	TenantSlots int
 	// Logger receives scheduling decisions (default slog.Default).
 	Logger *slog.Logger
 }
@@ -85,9 +82,6 @@ func (o Options) withDefaults() Options {
 	if o.BreakerMaxCooldown <= 0 {
 		o.BreakerMaxCooldown = 2 * time.Minute
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
 	if o.TenantSlots <= 0 {
 		o.TenantSlots = 64 * len(o.Workers)
 	}
@@ -100,6 +94,9 @@ func (o Options) withDefaults() Options {
 // maxCoordSweepID bounds a coordinated sweep_id so the shard-scoped
 // "<id>.<app>" journal names stay within the worker's 64-char limit.
 const maxCoordSweepID = 48
+
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
 
 // Coordinator shards sweeps across a fleet of espd workers. One
 // Coordinator serves many Run calls; node breakers and counters are
@@ -127,7 +124,6 @@ func New(opt Options) (*Coordinator, error) {
 		breakers: fault.NewEscalatingBreakerSet(opt.BreakerThreshold, opt.BreakerCooldown, opt.BreakerMaxCooldown),
 		tq: tenantq.New(tenantq.Options{
 			Slots:   opt.TenantSlots,
-			Default: opt.TenantDefault,
 			Tenants: opt.Tenants,
 		}),
 	}
@@ -162,14 +158,15 @@ func (c *Coordinator) Metrics() Snapshot {
 // merges the shard responses into one grid, cells in app-major
 // request order — the same shape a single espd answers. Shard
 // failures degrade to per-cell errors; Run itself only fails on an
-// invalid request or a canceled context.
+// invalid request (serve.ErrInvalid), a tenant-gate refusal, or a
+// canceled context — each classified for serve.HTTPStatus.
 func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error) {
 	if len(req.Configs) == 0 {
-		return serve.SweepResponse{}, errors.New("cluster: configs required")
+		return serve.SweepResponse{}, fmt.Errorf("%w: cluster: configs required", serve.ErrInvalid)
 	}
 	if len(req.SweepID) > maxCoordSweepID {
-		return serve.SweepResponse{}, fmt.Errorf("cluster: sweep_id must be at most %d characters (shard journals append \".<app>\"), got %d",
-			maxCoordSweepID, len(req.SweepID))
+		return serve.SweepResponse{}, fmt.Errorf("%w: cluster: sweep_id must be at most %d characters (shard journals append \".<app>\"), got %d",
+			serve.ErrInvalid, maxCoordSweepID, len(req.SweepID))
 	}
 	apps := req.Apps
 	if len(apps) == 0 {
@@ -182,13 +179,14 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 	// cell-count cost, against the tenant's weight and quotas. A greedy
 	// tenant's sweeps queue here — behind its fair share — while other
 	// tenants' sweeps overtake; quota breaches fail fast with ErrQuota.
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = tenantq.DefaultTenant
+	// Every shard request names the tenant, so the workers account the
+	// same one.
+	if req.Tenant == "" {
+		req.Tenant = tenantq.DefaultTenant
 	}
-	releaseTenant, err := c.tq.Acquire(ctx, tenant, len(apps)*len(req.Configs))
+	releaseTenant, err := c.tq.Acquire(ctx, req.Tenant, len(apps)*len(req.Configs))
 	if err != nil {
-		return serve.SweepResponse{}, fmt.Errorf("cluster: tenant %s: %w", tenant, err)
+		return serve.SweepResponse{}, fmt.Errorf("cluster: tenant %s: %w", req.Tenant, err)
 	}
 	defer releaseTenant()
 
@@ -204,12 +202,8 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 
 	shards := make([]*shard, len(apps))
 	for i, app := range apps {
-		preferred := c.opt.Pin[app]
-		if _, ok := c.workers[preferred]; !ok {
-			preferred = Place(app, c.names)
-		}
-		shards[i] = &shard{app: app, preferred: preferred}
-		c.log.Info("cluster placement", "app", app, "worker", preferred)
+		shards[i] = &shard{app: app, preferred: c.owner(app)}
+		c.log.Info("cluster placement", "app", app, "worker", shards[i].preferred)
 	}
 	q := newShardQueue(shards, c.opt.HedgeAfter)
 
@@ -421,7 +415,8 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 		for _, name := range c.names {
 			w := c.workers[name]
 			c.met.Probes.Add(1)
-			pctx, cancel := context.WithTimeout(ctx, c.opt.ProbeTimeout)
+			before := c.breakers.StateOf(name)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			err := w.Probe(pctx)
 			cancel()
 			if err != nil {
@@ -430,7 +425,11 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 				c.log.Warn("cluster probe failed", "worker", name, "err", err.Error())
 				continue
 			}
-			c.breakers.Record(name, true)
+			// A success speaks for the node as it was when the probe
+			// started: one that tripped meanwhile stays quarantined.
+			if before != "closed" || c.breakers.StateOf(name) == "closed" {
+				c.breakers.Record(name, true)
+			}
 		}
 	}
 }
@@ -445,14 +444,19 @@ func (c *Coordinator) Placements(apps []string) []Placement {
 	}
 	out := make([]Placement, 0, len(apps))
 	for _, app := range apps {
-		preferred := c.opt.Pin[app]
-		if _, ok := c.workers[preferred]; !ok {
-			preferred = Place(app, c.names)
-		}
-		out = append(out, Placement{App: app, Worker: preferred})
+		out = append(out, Placement{App: app, Worker: c.owner(app)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
 	return out
+}
+
+// owner is app's affinity worker: its pin when that names a fleet
+// member, its rendezvous placement otherwise.
+func (c *Coordinator) owner(app string) string {
+	if pinned, ok := c.workers[c.opt.Pin[app]]; ok {
+		return pinned.Name()
+	}
+	return Place(app, c.names)
 }
 
 // Placement is one app→worker affinity assignment.

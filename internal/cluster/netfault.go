@@ -47,14 +47,6 @@ func (fw *FaultyWorker) Probe(ctx context.Context) error {
 	return fw.inner.Probe(ctx)
 }
 
-// PeekJournal implements Worker.
-func (fw *FaultyWorker) PeekJournal(ctx context.Context, sweepID string) (JournalView, bool, error) {
-	if err := fw.cross(ctx, "journalz"); err != nil {
-		return JournalView{}, false, err
-	}
-	return fw.inner.PeekJournal(ctx, sweepID)
-}
-
 // cross is one traversal of the faulty link: drops and injected
 // errors fail immediately, a stall delays then lets the call through
 // (unless the context gives up first — which is how a stall turns

@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 
+	"espsim/internal/fault"
 	"espsim/internal/serve"
-	"espsim/internal/tenantq"
 )
 
 // Server is the espcoord HTTP facade: the same POST /sweep contract a
@@ -23,13 +22,14 @@ type Server struct {
 	c   *Coordinator
 	log *slog.Logger
 	mux *http.ServeMux
-
-	maxRequestBytes int64
 }
+
+// maxRequestBytes bounds a /sweep body, as espd's default does.
+const maxRequestBytes = 8 << 20
 
 // NewServer mounts a Coordinator behind HTTP.
 func NewServer(c *Coordinator) *Server {
-	s := &Server{c: c, log: c.log, mux: http.NewServeMux(), maxRequestBytes: 8 << 20}
+	s := &Server{c: c, log: c.log, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/sweep", s.handleSweep)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/workers", s.handleWorkers)
@@ -49,36 +49,40 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// handleSweep answers with espd's own statuses: serve.HTTPStatus maps
+// whatever kind of error the sweep failed with.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxRequestBytes))
+	resp, err := s.sweep(w, r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	// The wire contract is espd's own: one parser, one validation.
-	req, err := serve.ParseSweepRequest(body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if req.Shard != "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "\"shard\" is set by the coordinator, not the client"})
-		return
-	}
-	resp, err := s.c.Run(r.Context(), req)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, tenantq.ErrQuota) {
-			status = http.StatusTooManyRequests
-		}
-		writeJSON(w, status, map[string]string{"error": err.Error()})
+		writeJSON(w, serve.HTTPStatus(fault.Classify(err)), map[string]string{"error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// sweep decodes a client sweep with espd's parser and tenant rules —
+// one validation, one tenant identity whether the body or the
+// X-ESP-Tenant header names it — and runs it on the fleet.
+func (s *Server) sweep(w http.ResponseWriter, r *http.Request) (serve.SweepResponse, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		return serve.SweepResponse{}, fmt.Errorf("%w: reading request body: %v", serve.ErrInvalid, err)
+	}
+	req, err := serve.ParseSweepRequest(body)
+	if err != nil {
+		return serve.SweepResponse{}, err
+	}
+	if req.Shard != "" {
+		return serve.SweepResponse{}, fmt.Errorf("%w: \"shard\" is set by the coordinator, not the client", serve.ErrInvalid)
+	}
+	if req.Tenant, err = serve.ResolveTenant(req.Tenant, r.Header.Get(serve.TenantHeader)); err != nil {
+		return serve.SweepResponse{}, err
+	}
+	return s.c.Run(r.Context(), req)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -15,15 +15,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync/atomic"
 
-	"espsim/internal/checkpoint"
 	"espsim/internal/fault"
 	"espsim/internal/serve"
 )
@@ -37,14 +34,6 @@ import (
 // coordinator's NetFaults breaker accounting.
 var ErrWorkerDown = fault.Sentinel("cluster: worker down", fault.KindNet)
 
-// JournalView is a worker-agnostic read of one sweep journal: the
-// digest-bearing header plus the "app/config" cells already durable.
-type JournalView struct {
-	Meta  checkpoint.Meta `json:"meta"`
-	Cells []string        `json:"cells"`
-	Torn  bool            `json:"torn,omitempty"`
-}
-
 // Worker is the coordinator's view of one espd node. Implementations:
 // LocalWorker embeds a *serve.Server in-process (tests, single-binary
 // deployments), HTTPWorker fronts a remote daemon.
@@ -55,9 +44,6 @@ type Worker interface {
 	Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error)
 	// Probe is the health check: nil means alive and ready.
 	Probe(ctx context.Context) error
-	// PeekJournal reads the node's journal for sweepID without
-	// mutating it; ok is false when the node never journaled that id.
-	PeekJournal(ctx context.Context, sweepID string) (JournalView, bool, error)
 }
 
 // LocalWorker adapts an in-process *serve.Server to the Worker
@@ -80,9 +66,6 @@ func NewLocalWorker(name string, srv *serve.Server) *LocalWorker {
 
 // Name implements Worker.
 func (lw *LocalWorker) Name() string { return lw.name }
-
-// Server exposes the embedded daemon (tests wire fault hooks to it).
-func (lw *LocalWorker) Server() *serve.Server { return lw.srv }
 
 // Kill marks the worker dead. The embedded server keeps draining
 // whatever it was doing (a real process does not vanish mid-syscall
@@ -122,22 +105,6 @@ func (lw *LocalWorker) Probe(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// PeekJournal implements Worker.
-func (lw *LocalWorker) PeekJournal(ctx context.Context, sweepID string) (JournalView, bool, error) {
-	if lw.dead.Load() {
-		return JournalView{}, false, fmt.Errorf("%w: %s", ErrWorkerDown, lw.name)
-	}
-	rec := lw.do(ctx, http.MethodGet, "/journalz?sweep_id="+url.QueryEscape(sweepID), nil)
-	if rec.code == http.StatusNotFound {
-		return JournalView{}, false, nil
-	}
-	var view JournalView
-	if err := decodeWorkerResponse(lw.name, rec.code, rec.buf.Bytes(), &view); err != nil {
-		return JournalView{}, false, err
-	}
-	return view, true, nil
 }
 
 // do drives one handler call through the server's full middleware
@@ -207,20 +174,6 @@ func (hw *HTTPWorker) Probe(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// PeekJournal implements Worker.
-func (hw *HTTPWorker) PeekJournal(ctx context.Context, sweepID string) (JournalView, bool, error) {
-	var view JournalView
-	err := hw.do(ctx, http.MethodGet, "/journalz?sweep_id="+url.QueryEscape(sweepID), nil, &view)
-	var he *workerHTTPError
-	if errors.As(err, &he) && he.code == http.StatusNotFound {
-		return JournalView{}, false, nil
-	}
-	if err != nil {
-		return JournalView{}, false, err
-	}
-	return view, true, nil
 }
 
 func (hw *HTTPWorker) do(ctx context.Context, method, path string, body, out any) error {

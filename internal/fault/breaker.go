@@ -124,6 +124,20 @@ func (b *BreakerSet) Allow(key string) bool {
 	return false
 }
 
+// Release hands back a half-open probe slot that Allow granted but no
+// attempt used — the work was refused, not tried — recording no
+// outcome, so the next Allow admits a fresh probe.
+func (b *BreakerSet) Release(key string) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if c := b.cells[key]; c != nil && c.state == stateHalfOpen {
+		c.probing = false
+	}
+}
+
 // Record feeds one attempt's outcome back for key.
 func (b *BreakerSet) Record(key string, ok bool) {
 	if b == nil {

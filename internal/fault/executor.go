@@ -50,9 +50,6 @@ func NewExecutor(policy RetryPolicy, breakers *BreakerSet, retryable func(error)
 	}
 }
 
-// Policy returns the executor's effective (defaulted) retry policy.
-func (e *Executor) Policy() RetryPolicy { return e.policy }
-
 // Breakers returns the executor's breaker set (may be nil).
 func (e *Executor) Breakers() *BreakerSet { return e.breakers }
 
@@ -63,13 +60,20 @@ func (e *Executor) Retries() int64 { return e.retries.Load() }
 // Run executes run under the policy. key selects the circuit breaker;
 // run receives the 1-based attempt number. Retrying stops on success,
 // on a non-retryable error, when the attempt budget is exhausted, when
-// ctx is done, or when the breaker opens mid-retry.
+// ctx is done, or when the breaker opens mid-retry. A run that sheds
+// (KindShed) refused the work rather than attempting it: it is not
+// counted as an attempt, records no outcome, and hands back a
+// half-open breaker's probe slot.
 func (e *Executor) Run(ctx context.Context, key string, run func(attempt int) error) Outcome {
 	if !e.breakers.Allow(key) {
 		return Outcome{Skipped: true, Err: ErrBreakerOpen}
 	}
 	for attempt := 1; ; attempt++ {
 		err := run(attempt)
+		if Classify(err) == KindShed {
+			e.breakers.Release(key)
+			return Outcome{Attempts: attempt - 1, Err: err}
+		}
 		e.breakers.Record(key, err == nil)
 		if err == nil {
 			return Outcome{Attempts: attempt}

@@ -244,6 +244,41 @@ func TestExecutorWithBreakerSkips(t *testing.T) {
 	}
 }
 
+// TestExecutorShedIsNotAnAttempt: a run that sheds reports zero
+// attempts and never feeds the breaker, however often it sheds; a shed
+// half-open probe hands its slot back instead of quarantining the key
+// for good.
+func TestExecutorShedIsNotAnAttempt(t *testing.T) {
+	b := NewBreakerSet(1, time.Hour)
+	now := time.Unix(1000, 0)
+	b.now = func() time.Time { return now }
+	e := NewExecutor(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, b, nil, 1)
+	shed := Sentinel("shed", KindShed)
+	sheds := func(int) error { return fmt.Errorf("late: %w", shed) }
+	for i := 0; i < 3; i++ {
+		out := e.Run(context.Background(), "cell", sheds)
+		if out.Attempts != 0 || out.Skipped || !errors.Is(out.Err, shed) {
+			t.Fatalf("shed run %d: %+v, want 0 attempts and the shed error", i, out)
+		}
+	}
+	if b.Trips() != 0 || !b.Allow("cell") {
+		t.Fatal("sheds tripped the breaker")
+	}
+
+	// Trip the breaker, let the cooldown pass, and shed the probe.
+	e.Run(context.Background(), "cell", func(int) error { return fmt.Errorf("down") })
+	if b.Allow("cell") {
+		t.Fatal("tripped breaker admitted work inside cooldown")
+	}
+	now = now.Add(2 * time.Hour)
+	if out := e.Run(context.Background(), "cell", sheds); out.Skipped || out.Attempts != 0 {
+		t.Fatalf("half-open shed: %+v, want an unskipped run with 0 attempts", out)
+	}
+	if b.StateOf("cell") != "half_open" || !b.Allow("cell") {
+		t.Fatalf("shed probe kept the slot: state %s, next probe denied", b.StateOf("cell"))
+	}
+}
+
 // TestNilBreakerSet: a nil set is a valid no-op.
 func TestNilBreakerSet(t *testing.T) {
 	var b *BreakerSet

@@ -37,8 +37,8 @@ const (
 	// the work ran (context.Canceled / context.DeadlineExceeded).
 	KindCanceled ErrorKind = "canceled"
 	// KindConfig: the request named an unknown workload/configuration or
-	// carried incoherent knobs; assigned at validation sites, never by
-	// Classify (validation errors carry no sentinel).
+	// carried incoherent knobs; validation sites wrap a KindConfig
+	// Sentinel, which Classify recovers.
 	KindConfig ErrorKind = "config"
 	// KindQuota: a tenant exhausted one of its quotas — queue depth,
 	// in-flight cells, cumulative cell budget, or token-bucket rate

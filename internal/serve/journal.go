@@ -12,7 +12,6 @@ import (
 
 	esp "espsim"
 	"espsim/internal/checkpoint"
-	"espsim/internal/fault"
 )
 
 // The journal header is a checkpoint.Meta: sweep identity, optional
@@ -130,10 +129,4 @@ func (sj *sweepJournal) close() error {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
 	return sj.j.Close()
-}
-
-// errKind classifies a cell error for SweepCell.ErrorKind via the
-// shared fault taxonomy, so espd and espcoord agree on every string.
-func errKind(err error) string {
-	return string(fault.Classify(err))
 }

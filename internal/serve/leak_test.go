@@ -3,9 +3,9 @@ package serve
 // Leak detection for the admission machinery: every request path —
 // success, rejection, cancellation, timeout, conflict, drain — must
 // return its queue ticket and worker slot. The gauges these tests pin
-// to zero are the same channels admit and acquireWorker use, so a
-// missing release on any error path shows up as a stuck count, not a
-// slow leak in production.
+// to zero are the ticket channel admit fills and the fair queue that
+// grants worker slots, so a missing release on any error path shows up
+// as a stuck count, not a slow leak in production.
 
 import (
 	"bytes"
@@ -23,15 +23,13 @@ import (
 )
 
 // assertDrained asserts the admission machinery is fully released: the
-// queue-depth gauge, the ticket channel, and the tenant fair queue's
-// gauges (queued acquisitions, in-flight cells) are all empty. Handlers
-// release in defers that complete before ServeHTTP returns, so no
-// polling is needed after a response is observed.
+// ticket channel (the queue-depth gauge /metrics reports) and the
+// tenant fair queue's gauges (queued acquisitions, in-flight cells) are
+// all empty. Handlers release in defers that complete before
+// ServeHTTP returns, so no polling is needed after a response is
+// observed.
 func assertDrained(t *testing.T, s *Server) {
 	t.Helper()
-	if d := s.met.QueueDepth.Load(); d != 0 {
-		t.Errorf("queue-depth gauge %d, want 0", d)
-	}
 	if n := len(s.tickets); n != 0 {
 		t.Errorf("%d admission tickets still held, want 0", n)
 	}
@@ -95,7 +93,7 @@ func TestAdmissionNoLeakUnderContention(t *testing.T) {
 	go func() {
 		r2 <- doRun(s, ctx2, RunRequest{App: "amazon", Config: "base", MaxEvents: 8})
 	}()
-	waitFor(t, func() bool { return s.met.QueueDepth.Load() == 2 })
+	waitFor(t, func() bool { return len(s.tickets) == 2 })
 
 	// Queue full: a third request is rejected immediately.
 	if rec := post(t, s, "/run", RunRequest{App: "amazon", Config: "base", MaxEvents: 8}); rec.Code != http.StatusTooManyRequests {
@@ -104,7 +102,7 @@ func TestAdmissionNoLeakUnderContention(t *testing.T) {
 	if rec := post(t, s, "/sweep", SweepRequest{Configs: []string{"base"}, MaxEvents: 8}); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("queue-full /sweep: status %d, want 429", rec.Code)
 	}
-	if d := s.met.QueueDepth.Load(); d != 2 {
+	if d := len(s.tickets); d != 2 {
 		t.Fatalf("rejected requests moved the gauge: %d, want 2", d)
 	}
 
@@ -113,7 +111,7 @@ func TestAdmissionNoLeakUnderContention(t *testing.T) {
 	if rec := <-r2; rec.Code != statusClientGone {
 		t.Fatalf("canceled queued /run: status %d, want %d", rec.Code, statusClientGone)
 	}
-	waitFor(t, func() bool { return s.met.QueueDepth.Load() == 1 })
+	waitFor(t, func() bool { return len(s.tickets) == 1 })
 
 	// Un-wedge the worker; r1 completes normally.
 	close(gate)

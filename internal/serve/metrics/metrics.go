@@ -1,8 +1,8 @@
 // Package metrics is the observability plane of the espd service: the
 // counters that Sweep.Summary tracks per sweep (cells run, workload and
 // machine reuse) promoted into one long-lived, concurrency-safe type,
-// plus the request-layer counters (queue depth, rejections, timeouts)
-// and a per-cell latency histogram that only a daemon needs.
+// plus the request-layer counters (rejections, timeouts) and a
+// per-cell latency histogram that only a daemon needs.
 //
 // Everything is lock-free atomics, so the hot path (one Observe per
 // simulated cell, a few Adds per request) costs nanoseconds; Snapshot
@@ -82,7 +82,6 @@ type Metrics struct {
 	Timeouts      atomic.Int64
 	CellsOK       atomic.Int64
 	CellErrors    atomic.Int64
-	QueueDepth    atomic.Int64 // admitted requests not yet finished
 
 	// Overload layer: per-tenant quota refusals (429), cells shed
 	// because they provably could not meet their deadline (504), and
@@ -219,7 +218,7 @@ type Snapshot struct {
 }
 
 // Snapshot renders the request-layer counters; the caller fills in
-// Engine (from sim.Perf) and the Queue capacities.
+// Engine (from sim.Perf) and the Queue gauges.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
 	s.UptimeMs = time.Since(m.start).Milliseconds()
@@ -233,7 +232,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.Cells.Completed = m.CellsOK.Load()
 	s.Cells.Errors = m.CellErrors.Load()
 	s.Cells.Timeouts = m.Timeouts.Load()
-	s.Queue.Depth = m.QueueDepth.Load()
 	s.Overload.QuotaRejected = m.QuotaRejected.Load()
 	s.Overload.DeadlineShed = m.DeadlineShed.Load()
 	s.Overload.BrownoutRejected = m.BrownoutRejected.Load()

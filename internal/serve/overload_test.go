@@ -206,12 +206,13 @@ func TestTenantQuotaAndHeader(t *testing.T) {
 		Tenants: map[string]tenantq.TenantConfig{"capped": {CellBudget: 2}},
 	})
 	runReq := RunRequest{App: "amazon", Config: "base", MaxEvents: 8}
+	capped := withTenantHeader(s, "capped")
 	for i := 0; i < 2; i++ {
-		if rec := post(t, s, "/run", withTenantHeader(t, runReq, "capped")); rec.Code != http.StatusOK {
+		if rec := post(t, capped, "/run", runReq); rec.Code != http.StatusOK {
 			t.Fatalf("budgeted run %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
 	}
-	rec := post(t, s, "/run", withTenantHeader(t, runReq, "capped"))
+	rec := post(t, capped, "/run", runReq)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-budget run: status %d, want 429: %s", rec.Code, rec.Body.String())
 	}
@@ -229,7 +230,7 @@ func TestTenantQuotaAndHeader(t *testing.T) {
 	req2.Tenant = "somebody"
 	data, _ := json.Marshal(req2)
 	hreq := httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(data))
-	hreq.Header.Set(tenantHeader, "else")
+	hreq.Header.Set(TenantHeader, "else")
 	hrec := httptest.NewRecorder()
 	s.ServeHTTP(hrec, hreq)
 	if hrec.Code != http.StatusBadRequest {
@@ -259,6 +260,40 @@ func TestTenantQuotaAndHeader(t *testing.T) {
 	assertDrained(t, s)
 }
 
+// TestQuotaRefusalsCountCells: a quota refusal counts the cells it
+// turned away, the same on the global counter and the tenant's row —
+// here two 2-cell batches against a 1-cell budget.
+func TestQuotaRefusalsCountCells(t *testing.T) {
+	s := testServer(t, Options{
+		Workers: 2,
+		Tenants: map[string]tenantq.TenantConfig{"capped": {CellBudget: 1}},
+	})
+	rec := post(t, s, "/sweep", SweepRequest{
+		Apps: []string{"amazon", "bing"}, Configs: []string{"base", "ESP+NL"}, MaxEvents: 8, Tenant: "capped",
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("refused sweep: status %d, want 200 with per-cell errors: %s", rec.Code, rec.Body.String())
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range resp.Cells {
+		if cell.ErrorKind != "quota" || cell.Result != nil {
+			t.Errorf("cell %s/%s: kind %q result %v, want quota and no result", cell.App, cell.Config, cell.ErrorKind, cell.Result)
+		}
+	}
+	if got := s.met.QuotaRejected.Load(); got != 4 {
+		t.Errorf("QuotaRejected counter %d, want 4 cells", got)
+	}
+	for _, row := range s.tq.Snapshot() {
+		if row.Tenant == "capped" && row.RejectedQuota != 4 {
+			t.Errorf("tenant rejected_quota %d, want 4 cells", row.RejectedQuota)
+		}
+	}
+	assertDrained(t, s)
+}
+
 // TestBrownoutDegradationAndRecovery: with a memory budget far below
 // one workload, the first cached build drives the controller to its
 // deepest level — unbounded requests get 503, small bounded ones still
@@ -270,7 +305,7 @@ func TestBrownoutDegradationAndRecovery(t *testing.T) {
 	// own eviction leaves the cache at 100% of budget (past every entry
 	// watermark), which is precisely the sustained pressure the
 	// controller exists for.
-	wl, _, err := resolve(sim.NewRunner(), RunRequest{App: "amazon", Config: "base", MaxEvents: 32}, Options{}.withDefaults().TraceLimits)
+	wl, _, err := resolve(sim.NewRunner(), RunRequest{App: "amazon", Config: "base", MaxEvents: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,10 +362,11 @@ func TestBrownoutDegradationAndRecovery(t *testing.T) {
 	assertDrained(t, s)
 }
 
-// withTenantHeader posts via the body field — the helper exists so the
-// quota test reads as "the capped tenant" at each call site.
-func withTenantHeader(t *testing.T, req RunRequest, tenant string) RunRequest {
-	t.Helper()
-	req.Tenant = tenant
-	return req
+// withTenantHeader wraps h so every request names tenant in the
+// X-ESP-Tenant header only, never in the body.
+func withTenantHeader(h http.Handler, tenant string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Set(TenantHeader, tenant)
+		h.ServeHTTP(w, r)
+	})
 }

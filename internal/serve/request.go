@@ -14,11 +14,29 @@ import (
 
 	esp "espsim"
 	"espsim/internal/eventq"
+	"espsim/internal/fault"
 	"espsim/internal/sim"
 	"espsim/internal/tenantq"
 	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
+
+// ErrInvalid marks a request that cannot run as asked: a malformed or
+// oversize body, an unknown name, incoherent knobs, a tenant
+// disagreement, or an undecodable inline trace. It classifies as
+// fault.KindConfig, which both espd and espcoord answer with 400.
+var ErrInvalid = fault.Sentinel("invalid request", fault.KindConfig)
+
+// invalid tags a client-side failure with ErrInvalid. The cause is
+// kept as text only, so no sentinel inside it (trace.ErrBadTrace, say)
+// can reclassify the failure as the server's.
+func invalid(err error) error {
+	return fmt.Errorf("%w: %v", ErrInvalid, err)
+}
+
+// traceLimits bounds inline ESPT traces: 4 MiB encoded, 64Ki events,
+// 4Mi instructions.
+var traceLimits = trace.Limits{MaxTraceBytes: 4 << 20, MaxEvents: 64 << 10, MaxInsts: 4 << 20}
 
 // RunRequest is the body of POST /run: one simulation cell. Exactly one
 // of App (a preset application name) or TraceB64 (a base64-encoded ESPT
@@ -146,16 +164,16 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // ParseRunRequest decodes and validates a POST /run body. Workload and
-// configuration names are resolved here (so errors are 400s), but the
-// inline trace — if any — is only syntax-checked later, under the
-// server's limits, by resolve.
+// configuration names are resolved here (so errors are ErrInvalid), but
+// the inline trace — if any — is only syntax-checked later, under
+// traceLimits, by resolve.
 func ParseRunRequest(data []byte) (RunRequest, error) {
 	var req RunRequest
 	if err := decodeStrict(data, &req); err != nil {
-		return RunRequest{}, fmt.Errorf("decoding run request: %w", err)
+		return RunRequest{}, invalid(fmt.Errorf("decoding run request: %w", err))
 	}
 	if err := req.validate(); err != nil {
-		return RunRequest{}, err
+		return RunRequest{}, invalid(err)
 	}
 	return req, nil
 }
@@ -168,90 +186,81 @@ func (req *RunRequest) validate() error {
 		return fmt.Errorf("\"app\" and \"trace_b64\" are mutually exclusive")
 	case req.Config == "":
 		return fmt.Errorf("\"config\" is required (one of: %s)", strings.Join(esp.ConfigNames(), ", "))
-	case req.Scale < 0 || req.Scale > maxScale:
-		return fmt.Errorf("\"scale\" must be in (0, %d], got %g", maxScale, req.Scale)
-	case req.MaxEvents < 0:
-		return fmt.Errorf("\"max_events\" must be non-negative, got %d", req.MaxEvents)
-	case req.MaxPending < 0:
-		return fmt.Errorf("\"max_pending\" must be non-negative, got %d", req.MaxPending)
-	case req.TimeoutMs < 0:
-		return fmt.Errorf("\"timeout_ms\" must be non-negative, got %d", req.TimeoutMs)
+	case req.TraceB64 != "" && req.Scale != 0 && req.Scale != 1:
+		return fmt.Errorf("\"scale\" does not apply to an inline trace")
+	}
+	if err := validateKnobs(req.Scale, req.MaxEvents, req.MaxPending, req.TimeoutMs, req.Tenant, req.DeadlineMs); err != nil {
+		return err
 	}
 	if req.App != "" {
 		if _, err := workload.ByName(req.App); err != nil {
 			return err
 		}
 	}
-	if req.TraceB64 != "" && req.Scale != 0 && req.Scale != 1 {
-		return fmt.Errorf("\"scale\" does not apply to an inline trace")
-	}
-	if err := validateID("tenant", req.Tenant); err != nil {
-		return err
-	}
-	if err := validateDeadline(req.DeadlineMs); err != nil {
-		return err
-	}
-	if _, err := cellConfig(req.Config, req.Sched, 0, 0); err != nil {
-		return err
-	}
-	return nil
+	_, err := cellConfig(req.Config, req.Sched, 0, 0)
+	return err
 }
 
 // maxDeadlineMs bounds a relative deadline to 24 hours: anything larger
 // is a typo (and would overflow Duration math long before mattering).
 const maxDeadlineMs = 24 * 60 * 60 * 1000
 
-// validateDeadline bounds deadline_ms. Negative values are legal —
-// "already expired" — but bounded too, so arrival+deadline stays inside
-// Duration range.
-func validateDeadline(ms int64) error {
-	if ms > maxDeadlineMs || ms < -maxDeadlineMs {
-		return fmt.Errorf("\"deadline_ms\" must be within ±%d (24h), got %d", int64(maxDeadlineMs), ms)
+// validateKnobs checks the knobs /run and /sweep share. deadline_ms may
+// be negative — "already expired" — but is bounded both ways, so
+// arrival+deadline stays inside Duration range.
+func validateKnobs(scale float64, maxEvents, maxPending, timeoutMs int, tenant string, deadlineMs int64) error {
+	switch {
+	case scale < 0 || scale > maxScale:
+		return fmt.Errorf("\"scale\" must be in (0, %d], got %g", maxScale, scale)
+	case maxEvents < 0:
+		return fmt.Errorf("\"max_events\" must be non-negative, got %d", maxEvents)
+	case maxPending < 0:
+		return fmt.Errorf("\"max_pending\" must be non-negative, got %d", maxPending)
+	case timeoutMs < 0:
+		return fmt.Errorf("\"timeout_ms\" must be non-negative, got %d", timeoutMs)
+	case deadlineMs > maxDeadlineMs || deadlineMs < -maxDeadlineMs:
+		return fmt.Errorf("\"deadline_ms\" must be within ±%d (24h), got %d", int64(maxDeadlineMs), deadlineMs)
 	}
-	return nil
+	return validateID("tenant", tenant)
 }
 
-// ParseSweepRequest decodes and validates a POST /sweep body.
+// ParseSweepRequest decodes and validates a POST /sweep body; every
+// failure is ErrInvalid.
 func ParseSweepRequest(data []byte) (SweepRequest, error) {
 	var req SweepRequest
 	if err := decodeStrict(data, &req); err != nil {
-		return SweepRequest{}, fmt.Errorf("decoding sweep request: %w", err)
+		return SweepRequest{}, invalid(fmt.Errorf("decoding sweep request: %w", err))
 	}
-	switch {
-	case len(req.Configs) == 0:
-		return SweepRequest{}, fmt.Errorf("\"configs\" is required (one or more of: %s)", strings.Join(esp.ConfigNames(), ", "))
-	case req.Scale < 0 || req.Scale > maxScale:
-		return SweepRequest{}, fmt.Errorf("\"scale\" must be in (0, %d], got %g", maxScale, req.Scale)
-	case req.MaxEvents < 0:
-		return SweepRequest{}, fmt.Errorf("\"max_events\" must be non-negative, got %d", req.MaxEvents)
-	case req.MaxPending < 0:
-		return SweepRequest{}, fmt.Errorf("\"max_pending\" must be non-negative, got %d", req.MaxPending)
-	case req.TimeoutMs < 0:
-		return SweepRequest{}, fmt.Errorf("\"timeout_ms\" must be non-negative, got %d", req.TimeoutMs)
+	if err := req.validate(); err != nil {
+		return SweepRequest{}, invalid(err)
+	}
+	return req, nil
+}
+
+func (req *SweepRequest) validate() error {
+	if len(req.Configs) == 0 {
+		return fmt.Errorf("\"configs\" is required (one or more of: %s)", strings.Join(esp.ConfigNames(), ", "))
+	}
+	if err := validateKnobs(req.Scale, req.MaxEvents, req.MaxPending, req.TimeoutMs, req.Tenant, req.DeadlineMs); err != nil {
+		return err
 	}
 	if err := validateID("sweep_id", req.SweepID); err != nil {
-		return SweepRequest{}, err
+		return err
 	}
 	if err := validateID("shard", req.Shard); err != nil {
-		return SweepRequest{}, err
-	}
-	if err := validateID("tenant", req.Tenant); err != nil {
-		return SweepRequest{}, err
-	}
-	if err := validateDeadline(req.DeadlineMs); err != nil {
-		return SweepRequest{}, err
+		return err
 	}
 	for _, app := range req.Apps {
 		if _, err := workload.ByName(app); err != nil {
-			return SweepRequest{}, err
+			return err
 		}
 	}
 	for _, name := range req.Configs {
 		if _, err := cellConfig(name, req.Sched, 0, 0); err != nil {
-			return SweepRequest{}, err
+			return err
 		}
 	}
-	return req, nil
+	return nil
 }
 
 // validateID keeps sweep and shard IDs filename-safe: sweep IDs name
@@ -345,22 +354,36 @@ func traceWorkload(traceB64 string, maxEvents int, policy esp.SchedPolicy, lim t
 // planes a runner needs. Preset workloads go through the runner's LRU
 // cache keyed by (profile, MaxEvents) — which subsumes (app, scale),
 // since scale changes the profile value — so concurrent requests share
-// one materialized arena.
-func resolve(r *sim.Runner, req RunRequest, lim trace.Limits) (*sim.Workload, esp.Config, error) {
+// one materialized arena. A name, knob, or inline trace that does not
+// resolve is ErrInvalid; a preset that fails to build is the runner's
+// own error (sim.ErrBuild, retryable).
+func resolve(r *sim.Runner, req RunRequest) (*sim.Workload, esp.Config, error) {
 	cfg, err := cellConfig(req.Config, req.Sched, req.MaxEvents, req.MaxPending)
 	if err != nil {
-		return nil, esp.Config{}, err
+		return nil, esp.Config{}, invalid(err)
 	}
 	if req.TraceB64 != "" {
-		w, err := traceWorkload(req.TraceB64, cfg.MaxEvents, cfg.Sched, lim)
-		return w, cfg, err
+		w, err := traceWorkload(req.TraceB64, cfg.MaxEvents, cfg.Sched, traceLimits)
+		if err != nil {
+			return nil, esp.Config{}, invalid(err)
+		}
+		return w, cfg, nil
 	}
 	prof, err := scaledProfile(req.App, req.Scale)
 	if err != nil {
-		return nil, esp.Config{}, err
+		return nil, esp.Config{}, invalid(err)
 	}
 	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
 	return w, cfg, err
+}
+
+// workloadName is the name a cell's workload runs and is estimated
+// under: the preset's, or "trace" for an inline trace.
+func (req RunRequest) workloadName() string {
+	if req.App == "" {
+		return "trace"
+	}
+	return req.App
 }
 
 // appNames lists the paper-suite applications. It doubles as the
@@ -383,21 +406,22 @@ func timeoutOf(ms int, def time.Duration) time.Duration {
 	return def
 }
 
-// tenantHeader is the transport-level tenant identity, for clients that
+// TenantHeader is the transport-level tenant identity, for clients that
 // cannot touch the body (proxies, coordinators re-dispatching opaque
 // requests).
-const tenantHeader = "X-ESP-Tenant"
+const TenantHeader = "X-ESP-Tenant"
 
-// resolveTenant joins the body field and the header into one tenant
-// name: either may set it, both only in agreement, and legacy clients
-// that set neither land on the "default" tenant.
-func resolveTenant(field, header string) (string, error) {
+// ResolveTenant joins the body field and the TenantHeader value into
+// one tenant name: either may set it, both only in agreement (else
+// ErrInvalid), and legacy clients that set neither land on the
+// "default" tenant. espd and espcoord both admit by it.
+func ResolveTenant(field, header string) (string, error) {
 	if err := validateID("tenant", header); err != nil {
-		return "", err
+		return "", invalid(err)
 	}
 	switch {
 	case field != "" && header != "" && field != header:
-		return "", fmt.Errorf("\"tenant\" %q and %s header %q disagree", field, tenantHeader, header)
+		return "", invalid(fmt.Errorf("\"tenant\" %q and %s header %q disagree", field, TenantHeader, header))
 	case field != "":
 		return field, nil
 	case header != "":

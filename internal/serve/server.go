@@ -45,9 +45,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxRequestBytes bounds a request body (default: 8 MiB).
 	MaxRequestBytes int64
-	// TraceLimits bounds inline ESPT traces (default: 4 MiB encoded,
-	// 64Ki events, 4Mi instructions).
-	TraceLimits trace.Limits
 	// Logger receives structured request logs (default: slog.Default).
 	Logger *slog.Logger
 
@@ -69,12 +66,10 @@ type Options struct {
 	// sim.FaultHook). Testing only; nil in production.
 	FaultHook sim.FaultHook
 
-	// TenantDefault applies to tenants with no entry in Tenants (zero
-	// value: weight 1, no quotas); Tenants overrides per tenant name.
-	// TenantQuantum is the fair queue's DRR round in cells per unit
-	// weight (0: 8). MaxTenants bounds distinct tenant names tracked
-	// (0: 256).
-	TenantDefault tenantq.TenantConfig
+	// Tenants configures named tenants; any other tenant gets weight 1
+	// and no quotas. TenantQuantum is the fair queue's DRR round in
+	// cells per unit weight (0: 8). MaxTenants bounds distinct tenant
+	// names tracked (0: 256).
 	Tenants       map[string]tenantq.TenantConfig
 	TenantQuantum float64
 	MaxTenants    int
@@ -119,9 +114,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRequestBytes <= 0 {
 		o.MaxRequestBytes = 8 << 20
 	}
-	if o.TraceLimits == (trace.Limits{}) {
-		o.TraceLimits = trace.Limits{MaxTraceBytes: 4 << 20, MaxEvents: 64 << 10, MaxInsts: 4 << 20}
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -153,10 +145,11 @@ type Server struct {
 	runner *sim.Runner
 	met    *metrics.Metrics
 
-	// tickets is admission control: capacity Workers+QueueDepth. A
-	// request that cannot take a ticket without blocking is rejected
-	// with 429. tq is the execution bound — Workers slots handed out by
-	// weighted fair queueing across tenants, with per-tenant quotas.
+	// tickets bounds admitted requests at Workers+QueueDepth; the last
+	// rung of admit's ladder refuses a request that cannot take one
+	// without blocking (429). tq is the execution bound — Workers slots
+	// handed out by weighted fair queueing across tenants, with
+	// per-tenant quotas.
 	tickets chan struct{}
 	tq      *tenantq.Queue
 
@@ -204,7 +197,6 @@ func New(opt Options) *Server {
 	s.tq = tenantq.New(tenantq.Options{
 		Slots:      opt.Workers,
 		Quantum:    opt.TenantQuantum,
-		Default:    opt.TenantDefault,
 		Tenants:    opt.Tenants,
 		MaxTenants: opt.MaxTenants,
 	})
@@ -317,50 +309,23 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// admit takes a queue ticket without blocking. The returned release
-// must be called exactly once.
-func (s *Server) admit() (release func(), ok bool) {
-	select {
-	case s.tickets <- struct{}{}:
-		s.met.QueueDepth.Add(1)
-		return func() {
-			<-s.tickets
-			s.met.QueueDepth.Add(-1)
-		}, true
-	default:
-		return nil, false
-	}
-}
-
-// acquireWorker blocks until the fair queue grants the tenant a worker
-// slot for cost cells, the tenant's quota refuses it (fail-fast
-// tenantq.ErrQuota), or the client goes away.
-func (s *Server) acquireWorker(ctx context.Context, tenant string, cost int) (release func(), err error) {
-	return s.tq.Acquire(ctx, tenant, cost)
-}
-
 // observeBrownout feeds the controller the cache's accounted footprint
-// and applies whatever level it lands on. Called synchronously on every
-// admission (so pressure reacts within one request) and from the
-// background loop (so recovery happens while idle).
+// and translates the level it lands on into engine knobs. Called
+// synchronously on every admission (so pressure reacts within one
+// request) and from the background loop (so recovery happens while
+// idle). The knobs are cheap sets, so re-applying the current level on
+// every observation costs nothing and needs no state.
 func (s *Server) observeBrownout() tenantq.BrownoutLevel {
 	if s.brown == nil {
 		return tenantq.BrownNormal
 	}
 	level := s.brown.Observe(s.runner.CacheBytes())
-	s.applyBrownout(level)
-	return level
-}
-
-// applyBrownout translates a level into engine knobs. Every transition
-// is applied idempotently: the knobs are cheap sets, so re-applying the
-// current level on every observation costs nothing and needs no state.
-func (s *Server) applyBrownout(level tenantq.BrownoutLevel) {
 	s.runner.SetCacheAdmit(level < tenantq.BrownNoCache)
 	if level >= tenantq.BrownNoCache {
 		s.runner.TrimWorkloadCache(s.brown.TrimTarget())
 	}
 	s.tq.SetDegraded(level >= tenantq.BrownHalfConcurrency)
+	return level
 }
 
 // brownoutLoop re-observes on a timer so the controller walks back down
@@ -378,171 +343,188 @@ func (s *Server) brownoutLoop() {
 	}
 }
 
-// smallGrid reports whether a request is small enough for the deepest
-// brownout level: a bounded cells×max_events product under SmallGridMax.
-// Unbounded requests (max_events 0) are never small.
-func (s *Server) smallGrid(cells, maxEvents int) bool {
-	return maxEvents > 0 && cells*maxEvents <= s.opt.SmallGridMax
-}
-
-// enter gates every mutating endpoint: it registers the request with
-// the drain group and rejects when draining. exit must be called when
-// the handler returns (iff ok).
-func (s *Server) enter(w http.ResponseWriter) (exit func(), ok bool) {
+// begin opens a POST endpoint: method check, request counter, the
+// drain gate (503 while draining), and a bounded body. ok false means
+// the response is written; otherwise exit must run when the handler
+// returns.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, requests *atomic.Int64) (body []byte, exit func(), ok bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
+		return nil, nil, false
+	}
+	requests.Add(1)
 	s.inflight.Add(1)
 	if s.draining.Load() {
 		s.inflight.Done()
 		s.met.Draining.Add(1)
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is draining"))
-		return nil, false
+		return nil, nil, false
 	}
-	return func() { s.inflight.Done() }, true
-}
-
-// readBody slurps a bounded request body.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxRequestBytes))
 	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
+		s.inflight.Done()
+		s.fail(w, invalid(fmt.Errorf("reading request body: %w", err)))
+		return nil, nil, false
 	}
-	return body, nil
+	return body, s.inflight.Done, true
+}
+
+// grid is what the admission ladder sees of a request: whose it is,
+// which cells it asks for, how far each may run, and by when. /run is
+// a one-cell grid.
+type grid struct {
+	tenant    string
+	apps      []string
+	configs   []string
+	maxEvents int
+	deadline  time.Time
+}
+
+// admit is the refusal ladder every request climbs, cheapest refusal
+// first: brownout (the deepest level admits only grids whose
+// cells×max_events stays within SmallGridMax; an unbounded max_events
+// is never small), deadline shed (every cell provably misses the
+// deadline, so nothing is simulated), then a queue ticket. A refusal
+// comes back accounted, its fault.ErrorKind choosing the status;
+// otherwise release must be called exactly once.
+func (s *Server) admit(g grid) (release func(), err error) {
+	cells := len(g.apps) * len(g.configs)
+	small := g.maxEvents > 0 && cells*g.maxEvents <= s.opt.SmallGridMax
+	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly && !small {
+		return nil, s.refuse(g.tenant, fmt.Errorf("%w (%s): only grids with cells*max_events <= %d are admitted",
+			tenantq.ErrBrownout, level, s.opt.SmallGridMax), cells)
+	}
+	if s.allShed(g) {
+		return nil, s.refuse(g.tenant, fmt.Errorf("%w: no cell can finish within the deadline", tenantq.ErrDeadlineShed), cells)
+	}
+	select {
+	case s.tickets <- struct{}{}:
+		return func() { <-s.tickets }, nil
+	default:
+		return nil, s.refuse(g.tenant, fmt.Errorf("%w (%d in flight)", errQueueFull, cap(s.tickets)), cells)
+	}
+}
+
+// allShed reports whether every cell of g provably cannot finish by its
+// deadline (never true without one).
+func (s *Server) allShed(g grid) bool {
+	if g.deadline.IsZero() {
+		return false
+	}
+	now := time.Now()
+	for _, app := range g.apps {
+		for _, name := range g.configs {
+			if !s.est.cannotFinish(app, name, g.deadline, now) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// errQueueFull refuses a request that finds every queue ticket taken.
+var errQueueFull = fault.Sentinel("serve: queue full", fault.KindQuota)
+
+// refuse accounts a refusal of cells on tenant's behalf, in the global
+// overload counters and the tenant's /metrics row, and returns it.
+// tenantq counts its own quota refusals per tenant.
+func (s *Server) refuse(tenant string, err error, cells int) error {
+	switch {
+	case errors.Is(err, tenantq.ErrBrownout):
+		s.met.BrownoutRejected.Add(1)
+		s.tq.CountBrownout(tenant)
+	case errors.Is(err, tenantq.ErrDeadlineShed):
+		s.met.DeadlineShed.Add(int64(cells))
+		s.tq.CountShed(tenant, int64(cells))
+	case errors.Is(err, tenantq.ErrQuota):
+		s.met.QuotaRejected.Add(int64(cells))
+	case errors.Is(err, errQueueFull):
+		s.met.Rejected.Add(1)
+	}
+	return err
+}
+
+// runCell runs one cell the way both endpoints do: it resolves the
+// machine configuration and the workload (a preset through the
+// runner's cache, or an inline trace), sheds the cell when queueing
+// left too little of the deadline, clamps timeout to what remains of
+// it, and simulates. op ("run" or "sweep") prefixes the cell's label.
+func (s *Server) runCell(tenant, op string, c RunRequest, timeout time.Duration, deadline time.Time) (esp.Result, error) {
+	wl, cfg, err := resolve(s.runner, c)
+	if err != nil {
+		return esp.Result{}, err
+	}
+	if !deadline.IsZero() {
+		now := time.Now()
+		if s.est.cannotFinish(wl.App, cfg.Name, deadline, now) {
+			return esp.Result{}, s.refuse(tenant, fmt.Errorf("%w: %s/%s cannot finish within what queueing left of the deadline",
+				tenantq.ErrDeadlineShed, wl.App, cfg.Name), 1)
+		}
+		timeout = min(timeout, deadline.Sub(now))
+	}
+	res, err := s.runner.RunWorkload(op+"/"+wl.App+"/"+cfg.Name, wl, cfg, timeout)
+	if errors.Is(err, sim.ErrTimeout) {
+		s.met.Timeouts.Add(1)
+	}
+	return res, err
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	s.met.RunRequests.Add(1)
-	exit, ok := s.enter(w)
+	body, exit, ok := s.begin(w, r, &s.met.RunRequests)
 	if !ok {
 		return
 	}
 	defer exit()
-
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	req, err := ParseRunRequest(body)
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
+	var tenant string
+	if err == nil {
+		tenant, err = ResolveTenant(req.Tenant, r.Header.Get(TenantHeader))
 	}
-	tenant, err := resolveTenant(req.Tenant, r.Header.Get(tenantHeader))
 	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		s.fail(w, err)
 		return
 	}
 	deadline := deadlineOf(req.DeadlineMs, time.Now())
-
-	// Overload admission ladder, cheapest refusal first: brownout (503),
-	// deadline shed (504, zero simulation), queue tickets (429), then
-	// the tenant fair queue (quota 429, or a granted slot).
-	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly && !s.smallGrid(1, req.MaxEvents) {
-		s.met.BrownoutRejected.Add(1)
-		s.tq.CountBrownout(tenant)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("%w (%s): only bounded runs with max_events <= %d are admitted", tenantq.ErrBrownout, level, s.opt.SmallGridMax))
-		return
-	}
-	estApp := req.App
-	if estApp == "" {
-		estApp = "trace"
-	}
-	if s.est.cannotFinish(estApp, req.Config, deadline, time.Now()) {
-		s.met.DeadlineShed.Add(1)
-		s.tq.CountShed(tenant, 1)
-		writeError(w, http.StatusGatewayTimeout,
-			fmt.Errorf("%w: %s/%s cannot finish within deadline_ms=%d", tenantq.ErrDeadlineShed, estApp, req.Config, req.DeadlineMs))
-		return
-	}
-
-	release, ok := s.admit()
-	if !ok {
-		s.met.Rejected.Add(1)
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("queue full (%d in flight)", cap(s.tickets)))
+	release, err := s.admit(grid{tenant: tenant, apps: []string{req.workloadName()}, configs: []string{req.Config},
+		maxEvents: req.MaxEvents, deadline: deadline})
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	defer release()
-	releaseWorker, err := s.acquireWorker(r.Context(), tenant, 1)
+	releaseSlot, err := s.tq.Acquire(r.Context(), tenant, 1)
 	if err != nil {
-		if errors.Is(err, tenantq.ErrQuota) {
-			s.met.QuotaRejected.Add(1)
-			writeError(w, http.StatusTooManyRequests, err)
-			return
-		}
-		writeError(w, statusClientGone, fmt.Errorf("client went away: %w", err))
+		s.fail(w, s.refuse(tenant, err, 1))
 		return
 	}
-	defer releaseWorker()
+	defer releaseSlot()
 
+	// One attempt, no breaker: a /run client retries for itself.
 	start := time.Now()
-	wl, cfg, err := resolve(s.runner, req, s.opt.TraceLimits)
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Queue wait may have consumed the deadline; re-check before
-	// simulating, and never simulate past what is left of it.
-	timeout := timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout)
-	if !deadline.IsZero() {
-		rem := time.Until(deadline)
-		if rem <= 0 || s.est.cannotFinish(wl.App, cfg.Name, deadline, time.Now()) {
-			s.met.DeadlineShed.Add(1)
-			s.tq.CountShed(tenant, 1)
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Errorf("%w: deadline exhausted while queued", tenantq.ErrDeadlineShed))
-			return
-		}
-		if rem < timeout {
-			timeout = rem
-		}
-	}
-	label := "run/" + wl.App + "/" + cfg.Name
-	res, err := s.runner.RunWorkload(label, wl, cfg, timeout)
+	res, err := s.runCell(tenant, "run", req, timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout), deadline)
 	wall := time.Since(start)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, sim.ErrTimeout) {
-			status = http.StatusGatewayTimeout
-			s.met.Timeouts.Add(1)
-		}
-		s.log.Error("run", "app", wl.App, "config", cfg.Name, "status", status, "wall_ms", wall.Milliseconds(), "err", err.Error())
-		writeError(w, status, err)
+		status := s.fail(w, err)
+		s.log.Error("run", "app", req.workloadName(), "config", req.Config, "status", status, "wall_ms", wall.Milliseconds(), "err", err.Error())
 		return
 	}
-	s.log.Info("run", "app", wl.App, "config", cfg.Name, "status", http.StatusOK, "wall_ms", wall.Milliseconds())
+	s.log.Info("run", "app", req.workloadName(), "config", req.Config, "status", http.StatusOK, "wall_ms", wall.Milliseconds())
 	writeJSON(w, http.StatusOK, RunResponse{Result: res, WallMs: float64(wall.Microseconds()) / 1e3})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	s.met.SweepRequests.Add(1)
-	exit, ok := s.enter(w)
+	body, exit, ok := s.begin(w, r, &s.met.SweepRequests)
 	if !ok {
 		return
 	}
 	defer exit()
-
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	req, err := ParseSweepRequest(body)
+	var tenant string
+	if err == nil {
+		tenant, err = ResolveTenant(req.Tenant, r.Header.Get(TenantHeader))
+	}
 	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
+		s.fail(w, err)
 		return
 	}
 	apps := req.Apps
@@ -552,61 +534,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Shard != "" {
 		s.met.ShardRequests.Add(1)
 	}
-	tenant, err := resolveTenant(req.Tenant, r.Header.Get(tenantHeader))
-	if err != nil {
-		s.met.BadRequests.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	arrival := time.Now()
 	deadline := deadlineOf(req.DeadlineMs, arrival)
-	gridCells := len(apps) * len(req.Configs)
 
-	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly && !s.smallGrid(gridCells, req.MaxEvents) {
-		s.met.BrownoutRejected.Add(1)
-		s.tq.CountBrownout(tenant)
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("%w (%s): only grids with cells*max_events <= %d are admitted", tenantq.ErrBrownout, level, s.opt.SmallGridMax))
-		return
-	}
-
-	// Deadline fast path: when every cell provably cannot finish, answer
-	// 504 with the full shed grid immediately — zero simulation, no
-	// journal claim, no queueing. A coordinator propagating an exhausted
-	// budget (negative deadline_ms) always lands here.
-	if !deadline.IsZero() {
-		now := time.Now()
-		allShed := true
+	// The whole sweep is one admission unit. A grid that cannot finish
+	// in time still answers every cell — shed, with zero simulation and
+	// no journal claim; a coordinator propagating an exhausted budget
+	// (negative deadline_ms) always lands here.
+	release, err := s.admit(grid{tenant: tenant, apps: apps, configs: req.Configs, maxEvents: req.MaxEvents, deadline: deadline})
+	if errors.Is(err, tenantq.ErrDeadlineShed) {
+		cells := make([]SweepCell, 0, len(apps)*len(req.Configs))
 		for _, app := range apps {
 			for _, name := range req.Configs {
-				if !s.est.cannotFinish(app, name, deadline, now) {
-					allShed = false
-					break
-				}
-			}
-			if !allShed {
-				break
+				cells = append(cells, SweepCell{App: app, Config: name, Error: err.Error(), ErrorKind: string(fault.KindShed)})
 			}
 		}
-		if allShed {
-			cells := make([]SweepCell, 0, gridCells)
-			for _, app := range apps {
-				for _, name := range req.Configs {
-					cells = append(cells, SweepCell{
-						App:       app,
-						Config:    name,
-						Error:     fmt.Sprintf("shed: cannot finish within deadline_ms=%d", req.DeadlineMs),
-						ErrorKind: string(fault.KindShed),
-					})
-				}
-			}
-			s.met.DeadlineShed.Add(int64(gridCells))
-			s.tq.CountShed(tenant, int64(gridCells))
-			s.log.Info("sweep shed", "tenant", tenant, "cells", gridCells, "deadline_ms", req.DeadlineMs)
-			writeJSON(w, http.StatusGatewayTimeout, SweepResponse{Cells: cells, WallMs: float64(time.Since(arrival).Microseconds()) / 1e3})
-			return
-		}
+		s.log.Info("sweep shed", "tenant", tenant, "cells", len(cells), "deadline_ms", req.DeadlineMs)
+		writeJSON(w, http.StatusGatewayTimeout, SweepResponse{Cells: cells, WallMs: float64(time.Since(arrival).Microseconds()) / 1e3})
+		return
 	}
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer release()
 
 	// Checkpoint/resume: a sweep_id on a journaling server replays
 	// completed cells from disk and appends new ones as they finish. The
@@ -620,7 +571,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer s.releaseSweep(req.SweepID)
-		var err error
 		jr, err = openSweepJournal(s.opt.CheckpointDir, apps, req, s.log)
 		if err != nil {
 			if errors.Is(err, errSweepConflict) {
@@ -636,20 +586,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		defer s.untrackJournal(req.SweepID, jr)
 	}
 
-	// The whole sweep is one admission unit; each application is one
-	// batch that holds a worker slot while its configurations run back
-	// to back, so they share the materialized workload and reuse pooled
-	// machines with no interleaving cells evicting them.
-	release, ok := s.admit()
-	if !ok {
-		s.met.Rejected.Add(1)
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("queue full (%d in flight)", cap(s.tickets)))
-		return
-	}
-	defer release()
-
+	// Each application is one batch that holds a worker slot while its
+	// configurations run back to back, so they share the materialized
+	// workload and reuse pooled machines with no interleaving cells
+	// evicting them.
 	start := time.Now()
-	timeout := timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout)
 	cells := make([]SweepCell, len(apps)*len(req.Configs))
 	var wg sync.WaitGroup
 	for ai, app := range apps {
@@ -657,41 +598,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		go func(ai int, app string) {
 			defer wg.Done()
 			batch := cells[ai*len(req.Configs) : (ai+1)*len(req.Configs)]
+			outstanding := 0
 			for ci, name := range req.Configs {
 				batch[ci] = SweepCell{App: app, Config: name}
 				if res := jr.resumed(app, name); res != nil {
 					batch[ci].Result = res
 					batch[ci].Resumed = true
 					s.met.ResumedCells.Add(1)
-				}
-			}
-			if allDone(batch) {
-				return // fully resumed: no worker slot needed
-			}
-			outstanding := 0
-			for ci := range batch {
-				if batch[ci].Result == nil {
+				} else {
 					outstanding++
 				}
+			}
+			if outstanding == 0 {
+				return // fully resumed: no worker slot needed
 			}
 			// The batch's fair-queue cost is its outstanding cell count,
 			// so a tenant sweeping the full grid weighs accordingly
 			// against a tenant running single cells.
-			releaseWorker, err := s.acquireWorker(r.Context(), tenant, outstanding)
+			releaseSlot, err := s.tq.Acquire(r.Context(), tenant, outstanding)
 			if err != nil {
-				if errors.Is(err, tenantq.ErrQuota) {
-					s.met.QuotaRejected.Add(int64(outstanding))
-				}
+				s.refuse(tenant, err, outstanding)
 				for ci := range batch {
 					if batch[ci].Result == nil {
 						batch[ci].Error = fmt.Sprintf("batch not admitted: %v", err)
-						batch[ci].ErrorKind = errKind(err)
+						batch[ci].ErrorKind = string(fault.Classify(err))
 					}
 				}
 				return
 			}
-			defer releaseWorker()
-			s.runBatch(r.Context(), tenant, app, req, batch, timeout, deadline, jr)
+			defer releaseSlot()
+			s.runBatch(r.Context(), tenant, req, batch, deadline, jr)
 		}(ai, app)
 	}
 	wg.Wait()
@@ -760,35 +696,17 @@ func (s *Server) untrackJournal(id string, jr *sweepJournal) {
 	}
 }
 
-// allDone reports whether every cell of a batch already has a result.
-func allDone(batch []SweepCell) bool {
-	for i := range batch {
-		if batch[i].Result == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // runBatch executes one application's outstanding cells sequentially on
-// the calling worker, each under the full recovery stack: breaker
-// admission (a quarantined cell is skipped, not attempted), bounded
-// retries with backoff for retryable failures, structured per-cell
-// errors, and a journal append for every success. The workload is
-// materialized (or LRU-hit) once for the whole batch. A cell that
-// provably cannot finish by the request deadline is shed (never
-// simulated) so the rest of the grid comes back as partial results.
-func (s *Server) runBatch(ctx context.Context, tenant, app string, req SweepRequest, batch []SweepCell, timeout time.Duration, deadline time.Time, jr *sweepJournal) {
-	prof, err := scaledProfile(app, req.Scale)
-	if err != nil {
-		for ci := range batch {
-			if batch[ci].Result == nil {
-				batch[ci].Error = err.Error()
-				batch[ci].ErrorKind = "config"
-			}
-		}
-		return
-	}
+// the calling worker, each through runCell under the full recovery
+// stack: breaker admission (a quarantined cell is skipped, not
+// attempted), bounded retries with backoff for retryable failures,
+// structured per-cell errors, and a journal append for every success.
+// The workload is materialized (or LRU-hit) once for the whole batch.
+// A cell that provably cannot finish by the request deadline is shed
+// (never simulated) so the rest of the grid comes back as partial
+// results.
+func (s *Server) runBatch(ctx context.Context, tenant string, req SweepRequest, batch []SweepCell, deadline time.Time, jr *sweepJournal) {
+	timeout := timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout)
 	for ci := range batch {
 		cell := &batch[ci]
 		if cell.Result != nil {
@@ -798,42 +716,27 @@ func (s *Server) runBatch(ctx context.Context, tenant, app string, req SweepRequ
 			// The client is gone: stop burning worker time. Journaled
 			// cells survive for the resubmission.
 			cell.Error = fmt.Sprintf("batch canceled: %v", ctx.Err())
-			cell.ErrorKind = "canceled"
+			cell.ErrorKind = string(fault.KindCanceled)
 			continue
 		}
-		cfg, err := cellConfig(cell.Config, req.Sched, req.MaxEvents, req.MaxPending)
+		// The breaker key carries the resolved name runCell estimates
+		// under, so "sched" splits it as an "@policy" suffix does.
+		cfg, err := cellConfig(cell.Config, req.Sched, 0, 0)
 		if err != nil {
-			cell.Error = err.Error()
-			cell.ErrorKind = "config"
+			cell.Error = invalid(err).Error()
+			cell.ErrorKind = string(fault.KindConfig)
 			continue
 		}
-		cellTimeout := timeout
-		if !deadline.IsZero() {
-			if s.est.cannotFinish(app, cfg.Name, deadline, time.Now()) {
-				cell.Error = fmt.Sprintf("shed: cannot finish within deadline_ms=%d", req.DeadlineMs)
-				cell.ErrorKind = string(fault.KindShed)
-				s.met.DeadlineShed.Add(1)
-				s.tq.CountShed(tenant, 1)
-				continue
-			}
-			if rem := time.Until(deadline); rem < cellTimeout {
-				cellTimeout = rem
-			}
-		}
-		key := app + "/" + cfg.Name
+		c := RunRequest{App: cell.App, Config: cell.Config, Scale: req.Scale, MaxEvents: req.MaxEvents, MaxPending: req.MaxPending, Sched: req.Sched}
+		key := cell.App + "/" + cfg.Name
 		var res esp.Result
 		out := s.exec.Run(ctx, key, func(attempt int) error {
-			// Every cell goes through the runner's cache: the first call
-			// materializes, the rest of the batch hits the same arena.
-			var rerr error
-			res, rerr = s.runner.RunCell("sweep/"+key, prof, cfg, cellTimeout)
-			if rerr != nil {
-				if errors.Is(rerr, sim.ErrTimeout) {
-					s.met.Timeouts.Add(1)
-				}
-				s.log.Warn("sweep cell", "cell", key, "attempt", attempt, "err", rerr.Error())
+			var err error
+			res, err = s.runCell(tenant, "sweep", c, timeout, deadline)
+			if err != nil {
+				s.log.Warn("sweep cell", "cell", key, "attempt", attempt, "err", err.Error())
 			}
-			return rerr
+			return err
 		})
 		cell.Attempts = out.Attempts
 		if out.Skipped {
@@ -842,11 +745,11 @@ func (s *Server) runBatch(ctx context.Context, tenant, app string, req SweepRequ
 		}
 		if out.Err != nil {
 			cell.Error = out.Err.Error()
-			cell.ErrorKind = errKind(out.Err)
+			cell.ErrorKind = string(fault.Classify(out.Err))
 			continue
 		}
 		cell.Result = &res
-		if err := jr.append(app, cell.Config, res); err != nil {
+		if err := jr.append(cell.App, cell.Config, res); err != nil {
 			s.met.JournalErrors.Add(1)
 			s.log.Error("sweep journal append", "cell", key, "err", err.Error())
 		}
@@ -954,6 +857,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		snap.Engine.Sched = se
 	}
+	snap.Queue.Depth = int64(len(s.tickets))
 	snap.Queue.Capacity = cap(s.tickets)
 	snap.Queue.Workers = s.opt.Workers
 	snap.Tenants = s.tq.Snapshot()
@@ -1025,6 +929,42 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // statusClientGone is the nginx-convention 499 "client closed request":
 // the client's context died while the request waited for a worker.
 const statusClientGone = 499
+
+// HTTPStatus maps a fault.ErrorKind to the status espd and espcoord
+// answer with, for refusals and failed cells alike. Every kind is
+// listed, so adding one revisits this table.
+func HTTPStatus(k fault.ErrorKind) int {
+	switch k {
+	case fault.KindNone:
+		return http.StatusOK
+	case fault.KindConfig:
+		return http.StatusBadRequest
+	case fault.KindQuota:
+		return http.StatusTooManyRequests
+	case fault.KindCanceled:
+		return statusClientGone
+	case fault.KindBrownout, fault.KindBreakerOpen:
+		return http.StatusServiceUnavailable
+	case fault.KindTimeout, fault.KindShed:
+		return http.StatusGatewayTimeout
+	case fault.KindNet:
+		return http.StatusBadGateway
+	case fault.KindPanic, fault.KindBuild, fault.KindInjected, fault.KindError:
+		return http.StatusInternalServerError
+	}
+	return http.StatusInternalServerError
+}
+
+// fail answers err with the status its kind maps to and returns that
+// status; a 400 also counts as a bad request.
+func (s *Server) fail(w http.ResponseWriter, err error) int {
+	status := HTTPStatus(fault.Classify(err))
+	if status == http.StatusBadRequest {
+		s.met.BadRequests.Add(1)
+	}
+	writeError(w, status, err)
+	return status
+}
 
 type errorResponse struct {
 	Error string `json:"error"`

@@ -16,7 +16,10 @@ import (
 
 	esp "espsim"
 	"espsim/internal/eventq"
+	"espsim/internal/fault"
 	"espsim/internal/serve/metrics"
+	"espsim/internal/sim"
+	"espsim/internal/tenantq"
 	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
@@ -247,6 +250,53 @@ func TestQueueFullReturns429(t *testing.T) {
 	rec = post(t, s, "/sweep", SweepRequest{Apps: []string{"amazon"}, Configs: []string{"base"}})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("sweep during full queue: status %d, want 429", rec.Code)
+	}
+}
+
+// TestHTTPStatusCoversEveryKind: every fault.ErrorKind answers a
+// deliberate status, so a new kind cannot fall through to a generic
+// 500 unnoticed, and every refusal the ladder and the cell path raise
+// lands on the status the endpoints promise.
+func TestHTTPStatusCoversEveryKind(t *testing.T) {
+	want := map[fault.ErrorKind]int{
+		fault.KindTimeout:     http.StatusGatewayTimeout,
+		fault.KindPanic:       http.StatusInternalServerError,
+		fault.KindBuild:       http.StatusInternalServerError,
+		fault.KindNet:         http.StatusBadGateway,
+		fault.KindInjected:    http.StatusInternalServerError,
+		fault.KindBreakerOpen: http.StatusServiceUnavailable,
+		fault.KindCanceled:    statusClientGone,
+		fault.KindConfig:      http.StatusBadRequest,
+		fault.KindQuota:       http.StatusTooManyRequests,
+		fault.KindBrownout:    http.StatusServiceUnavailable,
+		fault.KindShed:        http.StatusGatewayTimeout,
+		fault.KindError:       http.StatusInternalServerError,
+	}
+	for _, k := range fault.Kinds() {
+		code, ok := want[k]
+		if !ok {
+			t.Errorf("kind %q has no deliberate status: add it to HTTPStatus and to this table", k)
+			continue
+		}
+		if got := HTTPStatus(k); got != code {
+			t.Errorf("HTTPStatus(%q) = %d, want %d", k, got, code)
+		}
+	}
+	if got := HTTPStatus(fault.KindNone); got != http.StatusOK {
+		t.Errorf("HTTPStatus(KindNone) = %d, want 200", got)
+	}
+	for err, code := range map[error]int{
+		ErrInvalid:              http.StatusBadRequest,
+		errQueueFull:            http.StatusTooManyRequests,
+		tenantq.ErrQuota:        http.StatusTooManyRequests,
+		tenantq.ErrBrownout:     http.StatusServiceUnavailable,
+		tenantq.ErrDeadlineShed: http.StatusGatewayTimeout,
+		context.Canceled:        statusClientGone,
+		sim.ErrTimeout:          http.StatusGatewayTimeout,
+	} {
+		if got := HTTPStatus(fault.Classify(fmt.Errorf("wrapped: %w", err))); got != code {
+			t.Errorf("%v answers %d, want %d", err, got, code)
+		}
 	}
 }
 

@@ -41,32 +41,27 @@ func (l BrownoutLevel) String() string {
 	}
 }
 
+// The watermarks, as fractions of the budget. brownEnter[i] engages
+// level i+1 once usage reaches it; escalation is immediate — pressure
+// does not wait. brownExit[i] is level i+1's calm watermark: recovery
+// requires usage at or below it.
+var (
+	brownEnter = [3]float64{0.80, 0.90, 0.97}
+	brownExit  = [3]float64{0.70, 0.80, 0.90}
+)
+
 // BrownoutConfig shapes the controller. Budget is the byte budget the
-// watermarks are fractions of; the zero value of every other field
-// gets a sensible default.
+// watermarks are fractions of.
 type BrownoutConfig struct {
 	// Budget is the memory budget in bytes (<= 0 disables the
 	// controller: Observe always reports BrownNormal).
 	Budget int64
-	// Enter[i] engages level i+1 when usage >= Enter[i]*Budget
-	// (default {0.80, 0.90, 0.97}). Escalation is immediate — pressure
-	// does not wait.
-	Enter [3]float64
-	// Exit[i] is level i+1's calm watermark (default {0.70, 0.80,
-	// 0.90}): recovery requires usage at/below it.
-	Exit [3]float64
 	// RecoverAfter is how many consecutive calm observations step the
 	// level down once — the hysteresis that stops flapping (default 4).
 	RecoverAfter int
 }
 
 func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.Enter == [3]float64{} {
-		c.Enter = [3]float64{0.80, 0.90, 0.97}
-	}
-	if c.Exit == [3]float64{} {
-		c.Exit = [3]float64{0.70, 0.80, 0.90}
-	}
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 4
 	}
@@ -109,7 +104,7 @@ func (b *Brownout) TrimTarget() int64 {
 	if b == nil || b.cfg.Budget <= 0 {
 		return 0
 	}
-	return int64(b.cfg.Exit[0] * float64(b.cfg.Budget))
+	return int64(brownExit[0] * float64(b.cfg.Budget))
 }
 
 // Observe feeds one usage sample (bytes) and returns the level after
@@ -123,7 +118,7 @@ func (b *Brownout) Observe(usage int64) BrownoutLevel {
 	cur := BrownoutLevel(b.level.Load())
 	target := BrownNormal
 	for i := 2; i >= 0; i-- {
-		if float64(usage) >= b.cfg.Enter[i]*float64(b.cfg.Budget) {
+		if float64(usage) >= brownEnter[i]*float64(b.cfg.Budget) {
 			target = BrownoutLevel(i + 1)
 			break
 		}
@@ -133,7 +128,7 @@ func (b *Brownout) Observe(usage int64) BrownoutLevel {
 		cur = target
 		b.calm = 0
 		b.escalations.Add(1)
-	case cur > BrownNormal && float64(usage) <= b.cfg.Exit[cur-1]*float64(b.cfg.Budget):
+	case cur > BrownNormal && float64(usage) <= brownExit[cur-1]*float64(b.cfg.Budget):
 		b.calm++
 		if b.calm >= b.cfg.RecoverAfter {
 			cur--

@@ -100,7 +100,7 @@ func TestBrownoutDisabledAndNil(t *testing.T) {
 func TestBrownoutTrimTarget(t *testing.T) {
 	b := NewBrownout(BrownoutConfig{Budget: 1000})
 	if got := b.TrimTarget(); got != 700 {
-		t.Fatalf("TrimTarget = %d, want 700 (Exit[0] × Budget)", got)
+		t.Fatalf("TrimTarget = %d, want 700 (brownExit[0] × Budget)", got)
 	}
 }
 

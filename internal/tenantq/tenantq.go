@@ -127,8 +127,9 @@ type tenant struct {
 	consumed int64 // cumulative admitted cells
 	bucket   bucket
 
-	// Counters for /metrics. admitted/completed move at grant/release;
-	// shed and brownout are fed by the serving layer via Count*.
+	// Counters for /metrics. admitted/completed move at grant/release,
+	// quota at refusal, all in cells; shed and brownout are fed by the
+	// serving layer via Count*.
 	admitted  int64
 	completed int64
 	quota     int64
@@ -170,9 +171,6 @@ func New(opt Options) *Queue {
 		now:     time.Now,
 	}
 }
-
-// Slots reports the configured concurrency bound (before degradation).
-func (q *Queue) Slots() int { return q.opt.Slots }
 
 // SetDegraded halves the effective slot pool while on (never below
 // one) — the brownout controller's half-concurrency lever. Turning it
@@ -237,12 +235,12 @@ func (q *Queue) Acquire(ctx context.Context, name string, cost int) (release fun
 		return nil, fmt.Errorf("%w: %d distinct tenants already tracked", ErrQuota, q.opt.MaxTenants)
 	}
 	if rej := q.quotaLocked(tn, cost); rej != nil {
-		tn.quota++
+		tn.quota += int64(cost)
 		q.mu.Unlock()
 		return nil, rej
 	}
 	if tn.cfg.Rate > 0 && !tn.bucket.take(float64(cost), q.now()) {
-		tn.quota++
+		tn.quota += int64(cost)
 		q.mu.Unlock()
 		return nil, fmt.Errorf("%w: tenant %q over its rate of %g cells/s", ErrQuota, name, tn.cfg.Rate)
 	}

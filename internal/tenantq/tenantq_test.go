@@ -200,6 +200,9 @@ func TestQuotaCellBudget(t *testing.T) {
 	rel()
 	_, err = q.Acquire(context.Background(), "t", 2)
 	mustQuota(t, err) // 2 consumed + 2 > 3: the budget is cumulative
+	if got := q.Snapshot()[0].RejectedQuota; got != 2 {
+		t.Errorf("rejected_quota %d, want the refused acquisition's 2 cells", got)
+	}
 	rel, err = q.Acquire(context.Background(), "t", 1)
 	if err != nil {
 		t.Fatalf("within budget: %v", err)
