@@ -28,9 +28,10 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# bench-go runs the full Go benchmark suite (per-figure regeneration
-# plus raw simulator throughput). The end-to-end and per-layer numbers
-# live in ledgerbench/ (see ledgerbench/README.md).
+# bench-go runs the Go benchmark suite: raw simulator throughput per
+# machine class and warm reuse against rebuild-per-cell. The paper's
+# figures come from `go run ./cmd/espbench`; the end-to-end and
+# per-layer numbers live in ledgerbench/ (see ledgerbench/README.md).
 bench-go:
 	$(GO) test -bench=. -benchmem .
 

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	espbench [-fig all|3|6|8|9|10|11a|11b|12|13|14|headline] [-scale 1] [-par 4]
+//	espbench [-fig all|headline|ablations|seeds|related|3|6|8|9|10|11a|11b|12|13|14] [-scale 1] [-par 4]
 //
 // With -fig all the figures run concurrently through the fault-tolerant
 // sweep runner: a figure that fails is reported and skipped, the rest
@@ -33,12 +33,6 @@ func main() {
 	csvOut = *csv
 	h := esp.NewHarness()
 	h.Scale = *scale
-
-	figures := map[string]func() (esp.Figure, error){
-		"3": h.Fig3, "6": h.Fig6, "8": h.Fig8, "9": h.Fig9, "10": h.Fig10,
-		"11a": h.Fig11a, "11b": h.Fig11b, "12": h.Fig12, "13": h.Fig13, "14": h.Fig14,
-		"related": h.FigRelated,
-	}
 
 	switch *fig {
 	case "all":
@@ -87,17 +81,28 @@ func main() {
 			fmt.Println()
 		}
 	default:
-		gen, ok := figures[*fig]
+		nf, ok := standardFigure(*fig)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "espbench: unknown figure %q\n", *fig)
 			os.Exit(2)
 		}
-		f, err := gen()
+		f, err := nf.Gen(h)
 		if err != nil {
 			fail(err)
 		}
 		printFigure(f)
 	}
+}
+
+// standardFigure finds the figure -fig names: "9" or "fig9" is the
+// paper's Figure 9, "related" the related-work comparison.
+func standardFigure(name string) (esp.NamedFigure, bool) {
+	for _, nf := range esp.StandardFigures() {
+		if nf.ID == name || nf.ID == "fig"+name {
+			return nf, true
+		}
+	}
+	return esp.NamedFigure{}, false
 }
 
 func fail(err error) {

@@ -10,7 +10,7 @@
 //
 //	POST /run      {"app":"amazon","config":"ESP+NL"}           -> one Result
 //	POST /sweep    {"apps":[...],"configs":[...]}               -> a grid, batched by workload
-//	GET  /journalz ?sweep_id=ID                                 -> checkpoint journal peek (handoff)
+//	GET  /journalz ?sweep_id=ID                                 -> operator peek at a sweep journal
 //	GET  /metrics  cells, cache hits, retries, breakers, ...    -> JSON
 //	GET  /healthz  liveness (always 200 while the process serves)
 //	GET  /readyz   readiness (503 while draining or mostly quarantined)

@@ -3,17 +3,18 @@
 //
 // Usage:
 //
-//	espsim -app amazon -config ESP+NL [-scale 1] [-events 0] [-v]
+//	espsim -app amazon -config ESP+NL [-sched edf] [-scale 1] [-events 0] [-v]
 //
-// Valid -config names: base, NL, NL+S, NL-I, NL-D, Runahead, Runahead+NL,
-// Runahead-D, Runahead-D+NL-D, ESP, ESP+NL, NaiveESP, NaiveESP+NL,
-// ESP-I+NL, ESP-I,B+NL, perfectL1I, perfectL1D, perfectBP, perfectAll.
+// -config takes any preset espd serves (esp.ConfigNames: base, NL+S,
+// ESP+NL, Runahead+NL, IdleCore, ...), optionally with an "@policy"
+// scheduling suffix ("ESP+NL@edf"); -sched is the same suffix as a flag.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"espsim"
 	"espsim/internal/eventq"
@@ -37,26 +38,6 @@ func replayTrace(path string, cfg esp.Config, lim trace.Limits) (esp.Result, err
 	return esp.RunSource(path, &eventq.TraceSource{Events: events}, cfg)
 }
 
-func configs() map[string]esp.Config {
-	list := []esp.Config{
-		esp.BaselineConfig(), esp.NLConfig(), esp.NLSConfig(),
-		esp.NLIOnlyConfig(), esp.NLDOnlyConfig(),
-		esp.EFetchConfig(), esp.PIFConfig(),
-		esp.RunaheadConfig(), esp.RunaheadNLConfig(),
-		esp.RunaheadDConfig(), esp.RunaheadDNLDConfig(),
-		esp.ESPConfig(), esp.ESPNLConfig(),
-		esp.NaiveESPConfig(), esp.NaiveESPNLConfig(),
-		esp.ESPIOnlyNLConfig(), esp.ESPIBNLConfig(),
-		esp.PerfectL1IConfig(), esp.PerfectL1DConfig(),
-		esp.PerfectBPConfig(), esp.PerfectAllConfig(),
-	}
-	m := make(map[string]esp.Config, len(list))
-	for _, c := range list {
-		m[c.Name] = c
-	}
-	return m
-}
-
 func main() {
 	var (
 		app       = flag.String("app", "amazon", "application workload (amazon, bing, cnn, facebook, gmaps, gdocs, pixlr, mobileweb, mobileheavy)")
@@ -70,23 +51,22 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg, ok := configs()[*cfgName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "espsim: unknown config %q; see -h for the list\n", *cfgName)
+	name := *cfgName
+	if *sched != "" {
+		if strings.Contains(name, "@") {
+			fmt.Fprintf(os.Stderr, "espsim: -config %q already names a scheduler; drop -sched\n", name)
+			os.Exit(2)
+		}
+		name += "@" + *sched
+	}
+	cfg, err := esp.ConfigByName(name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "espsim: %v\n", err)
 		os.Exit(2)
 	}
 	cfg.MaxEvents = *events
-	if *sched != "" {
-		policy, err := eventq.SchedByName(*sched)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "espsim: %v\n", err)
-			os.Exit(2)
-		}
-		cfg = esp.SchedConfig(cfg, policy)
-	}
 
 	var r esp.Result
-	var err error
 	if *tracePath != "" {
 		lim := trace.DefaultLimits()
 		if *traceMB > 0 {

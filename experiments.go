@@ -652,18 +652,3 @@ func (h *Harness) SeedStudy(prof workload.Profile, n int) (*stats.Table, error) 
 	t.AddF("max", "%.1f", max)
 	return t, nil
 }
-
-// AllFigures regenerates every figure sequentially, in paper order,
-// failing on the first figure that cannot be produced at all. RunAll is
-// the fault-tolerant, concurrent alternative.
-func (h *Harness) AllFigures() ([]Figure, error) {
-	var figs []Figure
-	for _, nf := range StandardFigures() {
-		f, err := nf.Gen(h)
-		if err != nil {
-			return figs, err
-		}
-		figs = append(figs, f)
-	}
-	return figs, nil
-}

@@ -56,13 +56,13 @@ type Options struct {
 	// 0 disables hedging.
 	HedgeAfter time.Duration
 	// Tenants mirrors espd's fair-queue configuration at the
-	// coordination layer (unnamed tenants get weight 1, no quotas): a
-	// sweep is admitted against its tenant's weight and quotas (cost:
-	// the whole grid's cell count) before any shard is dispatched, so
-	// one greedy tenant queues behind its share of the fleet instead of
-	// flooding it. TenantSlots bounds concurrently admitted sweeps
-	// fleet-wide (default: 64 × workers); lower it to serialize
-	// admission and let DRR order fully decide who runs next.
+	// coordination layer (unnamed tenants get weight 1, no cell
+	// budget): a sweep is admitted against its tenant's weight and
+	// budget (cost: the whole grid's cell count) before any shard is
+	// dispatched, so one greedy tenant queues behind its share of the
+	// fleet instead of flooding it. TenantSlots bounds concurrently
+	// admitted sweeps fleet-wide (default: 64 × workers); lower it to
+	// serialize admission and let DRR order fully decide who runs next.
 	Tenants     map[string]tenantq.TenantConfig
 	TenantSlots int
 	// Logger receives scheduling decisions (default slog.Default).
@@ -176,11 +176,11 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 	}
 
 	// Fair-queue admission: the whole grid is one acquisition at its
-	// cell-count cost, against the tenant's weight and quotas. A greedy
-	// tenant's sweeps queue here — behind its fair share — while other
-	// tenants' sweeps overtake; quota breaches fail fast with ErrQuota.
-	// Every shard request names the tenant, so the workers account the
-	// same one.
+	// cell-count cost, against the tenant's weight and cell budget. A
+	// greedy tenant's sweeps queue here — behind its fair share — while
+	// other tenants' sweeps overtake; a breached budget fails fast with
+	// ErrQuota. Every shard request names the tenant, so the workers
+	// account the same one.
 	if req.Tenant == "" {
 		req.Tenant = tenantq.DefaultTenant
 	}

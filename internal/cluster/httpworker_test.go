@@ -1,0 +1,118 @@
+package cluster
+
+// HTTPWorker is the only Worker the espcoord binary builds: these tests
+// run it against real espd handlers behind loopback HTTP servers.
+
+import (
+	"context"
+	"errors"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+
+	"espsim/internal/fault"
+	"espsim/internal/serve"
+)
+
+// httpWorker serves a fresh espd behind a loopback HTTP server and
+// returns both ends; the server closes with the test.
+func httpWorker(t *testing.T, name string) (*serve.Server, *httptest.Server, *HTTPWorker) {
+	t.Helper()
+	srv := serve.New(serve.Options{Name: name, Workers: 2, Logger: quietLogger()})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return srv, ts, NewHTTPWorker(name, ts.URL+"/", nil)
+}
+
+func runFleet(t *testing.T, workers []Worker, req serve.SweepRequest) (serve.SweepResponse, Snapshot) {
+	t.Helper()
+	c, err := New(Options{Workers: workers, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, c.Metrics()
+}
+
+// TestHTTPWorkerFleetMatchesLocal: a coordinator over two HTTPWorkers
+// returns the same cells as the same fleet over LocalWorkers.
+func TestHTTPWorkerFleetMatchesLocal(t *testing.T) {
+	req := serve.SweepRequest{Apps: gridApps, Configs: []string{"base", "ESP+NL"}, MaxEvents: goldenMaxEvents}
+	_, _, h0 := httpWorker(t, "w0")
+	_, _, h1 := httpWorker(t, "w1")
+	got, snap := runFleet(t, []Worker{h0, h1}, req)
+	want, _ := runFleet(t, []Worker{
+		newWorker("w0", serve.Options{Workers: 2}),
+		newWorker("w1", serve.Options{Workers: 2}),
+	}, req)
+
+	if len(got.Cells) != len(gridApps)*len(req.Configs) {
+		t.Fatalf("HTTP fleet answered %d cells, want %d", len(got.Cells), len(gridApps)*len(req.Configs))
+	}
+	for _, cell := range got.Cells {
+		if cell.Result == nil {
+			t.Fatalf("cell %s/%s has no result: %s (%s)", cell.App, cell.Config, cell.Error, cell.ErrorKind)
+		}
+	}
+	if !reflect.DeepEqual(got.Cells, want.Cells) {
+		t.Fatal("HTTPWorker fleet cells deviate from the same fleet over LocalWorkers")
+	}
+	if snap.Shards.Done != int64(len(gridApps)) || snap.Shards.Failed != 0 || snap.NetFaults != 0 {
+		t.Fatalf("shards done %d failed %d net faults %d, want %d/0/0",
+			snap.Shards.Done, snap.Shards.Failed, snap.NetFaults, len(gridApps))
+	}
+}
+
+// TestHTTPWorkerProbeAndDown: a draining daemon fails Probe, and a
+// closed one is ErrWorkerDown, classified net, for Probe and Sweep.
+func TestHTTPWorkerProbeAndDown(t *testing.T) {
+	srv, ts, hw := httpWorker(t, "w0")
+	ctx := context.Background()
+	if err := hw.Probe(ctx); err != nil {
+		t.Fatalf("healthy worker failed Probe: %v", err)
+	}
+	srv.BeginDrain()
+	if err := hw.Probe(ctx); err == nil {
+		t.Fatal("draining worker passed Probe")
+	}
+
+	ts.Close()
+	req := serve.SweepRequest{Apps: []string{"amazon"}, Configs: []string{"base"}, MaxEvents: goldenMaxEvents}
+	_, sweepErr := hw.Sweep(ctx, req)
+	for op, err := range map[string]error{"Probe": hw.Probe(ctx), "Sweep": sweepErr} {
+		if !errors.Is(err, ErrWorkerDown) {
+			t.Errorf("%s on a closed server: %v, want ErrWorkerDown", op, err)
+		}
+		if k := fault.Classify(err); k != fault.KindNet {
+			t.Errorf("%s on a closed server classifies as %q, want %q", op, k, fault.KindNet)
+		}
+	}
+}
+
+// TestHTTPWorkerShedBodyMerges: a worker's 504 whose body holds every
+// cell of the shard is a deadline shed to merge, not a failed shard.
+func TestHTTPWorkerShedBodyMerges(t *testing.T) {
+	_, _, h0 := httpWorker(t, "w0")
+	_, _, h1 := httpWorker(t, "w1")
+	req := serve.SweepRequest{Apps: gridApps, Configs: gridConfigs, MaxEvents: goldenMaxEvents, DeadlineMs: -1}
+	resp, snap := runFleet(t, []Worker{h0, h1}, req)
+
+	cells := len(gridApps) * len(gridConfigs)
+	if len(resp.Cells) != cells {
+		t.Fatalf("shed sweep answered %d cells, want %d", len(resp.Cells), cells)
+	}
+	for _, cell := range resp.Cells {
+		if cell.ErrorKind != string(fault.KindShed) || cell.Result != nil {
+			t.Fatalf("cell %s/%s: kind %q result %v, want a shed cell", cell.App, cell.Config, cell.ErrorKind, cell.Result != nil)
+		}
+	}
+	if snap.Shards.Failed != 0 || snap.Shards.Reschedules != 0 {
+		t.Fatalf("shed shards counted as failures: failed %d, reschedules %d", snap.Shards.Failed, snap.Shards.Reschedules)
+	}
+	if snap.Overload.CellsShed != int64(cells) {
+		t.Fatalf("cells_shed %d, want %d", snap.Overload.CellsShed, cells)
+	}
+}

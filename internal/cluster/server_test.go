@@ -6,15 +6,19 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"espsim/internal/fault"
 	"espsim/internal/serve"
 	"espsim/internal/tenantq"
+	"espsim/internal/workload"
 )
 
 // TestCoordinatorHonorsTenantHeader: a capped tenant named only in the
@@ -89,5 +93,97 @@ func TestCoordinatorClientGoneAtTenantGate(t *testing.T) {
 	cancel()
 	if rec := <-done; rec.Code != 499 {
 		t.Fatalf("client gone at the tenant gate: status %d, want 499: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// refuseShard is a Worker that fails one application's shard on every
+// attempt and serves the rest.
+type refuseShard struct {
+	Worker
+	app string
+}
+
+func (r refuseShard) Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error) {
+	if req.Shard == r.app {
+		return serve.SweepResponse{}, fmt.Errorf("%w: %s refuses shard %s", fault.ErrInjected, r.Name(), r.app)
+	}
+	return r.Worker.Sweep(ctx, req)
+}
+
+// TestShardTerminalFailure: a shard that fails on every attempt comes
+// back as per-cell errors carrying its kind once MaxShardAttempts is
+// spent, the rest of the grid is intact, and espcoord's /workers and
+// /healthz answer alongside.
+func TestShardTerminalFailure(t *testing.T) {
+	golden := readGoldenCorpus(t)
+	const failing = "bing"
+	var workers []Worker
+	for _, name := range []string{"w0", "w1"} {
+		workers = append(workers, refuseShard{Worker: newWorker(name, serve.Options{Workers: 2}), app: failing})
+	}
+	c, err := New(Options{Workers: workers, MaxShardAttempts: 2, BreakerThreshold: -1, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(c)
+	resp, err := c.Run(context.Background(), gridRequest(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if want := len(gridApps) * len(gridConfigs); len(resp.Cells) != want {
+		t.Fatalf("sweep answered %d cells, want %d", len(resp.Cells), want)
+	}
+	for _, cell := range resp.Cells {
+		key := cell.App + "/" + cell.Config
+		if cell.App == failing {
+			if cell.Result != nil || cell.ErrorKind != string(fault.KindInjected) || cell.Error == "" {
+				t.Errorf("cell %s of the failed shard: kind %q error %q result %v, want the shard's %q error",
+					key, cell.ErrorKind, cell.Error, cell.Result != nil, fault.KindInjected)
+			}
+			continue
+		}
+		if cell.Result == nil || !reflect.DeepEqual(*cell.Result, golden[key]) {
+			t.Errorf("cell %s of a healthy shard deviates from the golden corpus (error %q)", key, cell.Error)
+		}
+	}
+	snap := c.Metrics()
+	if snap.Shards.Failed != 1 || snap.Shards.Done != int64(len(gridApps)-1) {
+		t.Fatalf("shards failed %d done %d, want 1 and %d", snap.Shards.Failed, snap.Shards.Done, len(gridApps)-1)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /healthz: status %d", rec.Code)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/workers", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /workers: status %d", rec.Code)
+	}
+	var view struct {
+		Placements []Placement   `json:"placements"`
+		Workers    []WorkerState `json:"workers"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	suite := workload.Suite()
+	if len(view.Placements) != len(suite) || len(view.Workers) != len(workers) {
+		t.Fatalf("/workers lists %d placements and %d workers, want %d and %d",
+			len(view.Placements), len(view.Workers), len(suite), len(workers))
+	}
+	placed := map[string]bool{}
+	for _, p := range view.Placements {
+		if p.Worker != "w0" && p.Worker != "w1" {
+			t.Errorf("app %s placed on unknown worker %q", p.App, p.Worker)
+		}
+		placed[p.App] = true
+	}
+	for _, p := range suite {
+		if !placed[p.Name] {
+			t.Errorf("/workers has no placement for suite app %s", p.Name)
+		}
 	}
 }

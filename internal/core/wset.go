@@ -69,26 +69,16 @@ type ModeReport struct {
 	Lines75  int
 }
 
-// ReportI returns the instruction-side report; ReportD the data side.
-func (st *WorkingSetStudy) ReportI() []ModeReport { return st.report(true) }
-
-// ReportD returns the data-side Figure 13 report.
-func (st *WorkingSetStudy) ReportD() []ModeReport { return st.report(false) }
-
-func (st *WorkingSetStudy) report(instr bool) []ModeReport {
+// ReportI returns the instruction-side Figure 13 report.
+func (st *WorkingSetStudy) ReportI() []ModeReport {
 	out := make([]ModeReport, 0, len(st.samples))
 	for mode, ss := range st.samples {
 		r := ModeReport{Mode: mode + 1, Events: len(ss)}
 		if len(ss) > 0 {
 			var uniq, l95, l85, l75 []int
 			for _, s := range ss {
-				if instr {
-					uniq = append(uniq, s.iUnique)
-					l95, l85, l75 = append(l95, s.i95), append(l85, s.i85), append(l75, s.i75)
-				} else {
-					uniq = append(uniq, s.dUnique)
-					l95, l85, l75 = append(l95, s.d95), append(l85, s.d85), append(l75, s.d75)
-				}
+				uniq = append(uniq, s.iUnique)
+				l95, l85, l75 = append(l95, s.i95), append(l85, s.i85), append(l75, s.i75)
 			}
 			r.MaxLines = maxOf(uniq)
 			r.Lines95 = percentileInt(l95, 0.95)

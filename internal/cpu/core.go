@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"espsim/internal/branch"
 	"espsim/internal/mem"
@@ -279,138 +280,15 @@ func (c *Core) BeginEvent(handler int) {
 // RunEvent executes one event's instruction stream to completion and
 // returns the cycles it consumed. Assist hooks EventStart/EventEnd are the
 // caller's (looper's) responsibility; RunEvent only drives the
-// per-instruction hooks. The loop is specialized on assist presence: a
-// baseline core pays no per-instruction interface dispatch at all, and
-// both variants keep the fetch-line and MLP trackers in locals, written
-// back once per event (nothing outside this loop can observe them
-// mid-event — the assists never see the Core).
+// per-instruction hooks. A baseline core (nil Assist) never wakes the
+// progress hook and never queries CorrectBranch, so it pays no
+// per-instruction interface dispatch. The fetch-line and MLP trackers
+// live in locals, written back once per event (nothing outside this loop
+// can observe them mid-event — the assists never see the Core).
 func (c *Core) RunEvent(insts []trace.Inst) int64 {
-	var st Stats
-	var cycles float64
-	if c.Assist != nil {
-		cycles = c.runAssisted(insts, &st)
-	} else {
-		cycles = c.runPlain(insts, &st)
-	}
-	st.Insts = int64(len(insts))
-	st.BaseCycles = int64(float64(st.Insts) * c.Cfg.BaseCPI)
-	st.Cycles = int64(cycles)
-	c.Stats.Add(st)
-	return st.Cycles
-}
-
-// runPlain is the no-assist event loop: stall windows are counted but
-// never offered, and branches never query CorrectBranch.
-func (c *Core) runPlain(insts []trace.Inst, st *Stats) float64 {
 	cfg := &c.Cfg
 	var (
-		cycles     float64
-		perInst    = cfg.BaseCPI
-		hier       = c.Hier
-		bp         = c.BP
-		nli        = c.NLI
-		fetchObs   = c.FetchObs
-		dcu        = c.DCU
-		stride     = c.Stride
-		fetchValid = c.fetchValid
-		fetchLine  = c.fetchLine
-		global     = c.globalInst
-		lastLLCD   = c.lastLLCDInst
-		rob        = int64(cfg.ROB)
-	)
-	for idx := range insts {
-		in := &insts[idx]
-		cycles += perInst
-
-		// Instruction fetch: one hierarchy access per line transition.
-		if line := trace.Line(in.PC); !fetchValid || line != fetchLine {
-			fetchValid, fetchLine = true, line
-			level, lat := hier.FetchI(in.PC)
-			if nli != nil {
-				nli.OnFetch(in.PC)
-			}
-			if fetchObs != nil {
-				fetchObs.OnFetch(in.PC, level)
-			}
-			switch level {
-			case mem.LevelL2:
-				p := cfg.L2IExposure * float64(lat)
-				cycles += p
-				st.IMissCycles += int64(p)
-			case mem.LevelMem:
-				st.LLCMissI++
-				exposed := cfg.MemIExposed
-				cycles += float64(exposed)
-				st.IMissCycles += int64(exposed)
-				st.StallsOffered++
-				st.StallCycles += int64(exposed)
-			}
-		}
-
-		switch in.Kind {
-		case trace.Branch:
-			st.Branches++
-			correct := cfg.PerfectBP
-			misfetch := false
-			if !correct {
-				pred := bp.PredictUpdate(in)
-				correct = !branch.Mispredicted(pred, *in)
-				misfetch = branch.Misfetched(pred, *in)
-			}
-			switch {
-			case !correct:
-				st.Mispredicts++
-				cycles += float64(cfg.MispredictPenalty)
-				st.BranchCycles += int64(cfg.MispredictPenalty)
-			case misfetch:
-				st.Misfetches++
-				cycles += float64(cfg.MisfetchPenalty)
-				st.BranchCycles += int64(cfg.MisfetchPenalty)
-			}
-			if in.Taken {
-				fetchValid = false // redirect: next fetch re-accesses I$
-			}
-
-		case trace.Load, trace.Store:
-			level, lat := hier.AccessD(in.Addr, in.Kind == trace.Store)
-			if dcu != nil {
-				dcu.OnAccess(in.Addr)
-			}
-			if stride != nil {
-				stride.OnAccess(in.PC, in.Addr)
-			}
-			switch level {
-			case mem.LevelL2:
-				p := cfg.L2DExposure * float64(lat)
-				cycles += p
-				st.DMissCycles += int64(p)
-			case mem.LevelMem:
-				st.LLCMissD++
-				exposed := cfg.MemDExposed
-				if global-lastLLCD < rob {
-					// Overlapped with the previous miss: MLP.
-					exposed = int(float64(exposed) * cfg.MLPFactor)
-				}
-				lastLLCD = global
-				cycles += float64(exposed)
-				st.DMissCycles += int64(exposed)
-				st.StallsOffered++
-				st.StallCycles += int64(exposed)
-			}
-		}
-		global++
-	}
-	c.fetchValid, c.fetchLine = fetchValid, fetchLine
-	c.globalInst, c.lastLLCDInst = global, lastLLCD
-	return cycles
-}
-
-// runAssisted is the event loop with an assist attached: per-instruction
-// progress hook, branch-correction queries, and exposed stall windows
-// offered for pre-execution.
-func (c *Core) runAssisted(insts []trace.Inst, st *Stats) float64 {
-	cfg := &c.Cfg
-	var (
+		st         Stats
 		cycles     float64
 		assist     = c.Assist
 		perInst    = cfg.BaseCPI
@@ -427,6 +305,9 @@ func (c *Core) runAssisted(insts []trace.Inst, st *Stats) float64 {
 		rob        = int64(cfg.ROB)
 		wake       = 0
 	)
+	if assist == nil {
+		wake = math.MaxInt
+	}
 	for idx := range insts {
 		in := &insts[idx]
 		if idx >= wake {
@@ -454,7 +335,7 @@ func (c *Core) runAssisted(insts []trace.Inst, st *Stats) float64 {
 				exposed := cfg.MemIExposed
 				cycles += float64(exposed)
 				st.IMissCycles += int64(exposed)
-				c.offerStall(StallI, idx, exposed, &cycles, st)
+				c.offerStall(StallI, idx, exposed, &cycles, &st)
 			}
 		}
 
@@ -463,7 +344,7 @@ func (c *Core) runAssisted(insts []trace.Inst, st *Stats) float64 {
 			st.Branches++
 			correct := cfg.PerfectBP
 			misfetch := false
-			if !correct && assist.CorrectBranch(idx, *in) {
+			if !correct && assist != nil && assist.CorrectBranch(idx, *in) {
 				correct = true
 			}
 			if !correct {
@@ -512,14 +393,19 @@ func (c *Core) runAssisted(insts []trace.Inst, st *Stats) float64 {
 				lastLLCD = global
 				cycles += float64(exposed)
 				st.DMissCycles += int64(exposed)
-				c.offerStall(StallD, idx, exposed, &cycles, st)
+				c.offerStall(StallD, idx, exposed, &cycles, &st)
 			}
 		}
 		global++
 	}
 	c.fetchValid, c.fetchLine = fetchValid, fetchLine
 	c.globalInst, c.lastLLCDInst = global, lastLLCD
-	return cycles
+
+	st.Insts = int64(len(insts))
+	st.BaseCycles = int64(float64(st.Insts) * cfg.BaseCPI)
+	st.Cycles = int64(cycles)
+	c.Stats.Add(st)
+	return st.Cycles
 }
 
 // offerStall hands an exposed LLC-miss window to the assist and charges

@@ -40,8 +40,8 @@ const (
 	// carried incoherent knobs; validation sites wrap a KindConfig
 	// Sentinel, which Classify recovers.
 	KindConfig ErrorKind = "config"
-	// KindQuota: a tenant exhausted one of its quotas — queue depth,
-	// in-flight cells, cumulative cell budget, or token-bucket rate
+	// KindQuota: a tenant exhausted its cumulative cell budget, or the
+	// queue refused yet another distinct tenant name
 	// (tenantq.ErrQuota; espd maps it to 429).
 	KindQuota ErrorKind = "quota"
 	// KindBrownout: the daemon is degrading under memory pressure and

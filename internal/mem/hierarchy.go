@@ -157,13 +157,6 @@ func (h *Hierarchy) FillLatency(addr uint64) (int, bool) {
 	return h.Lat.Mem, true
 }
 
-// ResetStats zeroes every level's counters.
-func (h *Hierarchy) ResetStats() {
-	h.L1I.ResetStats()
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
-}
-
 // Reset restores every level to its cold state (all lines invalid,
 // counters zeroed) without reallocating the caches. The Perfect* and
 // latency knobs are configuration, not run state, and are left alone.

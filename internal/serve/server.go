@@ -67,7 +67,7 @@ type Options struct {
 	FaultHook sim.FaultHook
 
 	// Tenants configures named tenants; any other tenant gets weight 1
-	// and no quotas. TenantQuantum is the fair queue's DRR round in
+	// and no cell budget. TenantQuantum is the fair queue's DRR round in
 	// cells per unit weight (0: 8). MaxTenants bounds distinct tenant
 	// names tracked (0: 256).
 	Tenants       map[string]tenantq.TenantConfig
@@ -149,7 +149,7 @@ type Server struct {
 	// rung of admit's ladder refuses a request that cannot take one
 	// without blocking (429). tq is the execution bound — Workers slots
 	// handed out by weighted fair queueing across tenants, with
-	// per-tenant quotas.
+	// per-tenant cell budgets.
 	tickets chan struct{}
 	tq      *tenantq.Queue
 
@@ -757,11 +757,10 @@ func (s *Server) runBatch(ctx context.Context, tenant string, req SweepRequest, 
 }
 
 // journalzResponse is the GET /journalz view of one sweep journal: the
-// header meta plus the "app/config" cells already journaled. This is
-// the coordinator's handoff probe — when a worker dies mid-shard, a
-// peek at its journal (over HTTP here, or straight off a shared
-// checkpoint dir) says which cells are already durable and carries the
-// digest to check before the rest of the shard resumes on a peer.
+// header meta plus the "app/config" cells already journaled, and
+// whether the tail is torn. It is an operator's peek at which cells are
+// durable; the coordinator's handoff reads the shared checkpoint
+// directory directly and never calls it.
 type journalzResponse struct {
 	Meta  checkpoint.Meta `json:"meta"`
 	Cells []string        `json:"cells"`

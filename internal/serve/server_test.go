@@ -183,6 +183,62 @@ func TestRunInlineTrace(t *testing.T) {
 	}
 }
 
+// TestRunTimedTrace: a version 2 trace of a timed session replays under
+// a dispatch policy identically through esp.RunSource and /run, and its
+// schedule is the recorded session's own. Cycles match the session's
+// only under fifo: the session path numbers events by slot position, so
+// they differ once a policy reorders events.
+func TestRunTimedTrace(t *testing.T) {
+	prof := workload.MobileHeavy()
+	prof.Events = 96 // fifo misses 8 of these deadlines, edf 2
+	sess, err := workload.NewSession(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := make([]trace.EventTrace, len(sess.Events))
+	for i, ev := range sess.Events {
+		events[i] = trace.EventTrace{Event: ev, Insts: trace.Record(sess.Gen.Stream(ev, false), ev.Len)}
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteFile(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	b64 := base64.StdEncoding.EncodeToString(buf.Bytes())
+
+	s := testServer(t, Options{Workers: 1})
+	misses := map[string]int{}
+	for _, policy := range []string{"fifo", "edf"} {
+		for _, name := range []string{"base", "ESP+NL"} {
+			cfg, err := esp.ConfigByName(name + "@" + policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := decodeResult(t, post(t, s, "/run", RunRequest{TraceB64: b64, Config: name, Sched: policy}))
+			want, err := esp.RunSource("trace", &eventq.TraceSource{Events: events}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want = jsonRoundTrip(t, want); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: timed-trace service result deviates from esp.RunSource", cfg.Name)
+			}
+			session, err := esp.Run(prof, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sched == nil || !reflect.DeepEqual(got.Sched, jsonRoundTrip(t, session).Sched) {
+				t.Fatalf("%s: trace schedule %+v, want the recorded session's %+v", cfg.Name, got.Sched, session.Sched)
+			}
+			if policy == "fifo" && got.Cycles != session.Cycles {
+				t.Fatalf("%s: trace replays to %d cycles, the recorded session to %d", cfg.Name, got.Cycles, session.Cycles)
+			}
+			misses[policy] = got.Sched.DeadlineMisses
+		}
+	}
+	if misses["edf"] >= misses["fifo"] {
+		t.Fatalf("edf missed %d deadlines, fifo %d: edf should miss fewer", misses["edf"], misses["fifo"])
+	}
+}
+
 // TestRunRejectsBadRequests: every malformed body is a 400 with a JSON
 // error, never a 500 or a silently defaulted field.
 func TestRunRejectsBadRequests(t *testing.T) {

@@ -236,25 +236,6 @@ func (w *Workload) generate(wk *workload.Walker, g *workload.Generator, ev trace
 	return span{off: int32(start), n: int32(len(w.arena) - start)}
 }
 
-// record drains s into the arena (at most max instructions, matching
-// trace.Record) and returns the span.
-//
-//esp:ctor
-func (w *Workload) record(s trace.Stream, max int) span {
-	start := len(w.arena)
-	for {
-		if max > 0 && len(w.arena)-start >= max {
-			break
-		}
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
-		w.arena = append(w.arena, in)
-	}
-	return span{off: int32(start), n: int32(len(w.arena) - start)}
-}
-
 // copyInsts copies a stream obtained from a generic source into the
 // arena and returns the span.
 //

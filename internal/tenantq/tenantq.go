@@ -1,9 +1,8 @@
 // Package tenantq is the overload-robustness layer of the serving
 // stack: weighted deficit-round-robin (DRR) fair queueing across
-// tenants, per-tenant quotas (in-flight cells, queue depth, cumulative
-// cell budget) and token-bucket rate limits, and a brownout controller
-// that degrades service gracefully under memory pressure instead of
-// letting the daemon OOM.
+// tenants, a per-tenant cumulative cell budget, and a brownout
+// controller that degrades service gracefully under memory pressure
+// instead of letting the daemon OOM.
 //
 // The unit of cost everywhere is the simulation cell: a /run request
 // costs one cell, a sweep batch costs one cell per configuration.
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"espsim/internal/fault"
 )
@@ -27,10 +25,10 @@ import (
 // X-ESP-Tenant header) are accounted under.
 const DefaultTenant = "default"
 
-// ErrQuota marks an acquisition refused because the tenant exhausted a
-// quota: queue depth, cumulative cell budget, token-bucket rate, or a
-// single request wider than its in-flight allowance. espd maps it to
-// 429 — the client may retry later; the work was never queued.
+// ErrQuota marks an acquisition refused because the tenant exhausted
+// its cumulative cell budget, or because the queue already tracks
+// MaxTenants other tenants. espd maps it to 429 — the client may retry
+// later; the work was never queued.
 var ErrQuota = fault.Sentinel("tenantq: tenant quota exhausted", fault.KindQuota)
 
 // ErrBrownout marks work refused because the daemon is degrading under
@@ -44,27 +42,16 @@ var ErrBrownout = fault.Sentinel("tenantq: brownout: degraded under memory press
 // go to requests that can still make it. espd maps it to 504.
 var ErrDeadlineShed = fault.Sentinel("tenantq: deadline shed: cannot finish in time", fault.KindShed)
 
-// TenantConfig is one tenant's share and limits. The zero value means
-// weight 1 with every quota unlimited.
+// TenantConfig is one tenant's share and limit, as ParseTenants reads
+// them from name=weight[:cell_budget]. The zero value means weight 1
+// with no budget.
 type TenantConfig struct {
 	// Weight is the tenant's DRR share: under saturation a tenant
 	// completes Weight/ΣWeight of all cells (<= 0: 1).
 	Weight float64
-	// MaxInFlight caps the tenant's concurrently admitted cells; a
-	// request wider than the cap alone is rejected outright, narrower
-	// ones queue until the tenant's own cells drain (0: unlimited).
-	MaxInFlight int
-	// MaxQueue caps how many acquisitions may wait at once; past it new
-	// ones are rejected with ErrQuota instead of queueing (0: unlimited).
-	MaxQueue int
 	// CellBudget caps the tenant's cumulative admitted cells over the
 	// queue's lifetime (0: unlimited).
 	CellBudget int64
-	// Rate refills a token bucket in cells/second consumed at admission;
-	// an empty bucket rejects with ErrQuota (0: unlimited). Burst is the
-	// bucket size (<= 0: max(Rate, 1)).
-	Rate  float64
-	Burst float64
 }
 
 func (c TenantConfig) weight() float64 {
@@ -83,9 +70,8 @@ type Options struct {
 	// about one sweep batch). Smaller quanta interleave tenants more
 	// finely; larger ones batch better.
 	Quantum float64
-	// Default applies to tenants not listed in Tenants.
-	Default TenantConfig
-	// Tenants overrides per-tenant configuration by name.
+	// Tenants configures tenants by name; unlisted tenants get the
+	// zero TenantConfig.
 	Tenants map[string]TenantConfig
 	// MaxTenants bounds distinct tenant names the queue will track, a
 	// cardinality guard against tenant-id spray: past it, acquisitions
@@ -125,7 +111,6 @@ type tenant struct {
 	inRing   bool
 	inFlight int   // admitted, unreleased cells
 	consumed int64 // cumulative admitted cells
-	bucket   bucket
 
 	// Counters for /metrics. admitted/completed move at grant/release,
 	// quota at refusal, all in cells; shed and brownout are fed by the
@@ -138,7 +123,7 @@ type tenant struct {
 }
 
 // Queue is the DRR fair queue: Acquire blocks until the tenant is
-// granted a slot in deficit-round-robin order, quotas permitting.
+// granted a slot in deficit-round-robin order, its budget permitting.
 // Safe for concurrent use.
 type Queue struct {
 	mu      sync.Mutex
@@ -158,8 +143,6 @@ type Queue struct {
 	fresh    bool
 	grants   int  // slots currently held
 	degraded bool // brownout: effective slots halved
-
-	now func() time.Time // injectable for bucket tests
 }
 
 // New assembles a Queue.
@@ -168,7 +151,6 @@ func New(opt Options) *Queue {
 		opt:     opt.withDefaults(),
 		tenants: make(map[string]*tenant),
 		fresh:   true,
-		now:     time.Now,
 	}
 }
 
@@ -201,29 +183,15 @@ func (q *Queue) tenantLocked(name string) *tenant {
 	if len(q.tenants) >= q.opt.MaxTenants {
 		return nil
 	}
-	cfg, ok := q.opt.Tenants[name]
-	if !ok {
-		cfg = q.opt.Default
-	}
-	tn := &tenant{name: name, cfg: cfg}
-	if cfg.Rate > 0 {
-		burst := cfg.Burst
-		if burst <= 0 {
-			burst = cfg.Rate
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		tn.bucket = newBucket(cfg.Rate, burst, q.now())
-	}
+	tn := &tenant{name: name, cfg: q.opt.Tenants[name]}
 	q.tenants[name] = tn
 	return tn
 }
 
 // Acquire blocks until tenant is granted a slot for cost cells, in DRR
 // order across tenants, or ctx dies. The returned release must be
-// called exactly once when the admitted work finishes. Quota
-// violations fail fast with ErrQuota, before queueing.
+// called exactly once when the admitted work finishes. An exhausted
+// cell budget fails fast with ErrQuota, before queueing.
 func (q *Queue) Acquire(ctx context.Context, name string, cost int) (release func(), err error) {
 	if cost < 1 {
 		cost = 1
@@ -234,15 +202,10 @@ func (q *Queue) Acquire(ctx context.Context, name string, cost int) (release fun
 		q.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d distinct tenants already tracked", ErrQuota, q.opt.MaxTenants)
 	}
-	if rej := q.quotaLocked(tn, cost); rej != nil {
+	if budget := tn.cfg.CellBudget; budget > 0 && tn.consumed+int64(cost) > budget {
 		tn.quota += int64(cost)
 		q.mu.Unlock()
-		return nil, rej
-	}
-	if tn.cfg.Rate > 0 && !tn.bucket.take(float64(cost), q.now()) {
-		tn.quota += int64(cost)
-		q.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant %q over its rate of %g cells/s", ErrQuota, name, tn.cfg.Rate)
+		return nil, fmt.Errorf("%w: tenant %q cell budget exhausted (%d of %d used)", ErrQuota, name, tn.consumed, budget)
 	}
 	w := &waiter{tn: tn, cost: cost, ready: make(chan struct{})}
 	tn.waiters = append(tn.waiters, w)
@@ -275,22 +238,6 @@ func (q *Queue) Acquire(ctx context.Context, name string, cost int) (release fun
 		q.releaseLocked(tn, cost)
 		q.mu.Unlock()
 	}, nil
-}
-
-// quotaLocked checks the fail-fast quotas (everything but rate, which
-// consumes tokens and so runs after these pass).
-func (q *Queue) quotaLocked(tn *tenant, cost int) error {
-	cfg := tn.cfg
-	if cfg.MaxInFlight > 0 && cost > cfg.MaxInFlight {
-		return fmt.Errorf("%w: tenant %q: %d cells exceed the in-flight allowance of %d", ErrQuota, tn.name, cost, cfg.MaxInFlight)
-	}
-	if cfg.MaxQueue > 0 && len(tn.waiters) >= cfg.MaxQueue {
-		return fmt.Errorf("%w: tenant %q queue full (%d waiting)", ErrQuota, tn.name, len(tn.waiters))
-	}
-	if cfg.CellBudget > 0 && tn.consumed+int64(cost) > cfg.CellBudget {
-		return fmt.Errorf("%w: tenant %q cell budget exhausted (%d of %d used)", ErrQuota, tn.name, tn.consumed, cfg.CellBudget)
-	}
-	return nil
 }
 
 // abandonLocked removes a never-granted waiter (canceled context).
@@ -340,15 +287,10 @@ func (q *Queue) unlinkLocked(tn *tenant) {
 // dispatchLocked is the DRR scheduler: serve ring[cur] until its
 // deficit cannot cover its head waiter, then advance and credit the
 // next tenant quantum*weight. Running out of slots pauses the current
-// turn (the next release resumes it, without re-crediting); a full lap
-// of blocked tenants stops the scan.
+// turn (the next release resumes it, without re-crediting). Every
+// credited turn either grants or grows its tenant's deficit toward the
+// head waiter's cost, so the scan ends when slots or waiters run out.
 func (q *Queue) dispatchLocked() {
-	// idle counts consecutive turns with neither a grant nor deficit
-	// growth. Deficit growth is progress — a tenant whose head waiter
-	// costs several rounds of credit converges toward it lap by lap —
-	// so the scan only stops once a full lap of turns is truly stuck
-	// (everyone in-flight-capped or banked out).
-	idle := 0
 	for len(q.ring) > 0 {
 		if q.grants >= q.slotsLocked() {
 			return
@@ -357,26 +299,19 @@ func (q *Queue) dispatchLocked() {
 			q.cur = 0
 		}
 		tn := q.ring[q.cur]
-		credited := q.fresh
-		progressed := false
 		if q.fresh {
-			before := tn.deficit
 			tn.deficit += q.opt.Quantum * tn.cfg.weight()
 			// Cap banked credit at one round past the head waiter, so a
-			// tenant stalled on its in-flight cap cannot hoard an
-			// unbounded burst for later.
+			// tenant whose costlier head waiter was abandoned cannot
+			// hoard a burst for the cheaper one behind it.
 			if bank := float64(tn.waiters[0].cost) + q.opt.Quantum*tn.cfg.weight(); tn.deficit > bank {
 				tn.deficit = bank
 			}
-			progressed = tn.deficit > before
 			q.fresh = false
 		}
 		for len(tn.waiters) > 0 && q.grants < q.slotsLocked() {
 			w := tn.waiters[0]
 			if float64(w.cost) > tn.deficit {
-				break
-			}
-			if tn.cfg.MaxInFlight > 0 && tn.inFlight+w.cost > tn.cfg.MaxInFlight {
 				break
 			}
 			tn.waiters = tn.waiters[1:]
@@ -387,10 +322,6 @@ func (q *Queue) dispatchLocked() {
 			q.grants++
 			w.granted = true
 			close(w.ready)
-			progressed = true
-		}
-		if progressed {
-			idle = 0
 		}
 		if len(tn.waiters) == 0 {
 			q.unlinkLocked(tn) // sets fresh: ring[cur] is a new tenant
@@ -401,18 +332,10 @@ func (q *Queue) dispatchLocked() {
 			// resumes here.
 			return
 		}
-		// Turn over: deficit short or in-flight capped. Advance. A
-		// resumed turn ending (credited in an earlier dispatch, spent
-		// now) is not stuck — it happens at most once per call, and the
-		// next turn gets fresh credit.
+		// Turn over: deficit short of the head waiter. Advance; the next
+		// turn gets fresh credit.
 		q.cur++
 		q.fresh = true
-		if credited && !progressed {
-			idle++
-			if idle >= len(q.ring) {
-				return
-			}
-		}
 	}
 }
 

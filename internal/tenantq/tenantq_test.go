@@ -163,36 +163,8 @@ func mustQuota(t *testing.T, err error) {
 	}
 }
 
-func TestQuotaQueueDepth(t *testing.T) {
-	q := New(Options{Slots: 1, Default: TenantConfig{MaxQueue: 2}})
-	release, err := q.Acquire(context.Background(), "t", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	errs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			rel, err := q.Acquire(context.Background(), "t", 1)
-			if err == nil {
-				defer rel()
-			}
-			errs <- err
-		}()
-	}
-	waitQueued(t, q, 2)
-	_, err = q.Acquire(context.Background(), "t", 1)
-	mustQuota(t, err)
-	release()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("queued acquisition failed: %v", err)
-		}
-	}
-}
-
 func TestQuotaCellBudget(t *testing.T) {
-	q := New(Options{Slots: 4, Default: TenantConfig{CellBudget: 3}})
+	q := New(Options{Slots: 4, Tenants: map[string]TenantConfig{"t": {CellBudget: 3}}})
 	rel, err := q.Acquire(context.Background(), "t", 2)
 	if err != nil {
 		t.Fatal(err)
@@ -208,58 +180,6 @@ func TestQuotaCellBudget(t *testing.T) {
 		t.Fatalf("within budget: %v", err)
 	}
 	rel()
-}
-
-func TestQuotaRate(t *testing.T) {
-	q := New(Options{Slots: 8, Default: TenantConfig{Rate: 1, Burst: 2}})
-	clock := time.Unix(1000, 0)
-	q.now = func() time.Time { return clock }
-
-	rel, err := q.Acquire(context.Background(), "t", 2)
-	if err != nil {
-		t.Fatalf("burst acquire: %v", err)
-	}
-	rel()
-	_, err = q.Acquire(context.Background(), "t", 1)
-	mustQuota(t, err)
-	clock = clock.Add(time.Second) // refills one token
-	rel, err = q.Acquire(context.Background(), "t", 1)
-	if err != nil {
-		t.Fatalf("refilled acquire: %v", err)
-	}
-	rel()
-}
-
-func TestQuotaInFlight(t *testing.T) {
-	q := New(Options{Slots: 4, Default: TenantConfig{MaxInFlight: 2}})
-	// Wider than the allowance: rejected outright, it could never run.
-	_, err := q.Acquire(context.Background(), "t", 3)
-	mustQuota(t, err)
-
-	rel1, err := q.Acquire(context.Background(), "t", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At the in-flight cap the next acquisition queues (not rejected)
-	// and is granted when the tenant's own cells drain.
-	granted := make(chan struct{})
-	go func() {
-		rel, err := q.Acquire(context.Background(), "t", 1)
-		if err != nil {
-			t.Errorf("queued acquire: %v", err)
-			return
-		}
-		close(granted)
-		rel()
-	}()
-	waitQueued(t, q, 1)
-	select {
-	case <-granted:
-		t.Fatal("granted past MaxInFlight")
-	case <-time.After(20 * time.Millisecond):
-	}
-	rel1()
-	<-granted
 }
 
 func TestMaxTenantsCardinalityGuard(t *testing.T) {
@@ -370,7 +290,7 @@ func TestSentinelKinds(t *testing.T) {
 // TestConcurrentChurn hammers the queue from many goroutines under
 // -race and asserts every gauge drains to zero.
 func TestConcurrentChurn(t *testing.T) {
-	q := New(Options{Slots: 3, Default: TenantConfig{MaxInFlight: 8}})
+	q := New(Options{Slots: 3})
 	var wg sync.WaitGroup
 	for g := 0; g < 24; g++ {
 		wg.Add(1)

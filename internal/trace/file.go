@@ -12,7 +12,7 @@ import (
 //
 //	magic "ESPT" | version u8 | event count uvarint
 //	per event: id uvarint | handler uvarint | seed u64 | diverge varint |
-//	           [v2: class u8 | prio u8 | arrival varint | deadline varint |]
+//	           class u8 | prio u8 | arrival varint | deadline varint |
 //	           inst count uvarint | insts...
 //	per inst:  kind u8 (bit0-1 kind, bit2 taken, bit3 indirect,
 //	           bit4 call, bit5 ret) |
@@ -22,16 +22,15 @@ import (
 // PC and target are delta-encoded against the previous instruction's PC,
 // which keeps sequential code to ~2 bytes per instruction.
 //
-// Version 2 adds the scheduling metadata block (class/prio/arrival/
-// deadline) per event. WriteFile emits version 1 when every event's
-// scheduling metadata is zero, so traces from untimed workloads stay
-// byte-identical to the legacy encoding.
+// This is version 2, the only version WriteFile emits. ReadFile also
+// decodes version 1, which lacks the per-event scheduling block
+// (class/prio/arrival/deadline).
 
 var fileMagic = [4]byte{'E', 'S', 'P', 'T'}
 
 const (
-	fileVersion      = 1
-	fileVersionTimed = 2
+	fileVersion      = 1 // no scheduling metadata; decoded, never written
+	fileVersionTimed = 2 // what WriteFile emits
 )
 
 // Decode errors. Every error returned by ReadFile wraps ErrBadTrace, so
@@ -86,23 +85,13 @@ type EventTrace struct {
 	Insts []Inst
 }
 
-// WriteFile encodes events to w in the ESPT binary format. The version
-// byte is 1 unless at least one event carries scheduling metadata
-// (class, priority, arrival, or deadline), in which case version 2 is
-// emitted with the extra per-event block.
+// WriteFile encodes events to w in the ESPT binary format, version 2.
 func WriteFile(w io.Writer, events []EventTrace) error {
-	ver := byte(fileVersion)
-	for _, et := range events {
-		if et.Event.Timed() {
-			ver = fileVersionTimed
-			break
-		}
-	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(fileMagic[:]); err != nil {
 		return err
 	}
-	if err := bw.WriteByte(ver); err != nil {
+	if err := bw.WriteByte(fileVersionTimed); err != nil {
 		return err
 	}
 	var buf [binary.MaxVarintLen64]byte
@@ -134,19 +123,17 @@ func WriteFile(w io.Writer, events []EventTrace) error {
 		if err := putVarint(int64(ev.Diverge)); err != nil {
 			return err
 		}
-		if ver == fileVersionTimed {
-			if err := bw.WriteByte(byte(ev.Class)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(ev.Prio); err != nil {
-				return err
-			}
-			if err := putVarint(ev.Arrival); err != nil {
-				return err
-			}
-			if err := putVarint(ev.Deadline); err != nil {
-				return err
-			}
+		if err := bw.WriteByte(byte(ev.Class)); err != nil {
+			return err
+		}
+		if err := bw.WriteByte(ev.Prio); err != nil {
+			return err
+		}
+		if err := putVarint(ev.Arrival); err != nil {
+			return err
+		}
+		if err := putVarint(ev.Deadline); err != nil {
+			return err
 		}
 		if err := putUvarint(uint64(len(et.Insts))); err != nil {
 			return err

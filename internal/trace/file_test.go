@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,17 +35,44 @@ func TestReadFileBadVersionDistinct(t *testing.T) {
 	}
 }
 
-// TestWriteFileVersionSelection: untimed traces keep the legacy v1
-// encoding byte-for-byte; any scheduling metadata switches the file to
-// v2.
+// v1Fixture is an ESPT version 1 file (no per-event scheduling block),
+// as the version 1 encoder wrote it for v1FixtureEvents.
+var v1Fixture = []byte{
+	'E', 'S', 'P', 'T', 1, // magic, version 1
+	1,    // one event
+	3, 2, // id, handler
+	0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, // seed
+	1,                            // diverge varint (-1)
+	5,                            // instruction count
+	0x00, 0x80, 0xc0, 0x80, 0x04, // ALU, pc delta +0x401000
+	0x01, 0x08, 0x90, 0x80, 0xfc, 0xff, 0x07, // load, +4, addr
+	0x02, 0x08, 0x98, 0x80, 0xfc, 0xff, 0x07, // store, +4, addr
+	0x17, 0x08, 0xe8, 0x3f, // taken call, +4, target delta
+	0x0f, 0xe8, 0x3f, 0xdf, 0x3f, // taken indirect, pc delta, target delta
+}
+
+var v1FixtureEvents = []EventTrace{{
+	Event: Event{ID: 3, Handler: 2, Seed: 0x0123456789abcdef, Len: 5, Diverge: -1},
+	Insts: []Inst{
+		{PC: 0x401000, Kind: ALU},
+		{PC: 0x401004, Kind: Load, Addr: 0x7fff0010},
+		{PC: 0x401008, Kind: Store, Addr: 0x7fff0018},
+		{PC: 0x40100c, Kind: Branch, Taken: true, Call: true, Addr: 0x402000},
+		{PC: 0x402000, Kind: Branch, Taken: true, Indirect: true, Addr: 0x401010},
+	},
+}}
+
+// TestWriteFileVersionSelection: WriteFile emits version 2 whether or
+// not any event carries scheduling metadata, and the decoder still
+// reads a committed version 1 file.
 func TestWriteFileVersionSelection(t *testing.T) {
 	untimed := []EventTrace{{Event: Event{ID: 0, Len: 1, Diverge: -1}, Insts: []Inst{{PC: 0x40}}}}
 	var buf bytes.Buffer
 	if err := WriteFile(&buf, untimed); err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.Bytes()[4]; got != 1 {
-		t.Fatalf("untimed trace encoded as version %d, want 1", got)
+	if got := buf.Bytes()[4]; got != 2 {
+		t.Fatalf("untimed trace encoded as version %d, want 2", got)
 	}
 	timed := []EventTrace{{Event: Event{ID: 0, Len: 1, Diverge: -1, Deadline: 500}, Insts: []Inst{{PC: 0x40}}}}
 	buf.Reset()
@@ -60,6 +88,14 @@ func TestWriteFileVersionSelection(t *testing.T) {
 	}
 	if got[0].Event.Deadline != 500 {
 		t.Fatalf("deadline lost across round trip: %+v", got[0].Event)
+	}
+
+	got, err = ReadFile(bytes.NewReader(v1Fixture))
+	if err != nil {
+		t.Fatalf("version 1 fixture: %v", err)
+	}
+	if !reflect.DeepEqual(got, v1FixtureEvents) {
+		t.Fatalf("version 1 fixture decoded to %+v, want %+v", got, v1FixtureEvents)
 	}
 }
 

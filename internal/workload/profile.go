@@ -206,9 +206,6 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// TotalInsts returns the approximate instructions the profile simulates.
-func (p *Profile) TotalInsts() int64 { return int64(p.Events) * int64(p.MeanEventLen) }
-
 // Scale returns a copy of the profile with event count multiplied by f
 // (event lengths are left unchanged so per-event microarchitectural
 // behaviour is preserved). f must be positive.

@@ -104,9 +104,6 @@ func New(p Profile) (*Generator, error) {
 	}, nil
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 func (g *Generator) handlerBase(h int) uint64 {
 	return handlerSpace + uint64(h)*handlerSlot
 }
