@@ -89,9 +89,9 @@ type Config = sim.Config
 type Result = sim.Result
 
 // Workload is one application session materialized once — every event's
-// normal and speculative instruction stream in one contiguous arena —
-// and immutable afterwards, so it can be replayed by any number of
-// machines concurrently.
+// normal and speculative instruction stream encoded back to back on one
+// compact tape — and immutable afterwards, so it can be replayed by any
+// number of machines concurrently.
 type Workload = sim.Workload
 
 // Machine is one simulated core assembled from a Config. Machine.Run

@@ -9,10 +9,11 @@ import (
 	"espsim/internal/trace"
 )
 
-// StreamSource materializes the speculative pre-execution stream of a
-// queued event (the paper's forked-off renderer executions, §5).
+// StreamSource hands out the speculative pre-execution stream of a
+// queued event (the paper's forked-off renderer executions, §5) as a
+// tape.
 type StreamSource interface {
-	SpecInsts(ev trace.Event) []trace.Inst
+	SpecTape(ev trace.Event) trace.Tape
 }
 
 // Stats counts ESP activity.
@@ -58,9 +59,11 @@ type slot struct {
 	ev    trace.Event
 	valid bool
 
-	// started is the EU ("execution underway") bit of §4.1.
+	// started is the EU ("execution underway") bit of §4.1; cur walks
+	// the speculative stream, and pos is the index of its next
+	// instruction.
 	started bool
-	insts   []trace.Inst
+	cur     trace.Cursor
 	pos     int
 
 	fetchLine uint64
@@ -86,15 +89,11 @@ type slot struct {
 
 	preExecuted bool
 
-	// ws holds per-mode reuse profilers for the Figure 13 study,
-	// indexed by depth (nil entries for unvisited modes). The slice's
-	// storage survives scrubbing, so the study never reallocates it.
-	ws []*wsPair
-}
-
-type wsPair struct {
-	i *mem.WorkingSet
-	d *mem.WorkingSet
+	// ws holds per-mode instruction reuse profilers for the Figure 13
+	// study, indexed by depth (nil entries for unvisited modes). The
+	// slice's storage survives scrubbing, so the study never reallocates
+	// it.
+	ws []*mem.WorkingSet
 }
 
 // listsFull reports whether none of the three prediction lists can hold
@@ -225,12 +224,12 @@ func (e *ESP) scrubSlot(s *slot) {
 	il.reset(0)
 	dl.reset(0)
 	bl.reset(0, 0)
-	ws := clearPairs(s.ws)
+	ws := clearProfiles(s.ws)
 	*s = slot{ilist: il, dlist: dl, blist: bl, ws: ws}
 }
 
-// clearPairs empties a study-pair slice while keeping its storage.
-func clearPairs(ws []*wsPair) []*wsPair {
+// clearProfiles empties a study-profile slice while keeping its storage.
+func clearProfiles(ws []*mem.WorkingSet) []*mem.WorkingSet {
 	for i := range ws {
 		ws[i] = nil
 	}
@@ -288,7 +287,7 @@ func (e *ESP) resetSlot(s *slot, depth int, ev trace.Event, valid bool) {
 	sz := e.Opt.Sizes
 	e.releaseSlotRes(s)
 	il, dl, bl := s.ilist, s.dlist, s.blist
-	ws := clearPairs(s.ws)
+	ws := clearProfiles(s.ws)
 	*s = slot{ev: ev, valid: valid, ilist: il, dlist: dl, blist: bl, ws: ws}
 	if e.Opt.Ideal {
 		s.icl = e.cachelet("I-cachelet", 4<<20, 16)
@@ -378,7 +377,7 @@ func (e *ESP) promote(s *slot, newDepth int) {
 // EventStart implements cpu.Assist: rotate the hardware event queue,
 // activate the departing slot's records for consumption, and resync the
 // queue with the software queue's pending events.
-func (e *ESP) EventStart(ev trace.Event, _ []trace.Inst, pending []trace.Event) {
+func (e *ESP) EventStart(ev trace.Event, pending []trace.Event) {
 	// The slot that tracked this event supplies the prediction records.
 	e.cons = nil
 	if s := e.slots[0]; s.valid && s.ev.ID == ev.ID {
@@ -631,7 +630,7 @@ const (
 // while another queued event pre-executes, and the blocked context
 // resumes as soon as its line returns — the re-entrant execution contexts
 // of §3.4 make the switch a PIR/RRAT swap.
-func (e *ESP) OnStall(_ cpu.StallKind, _ int, budget int) bool {
+func (e *ESP) OnStall(_ cpu.StallKind, _ int, _ trace.Cursor, budget int) bool {
 	if e.Opt.IdleCore {
 		// The idle-core design leaves the main core's stalls idle: all
 		// pre-execution happens on the helper (driven from OnInst).
@@ -723,7 +722,7 @@ func (e *ESP) runWindow(window float64) bool {
 // exhausted, the event ends, or a fill misses the LLC.
 func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 	if !s.started {
-		s.insts = e.Src.SpecInsts(s.ev)
+		s.cur = e.Src.SpecTape(s.ev).Cursor()
 		s.started = true
 		if !s.preExecuted {
 			s.preExecuted = true
@@ -761,45 +760,52 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 	case BPReplicate:
 		bp = s.replica
 	}
-	ws := e.studyPair(s, depth)
+	ws := e.studyProfile(s, depth)
 
-	// The loop runs on locals (budget, position, instruction counter) and
-	// writes them back at each exit, keeping the per-instruction body free
-	// of memory round-trips through s, e.Stats, and the budget pointer.
+	// The loop runs on locals (budget, cursor, position, instruction
+	// counter) and writes them back at each exit, keeping the
+	// per-instruction body free of memory round-trips through s, e.Stats,
+	// and the budget pointer. An exit on an LLC fill parks the slot at the
+	// instruction that missed (its cursor at), which re-executes when the
+	// slot resumes.
 	var (
 		bud      = *b
 		baseCPI  = e.Opt.BaseCPI
-		insts    = s.insts
+		cur      = s.cur
 		pos      = s.pos
+		n        = cur.Len()
+		in       trace.Inst // the current branch's record
 		preInsts int64
 	)
 	for bud > 0 {
-		if pos >= len(insts) {
-			s.pos, *b = pos, bud
+		if pos >= n {
+			s.cur, s.pos, *b = cur, pos, bud
 			e.Stats.PreExecInsts += preInsts
 			return preExecEnd, 0
 		}
-		in := &insts[pos]
+		at := cur
+		op, pc := cur.Op(pos)
 		bud -= baseCPI
 
 		// Instruction fetch through the I-cachelet.
-		if l := trace.Line(in.PC); !s.haveLine || l != s.fetchLine {
+		if l := trace.Line(pc); !s.haveLine || l != s.fetchLine {
 			s.haveLine, s.fetchLine = true, l
 			if ws != nil {
-				ws.i.Touch(in.PC)
+				ws.Touch(pc)
 			}
-			if res, lat := e.fetchPre(s, in.PC, int32(pos), &bud); res == preExecLLC {
-				s.pos, *b = pos, bud
+			if res, lat := e.fetchPre(s, pc, int32(pos), &bud); res == preExecLLC {
+				s.cur, s.pos, *b = at, pos, bud
 				e.Stats.PreExecInsts += preInsts
 				return preExecLLC, lat
 			}
 		}
 
-		switch in.Kind {
+		switch kind := op.Kind(); kind {
 		case trace.Branch:
-			pred := bp.PredictUpdate(in)
-			miss := branch.Mispredicted(pred, *in)
-			if branch.Misfetched(pred, *in) {
+			cur.Branch(op, pc, &in)
+			pred := bp.PredictUpdate(&in)
+			miss := branch.Mispredicted(pred, in)
+			if branch.Misfetched(pred, in) {
 				bud -= misfetchCost
 			}
 			if miss {
@@ -820,11 +826,8 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 			}
 
 		case trace.Load, trace.Store:
-			if ws != nil {
-				ws.d.Touch(in.Addr)
-			}
-			if res, lat := e.accessPre(s, in, int32(pos), &bud); res == preExecLLC {
-				s.pos, *b = pos, bud
+			if res, lat := e.accessPre(s, cur.Addr(), kind == trace.Store, int32(pos), &bud); res == preExecLLC {
+				s.cur, s.pos, *b = at, pos, bud
 				e.Stats.PreExecInsts += preInsts
 				return preExecLLC, lat
 			}
@@ -832,7 +835,7 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 		pos++
 		preInsts++
 	}
-	s.pos, *b = pos, bud
+	s.cur, s.pos, *b = cur, pos, bud
 	e.Stats.PreExecInsts += preInsts
 	return preExecBudget, 0
 }
@@ -866,10 +869,9 @@ func (e *ESP) fetchPre(s *slot, pc uint64, pos int32, b *float64) (preExecResult
 
 // accessPre services a pre-execution data access through the D-cachelet
 // (stores stay local to it: no write-back, no coherence, §3.4, §4.4).
-func (e *ESP) accessPre(s *slot, in *trace.Inst, pos int32, b *float64) (preExecResult, int) {
-	write := in.Kind == trace.Store
+func (e *ESP) accessPre(s *slot, addr uint64, write bool, pos int32, b *float64) (preExecResult, int) {
 	if e.Opt.Naive {
-		level, lat := e.Hier.AccessD(in.Addr, write)
+		level, lat := e.Hier.AccessD(addr, write)
 		if level == mem.LevelMem {
 			return preExecLLC, lat
 		}
@@ -879,15 +881,15 @@ func (e *ESP) accessPre(s *slot, in *trace.Inst, pos int32, b *float64) (preExec
 		return preExecBudget, 0
 	}
 	dirtyBefore := s.dcl.Stats.DirtyEvictions
-	if s.dcl.Access(in.Addr, write) {
+	if s.dcl.Access(addr, write) {
 		return preExecBudget, 0
 	}
 	if s.dcl.Stats.DirtyEvictions > dirtyBefore {
 		e.dirtyHazard(s)
 	}
-	lat, llc := e.Hier.FillLatency(in.Addr)
+	lat, llc := e.Hier.FillLatency(addr)
 	e.Stats.CacheletFills++
-	e.record(s, &s.dlist, trace.Line(in.Addr), pos)
+	e.record(s, &s.dlist, trace.Line(addr), pos)
 	if llc {
 		e.Stats.LLCFills++
 		return preExecLLC, lat
@@ -942,7 +944,7 @@ func (e *ESP) installReplica(r *branch.Predictor) {
 	e.BP.Stats = stats
 }
 
-func (e *ESP) studyPair(s *slot, depth int) *wsPair {
+func (e *ESP) studyProfile(s *slot, depth int) *mem.WorkingSet {
 	if e.Study == nil {
 		return nil
 	}
@@ -951,7 +953,7 @@ func (e *ESP) studyPair(s *slot, depth int) *wsPair {
 	}
 	p := s.ws[depth]
 	if p == nil {
-		p = &wsPair{i: mem.NewWorkingSet(), d: mem.NewWorkingSet()}
+		p = mem.NewWorkingSet()
 		s.ws[depth] = p
 	}
 	return p
@@ -966,8 +968,8 @@ func (e *ESP) finishStudy(s *slot) {
 	}
 	for depth, p := range s.ws {
 		if p != nil {
-			e.Study.AddSample(depth, p.i, p.d)
+			e.Study.AddSample(depth, p)
 		}
 	}
-	s.ws = clearPairs(s.ws)
+	s.ws = clearProfiles(s.ws)
 }

@@ -15,9 +15,9 @@ type fakeSource struct {
 	calls   int
 }
 
-func (f *fakeSource) SpecInsts(ev trace.Event) []trace.Inst {
+func (f *fakeSource) SpecTape(ev trace.Event) trace.Tape {
 	f.calls++
-	return f.streams[ev.ID]
+	return trace.EncodeTape(f.streams[ev.ID])
 }
 
 // mkStream builds a stream with one cold line every lineEvery insts and a
@@ -79,8 +79,8 @@ func TestHardwareBudgetMatchesFigure8(t *testing.T) {
 func TestPreExecutionRecordsFills(t *testing.T) {
 	e, src, _, _ := testESP(t, DefaultOptions())
 	src.streams[1] = mkStream(400, 0x10000, 20)
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 400)})
-	if !e.OnStall(cpu.StallD, 0, 2000) {
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 400)})
+	if !e.OnStall(cpu.StallD, 0, trace.Cursor{}, 2000) {
 		t.Fatal("stall not used despite a pending event")
 	}
 	if e.Stats.PreExecInsts == 0 || e.Stats.CacheletFills == 0 {
@@ -93,8 +93,8 @@ func TestPreExecutionRecordsFills(t *testing.T) {
 
 func TestNoPendingNoJump(t *testing.T) {
 	e, _, _, _ := testESP(t, DefaultOptions())
-	e.EventStart(ev(0, 100), nil, nil)
-	if e.OnStall(cpu.StallD, 0, 1000) {
+	e.EventStart(ev(0, 100), nil)
+	if e.OnStall(cpu.StallD, 0, trace.Cursor{}, 1000) {
 		t.Fatal("jumped ahead with an empty queue")
 	}
 }
@@ -102,13 +102,13 @@ func TestNoPendingNoJump(t *testing.T) {
 func TestReentrantPreExecution(t *testing.T) {
 	e, src, _, _ := testESP(t, DefaultOptions())
 	src.streams[1] = mkStream(4000, 0x10000, 25)
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 4000)})
-	e.OnStall(cpu.StallD, 0, 300)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 4000)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 300)
 	first := e.Stats.PreExecInsts
 	if first == 0 {
 		t.Fatal("first stall pre-executed nothing")
 	}
-	e.OnStall(cpu.StallD, 10, 300)
+	e.OnStall(cpu.StallD, 10, trace.Cursor{}, 300)
 	if e.Stats.PreExecInsts <= first {
 		t.Fatal("second stall did not resume pre-execution")
 	}
@@ -123,8 +123,8 @@ func TestJumpEscalatesToESP2(t *testing.T) {
 	// to event 2.
 	src.streams[1] = mkStream(1, 0x10000, 0)
 	src.streams[2] = mkStream(400, 0x20000, 20)
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 1), ev(2, 400)})
-	e.OnStall(cpu.StallD, 0, 2000)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 1), ev(2, 400)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 2000)
 	if e.Stats.ModeEntries[1] == 0 {
 		t.Fatal("never entered ESP-2")
 	}
@@ -135,9 +135,9 @@ func TestConsumptionIssuesPrefetches(t *testing.T) {
 	stream := mkStream(600, 0x10000, 30)
 	src.streams[1] = stream
 	// Pre-execute event 1 deeply during event 0.
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 600)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 600)})
 	for i := 0; i < 20; i++ {
-		e.OnStall(cpu.StallD, i, 1000)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 1000)
 	}
 	recs := e.Stats.RecI
 	if recs == 0 {
@@ -145,7 +145,7 @@ func TestConsumptionIssuesPrefetches(t *testing.T) {
 	}
 	// Event 1 now runs normally.
 	e.EventEnd(ev(0, 100))
-	e.EventStart(ev(1, 600), stream, []trace.Event{ev(2, 600)})
+	e.EventStart(ev(1, 600), []trace.Event{ev(2, 600)})
 	for i := 0; i < 600; i++ {
 		e.OnInst(i)
 	}
@@ -166,12 +166,12 @@ func TestPrefetchLeadRespected(t *testing.T) {
 	e, src, h, _ := testESP(t, DefaultOptions())
 	stream := mkStream(2000, 0x10000, 0)
 	src.streams[1] = stream
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 2000)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 2000)})
 	for i := 0; i < 30; i++ {
-		e.OnStall(cpu.StallD, i, 1000)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 1000)
 	}
 	e.EventEnd(ev(0, 100))
-	e.EventStart(ev(1, 2000), stream, nil)
+	e.EventStart(ev(1, 2000), nil)
 	// Immediately after event start, only entries within the pre-event
 	// window + lookahead should have been prefetched, not the deep tail.
 	deepLine := trace.Line(stream[1900].PC)
@@ -204,15 +204,15 @@ func TestCorrectBranchMatchesRecordedMispredicts(t *testing.T) {
 	for _, in := range stream {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, len(stream))})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, len(stream))})
 	for i := 0; i < 10; i++ {
-		e.OnStall(cpu.StallD, i, 2000)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 2000)
 	}
 	if e.Stats.RecB == 0 {
 		t.Fatal("no branch mispredictions recorded during pre-execution")
 	}
 	e.EventEnd(ev(0, 100))
-	e.EventStart(ev(1, len(stream)), stream, nil)
+	e.EventStart(ev(1, len(stream)), nil)
 	corrected := 0
 	for i, in := range stream {
 		e.OnInst(i)
@@ -230,7 +230,7 @@ func TestCorrectBranchMatchesRecordedMispredicts(t *testing.T) {
 
 func TestCorrectBranchRejectsUnrecorded(t *testing.T) {
 	e, _, _, _ := testESP(t, DefaultOptions())
-	e.EventStart(ev(0, 100), nil, nil)
+	e.EventStart(ev(0, 100), nil)
 	if e.CorrectBranch(5, trace.Inst{PC: 0x1234, Kind: trace.Branch}) {
 		t.Fatal("corrected a branch with no records at all")
 	}
@@ -246,12 +246,12 @@ func TestDivergedRecordsDoNotMatch(t *testing.T) {
 	for _, in := range spec {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 300)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 300)})
 	for i := 0; i < 10; i++ {
-		e.OnStall(cpu.StallD, i, 2000)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 2000)
 	}
 	e.EventEnd(ev(0, 100))
-	e.EventStart(ev(1, 300), normal, nil)
+	e.EventStart(ev(1, 300), nil)
 	for i, in := range normal {
 		e.OnInst(i)
 		if in.Kind == trace.Branch && e.CorrectBranch(i, in) {
@@ -267,11 +267,11 @@ func TestDivergedRecordsDoNotMatch(t *testing.T) {
 func TestSlotMismatchDiscardsRecords(t *testing.T) {
 	e, src, _, _ := testESP(t, DefaultOptions())
 	src.streams[1] = mkStream(300, 0x10000, 20)
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 300)})
-	e.OnStall(cpu.StallD, 0, 2000)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 300)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 2000)
 	e.EventEnd(ev(0, 100))
 	// A different event than predicted arrives (the §4.5 case).
-	e.EventStart(ev(7, 300), mkStream(300, 0x70000, 0), nil)
+	e.EventStart(ev(7, 300), nil)
 	if e.cons != nil {
 		t.Fatal("records consumed despite queue mispredict")
 	}
@@ -288,8 +288,8 @@ func TestCacheletIsolation(t *testing.T) {
 		{PC: 0x10004, Kind: trace.ALU},
 	}
 	src.streams[1] = stream
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 2)})
-	e.OnStall(cpu.StallD, 0, 1000)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 2)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 1000)
 	if h.L1D.Probe(0x8_0000_1000) {
 		t.Fatal("pre-executed store leaked into L1D")
 	}
@@ -306,8 +306,8 @@ func TestNaiveModePollutesSharedCaches(t *testing.T) {
 	e, src, h, _ := testESP(t, opt)
 	stream := mkStream(200, 0x30000, 10)
 	src.streams[1] = stream
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 200)})
-	e.OnStall(cpu.StallD, 0, 3000)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 200)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 3000)
 	if e.Stats.PreExecInsts == 0 {
 		t.Fatal("naive mode did not pre-execute")
 	}
@@ -327,17 +327,17 @@ func TestPromotionKeepsRecords(t *testing.T) {
 	}
 	// Event 2 is pre-executed while it is second in the queue (ESP-2).
 	src.streams[1] = mkStream(1, 0x10000, 0) // tiny: forces escalation
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 1), ev(2, 300)})
-	e.OnStall(cpu.StallD, 0, 3000)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 1), ev(2, 300)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 3000)
 	if e.Stats.ModeEntries[1] == 0 {
 		t.Fatal("test setup: ESP-2 never entered")
 	}
 	recs := e.Stats.RecI
 	// Event 1 runs (event 2 promotes to ESP-1), then event 2 runs.
 	e.EventEnd(ev(0, 100))
-	e.EventStart(ev(1, 1), src.streams[1], []trace.Event{ev(2, 300)})
+	e.EventStart(ev(1, 1), []trace.Event{ev(2, 300)})
 	e.EventEnd(ev(1, 1))
-	e.EventStart(ev(2, 300), src.streams[2], nil)
+	e.EventStart(ev(2, 300), nil)
 	for i := 0; i < 300; i++ {
 		e.OnInst(i)
 	}
@@ -377,14 +377,14 @@ func TestListsFullStopsJumping(t *testing.T) {
 	for _, in := range stream {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 2000)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 2000)})
 	for i := 0; i < 50; i++ {
-		e.OnStall(cpu.StallD, i, 500)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 500)
 	}
 	used := e.Stats.PreExecInsts
 	before := e.Stats.ModeEntries[0]
 	// Further stalls must be declined: everything is full.
-	if e.OnStall(cpu.StallD, 60, 500) {
+	if e.OnStall(cpu.StallD, 60, trace.Cursor{}, 500) {
 		t.Fatal("stall used although all lists are full")
 	}
 	if e.Stats.ModeEntries[0] != before || e.Stats.PreExecInsts != used {
@@ -405,10 +405,10 @@ func TestSeparatePIRRestoresNormalContext(t *testing.T) {
 	for _, in := range stream {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 200)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 200)})
 	bp.SetPIR(0x1A2B)
 	ras := bp.SnapshotRAS()
-	e.OnStall(cpu.StallD, 0, 2000)
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 2000)
 	if bp.PIR() != 0x1A2B {
 		t.Fatalf("normal PIR clobbered: %#x", bp.PIR())
 	}
@@ -432,13 +432,13 @@ func TestReplicateModeInstallsWarmedTables(t *testing.T) {
 	}
 	src.streams[1] = stream
 	h.L2.Install(0x10000, false)
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 64)})
-	e.OnStall(cpu.StallD, 0, 5000)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 64)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 5000)
 	if e.Stats.PreExecInsts == 0 {
 		t.Fatal("nothing pre-executed")
 	}
 	e.EventEnd(ev(0, 100))
-	e.EventStart(ev(1, 64), stream, nil)
+	e.EventStart(ev(1, 64), nil)
 	pred := bp.Predict(stream[0])
 	if !pred.Taken || pred.Target != 0x10000 {
 		t.Fatalf("replica training not installed: %+v", pred)
@@ -462,9 +462,9 @@ func TestDirtyEvictionPoisoning(t *testing.T) {
 		h.L2.Install(in.PC, false)
 		h.L2.Install(in.Addr, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 400)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 400)})
 	for i := 0; i < 20; i++ {
-		e.OnStall(cpu.StallD, i, 2000)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 2000)
 	}
 	if e.Stats.DirtyHazards == 0 {
 		t.Fatal("no dirty evictions despite store overflow")
@@ -483,9 +483,9 @@ func TestIdealModeUnbounded(t *testing.T) {
 	for _, in := range stream {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 3000)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 3000)})
 	for i := 0; i < 100; i++ {
-		e.OnStall(cpu.StallD, i, 2000)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 2000)
 	}
 	if e.Stats.ListFull != 0 {
 		t.Fatalf("ideal mode dropped %d records", e.Stats.ListFull)
@@ -501,10 +501,10 @@ func TestWorkingSetStudyCollects(t *testing.T) {
 	for _, in := range stream {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 300)})
-	e.OnStall(cpu.StallD, 0, 3000)
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 300)})
+	e.OnStall(cpu.StallD, 0, trace.Cursor{}, 3000)
 	e.EventEnd(ev(0, 100))
-	e.EventStart(ev(1, 300), stream, nil) // consumes + finalizes study
+	e.EventStart(ev(1, 300), nil) // consumes + finalizes study
 	reports := e.Study.ReportI()
 	if len(reports) != opt.JumpDepth {
 		t.Fatalf("%d mode reports", len(reports))
@@ -519,9 +519,9 @@ func TestWorkingSetStudyMerge(t *testing.T) {
 	ws := mem.NewWorkingSet()
 	ws.Touch(0)
 	ws.Touch(64)
-	a.AddSample(0, ws, ws)
-	b.AddSample(0, ws, ws)
-	b.AddSample(1, ws, ws)
+	a.AddSample(0, ws)
+	b.AddSample(0, ws)
+	b.AddSample(1, ws)
 	a.Merge(b)
 	a.Merge(nil)
 	if a.ReportI()[0].Events != 2 || a.ReportI()[1].Events != 1 {
@@ -560,9 +560,9 @@ func TestRecordCountsMonotonic(t *testing.T) {
 	for _, in := range stream {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 1500)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 1500)})
 	for i := 0; i < 40; i++ {
-		e.OnStall(cpu.StallD, i, 800)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 800)
 	}
 	s := e.slots[0]
 	check := func(name string, recs []AccessRec) {
@@ -585,8 +585,8 @@ func TestMinWindowDeclined(t *testing.T) {
 	opt := DefaultOptions()
 	e, src, _, _ := testESP(t, opt)
 	src.streams[1] = mkStream(400, 0x10000, 20)
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 400)})
-	if e.OnStall(cpu.StallD, 0, opt.MinWindow-1) {
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 400)})
+	if e.OnStall(cpu.StallD, 0, trace.Cursor{}, opt.MinWindow-1) {
 		t.Fatal("window below MinWindow must be declined")
 	}
 	if e.Stats.PreExecInsts != 0 {
@@ -606,14 +606,14 @@ func TestSharedQueueReservationFreesWithConsumption(t *testing.T) {
 	for _, in := range append(append([]trace.Inst{}, s1...), s2...) {
 		h.L2.Install(in.PC, false)
 	}
-	e.EventStart(ev(0, 100), nil, []trace.Event{ev(1, 2000)})
+	e.EventStart(ev(0, 100), []trace.Event{ev(1, 2000)})
 	for i := 0; i < 60; i++ {
-		e.OnStall(cpu.StallD, i, 800)
+		e.OnStall(cpu.StallD, i, trace.Cursor{}, 800)
 	}
 	e.EventEnd(ev(0, 100))
 	// Event 1 executes; event 2 is now in ESP-1, recording into the
 	// queue event 1 is draining.
-	e.EventStart(ev(1, 2000), s1, []trace.Event{ev(2, 2000)})
+	e.EventStart(ev(1, 2000), []trace.Event{ev(2, 2000)})
 	reservedAtStart := e.slots[0].ilist.reserved
 	for i := 0; i < 1900; i++ {
 		e.OnInst(i)

@@ -19,10 +19,8 @@ type WorkingSetStudy struct {
 
 type wsSample struct {
 	iUnique int
-	dUnique int
 	// Lines needed to capture 95/85/75% of reuse.
 	i95, i85, i75 int
-	d95, d85, d75 int
 }
 
 // NewWorkingSetStudy returns a study for the given jump-ahead depth.
@@ -44,15 +42,15 @@ func (st *WorkingSetStudy) Merge(other *WorkingSetStudy) {
 	}
 }
 
-// AddSample folds one (event, mode) pre-execution profile into the study.
-func (st *WorkingSetStudy) AddSample(mode int, i, d *mem.WorkingSet) {
+// AddSample folds one (event, mode) pre-execution profile of the
+// instruction side into the study.
+func (st *WorkingSetStudy) AddSample(mode int, i *mem.WorkingSet) {
 	if mode < 0 || mode >= len(st.samples) {
 		return
 	}
 	st.samples[mode] = append(st.samples[mode], wsSample{
-		iUnique: i.Unique(), dUnique: d.Unique(),
-		i95: i.LinesFor(0.95), i85: i.LinesFor(0.85), i75: i.LinesFor(0.75),
-		d95: d.LinesFor(0.95), d85: d.LinesFor(0.85), d75: d.LinesFor(0.75),
+		iUnique: i.Unique(),
+		i95:     i.LinesFor(0.95), i85: i.LinesFor(0.85), i75: i.LinesFor(0.75),
 	})
 }
 

@@ -45,10 +45,10 @@ func (k StallKind) String() string {
 // Implementations: runahead.Engine and core.ESP (the paper's technique).
 // A nil Assist on the Core means a plain baseline.
 type Assist interface {
-	// EventStart announces that ev is about to execute normally. insts is
-	// its full dynamic instruction stream, and pending lists the future
-	// events currently visible in the software event queue (at most two).
-	EventStart(ev trace.Event, insts []trace.Inst, pending []trace.Event)
+	// EventStart announces that ev is about to execute normally. pending
+	// lists the future events currently visible in the software event
+	// queue (at most two).
+	EventStart(ev trace.Event, pending []trace.Event)
 	// EventEnd announces that ev has retired its last instruction.
 	EventEnd(ev trace.Event)
 	// OnInst is called before instruction idx of the current event
@@ -64,10 +64,11 @@ type Assist interface {
 	// training, §3.6). The predictor is still trained on the outcome.
 	CorrectBranch(idx int, in trace.Inst) bool
 	// OnStall offers the assist an exposed stall window of budget cycles
-	// starting at instruction idx. It returns true if the assist used the
-	// window (the core then charges the pipeline-flush cost of returning
-	// from speculative execution, §4.1).
-	OnStall(kind StallKind, idx int, budget int) bool
+	// starting at instruction idx; rest walks the event's instructions
+	// after idx. It returns true if the assist used the window (the core
+	// then charges the pipeline-flush cost of returning from speculative
+	// execution, §4.1).
+	OnStall(kind StallKind, idx int, rest trace.Cursor, budget int) bool
 }
 
 // FetchObserver watches the demand instruction-fetch stream: event
@@ -247,15 +248,18 @@ type Core struct {
 	// Stats accumulates across RunEvent calls.
 	Stats Stats
 
-	fetchLine    uint64
-	fetchValid   bool
-	lastLLCDInst int64 // global instruction index of the previous LLC data miss
+	fetchLine    uint64 // noFetchLine when the next instruction must re-access the I$
+	lastLLCDInst int64  // global instruction index of the previous LLC data miss
 	globalInst   int64
 }
 
+// noFetchLine is the fetch-line tracker's "no line" value: trace.Line
+// clears an address's low six bits, so no line address equals it.
+const noFetchLine = ^uint64(0)
+
 // New returns a core over the given hierarchy and predictor.
 func New(cfg Config, h *mem.Hierarchy, bp *branch.Predictor) *Core {
-	return &Core{Cfg: cfg, Hier: h, BP: bp, lastLLCDInst: -1 << 40}
+	return &Core{Cfg: cfg, Hier: h, BP: bp, fetchLine: noFetchLine, lastLLCDInst: -1 << 40}
 }
 
 // Reset restores the core's run state (statistics, fetch-line tracking,
@@ -264,7 +268,7 @@ func New(cfg Config, h *mem.Hierarchy, bp *branch.Predictor) *Core {
 // left attached; callers reset those separately.
 func (c *Core) Reset() {
 	c.Stats = Stats{}
-	c.fetchLine, c.fetchValid = 0, false
+	c.fetchLine = noFetchLine
 	c.lastLLCDInst = -1 << 40
 	c.globalInst = 0
 }
@@ -277,53 +281,57 @@ func (c *Core) BeginEvent(handler int) {
 	}
 }
 
-// RunEvent executes one event's instruction stream to completion and
-// returns the cycles it consumed. Assist hooks EventStart/EventEnd are the
-// caller's (looper's) responsibility; RunEvent only drives the
-// per-instruction hooks. A baseline core (nil Assist) never wakes the
+// RunEvent executes one event's instruction stream, walking its tape,
+// to completion and returns the cycles it consumed. Assist hooks
+// EventStart/EventEnd are the caller's (looper's) responsibility;
+// RunEvent only drives the per-instruction hooks. A baseline core (nil Assist) never wakes the
 // progress hook and never queries CorrectBranch, so it pays no
 // per-instruction interface dispatch. The fetch-line and MLP trackers
 // live in locals, written back once per event (nothing outside this loop
-// can observe them mid-event — the assists never see the Core).
-func (c *Core) RunEvent(insts []trace.Inst) int64 {
+// can observe them mid-event — the assists never see the Core). The
+// cursor's decode inlines, and a memory op's or branch's Addr is taken
+// inside the kind switch, so the loop branches on the kind once.
+func (c *Core) RunEvent(tape trace.Tape) int64 {
 	cfg := &c.Cfg
 	var (
-		st         Stats
-		cycles     float64
-		assist     = c.Assist
-		perInst    = cfg.BaseCPI
-		hier       = c.Hier
-		bp         = c.BP
-		nli        = c.NLI
-		fetchObs   = c.FetchObs
-		dcu        = c.DCU
-		stride     = c.Stride
-		fetchValid = c.fetchValid
-		fetchLine  = c.fetchLine
-		global     = c.globalInst
-		lastLLCD   = c.lastLLCDInst
-		rob        = int64(cfg.ROB)
-		wake       = 0
+		st        Stats
+		cycles    float64
+		assist    = c.Assist
+		perInst   = cfg.BaseCPI
+		hier      = c.Hier
+		bp        = c.BP
+		nli       = c.NLI
+		fetchObs  = c.FetchObs
+		dcu       = c.DCU
+		stride    = c.Stride
+		fetchLine = c.fetchLine
+		global    = c.globalInst // of instruction 0; idx counts on from it
+		lastLLCD  = c.lastLLCDInst
+		rob       = int64(cfg.ROB)
+		wake      = 0
+		cur       = tape.Cursor()
+		n         = tape.Len()
+		in        trace.Inst // the current branch's record
 	)
 	if assist == nil {
 		wake = math.MaxInt
 	}
-	for idx := range insts {
-		in := &insts[idx]
+	for idx := 0; idx < n; idx++ {
+		op, pc := cur.Op(idx)
 		if idx >= wake {
 			wake = assist.OnInst(idx)
 		}
 		cycles += perInst
 
 		// Instruction fetch: one hierarchy access per line transition.
-		if line := trace.Line(in.PC); !fetchValid || line != fetchLine {
-			fetchValid, fetchLine = true, line
-			level, lat := hier.FetchI(in.PC)
+		if line := trace.Line(pc); line != fetchLine {
+			fetchLine = line
+			level, lat := hier.FetchI(pc)
 			if nli != nil {
-				nli.OnFetch(in.PC)
+				nli.OnFetch(pc)
 			}
 			if fetchObs != nil {
-				fetchObs.OnFetch(in.PC, level)
+				fetchObs.OnFetch(pc, level)
 			}
 			switch level {
 			case mem.LevelL2:
@@ -335,26 +343,29 @@ func (c *Core) RunEvent(insts []trace.Inst) int64 {
 				exposed := cfg.MemIExposed
 				cycles += float64(exposed)
 				st.IMissCycles += int64(exposed)
-				c.offerStall(StallI, idx, exposed, &cycles, &st)
+				rest := cur
+				rest.Skip(op)
+				c.offerStall(StallI, idx, rest, exposed, &cycles, &st)
 			}
 		}
 
-		switch in.Kind {
+		switch kind := op.Kind(); kind {
 		case trace.Branch:
+			cur.Branch(op, pc, &in)
 			st.Branches++
 			correct := cfg.PerfectBP
 			misfetch := false
-			if !correct && assist != nil && assist.CorrectBranch(idx, *in) {
+			if !correct && assist != nil && assist.CorrectBranch(idx, in) {
 				correct = true
 			}
 			if !correct {
-				pred := bp.PredictUpdate(in)
-				correct = !branch.Mispredicted(pred, *in)
-				misfetch = branch.Misfetched(pred, *in)
+				pred := bp.PredictUpdate(&in)
+				correct = !branch.Mispredicted(pred, in)
+				misfetch = branch.Misfetched(pred, in)
 			} else if !cfg.PerfectBP {
 				// Corrected branch: the prediction is suppressed but the
 				// predictor still trains on the architectural outcome.
-				bp.Update(*in)
+				bp.Update(in)
 			}
 			switch {
 			case !correct:
@@ -367,16 +378,17 @@ func (c *Core) RunEvent(insts []trace.Inst) int64 {
 				st.BranchCycles += int64(cfg.MisfetchPenalty)
 			}
 			if in.Taken {
-				fetchValid = false // redirect: next fetch re-accesses I$
+				fetchLine = noFetchLine // redirect: next fetch re-accesses I$
 			}
 
 		case trace.Load, trace.Store:
-			level, lat := hier.AccessD(in.Addr, in.Kind == trace.Store)
+			addr := cur.Addr()
+			level, lat := hier.AccessD(addr, kind == trace.Store)
 			if dcu != nil {
-				dcu.OnAccess(in.Addr)
+				dcu.OnAccess(addr)
 			}
 			if stride != nil {
-				stride.OnAccess(in.PC, in.Addr)
+				stride.OnAccess(pc, addr)
 			}
 			switch level {
 			case mem.LevelL2:
@@ -386,37 +398,37 @@ func (c *Core) RunEvent(insts []trace.Inst) int64 {
 			case mem.LevelMem:
 				st.LLCMissD++
 				exposed := cfg.MemDExposed
-				if global-lastLLCD < rob {
+				if g := global + int64(idx); g-lastLLCD < rob {
 					// Overlapped with the previous miss: MLP.
 					exposed = int(float64(exposed) * cfg.MLPFactor)
 				}
-				lastLLCD = global
+				lastLLCD = global + int64(idx)
 				cycles += float64(exposed)
 				st.DMissCycles += int64(exposed)
-				c.offerStall(StallD, idx, exposed, &cycles, &st)
+				c.offerStall(StallD, idx, cur, exposed, &cycles, &st)
 			}
 		}
-		global++
 	}
-	c.fetchValid, c.fetchLine = fetchValid, fetchLine
-	c.globalInst, c.lastLLCDInst = global, lastLLCD
+	c.fetchLine = fetchLine
+	c.globalInst, c.lastLLCDInst = global+int64(n), lastLLCD
 
-	st.Insts = int64(len(insts))
+	st.Insts = int64(n)
 	st.BaseCycles = int64(float64(st.Insts) * cfg.BaseCPI)
 	st.Cycles = int64(cycles)
 	c.Stats.Add(st)
 	return st.Cycles
 }
 
-// offerStall hands an exposed LLC-miss window to the assist and charges
-// the speculation-exit flush if it was used.
-func (c *Core) offerStall(kind StallKind, idx, exposed int, cycles *float64, st *Stats) {
+// offerStall hands an exposed LLC-miss window, and the rest of the
+// event after idx, to the assist and charges the speculation-exit flush
+// if it was used.
+func (c *Core) offerStall(kind StallKind, idx int, rest trace.Cursor, exposed int, cycles *float64, st *Stats) {
 	st.StallsOffered++
 	st.StallCycles += int64(exposed)
 	if c.Assist == nil {
 		return
 	}
-	if c.Assist.OnStall(kind, idx, exposed) {
+	if c.Assist.OnStall(kind, idx, rest, exposed) {
 		st.StallsUsed++
 		*cycles += float64(c.Cfg.ExitFlushPenalty)
 		st.AssistPenalty += int64(c.Cfg.ExitFlushPenalty)

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"espsim/internal/branch"
@@ -24,7 +25,7 @@ func seqInsts(n int, base uint64) []trace.Inst {
 func TestBaseCPIAccounting(t *testing.T) {
 	c := testCore()
 	c.Hier.PerfectL1I = true
-	cyc := c.RunEvent(seqInsts(10000, 0x1000))
+	cyc := c.RunEvent(trace.EncodeTape(seqInsts(10000, 0x1000)))
 	want := int64(float64(10000) * c.Cfg.BaseCPI)
 	if cyc < want-1 || cyc > want+1 {
 		t.Fatalf("cycles = %d, want ~%d for stall-free code", cyc, want)
@@ -33,7 +34,7 @@ func TestBaseCPIAccounting(t *testing.T) {
 
 func TestIMissCharged(t *testing.T) {
 	c := testCore()
-	cyc := c.RunEvent(seqInsts(16, 0x1000)) // one line, cold
+	cyc := c.RunEvent(trace.EncodeTape(seqInsts(16, 0x1000))) // one line, cold
 	base := int64(float64(16) * c.Cfg.BaseCPI)
 	if cyc < base+int64(c.Cfg.MemIExposed) {
 		t.Fatalf("cold I-fetch not charged: %d cycles", cyc)
@@ -48,7 +49,7 @@ func TestDMissCharged(t *testing.T) {
 	c.Hier.PerfectL1I = true
 	insts := seqInsts(4, 0x1000)
 	insts[2] = trace.Inst{PC: insts[2].PC, Kind: trace.Load, Addr: 0x8_0000_0000}
-	c.RunEvent(insts)
+	c.RunEvent(trace.EncodeTape(insts))
 	if c.Stats.LLCMissD != 1 {
 		t.Fatalf("LLCMissD = %d", c.Stats.LLCMissD)
 	}
@@ -67,7 +68,7 @@ func TestMLPOverlapCheaper(t *testing.T) {
 		insts = append(insts, trace.Inst{PC: 0x1000, Kind: trace.Load, Addr: 0x8_0000_0000})
 		insts = append(insts, seqInsts(gap, 0x2000)...)
 		insts = append(insts, trace.Inst{PC: 0x3000, Kind: trace.Load, Addr: 0x9_0000_0000})
-		c.RunEvent(insts)
+		c.RunEvent(trace.EncodeTape(insts))
 		return c.Stats.DMissCycles
 	}
 	near, far := run(10), run(500)
@@ -86,7 +87,7 @@ func TestMispredictPenalty(t *testing.T) {
 			PC: 0x1000, Kind: trace.Branch, Taken: i%2 == 0, Addr: 0x1040,
 		})
 	}
-	c.RunEvent(insts)
+	c.RunEvent(trace.EncodeTape(insts))
 	if c.Stats.Mispredicts == 0 {
 		t.Fatal("alternating branch should mispredict sometimes")
 	}
@@ -104,7 +105,7 @@ func TestPerfectBPNoPenalty(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		insts = append(insts, trace.Inst{PC: 0x1000, Kind: trace.Branch, Taken: i%2 == 0, Addr: 0x1000})
 	}
-	c.RunEvent(insts)
+	c.RunEvent(trace.EncodeTape(insts))
 	if c.Stats.Mispredicts != 0 || c.Stats.BranchCycles != 0 {
 		t.Fatalf("perfect BP charged penalties: %+v", c.Stats)
 	}
@@ -124,7 +125,7 @@ func TestMisfetchCheaperThanMispredict(t *testing.T) {
 		pc := uint64(0x1000 + (i%2500)*2048*4)
 		insts = append(insts, trace.Inst{PC: pc, Kind: trace.Branch, Taken: true, Addr: pc + 64})
 	}
-	c.RunEvent(insts)
+	c.RunEvent(trace.EncodeTape(insts))
 	if c.Stats.Misfetches == 0 {
 		t.Fatal("expected misfetches from BTB-thrashing taken branches")
 	}
@@ -149,7 +150,7 @@ func TestPerfectEverythingBeatsBaseline(t *testing.T) {
 				insts = append(insts, trace.Inst{PC: pc, Kind: trace.ALU})
 			}
 		}
-		return c.RunEvent(insts)
+		return c.RunEvent(trace.EncodeTape(insts))
 	}
 	if perfect, base := mk(true), mk(false); perfect >= base {
 		t.Fatalf("perfect machine (%d) not faster than baseline (%d)", perfect, base)
@@ -161,20 +162,34 @@ type recordingAssist struct {
 	onInst   int
 	stalls   []StallKind
 	budgets  []int
+	idxs     []int
+	rests    [][]trace.Inst // per stall, the memory ops rest walks
 	corrects int
 	use      bool
 }
 
-func (r *recordingAssist) EventStart(trace.Event, []trace.Inst, []trace.Event) {}
-func (r *recordingAssist) EventEnd(trace.Event)                                {}
-func (r *recordingAssist) OnInst(idx int) int                                  { r.onInst++; return idx + 1 }
+func (r *recordingAssist) EventStart(trace.Event, []trace.Event) {}
+func (r *recordingAssist) EventEnd(trace.Event)                  {}
+func (r *recordingAssist) OnInst(idx int) int                    { r.onInst++; return idx + 1 }
 func (r *recordingAssist) CorrectBranch(int, trace.Inst) bool {
 	r.corrects++
 	return false
 }
-func (r *recordingAssist) OnStall(k StallKind, _ int, b int) bool {
+func (r *recordingAssist) OnStall(k StallKind, idx int, rest trace.Cursor, b int) bool {
 	r.stalls = append(r.stalls, k)
 	r.budgets = append(r.budgets, b)
+	r.idxs = append(r.idxs, idx)
+	var mem []trace.Inst
+	var in trace.Inst
+	for i := idx + 1; i < rest.Len(); i++ {
+		switch op, pc := rest.Op(i); op.Kind() {
+		case trace.Load, trace.Store:
+			mem = append(mem, trace.Inst{PC: pc, Kind: op.Kind(), Addr: rest.Addr()})
+		case trace.Branch:
+			rest.Branch(op, pc, &in)
+		}
+	}
+	r.rests = append(r.rests, mem)
 	return r.use
 }
 
@@ -183,8 +198,11 @@ func TestAssistReceivesStalls(t *testing.T) {
 	ra := &recordingAssist{}
 	c.Assist = ra
 	insts := seqInsts(64, 0x1000) // 4 cold lines
+	// A cold load opens the second line: its I- and D-stall cursors
+	// must both stand past its Addr.
+	insts[16].Kind, insts[16].Addr = trace.Load, 0x9_0000_0000
 	insts = append(insts, trace.Inst{PC: insts[63].PC + 4, Kind: trace.Load, Addr: 0x8_0000_0000})
-	c.RunEvent(insts)
+	c.RunEvent(trace.EncodeTape(insts))
 	if ra.onInst != len(insts) {
 		t.Fatalf("OnInst called %d times, want %d", ra.onInst, len(insts))
 	}
@@ -194,6 +212,17 @@ func TestAssistReceivesStalls(t *testing.T) {
 			nI++
 		} else {
 			nD++
+		}
+	}
+	for k, idx := range ra.idxs {
+		var want []trace.Inst
+		for _, in := range insts[idx+1:] {
+			if in.Kind == trace.Load {
+				want = append(want, in)
+			}
+		}
+		if !reflect.DeepEqual(ra.rests[k], want) {
+			t.Fatalf("stall at %d: rest walks memory ops %+v, want %+v, those after it", idx, ra.rests[k], want)
 		}
 	}
 	if nI == 0 || nD == 0 {
@@ -210,7 +239,7 @@ func TestAssistUsePaysExitFlush(t *testing.T) {
 	run := func(use bool) int64 {
 		c := testCore()
 		c.Assist = &recordingAssist{use: use}
-		return c.RunEvent(seqInsts(64, 0x1000))
+		return c.RunEvent(trace.EncodeTape(seqInsts(64, 0x1000)))
 	}
 	unused, used := run(false), run(true)
 	if used <= unused {
@@ -227,7 +256,7 @@ func TestAssistCorrectBranchSuppressesPenalty(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		insts = append(insts, trace.Inst{PC: 0x2000, Kind: trace.Branch, Taken: i%2 == 0, Addr: 0x2040})
 	}
-	c.RunEvent(insts)
+	c.RunEvent(trace.EncodeTape(insts))
 	if c.Stats.Mispredicts != 0 {
 		t.Fatalf("corrected branches still mispredicted %d times", c.Stats.Mispredicts)
 	}
@@ -288,7 +317,7 @@ func TestDeterministicRun(t *testing.T) {
 				insts = append(insts, trace.Inst{PC: pc, Kind: trace.ALU})
 			}
 		}
-		c.RunEvent(insts)
+		c.RunEvent(trace.EncodeTape(insts))
 		return c.Stats
 	}
 	if mk() != mk() {

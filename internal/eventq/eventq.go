@@ -33,6 +33,15 @@ type Source interface {
 	Pending(i int) []trace.Event
 }
 
+// TapeSource is a Source that also hands out its streams as tapes, the
+// encoding the replay loops walk. Materialized workloads (sim.Workload
+// views) implement it; the Looper encodes any other source's streams as
+// it goes.
+type TapeSource interface {
+	Source
+	Tape(i int, speculative bool) trace.Tape
+}
+
 // FlatSource is implemented by sources whose queue views can be produced
 // without building a slice per call: PendingInto appends event i's view
 // to buf and returns the extended slice, so a caller that owns buf reads
@@ -153,9 +162,15 @@ func (l *Looper) Run() int64 {
 	// Span-friendly sources fill the looper's own scratch: the per-event
 	// queue view costs no allocation and never aliases source state.
 	flat, _ := l.Src.(FlatSource)
+	tapes, _ := l.Src.(TapeSource)
 	for i := 0; i < n; i++ {
 		ev := l.Src.Event(i)
-		insts := l.Src.Insts(i, false)
+		var tape trace.Tape
+		if tapes != nil {
+			tape = tapes.Tape(i, false)
+		} else {
+			tape = trace.EncodeTape(l.Src.Insts(i, false))
+		}
 		if assist != nil {
 			var pending []trace.Event
 			if flat != nil {
@@ -164,13 +179,13 @@ func (l *Looper) Run() int64 {
 			} else {
 				pending = l.Src.Pending(i)
 			}
-			assist.EventStart(ev, insts, pending)
+			assist.EventStart(ev, pending)
 		}
 		l.Core.BeginEvent(ev.Handler)
 		// Queue management runs between dequeue and handler entry; ESP
 		// overlaps its pre-event prefetches with it (§3.6).
 		l.Core.RunFiller(LooperOverhead)
-		l.Core.RunEvent(insts)
+		l.Core.RunEvent(tape)
 		if assist != nil {
 			assist.EventEnd(ev)
 		}

@@ -79,14 +79,16 @@ type hookAssist struct {
 	pendings     [][]trace.Event
 }
 
-func (h *hookAssist) EventStart(ev trace.Event, _ []trace.Inst, pending []trace.Event) {
+func (h *hookAssist) EventStart(ev trace.Event, pending []trace.Event) {
 	h.starts = append(h.starts, ev.ID)
 	h.pendings = append(h.pendings, pending)
 }
-func (h *hookAssist) EventEnd(ev trace.Event)              { h.ends = append(h.ends, ev.ID) }
-func (h *hookAssist) OnInst(idx int) int                   { return idx + 1 }
-func (h *hookAssist) CorrectBranch(int, trace.Inst) bool   { return false }
-func (h *hookAssist) OnStall(cpu.StallKind, int, int) bool { return false }
+func (h *hookAssist) EventEnd(ev trace.Event)            { h.ends = append(h.ends, ev.ID) }
+func (h *hookAssist) OnInst(idx int) int                 { return idx + 1 }
+func (h *hookAssist) CorrectBranch(int, trace.Inst) bool { return false }
+func (h *hookAssist) OnStall(cpu.StallKind, int, trace.Cursor, int) bool {
+	return false
+}
 
 func TestLooperRunsAllEvents(t *testing.T) {
 	s := newSession(t)

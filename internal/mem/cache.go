@@ -149,9 +149,9 @@ func (c *Cache) index(lineAddr uint64) (set uint64, tag uint64) {
 
 // Access performs a demand access to the line containing addr, installing
 // it on a miss. It returns whether the access hit. The body handles only
-// the plain MRU hit — no recency shuffle, no prefetch bookkeeping — and is
-// kept minimal for call sites in the replay loop; every other case is
-// outlined into accessSlow.
+// the plain MRU hit — no recency shuffle, no prefetch bookkeeping — so
+// that case runs without a second call; every other case is outlined
+// into accessSlow. Access itself is not inlined into its callers.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	blk := addr >> 6
 	i := int(blk&c.setMask) * c.ways
@@ -270,19 +270,40 @@ func (c *Cache) probeSlow(addr uint64) bool {
 // It returns true if a dirty line was evicted to make room.
 func (c *Cache) Install(addr uint64, prefetch bool) (evictedDirty bool) {
 	set, tag := c.index(trace.Line(addr))
-	base := int(set) * c.ways
-	for _, t := range c.tags[base : base+c.ways] {
-		if t == tag {
-			return false // already resident
-		}
-		if t == invalidTag {
-			break
-		}
+	if c.resident(set, tag) {
+		return false
 	}
 	if prefetch {
 		c.Stats.PrefetchInstalls++
 	}
 	return c.install(set, tag, false, prefetch)
+}
+
+// PrefetchInstall installs the line containing addr as a prefetch unless
+// it is already resident, and reports whether it was: Probe followed by
+// Install(addr, true), in one scan of the set.
+func (c *Cache) PrefetchInstall(addr uint64) (wasResident bool) {
+	set, tag := c.index(trace.Line(addr))
+	if c.resident(set, tag) {
+		return true
+	}
+	c.Stats.PrefetchInstalls++
+	c.install(set, tag, false, true)
+	return false
+}
+
+// resident scans a set's occupied prefix for tag.
+func (c *Cache) resident(set, tag uint64) bool {
+	base := int(set) * c.ways
+	for _, t := range c.tags[base : base+c.ways] {
+		if t == tag {
+			return true
+		}
+		if t == invalidTag {
+			break
+		}
+	}
+	return false
 }
 
 func (c *Cache) install(set, tag uint64, dirty, prefetch bool) (evictedDirty bool) {

@@ -128,21 +128,17 @@ func (h *Hierarchy) PrefetchD(addr uint64) {
 // L1-I; a line still in memory cannot arrive before the imminent demand
 // fetch, so it only lands in L2 (helping the next encounter).
 func (h *Hierarchy) PrefetchINear(addr uint64) {
-	if h.L2.Probe(addr) && h.nearTimely(addr) {
+	if h.L2.PrefetchInstall(addr) && h.nearTimely(addr) {
 		h.L1I.Install(addr, true)
-		return
 	}
-	h.L2.Install(addr, true)
 }
 
 // PrefetchDNear is PrefetchINear for the data side (DCU and stride
 // prefetchers run a few accesses ahead at most).
 func (h *Hierarchy) PrefetchDNear(addr uint64) {
-	if h.L2.Probe(addr) && h.nearTimely(addr) {
+	if h.L2.PrefetchInstall(addr) && h.nearTimely(addr) {
 		h.L1D.Install(addr, true)
-		return
 	}
-	h.L2.Install(addr, true)
 }
 
 // FillLatency returns the cycles a fill that bypasses the L1s (an ESP

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,37 @@ func TestCachePrefetchUsefulness(t *testing.T) {
 	c.Access(0x80, false)
 	if c.Stats.PrefetchUseful != 1 {
 		t.Fatalf("PrefetchUseful = %d, want 1 (counted once)", c.Stats.PrefetchUseful)
+	}
+}
+
+// TestCachePrefetchInstallMatchesProbeInstall: PrefetchInstall is Probe
+// then Install(addr, true) in one scan. Under a mixed stream of demand
+// accesses and prefetches, both caches agree on every answer, their
+// statistics and their contents.
+func TestCachePrefetchInstallMatchesProbeInstall(t *testing.T) {
+	one, two := MustCache("one", 8192, 16), MustCache("two", 8192, 16)
+	x := uint64(12345)
+	for i := 0; i < 20000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		addr := (x % 512) * trace.LineBytes
+		if x>>60 < 6 {
+			one.Access(addr, x>>59&1 == 1)
+			two.Access(addr, x>>59&1 == 1)
+			continue
+		}
+		was := one.Probe(addr)
+		one.Install(addr, true)
+		if got := two.PrefetchInstall(addr); got != was {
+			t.Fatalf("step %d: PrefetchInstall(%#x) = %v, Probe said %v", i, addr, got, was)
+		}
+	}
+	if one.Stats != two.Stats {
+		t.Fatalf("stats differ: %+v vs %+v", one.Stats, two.Stats)
+	}
+	if !reflect.DeepEqual(one.Lines(), two.Lines()) {
+		t.Fatal("resident lines differ")
 	}
 }
 

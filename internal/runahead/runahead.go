@@ -109,8 +109,10 @@ type Engine struct {
 	// Stats accumulates across the run.
 	Stats Stats
 
-	cur   []trace.Inst
-	curEv trace.Event
+	// inEvent is set between EventStart and EventEnd, the only time the
+	// core can offer a stall.
+	inEvent bool
+	curEv   trace.Event
 }
 
 // New returns a runahead engine over the shared hierarchy and predictor.
@@ -123,16 +125,16 @@ func New(cfg Config, h *mem.Hierarchy, bp *branch.Predictor) *Engine {
 // hierarchy and predictor are reset by their owners.
 func (e *Engine) Reset() {
 	e.Stats = Stats{}
-	e.cur, e.curEv = nil, trace.Event{}
+	e.inEvent, e.curEv = false, trace.Event{}
 }
 
 // EventStart implements cpu.Assist.
-func (e *Engine) EventStart(ev trace.Event, insts []trace.Inst, _ []trace.Event) {
-	e.cur, e.curEv = insts, ev
+func (e *Engine) EventStart(ev trace.Event, _ []trace.Event) {
+	e.inEvent, e.curEv = true, ev
 }
 
 // EventEnd implements cpu.Assist.
-func (e *Engine) EventEnd(trace.Event) { e.cur = nil }
+func (e *Engine) EventEnd(trace.Event) { e.inEvent = false }
 
 // OnInst implements cpu.Assist: runahead does no per-instruction work
 // (all activity happens inside stall windows), so it asks never to be
@@ -145,10 +147,10 @@ func (e *Engine) OnInst(int) int { return int(^uint(0) >> 1) }
 func (e *Engine) CorrectBranch(int, trace.Inst) bool { return false }
 
 // OnStall implements cpu.Assist: pseudo-execute the instructions that
-// follow the blocking access until the budget runs out, the event ends,
-// or fetch blocks on an LLC instruction miss.
-func (e *Engine) OnStall(kind cpu.StallKind, idx int, budget int) bool {
-	if kind == cpu.StallI || e.cur == nil {
+// follow the blocking access, walking rest, until the budget runs out,
+// the event ends, or fetch blocks on an LLC instruction miss.
+func (e *Engine) OnStall(kind cpu.StallKind, idx int, rest trace.Cursor, budget int) bool {
+	if kind == cpu.StallI || !e.inEvent {
 		// Runahead is triggered by data misses only; an instruction miss
 		// leaves the front end empty with nothing to pre-execute.
 		return false
@@ -163,7 +165,7 @@ func (e *Engine) OnStall(kind cpu.StallKind, idx int, budget int) bool {
 		savedPIR  uint64
 		fetchLine uint64
 		haveLine  bool
-		cur       = e.cur
+		in        trace.Inst // the current branch's record
 		baseCPI   = e.Cfg.BaseCPI
 		preInsts  int64
 	)
@@ -172,31 +174,32 @@ func (e *Engine) OnStall(kind cpu.StallKind, idx int, budget int) bool {
 		savedPIR = e.BP.PIR()
 	}
 window:
-	for j := idx + 1; j < len(cur) && b > 0; j++ {
-		in := &cur[j]
+	for j := idx + 1; j < rest.Len() && b > 0; j++ {
+		op, pc := rest.Op(j)
 		b -= baseCPI
 		preInsts++
 
-		if l := trace.Line(in.PC); !haveLine || l != fetchLine {
+		if l := trace.Line(pc); !haveLine || l != fetchLine {
 			haveLine, fetchLine = true, l
 			// Runahead fetches through the normal front end: L1-I hits
 			// are free; L2 hits cost their latency; an LLC instruction
 			// miss blocks fetch and ends the episode.
-			if !e.Hier.L1I.Probe(in.PC) {
-				lat, llcMiss := e.Hier.FillLatency(in.PC)
+			if !e.Hier.L1I.Probe(pc) {
+				lat, llcMiss := e.Hier.FillLatency(pc)
 				if llcMiss {
 					e.Stats.StoppedOnIMiss++
 					break window
 				}
 				b -= float64(lat)
 				if e.Cfg.WarmI {
-					e.Hier.PrefetchI(in.PC)
+					e.Hier.PrefetchI(pc)
 				}
 			}
 		}
 
-		switch in.Kind {
+		switch kind := op.Kind(); kind {
 		case trace.Branch:
+			rest.Branch(op, pc, &in)
 			if dependent(e.curEv.Seed, idx, j, e.Cfg.BranchDepFrac) {
 				// The branch's input is INV: runahead follows the
 				// predictor's guess. A wrong guess derails the episode
@@ -208,12 +211,13 @@ window:
 				continue
 			}
 			if e.Cfg.TrainBP {
-				e.BP.PredictUpdate(in)
+				e.BP.PredictUpdate(&in)
 			}
 			if in.Taken {
 				haveLine = false
 			}
 		case trace.Load, trace.Store:
+			addr := rest.Addr()
 			if !e.Cfg.WarmD {
 				continue
 			}
@@ -223,7 +227,7 @@ window:
 				continue
 			}
 			// Misses under runahead do not block; they become prefetches.
-			e.Hier.AccessD(in.Addr, in.Kind == trace.Store)
+			e.Hier.AccessD(addr, kind == trace.Store)
 		}
 	}
 	e.Stats.PreExecInsts += preInsts

@@ -31,10 +31,21 @@ func eventWithColdLoads() []trace.Inst {
 	return insts
 }
 
+// after is the cursor the core hands a stall at idx: the rest of the
+// event's instructions.
+func after(insts []trace.Inst, idx int) trace.Cursor {
+	c := trace.EncodeTape(insts).Cursor()
+	for i := 0; i <= idx; i++ {
+		op, _ := c.Op(i)
+		c.Skip(op)
+	}
+	return c
+}
+
 func TestIgnoresInstructionStalls(t *testing.T) {
 	e, _, _ := mkEngine(DefaultConfig())
-	e.EventStart(trace.Event{}, eventWithColdLoads(), nil)
-	if e.OnStall(cpu.StallI, 0, 100) {
+	e.EventStart(trace.Event{}, nil)
+	if e.OnStall(cpu.StallI, 0, after(eventWithColdLoads(), 0), 100) {
 		t.Fatal("runahead must not act on instruction-miss stalls")
 	}
 	if e.Stats.Episodes != 0 {
@@ -50,8 +61,8 @@ func TestWarmsDataCache(t *testing.T) {
 		h.L2.Install(in.PC, false)
 		h.L1I.Install(in.PC, false)
 	}
-	e.EventStart(trace.Event{Seed: 7}, insts, nil)
-	if !e.OnStall(cpu.StallD, 10, 120) {
+	e.EventStart(trace.Event{Seed: 7}, nil)
+	if !e.OnStall(cpu.StallD, 10, after(insts, 10), 120) {
 		t.Fatal("episode did not run")
 	}
 	if e.Stats.Episodes != 1 || e.Stats.PreExecInsts == 0 {
@@ -77,8 +88,8 @@ func TestStopsOnLLCInstructionMiss(t *testing.T) {
 		h.L2.Install(in.PC, false)
 		h.L1I.Install(in.PC, false)
 	}
-	e.EventStart(trace.Event{Seed: 7}, insts, nil)
-	e.OnStall(cpu.StallD, 0, 500)
+	e.EventStart(trace.Event{Seed: 7}, nil)
+	e.OnStall(cpu.StallD, 0, after(insts, 0), 500)
 	if e.Stats.StoppedOnIMiss != 1 {
 		t.Fatalf("StoppedOnIMiss = %d, want 1", e.Stats.StoppedOnIMiss)
 	}
@@ -96,8 +107,8 @@ func TestDataOnlyConfigLeavesPredictorAlone(t *testing.T) {
 		h.L2.Install(in.PC, false)
 		h.L1I.Install(in.PC, false)
 	}
-	e.EventStart(trace.Event{Seed: 9}, insts, nil)
-	e.OnStall(cpu.StallD, 0, 200)
+	e.EventStart(trace.Event{Seed: 9}, nil)
+	e.OnStall(cpu.StallD, 0, after(insts, 0), 200)
 	if bp.PIR() != pirBefore {
 		t.Fatal("Runahead-D touched the predictor")
 	}
@@ -121,8 +132,8 @@ func TestPIRAndRASRestored(t *testing.T) {
 	}
 	pir := bp.PIR()
 	ras := bp.SnapshotRAS()
-	e.EventStart(trace.Event{Seed: 5}, insts, nil)
-	e.OnStall(cpu.StallD, 0, 300)
+	e.EventStart(trace.Event{Seed: 5}, nil)
+	e.OnStall(cpu.StallD, 0, after(insts, 0), 300)
 	if e.Stats.PreExecInsts == 0 {
 		t.Fatal("episode did not run")
 	}
@@ -141,16 +152,16 @@ func TestBudgetBoundsWindow(t *testing.T) {
 		h.L2.Install(in.PC, false)
 		h.L1I.Install(in.PC, false)
 	}
-	e.EventStart(trace.Event{Seed: 3}, insts, nil)
-	e.OnStall(cpu.StallD, 0, 50)
+	e.EventStart(trace.Event{Seed: 3}, nil)
+	e.OnStall(cpu.StallD, 0, after(insts, 0), 50)
 	small := e.Stats.PreExecInsts
 	e2, h2, _ := mkEngine(DefaultConfig())
 	for _, in := range insts {
 		h2.L2.Install(in.PC, false)
 		h2.L1I.Install(in.PC, false)
 	}
-	e2.EventStart(trace.Event{Seed: 3}, insts, nil)
-	e2.OnStall(cpu.StallD, 0, 500)
+	e2.EventStart(trace.Event{Seed: 3}, nil)
+	e2.OnStall(cpu.StallD, 0, after(insts, 0), 500)
 	if small >= e2.Stats.PreExecInsts {
 		t.Fatalf("larger budget should pre-execute more: %d vs %d", small, e2.Stats.PreExecInsts)
 	}
@@ -158,8 +169,8 @@ func TestBudgetBoundsWindow(t *testing.T) {
 
 func TestTinyBudgetDeclined(t *testing.T) {
 	e, _, _ := mkEngine(DefaultConfig())
-	e.EventStart(trace.Event{}, eventWithColdLoads(), nil)
-	if e.OnStall(cpu.StallD, 0, e.Cfg.EnterCost) {
+	e.EventStart(trace.Event{}, nil)
+	if e.OnStall(cpu.StallD, 0, after(eventWithColdLoads(), 0), e.Cfg.EnterCost) {
 		t.Fatal("budget smaller than the entry cost must be declined")
 	}
 }
@@ -167,9 +178,9 @@ func TestTinyBudgetDeclined(t *testing.T) {
 func TestEventEndClearsWindow(t *testing.T) {
 	e, _, _ := mkEngine(DefaultConfig())
 	ev := trace.Event{}
-	e.EventStart(ev, eventWithColdLoads(), nil)
+	e.EventStart(ev, nil)
 	e.EventEnd(ev)
-	if e.OnStall(cpu.StallD, 0, 200) {
+	if e.OnStall(cpu.StallD, 0, after(eventWithColdLoads(), 0), 200) {
 		t.Fatal("no current event: stall must be declined")
 	}
 }

@@ -7,23 +7,25 @@ import (
 	"espsim/internal/trace"
 )
 
-// Bytes estimates the workload's resident heap footprint: the
-// instruction arena (by capacity — that is what the allocator holds),
-// the event list, the span tables, the pending table, and the baked
-// schedule. Session-built workloads alias pendTab to events; the alias
-// is detected and counted once. The estimate feeds the runner's cache
-// byte budget, so it only needs to track real usage proportionally —
-// map headers and allocator slack are ignored.
+// Bytes returns the workload's resident heap footprint: the tape (its
+// arrays are sized exactly, so their capacity is what the allocator
+// holds), the per-event tape views, the event list, the pending spans
+// and table, and the baked schedule. Session-built workloads alias
+// pendTab to events; the alias is detected and counted once. The count
+// feeds the runner's cache byte budget, brownout and the
+// sim.workload_mb probe; map headers and allocator rounding are
+// ignored.
 func (w *Workload) Bytes() int64 {
 	const (
-		instSize  = int64(unsafe.Sizeof(trace.Inst{}))
+		tapeSize  = int64(unsafe.Sizeof(trace.Tape{}))
 		eventSize = int64(unsafe.Sizeof(trace.Event{}))
 		spanSize  = int64(unsafe.Sizeof(span{}))
 	)
 	b := int64(unsafe.Sizeof(Workload{}))
-	b += int64(cap(w.arena)) * instSize
+	b += w.tape.Bytes()
+	b += int64(len(w.normal)+len(w.spec)) * tapeSize
 	b += int64(len(w.events)) * eventSize
-	b += int64(len(w.normal)+len(w.spec)+len(w.pend)) * spanSize
+	b += int64(len(w.pend)) * spanSize
 	pendTab, events := w.pendTab, w.events
 	if len(pendTab) > 0 && !(len(events) > 0 && &pendTab[0] == &events[0]) {
 		b += int64(len(pendTab)) * eventSize

@@ -3,11 +3,14 @@ package sim
 import (
 	"testing"
 
+	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
 
-// TestWorkloadBytes: the footprint estimate is positive, grows with the
-// executed prefix, and dominates the arena (the largest table).
+// TestWorkloadBytes: the footprint is positive, grows with the executed
+// prefix, and counts the tape at its real size: the arena's arrays hold
+// exactly the streams' encodings, with no append slack, and the tape is
+// most of the count.
 func TestWorkloadBytes(t *testing.T) {
 	prof := workload.Amazon()
 	prof.Events = 48
@@ -25,8 +28,40 @@ func TestWorkloadBytes(t *testing.T) {
 	if large.Bytes() <= small.Bytes() {
 		t.Fatalf("48-event workload (%d B) not larger than 16-event (%d B)", large.Bytes(), small.Bytes())
 	}
-	if arena := int64(cap(large.arena)) * 24; large.Bytes() < arena {
-		t.Fatalf("Bytes() = %d underestimates the arena alone (%d insts)", large.Bytes(), cap(large.arena))
+	// Every stream the build materialized, once each: diverging events
+	// have their own speculative stream, and speculative streams run
+	// past the executed prefix.
+	var exact int64
+	src := large.Source(0)
+	for i := range large.spec {
+		if i < large.nExec {
+			exact += trace.EncodeTape(src.Insts(i, false)).Bytes()
+			if large.events[i].Diverge < 0 {
+				continue
+			}
+		}
+		exact += trace.EncodeTape(src.Insts(i, true)).Bytes()
+	}
+	if got := large.tape.Bytes(); got != exact {
+		t.Fatalf("tape holds %d bytes, its streams encode to %d", got, exact)
+	}
+	if b := large.Bytes(); b < exact || b > exact+exact/10 {
+		t.Fatalf("Bytes() = %d, want the %d-byte tape plus under 10%% of tables", b, exact)
+	}
+}
+
+// TestWorkloadBytesPerInst: a session costs at most 6 bytes per
+// committed instruction, speculative streams and tables included; a
+// []trace.Inst arena cost about 24.5.
+func TestWorkloadBytesPerInst(t *testing.T) {
+	for _, p := range smallSuite() {
+		w, err := NewWorkload(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if per := float64(w.Bytes()) / float64(w.Insts()); per > 6 {
+			t.Errorf("%s: %.2f bytes per committed instruction, want at most 6", p.Name, per)
+		}
 	}
 }
 

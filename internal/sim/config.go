@@ -3,9 +3,9 @@
 //
 //   - the workload plane: a Workload is one application session
 //     materialized once — every event's normal and speculative
-//     instruction stream laid out in a single contiguous arena — and
-//     immutable afterwards, so it can be replayed and shared across
-//     goroutines freely;
+//     instruction stream encoded back to back on one compact tape
+//     (trace.Tape) — and immutable afterwards, so it can be replayed and
+//     shared across goroutines freely;
 //
 //   - the machine plane: a Machine assembles the core, memory hierarchy,
 //     branch predictor, prefetchers and stall-window assist once from a

@@ -11,18 +11,7 @@ import (
 	"espsim/internal/mem"
 	"espsim/internal/prefetch"
 	"espsim/internal/runahead"
-	"espsim/internal/trace"
 )
-
-// specSource adapts an eventq.Source to ESP's StreamSource: pre-execution
-// uses the speculative stream variant (the paper's forked-off renderer
-// processes, §5).
-type specSource struct{ src eventq.Source }
-
-// SpecInsts implements core.StreamSource.
-func (s specSource) SpecInsts(ev trace.Event) []trace.Inst {
-	return s.src.Insts(ev.ID, true)
-}
 
 // Machine is the machine plane: one simulated core assembled once from a
 // Config — hierarchy, branch predictor, prefetchers, and the configured
@@ -49,11 +38,10 @@ type Machine struct {
 	esp *core.ESP
 
 	// Replay scratch, reused across runs so a warm replay never touches
-	// the heap: the workload-view box handed to the looper, the ESP
-	// stream-source box, and the looper itself (whose queue-view scratch
+	// the heap: the workload-view box handed to the looper and to ESP as
+	// its stream source, and the looper itself (whose queue-view scratch
 	// persists inside it).
 	src  wsource
-	spec specSource
 	loop eventq.Looper
 }
 
@@ -145,7 +133,6 @@ func (m *Machine) Reset() {
 	// here too keeps Reset self-contained — a reset machine holds no
 	// reference to any workload regardless of how its last run ended.
 	m.src = wsource{}
-	m.spec = specSource{}
 	m.loop.Reset()
 }
 
@@ -162,14 +149,13 @@ func (m *Machine) Run(w *Workload) Result {
 // in the machine's statistics (read them via Run, which wraps Replay and
 // assembles a Result). This is the allocation-zero hot path: a warm
 // machine replaying a materialized workload performs no heap allocations —
-// the workload view, stream-source box and looper scratch all live on the
-// machine and are rebound in place.
+// the workload view and looper scratch live on the machine and are
+// rebound in place.
 func (m *Machine) Replay(w *Workload) {
 	m.Reset()
 	m.src = wsource{w: w, maxPending: m.cfg.MaxPending}
 	if m.esp != nil {
-		m.spec.src = &m.src
-		m.esp.Src = &m.spec
+		m.esp.Src = &m.src
 	}
 	m.loop.Src = &m.src
 	m.loop.Core = m.c
@@ -178,7 +164,6 @@ func (m *Machine) Replay(w *Workload) {
 	// Unbind the workload so a pooled machine never pins its arena.
 	if m.esp != nil {
 		m.esp.Src = nil
-		m.spec.src = nil
 	}
 	m.loop.Src = nil
 	m.src = wsource{}

@@ -86,9 +86,8 @@ func TestDirtyComponentsReplayBitIdentical(t *testing.T) {
 		dirty.loop.Core = dirty.c
 		dirty.loop.MaxEvents = 1
 		if dirty.esp != nil {
-			dirty.spec.src = &dirty.src
-			dirty.esp.Src = &dirty.spec
-			dirty.esp.EventStart(dirty.src.Event(0), dirty.src.Insts(0, false), dirty.src.Pending(0))
+			dirty.esp.Src = &dirty.src
+			dirty.esp.EventStart(dirty.src.Event(0), dirty.src.Pending(0))
 		}
 
 		if got := dirty.Run(wA); !reflect.DeepEqual(got, wantA) {

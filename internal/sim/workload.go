@@ -15,17 +15,16 @@ import (
 // the pending lists; this constant only sizes the session fast path.
 const specLookahead = 8
 
-// span locates one event's slice of a backing arena: arena[off:off+n].
-// Spans are plain offsets rather than sub-slices so the workload's tables
-// are flat POD arrays with no per-event slice headers to chase.
+// span locates one event's queue view in the flattened pending table:
+// pendTab[off:off+n].
 type span struct{ off, n int32 }
 
 // Workload is one application session materialized once: every event's
 // metadata, pending-queue view, and normal + speculative instruction
-// streams, laid out structure-of-arrays — one contiguous instruction
-// arena plus per-event {off,len} spans, and one flattened pending table.
-// A Workload is immutable after construction — replays only read it — so
-// one Workload can be shared by any number of Machines across goroutines.
+// streams — one tape holding every stream plus a view of it per event,
+// and one flattened pending table. A Workload is immutable after
+// construction — replays only read it — so one Workload can be shared by
+// any number of Machines across goroutines.
 //
 //esp:plane workload
 type Workload struct {
@@ -38,12 +37,12 @@ type Workload struct {
 	// every event the pending lists can reference.
 	nExec int
 
-	// normal[i] spans event i's committed instruction stream in arena
-	// (i < nExec); spec[i] the pre-execution variant (i < len(spec), the
-	// speculative horizon). When an event does not diverge, both name the
-	// same arena span.
-	normal []span
-	spec   []span
+	// normal[i] is event i's committed instruction stream (i < nExec),
+	// spec[i] its pre-execution variant (i < len(spec), the speculative
+	// horizon): views into tape. When an event does not diverge, both are
+	// the same view.
+	normal []trace.Tape
+	spec   []trace.Tape
 
 	// pend[i] spans event i's queue view in pendTab. For session-built
 	// workloads pendTab is the session's event list itself (views are
@@ -56,10 +55,9 @@ type Workload struct {
 	pend    []span
 	trim    bool
 
-	// arena backs every materialized instruction span. Spans are handed
-	// out with full-capacity slice expressions, so even an appending
-	// consumer cannot clobber a neighbour.
-	arena []trace.Inst
+	// tape holds every materialized stream back to back, in arrays sized
+	// exactly (trace.Tape documents the encoding).
+	tape trace.Tape
 
 	// sched is the dispatch schedule this workload was materialized
 	// under, nil for classic FIFO builds of untimed sessions. The
@@ -99,8 +97,8 @@ func NewWorkload(prof workload.Profile, maxEvents int) (*Workload, error) {
 
 // MaterializeSource snapshots an arbitrary eventq.Source into a
 // Workload. A workload.Session behind eventq.SessionSource takes the
-// arena fast path; other sources (recorded traces, multi-queue merges)
-// are copied stream by stream. Pending views are stored as the source
+// session fast path; other sources (recorded traces, multi-queue merges)
+// are encoded stream by stream. Pending views are stored as the source
 // returned them, so replays match the old direct-source path exactly.
 //
 //esp:ctor
@@ -223,32 +221,70 @@ func specHorizon(n, nExec int, pendTab []trace.Event, pend []span) int {
 	return h
 }
 
-// generate walks one event's stream straight into the arena and returns
-// its span. The walker is warm scratch shared across all events of the
-// build; the generator reseeds per event, so emission order cannot change
-// a stream.
-//
-//esp:ctor
-func (w *Workload) generate(wk *workload.Walker, g *workload.Generator, ev trace.Event, speculative bool) span {
-	start := len(w.arena)
-	wk.Init(g, ev, speculative)
-	w.arena = wk.Append(w.arena)
-	return span{off: int32(start), n: int32(len(w.arena) - start)}
+// tapeBuild encodes a workload's streams into one tape. It keeps each
+// event's stream index from the builder until finish resolves them into
+// views.
+type tapeBuild struct {
+	b            trace.TapeBuilder
+	normal, spec []int
+
+	// wk and scratch are warm across every generated stream of a build;
+	// the generator reseeds per event, so emission order cannot change a
+	// stream.
+	wk      workload.Walker
+	scratch []trace.Inst
 }
 
-// copyInsts copies a stream obtained from a generic source into the
-// arena and returns the span.
+func newTapeBuild(nExec, nSpec int) *tapeBuild {
+	return &tapeBuild{normal: make([]int, nExec), spec: make([]int, nSpec)}
+}
+
+// sessionTapeBuild sizes the build of a session's streams: a normal
+// stream for each of the first nExec events, and a separate speculative
+// one for each diverging event among them and each later event up to
+// nSpec. The op array is reserved for all of them and the walker's
+// scratch for the longest, so each is allocated once.
+func sessionTapeBuild(evs []trace.Event, nExec, nSpec int) *tapeBuild {
+	total, longest := 0, 0
+	for i, ev := range evs[:nSpec] {
+		total += ev.Len
+		if i < nExec && ev.Diverge >= 0 {
+			total += ev.Len
+		}
+		longest = max(longest, ev.Len)
+	}
+	tb := newTapeBuild(nExec, nSpec)
+	tb.b.Grow(total)
+	tb.scratch = make([]trace.Inst, 0, longest)
+	return tb
+}
+
+// generate walks one event's stream and adds it to the tape.
+func (tb *tapeBuild) generate(g *workload.Generator, ev trace.Event, speculative bool) int {
+	tb.wk.Init(g, ev, speculative)
+	tb.scratch = tb.wk.Append(tb.scratch[:0])
+	return tb.b.Add(tb.scratch)
+}
+
+// finish stores the finished tape and every event's views in w.
 //
 //esp:ctor
-func (w *Workload) copyInsts(insts []trace.Inst) span {
-	start := len(w.arena)
-	w.arena = append(w.arena, insts...)
-	return span{off: int32(start), n: int32(len(w.arena) - start)}
+func (tb *tapeBuild) finish(w *Workload) {
+	tape, views := tb.b.Finish()
+	w.tape = tape
+	w.normal = make([]trace.Tape, len(tb.normal))
+	for i, k := range tb.normal {
+		w.normal[i] = views[k]
+	}
+	w.spec = make([]trace.Tape, len(tb.spec))
+	for i, k := range tb.spec {
+		w.spec[i] = views[k]
+	}
 }
 
 // fromSession materializes a synthetic session. Streams are generated in
 // event order exactly as eventq.SessionSource would have on demand, by
-// one reused walker writing directly into the arena.
+// one reused walker, and encoded onto the tape.
 //
 //esp:ctor
 func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
@@ -269,42 +305,26 @@ func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
 	}
 	nSpec := specHorizon(n, w.nExec, w.pendTab, w.pend)
 
-	// Pre-size the arena: one normal stream per executed event, plus a
-	// separate speculative stream for diverging and beyond-prefix events.
-	total := 0
-	for i := 0; i < w.nExec; i++ {
-		total += sess.Events[i].Len
-		if sess.Events[i].Diverge >= 0 {
-			total += sess.Events[i].Len
-		}
-	}
-	for i := w.nExec; i < nSpec; i++ {
-		total += sess.Events[i].Len
-	}
-	w.arena = make([]trace.Inst, 0, total)
-
-	var wk workload.Walker
-	w.normal = make([]span, w.nExec)
-	w.spec = make([]span, nSpec)
+	tb := sessionTapeBuild(sess.Events, w.nExec, nSpec)
 	for i := 0; i < w.nExec; i++ {
 		ev := sess.Events[i]
-		w.normal[i] = w.generate(&wk, sess.Gen, ev, false)
+		tb.normal[i] = tb.generate(sess.Gen, ev, false)
 		if ev.Diverge < 0 {
-			// Pre-execution matches normal execution: share the span.
-			w.spec[i] = w.normal[i]
+			// Pre-execution matches normal execution: share the view.
+			tb.spec[i] = tb.normal[i]
 		} else {
-			w.spec[i] = w.generate(&wk, sess.Gen, ev, true)
+			tb.spec[i] = tb.generate(sess.Gen, ev, true)
 		}
 	}
 	for i := w.nExec; i < nSpec; i++ {
-		ev := sess.Events[i]
-		w.spec[i] = w.generate(&wk, sess.Gen, ev, true)
+		tb.spec[i] = tb.generate(sess.Gen, sess.Events[i], true)
 	}
+	tb.finish(w)
 }
 
-// fromSource materializes a generic source by copying its streams. When
+// fromSource materializes a generic source by encoding its streams. When
 // a source hands back the same backing array for both variants (recorded
-// traces do), the arena span is shared the same way.
+// traces do), the view is shared the same way.
 //
 //esp:ctor
 func (w *Workload) fromSource(src eventq.Source, maxEvents int) {
@@ -326,26 +346,32 @@ func (w *Workload) fromSource(src eventq.Source, maxEvents int) {
 	nSpec := specHorizon(n, w.nExec, w.pendTab, w.pend)
 
 	w.events = make([]trace.Event, w.nExec)
-	w.normal = make([]span, w.nExec)
-	w.spec = make([]span, nSpec)
+	tb := newTapeBuild(w.nExec, nSpec)
 	for i := 0; i < w.nExec; i++ {
 		w.events[i] = src.Event(i)
-		norm := src.Insts(i, false)
-		spec := src.Insts(i, true)
-		w.normal[i] = w.copyInsts(norm)
-		if sameSlice(norm, spec) {
-			w.spec[i] = w.normal[i]
-		} else {
-			w.spec[i] = w.copyInsts(spec)
-		}
+		tb.addPair(i, src.Insts(i, false), src.Insts(i, true))
 	}
 	for i := w.nExec; i < nSpec; i++ {
-		w.spec[i] = w.copyInsts(src.Insts(i, true))
+		tb.spec[i] = tb.b.Add(src.Insts(i, true))
+	}
+	tb.finish(w)
+}
+
+// addPair adds event i's normal and speculative streams, once when the
+// source hands back the same slice for both.
+func (tb *tapeBuild) addPair(i int, norm, spec []trace.Inst) {
+	tb.normal[i] = tb.b.Add(norm)
+	if sameSlice(norm, spec) {
+		tb.spec[i] = tb.normal[i]
+	} else {
+		tb.spec[i] = tb.b.Add(spec)
 	}
 }
 
+// sameSlice reports whether a and b are the same stream: the same
+// backing array and length, or both empty and alike in nil-ness.
 func sameSlice(a, b []trace.Inst) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	return len(a) == len(b) && (a == nil) == (b == nil) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // schedEvents lays evs out in dispatch order, remapping each event's ID
@@ -393,26 +419,16 @@ func (w *Workload) fromSessionSched(sess *workload.Session, nExec int, sched *ev
 	w.pendTab = evs
 	w.pend = schedWindows(evs, sched.Dispatch)
 
-	total := 0
-	for _, ev := range evs {
-		total += ev.Len
-		if ev.Diverge >= 0 {
-			total += ev.Len
-		}
-	}
-	w.arena = make([]trace.Inst, 0, total)
-
-	var wk workload.Walker
-	w.normal = make([]span, nExec)
-	w.spec = make([]span, nExec)
+	tb := sessionTapeBuild(evs, nExec, nExec)
 	for k, ev := range evs {
-		w.normal[k] = w.generate(&wk, sess.Gen, ev, false)
+		tb.normal[k] = tb.generate(sess.Gen, ev, false)
 		if ev.Diverge < 0 {
-			w.spec[k] = w.normal[k]
+			tb.spec[k] = tb.normal[k]
 		} else {
-			w.spec[k] = w.generate(&wk, sess.Gen, ev, true)
+			tb.spec[k] = tb.generate(sess.Gen, ev, true)
 		}
 	}
+	tb.finish(w)
 }
 
 // fromSourceSched materializes a timed generic source in dispatch
@@ -431,24 +447,11 @@ func (w *Workload) fromSourceSched(src eventq.Source, evs []trace.Event, sched *
 	w.pendTab = sevs
 	w.pend = schedWindows(sevs, sched.Dispatch)
 
-	w.normal = make([]span, nExec)
-	w.spec = make([]span, nExec)
+	tb := newTapeBuild(nExec, nExec)
 	for k, oi := range sched.Order {
-		norm := src.Insts(int(oi), false)
-		spec := src.Insts(int(oi), true)
-		w.normal[k] = w.copyInsts(norm)
-		if sameSlice(norm, spec) {
-			w.spec[k] = w.normal[k]
-		} else {
-			w.spec[k] = w.copyInsts(spec)
-		}
+		tb.addPair(k, src.Insts(int(oi), false), src.Insts(int(oi), true))
 	}
-}
-
-// instSpan resolves a span to its capacity-pinned arena sub-slice.
-func (w *Workload) instSpan(sp span) []trace.Inst {
-	end := sp.off + sp.n
-	return w.arena[sp.off:end:end]
+	tb.finish(w)
 }
 
 // Events returns the number of events a replay of this workload executes.
@@ -457,8 +460,8 @@ func (w *Workload) Events() int { return w.nExec }
 // Insts returns the total committed instruction count of a replay.
 func (w *Workload) Insts() int64 {
 	var total int64
-	for _, sp := range w.normal {
-		total += int64(sp.n)
+	for _, t := range w.normal {
+		total += int64(t.Len())
 	}
 	return total
 }
@@ -483,14 +486,26 @@ func (s *wsource) Len() int { return s.w.nExec }
 // Event implements eventq.Source.
 func (s *wsource) Event(i int) trace.Event { return s.w.events[i] }
 
-// Insts implements eventq.Source. Speculative streams exist beyond the
-// executed prefix, covering every event the pending lists can name.
+// Insts implements eventq.Source, decoding the stream from the tape.
+// Speculative streams exist beyond the executed prefix, covering every
+// event the pending lists can name.
 func (s *wsource) Insts(i int, speculative bool) []trace.Inst {
-	if speculative {
-		return s.w.instSpan(s.w.spec[i])
-	}
-	return s.w.instSpan(s.w.normal[i])
+	return s.Tape(i, speculative).Insts()
 }
+
+// Tape implements eventq.TapeSource: the stream's view into the
+// workload's tape, which the replay loops walk.
+func (s *wsource) Tape(i int, speculative bool) trace.Tape {
+	if speculative {
+		return s.w.spec[i]
+	}
+	return s.w.normal[i]
+}
+
+// SpecTape implements core.StreamSource: pre-execution walks the
+// speculative stream variant (the paper's forked-off renderer
+// processes, §5).
+func (s *wsource) SpecTape(ev trace.Event) trace.Tape { return s.Tape(ev.ID, true) }
 
 // Pending implements eventq.Source: a capacity-pinned view into the
 // flattened pending table, never a copy.

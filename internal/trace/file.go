@@ -63,12 +63,12 @@ type Limits struct {
 	// MaxEvents caps the number of events in the file.
 	MaxEvents uint64
 	// MaxInsts caps the total instruction count across all events
-	// (each decoded Inst occupies 40 bytes in memory).
+	// (each decoded Inst occupies 24 bytes in memory).
 	MaxInsts uint64
 }
 
 // DefaultLimits returns the limits ReadFile applies: 1 GiB of encoded
-// input, 64 Mi events and 256 Mi total instructions (~10 GiB decoded, an
+// input, 64 Mi events and 256 Mi total instructions (~6 GiB decoded, an
 // order of magnitude above the largest session cmd/tracegen emits).
 func DefaultLimits() Limits {
 	return Limits{

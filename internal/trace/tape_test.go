@@ -1,0 +1,216 @@
+package trace
+
+import (
+	"encoding/binary"
+	"reflect"
+	"testing"
+)
+
+// instsFromBytes turns fuzz input into an instruction stream. The first
+// byte picks a nil or an empty non-nil start; then each instruction
+// takes a kind byte (any value, so kinds past Branch occur) and a flag
+// byte whose low four bits are Taken, Indirect, Call and Ret, bit 4
+// asks for an explicit PC (otherwise the PC continues from the previous
+// instruction's NextPC) and bit 5 for an Addr, each read as the next
+// eight bytes.
+func instsFromBytes(data []byte) []Inst {
+	if len(data) == 0 {
+		return nil
+	}
+	var out []Inst
+	if data[0]&1 == 0 {
+		out = []Inst{}
+	}
+	data = data[1:]
+	var next uint64
+	for len(data) >= 2 {
+		k, fl := data[0], data[1]
+		data = data[2:]
+		in := Inst{PC: next, Kind: Kind(k),
+			Taken: fl&1 != 0, Indirect: fl&2 != 0, Call: fl&4 != 0, Ret: fl&8 != 0}
+		if fl&16 != 0 && len(data) >= 8 {
+			in.PC = binary.LittleEndian.Uint64(data)
+			data = data[8:]
+		}
+		if fl&32 != 0 && len(data) >= 8 {
+			in.Addr = binary.LittleEndian.Uint64(data)
+			data = data[8:]
+		}
+		out = append(out, in)
+		next = in.NextPC()
+	}
+	return out
+}
+
+func tapeSeed(insts ...Inst) []byte {
+	data := []byte{0}
+	for _, in := range insts {
+		fl := byte(16 | 32)
+		for bit, set := range []bool{in.Taken, in.Indirect, in.Call, in.Ret} {
+			if set {
+				fl |= 1 << bit
+			}
+		}
+		data = append(data, byte(in.Kind), fl)
+		data = binary.LittleEndian.AppendUint64(data, in.PC)
+		data = binary.LittleEndian.AppendUint64(data, in.Addr)
+	}
+	return data
+}
+
+// FuzzTapeRoundTrip: any instruction stream, encoded to a tape and
+// decoded again, comes back identical (nil and empty streams included),
+// in exactly sized arrays; a Cursor walks it as the replay loops see
+// it, and Skip keeps it in step; and a builder's views of several
+// streams decode to each of them.
+func FuzzTapeRoundTrip(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add([]byte{1})
+	f.Add(tapeSeed(
+		Inst{PC: 0x4000_0000, Kind: ALU},
+		Inst{PC: 0x4000_0004, Kind: Load, Addr: 0x2_0000_0040},
+		Inst{PC: 0x4000_0008, Kind: Branch, Taken: true, Call: true, Addr: 0x1000_0400},
+		Inst{PC: 0x1000_0400, Kind: Store, Addr: 8},
+		Inst{PC: 0x1000_0404, Kind: Branch, Addr: 0x1000_0800},
+	))
+	f.Add(tapeSeed(
+		Inst{PC: 0, Kind: ALU, Addr: 7, Taken: true, Ret: true},
+		Inst{PC: 0x9000, Kind: 200, Addr: 1},
+		Inst{PC: 0x10, Kind: Load, Taken: true, Indirect: true, Call: true},
+		Inst{PC: 0x14, Kind: 4},
+	))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		insts := instsFromBytes(data)
+		tape := EncodeTape(insts)
+		if got := tape.Insts(); !reflect.DeepEqual(got, insts) {
+			t.Fatalf("round trip changed the stream\n got: %+v\nwant: %+v", got, insts)
+		}
+		if tape.Len() != len(insts) || cap(tape.ops) != len(tape.ops) || cap(tape.args) != len(tape.args) {
+			t.Fatalf("tape of %d insts has ops %d/%d, args %d/%d (len/cap)",
+				len(insts), len(tape.ops), cap(tape.ops), len(tape.args), cap(tape.args))
+		}
+
+		if got, want := replayView(tape), wantReplay(insts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cursor walk differs from the stream\n got: %+v\nwant: %+v", got, want)
+		}
+		c := tape.Cursor()
+		for i := range insts {
+			op, pc := c.Op(i)
+			if pc != insts[i].PC {
+				t.Fatalf("skipping walk: inst %d at PC %#x, want %#x", i, pc, insts[i].PC)
+			}
+			c.Skip(op)
+		}
+
+		var b TapeBuilder
+		streams := [][]Inst{insts, nil, insts[:len(insts)/2], {}, insts}
+		for k, s := range streams {
+			if got := b.Add(s); got != k {
+				t.Fatalf("Add returned index %d, want %d", got, k)
+			}
+		}
+		arena, views := b.Finish()
+		if cap(arena.ops) != len(arena.ops) || cap(arena.args) != len(arena.args) {
+			t.Fatal("builder arena not exactly sized")
+		}
+		for k, s := range streams {
+			if got := views[k].Insts(); !reflect.DeepEqual(got, s) {
+				t.Fatalf("view %d decodes to %+v, want %+v", k, got, s)
+			}
+		}
+		// The views tile the arena, so it walks as their concatenation.
+		var all []Inst
+		for _, s := range streams {
+			all = append(all, s...)
+		}
+		if got := arena.Insts(); len(got) != len(all) || (len(all) > 0 && !reflect.DeepEqual(got, all)) {
+			t.Fatalf("arena decodes to %d insts, want %d", len(got), len(all))
+		}
+	})
+}
+
+// replayView walks t with a Cursor the way the replay loops do and
+// returns what they see: every PC, each Load's and Store's kind and
+// Addr, and each Branch's whole record. Any other instruction reads as
+// a bare ALU.
+func replayView(t Tape) []Inst {
+	var out []Inst
+	c := t.Cursor()
+	for i := 0; i < c.Len(); i++ {
+		op, pc := c.Op(i)
+		in := Inst{PC: pc}
+		switch op.Kind() {
+		case Branch:
+			c.Branch(op, pc, &in)
+		case Load, Store:
+			in.Kind, in.Addr = op.Kind(), c.Addr()
+		}
+		out = append(out, in)
+	}
+	return out
+}
+
+// wantReplay is insts as replayView should see them.
+func wantReplay(insts []Inst) []Inst {
+	var out []Inst
+	for _, in := range insts {
+		switch in.Kind {
+		case Branch:
+		case Load, Store:
+			in = Inst{PC: in.PC, Kind: in.Kind, Addr: in.Addr}
+		default:
+			in = Inst{PC: in.PC}
+		}
+		out = append(out, in)
+	}
+	return out
+}
+
+// TestTapeCursorForks: a copied cursor walks on independently.
+func TestTapeCursorForks(t *testing.T) {
+	insts := []Inst{
+		{PC: 0x100, Kind: ALU},
+		{PC: 0x104, Kind: Branch, Taken: true, Addr: 0x200},
+		{PC: 0x200, Kind: Load, Addr: 0x8000},
+		{PC: 0x300, Kind: Store, Addr: 0x9000},
+	}
+	c := EncodeTape(insts).Cursor()
+	for i := 0; i < 2; i++ {
+		op, _ := c.Op(i)
+		c.Skip(op)
+	}
+	fork := c
+	for i := 2; i < len(insts); i++ {
+		op, pc := fork.Op(i)
+		if in := (Inst{PC: pc, Kind: op.Kind(), Addr: fork.Addr()}); in != insts[i] {
+			t.Fatalf("fork decoded %+v, want %+v", in, insts[i])
+		}
+	}
+	if _, pc := c.Op(2); pc != insts[2].PC || c.Addr() != insts[2].Addr {
+		t.Fatal("original cursor moved with its fork")
+	}
+}
+
+// TestTapeSuiteShapeSize: a stream shaped like the synthetic suite's,
+// one PC discontinuity at its start and no ALU operands, costs one op
+// byte per instruction plus eight bytes per memory op and branch and
+// eight for the first PC.
+func TestTapeSuiteShapeSize(t *testing.T) {
+	var insts []Inst
+	pc := uint64(0x4000_0000)
+	for j := 0; j < 1000; j++ {
+		in := Inst{PC: pc, Kind: ALU}
+		switch j % 10 {
+		case 3, 6:
+			in.Kind, in.Addr = Load, 0x2_0000_0000+uint64(j)*8
+		case 9:
+			in.Kind, in.Taken, in.Addr = Branch, j%20 == 9, pc+64
+		}
+		insts = append(insts, in)
+		pc = in.NextPC()
+	}
+	if got, want := EncodeTape(insts).Bytes(), int64(1000+8*300+8); got != want {
+		t.Fatalf("tape is %d bytes, want %d", got, want)
+	}
+}
