@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint test race bench-go flame fuzz-smoke tier1 clean
+.PHONY: all build vet lint inline-check test race bench-go flame fuzz-smoke tier1 clean
 
 all: tier1
 
@@ -18,6 +18,18 @@ vet:
 # DESIGN.md §12 for the annotation grammar that governs each check.
 lint: vet
 	$(GO) run ./cmd/esplint ./...
+
+# inline-check fails when a trace.Cursor method (or Op method) that the
+# replay loops call per instruction stops inlining: a decode call per
+# instruction spills the loop's registers and cost 1.40-1.63x replay
+# time when it was measured.
+INLINED = '(*Cursor).Op' '(*Cursor).Addr' '(*Cursor).Target' '(*Cursor).Skip' \
+	'(*Cursor).Len' 'Op.Kind' 'Op.SetBranch'
+inline-check:
+	@inl="$$($(GO) build -gcflags=-m ./internal/trace 2>&1 | sed -n 's/^.*: can inline //p')"; \
+	for f in $(INLINED); do \
+		printf '%s\n' "$$inl" | grep -qxF "$$f" || { echo "inline-check: trace.$$f no longer inlines"; exit 1; }; \
+	done
 
 test:
 	$(GO) test ./...
@@ -56,9 +68,10 @@ fuzz-smoke:
 
 # tier1 is the robustness gate: everything must be green before merge.
 # lint subsumes vet and adds the domain analyzers, so a contract
-# violation fails the gate before any test runs; race then runs every
-# test uncached, so a stale pass cannot satisfy it.
-tier1: lint build race fuzz-smoke
+# violation fails the gate before any test runs; inline-check keeps the
+# replay loops' decode inlined; race then runs every test uncached, so
+# a stale pass cannot satisfy it.
+tier1: lint build inline-check race fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -346,9 +346,24 @@ func SchedConfig(cfg Config, policy SchedPolicy) Config {
 	return cfg
 }
 
+// presets maps each preset's name to it under every dispatch policy,
+// indexed by policy, built once: every /run resolves its config here.
+var presets = func() map[string]*[NumSchedPolicies]Config {
+	m := make(map[string]*[NumSchedPolicies]Config)
+	for _, c := range NamedConfigs() {
+		var byPolicy [NumSchedPolicies]Config
+		for p := range byPolicy {
+			byPolicy[p] = SchedConfig(c, SchedPolicy(p))
+		}
+		m[c.Name] = &byPolicy
+	}
+	return m
+}()
+
 // ConfigByName returns the preset configuration with the given name, or
 // an error listing the valid names. A "@policy" suffix schedules the
 // preset under that dispatch policy ("ESP+NL@edf"); see SchedConfig.
+// Configs are comparable values, so the caller owns the copy it gets.
 func ConfigByName(name string) (Config, error) {
 	baseName, policy := name, SchedFIFO
 	if i := strings.LastIndex(name, "@"); i >= 0 {
@@ -358,10 +373,8 @@ func ConfigByName(name string) (Config, error) {
 		}
 		baseName, policy = name[:i], p
 	}
-	for _, c := range NamedConfigs() {
-		if c.Name == baseName {
-			return SchedConfig(c, policy), nil
-		}
+	if byPolicy, ok := presets[baseName]; ok {
+		return byPolicy[policy], nil
 	}
 	return Config{}, fmt.Errorf("esp: unknown config %q (valid: %v)", name, ConfigNames())
 }

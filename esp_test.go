@@ -89,6 +89,44 @@ func TestConfigNamesUnique(t *testing.T) {
 	}
 }
 
+// TestConfigByNameTable: every preset resolves, under every policy
+// name and alias, to what SchedConfig builds, a hit allocates nothing,
+// and names that are not a preset, or a preset scheduled twice, fail.
+func TestConfigByNameTable(t *testing.T) {
+	aliases := map[SchedPolicy][]string{
+		SchedFIFO: {"", "@", "@fifo"}, SchedPriority: {"@prio", "@priority"},
+		SchedEDF: {"@edf"}, SchedSlack: {"@slack", "@pes"},
+	}
+	for _, c := range NamedConfigs() {
+		for p, suffixes := range aliases {
+			want := SchedConfig(c, p)
+			for _, suffix := range suffixes {
+				got, err := ConfigByName(c.Name + suffix)
+				if err != nil || got != want {
+					t.Fatalf("ConfigByName(%q) = %+v, %v; want %+v", c.Name+suffix, got, err, want)
+				}
+			}
+		}
+	}
+	for _, name := range []string{"nope", "ESP+NL@edf@edf", "ESP+NL@bogus", "esp+nl"} {
+		if _, err := ConfigByName(name); err == nil {
+			t.Errorf("ConfigByName(%q) resolved", name)
+		}
+	}
+	got, _ := ConfigByName("ESP+NL")
+	got.NLI = false
+	if again, _ := ConfigByName("ESP+NL"); again != ESPNLConfig() {
+		t.Fatal("changing a returned config changed the table")
+	}
+	var sink Config
+	if allocs := testing.AllocsPerRun(100, func() { sink, _ = ConfigByName("ESP+NL@edf") }); allocs != 0 {
+		t.Fatalf("a preset lookup allocates %.0f times, want 0", allocs)
+	}
+	if sink.Name != "ESP+NL@edf" {
+		t.Fatalf("looked up %q", sink.Name)
+	}
+}
+
 func TestPerfectStructuresAlwaysFaster(t *testing.T) {
 	p := fastProfile()
 	base := mustRun(t, p, NLSConfig())

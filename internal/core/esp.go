@@ -802,7 +802,7 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 
 		switch kind := op.Kind(); kind {
 		case trace.Branch:
-			cur.Branch(op, pc, &in)
+			op.SetBranch(&in, pc, cur.Target(op))
 			pred := bp.PredictUpdate(&in)
 			miss := branch.Mispredicted(pred, in)
 			if branch.Misfetched(pred, in) {

@@ -351,7 +351,7 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 
 		switch kind := op.Kind(); kind {
 		case trace.Branch:
-			cur.Branch(op, pc, &in)
+			op.SetBranch(&in, pc, cur.Target(op))
 			st.Branches++
 			correct := cfg.PerfectBP
 			misfetch := false

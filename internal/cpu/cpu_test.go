@@ -180,13 +180,12 @@ func (r *recordingAssist) OnStall(k StallKind, idx int, rest trace.Cursor, b int
 	r.budgets = append(r.budgets, b)
 	r.idxs = append(r.idxs, idx)
 	var mem []trace.Inst
-	var in trace.Inst
 	for i := idx + 1; i < rest.Len(); i++ {
 		switch op, pc := rest.Op(i); op.Kind() {
 		case trace.Load, trace.Store:
 			mem = append(mem, trace.Inst{PC: pc, Kind: op.Kind(), Addr: rest.Addr()})
 		case trace.Branch:
-			rest.Branch(op, pc, &in)
+			rest.Target(op)
 		}
 	}
 	r.rests = append(r.rests, mem)

@@ -199,7 +199,7 @@ window:
 
 		switch kind := op.Kind(); kind {
 		case trace.Branch:
-			rest.Branch(op, pc, &in)
+			op.SetBranch(&in, pc, rest.Target(op))
 			if dependent(e.curEv.Seed, idx, j, e.Cfg.BranchDepFrac) {
 				// The branch's input is INV: runahead follows the
 				// predictor's guess. A wrong guess derails the episode

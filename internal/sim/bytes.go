@@ -9,12 +9,12 @@ import (
 
 // Bytes returns the workload's resident heap footprint: the tape (its
 // arrays are sized exactly, so their capacity is what the allocator
-// holds), the per-event tape views, the event list, the pending spans
-// and table, and the baked schedule. Session-built workloads alias
-// pendTab to events; the alias is detected and counted once. The count
-// feeds the runner's cache byte budget, brownout and the
-// sim.workload_mb probe; map headers and allocator rounding are
-// ignored.
+// holds, and the operand table its views share counts once), the
+// per-event tape views, the event list, the pending spans and table,
+// and the baked schedule. Session-built workloads alias pendTab to
+// events; the alias is detected and counted once. The count feeds the
+// runner's cache byte budget, brownout and the sim.workload_mb probe;
+// map headers and allocator rounding are ignored.
 func (w *Workload) Bytes() int64 {
 	const (
 		tapeSize  = int64(unsafe.Sizeof(trace.Tape{}))

@@ -9,8 +9,9 @@ import (
 
 // TestWorkloadBytes: the footprint is positive, grows with the executed
 // prefix, and counts the tape at its real size: the arena's arrays hold
-// exactly the streams' encodings, with no append slack, and the tape is
-// most of the count.
+// exactly the streams' encodings, with no append slack, its streams
+// share one operand table, counted once, and the tape is most of the
+// count.
 func TestWorkloadBytes(t *testing.T) {
 	prof := workload.Amazon()
 	prof.Events = 48
@@ -30,17 +31,19 @@ func TestWorkloadBytes(t *testing.T) {
 	}
 	// Every stream the build materialized, once each: diverging events
 	// have their own speculative stream, and speculative streams run
-	// past the executed prefix.
-	var exact int64
+	// past the executed prefix. A stream encoded alone carries an
+	// operand table of its own, which is all an empty stream costs.
+	table := trace.EncodeTape([]trace.Inst{}).Bytes()
+	exact := table
 	src := large.Source(0)
 	for i := range large.spec {
 		if i < large.nExec {
-			exact += trace.EncodeTape(src.Insts(i, false)).Bytes()
+			exact += trace.EncodeTape(src.Insts(i, false)).Bytes() - table
 			if large.events[i].Diverge < 0 {
 				continue
 			}
 		}
-		exact += trace.EncodeTape(src.Insts(i, true)).Bytes()
+		exact += trace.EncodeTape(src.Insts(i, true)).Bytes() - table
 	}
 	if got := large.tape.Bytes(); got != exact {
 		t.Fatalf("tape holds %d bytes, its streams encode to %d", got, exact)
@@ -50,17 +53,18 @@ func TestWorkloadBytes(t *testing.T) {
 	}
 }
 
-// TestWorkloadBytesPerInst: a session costs at most 6 bytes per
+// TestWorkloadBytesPerInst: a session costs at most 3 bytes per
 // committed instruction, speculative streams and tables included; a
-// []trace.Inst arena cost about 24.5.
+// tape of uint64 operands cost about 4.6, a []trace.Inst arena about
+// 24.5.
 func TestWorkloadBytesPerInst(t *testing.T) {
 	for _, p := range smallSuite() {
 		w, err := NewWorkload(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if per := float64(w.Bytes()) / float64(w.Insts()); per > 6 {
-			t.Errorf("%s: %.2f bytes per committed instruction, want at most 6", p.Name, per)
+		if per := float64(w.Bytes()) / float64(w.Insts()); per > 3 {
+			t.Errorf("%s: %.2f bytes per committed instruction, want at most 3", p.Name, per)
 		}
 	}
 }

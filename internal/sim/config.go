@@ -43,9 +43,12 @@ const (
 	AssistESP
 )
 
-// Config is a complete machine configuration. It is a comparable value:
-// two configs are the same machine exactly when they compare equal,
-// which is what the Runner keys its machine pool on.
+// Config is a complete machine configuration, and a comparable value.
+// Every field but Name, Sched, MaxEvents and MaxPending is hardware: it
+// shapes the machine NewMachine assembles. The other four only label
+// results or bound a replay, so configs with equal hardware share one
+// machine; the Runner pools machines by hardware and replays a pooled
+// one as each cell's config.
 type Config struct {
 	// Name labels the configuration in tables and memoization keys.
 	Name string
@@ -142,6 +145,30 @@ func (r Result) Speedup(base Result) float64 {
 	return float64(base.Cycles) / float64(r.Cycles)
 }
 
+// hardware returns c without the fields that do not shape the machine:
+// the Runner's machine-pool key.
+func (c Config) hardware() Config {
+	c.Name, c.Sched, c.MaxEvents, c.MaxPending = "", 0, 0, 0
+	return c
+}
+
+// validateRun is the part of Validate that checks the fields hardware
+// drops, which a pooled machine's build never saw.
+func (c Config) validateRun() error {
+	var err error
+	switch {
+	case c.MaxEvents < 0:
+		err = fmt.Errorf("MaxEvents must be non-negative, got %d", c.MaxEvents)
+	case c.MaxPending < 0:
+		err = fmt.Errorf("MaxPending must be non-negative, got %d", c.MaxPending)
+	case !c.Sched.Valid():
+		err = fmt.Errorf("unknown scheduler policy %d (have %v)", uint8(c.Sched), eventq.SchedNames())
+	default:
+		return nil
+	}
+	return fmt.Errorf("esp: config %q: %w", c.Name, err)
+}
+
 // effectiveCPU resolves the timing configuration. Only the all-zero
 // struct selects DefaultConfig (so `Config{...}` literals keep working);
 // any explicitly-set field means the caller owns the whole struct, and
@@ -199,17 +226,11 @@ func (c Config) Validate() error {
 		}
 		return fail(err)
 	}
-	if c.MaxEvents < 0 {
-		return fail(fmt.Errorf("MaxEvents must be non-negative, got %d", c.MaxEvents))
-	}
-	if c.MaxPending < 0 {
-		return fail(fmt.Errorf("MaxPending must be non-negative, got %d", c.MaxPending))
+	if err := c.validateRun(); err != nil {
+		return err
 	}
 	if c.EFetch && c.PIF {
 		return fail(fmt.Errorf("EFetch and PIF are mutually exclusive instruction prefetchers; enable at most one"))
-	}
-	if !c.Sched.Valid() {
-		return fail(fmt.Errorf("unknown scheduler policy %d (have %v)", uint8(c.Sched), eventq.SchedNames()))
 	}
 	switch c.Assist {
 	case AssistNone:

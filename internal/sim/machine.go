@@ -140,9 +140,14 @@ func (m *Machine) Reset() {
 // simulation result. The workload is only read; the machine's MaxEvents
 // was already applied when w was materialized, and MaxPending shapes the
 // queue view here.
-func (m *Machine) Run(w *Workload) Result {
-	m.Replay(w)
-	return m.result(w)
+func (m *Machine) Run(w *Workload) Result { return m.runAs(w, &m.cfg) }
+
+// runAs is Run as cfg, a config with m's hardware: cfg's MaxEvents and
+// MaxPending shape the replay and its Name labels the result, so the
+// result equals a fresh cfg machine's Run.
+func (m *Machine) runAs(w *Workload, cfg *Config) Result {
+	m.replay(w, cfg.MaxEvents, cfg.MaxPending)
+	return m.result(w, cfg.Name)
 }
 
 // Replay resets the machine and replays w through it, leaving the results
@@ -151,15 +156,18 @@ func (m *Machine) Run(w *Workload) Result {
 // machine replaying a materialized workload performs no heap allocations —
 // the workload view and looper scratch live on the machine and are
 // rebound in place.
-func (m *Machine) Replay(w *Workload) {
+func (m *Machine) Replay(w *Workload) { m.replay(w, m.cfg.MaxEvents, m.cfg.MaxPending) }
+
+// replay is Replay with the session bound and queue view given.
+func (m *Machine) replay(w *Workload, maxEvents, maxPending int) {
 	m.Reset()
-	m.src = wsource{w: w, maxPending: m.cfg.MaxPending}
+	m.src = wsource{w: w, maxPending: maxPending}
 	if m.esp != nil {
 		m.esp.Src = &m.src
 	}
 	m.loop.Src = &m.src
 	m.loop.Core = m.c
-	m.loop.MaxEvents = m.cfg.MaxEvents
+	m.loop.MaxEvents = maxEvents
 	m.loop.Run()
 	// Unbind the workload so a pooled machine never pins its arena.
 	if m.esp != nil {
@@ -169,13 +177,14 @@ func (m *Machine) Replay(w *Workload) {
 	m.src = wsource{}
 }
 
-// result assembles the Result and energy accounting from the machine's
-// post-run statistics, plus the workload's build-time schedule summary.
-func (m *Machine) result(w *Workload) Result {
+// result assembles the Result, labelled config, and energy accounting
+// from the machine's post-run statistics, plus the workload's
+// build-time schedule summary.
+func (m *Machine) result(w *Workload, config string) Result {
 	c, hier := m.c, m.hier
 	res := Result{
 		App:    w.App,
-		Config: m.cfg.Name,
+		Config: config,
 		Insts:  c.Stats.Insts,
 		Cycles: c.Stats.Cycles,
 		IPC:    c.Stats.IPC(),

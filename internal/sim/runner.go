@@ -190,7 +190,9 @@ type workloadCell struct {
 
 // Runner joins the planes for sweeps: it materializes each workload once
 // (single-flight, shared by every configuration and goroutine) and pools
-// one reusable Machine per distinct Config per concurrent worker.
+// one reusable Machine per distinct hardware configuration per
+// concurrent worker: cells whose configs differ only in Name, Sched,
+// MaxEvents or MaxPending share machines.
 // All methods are safe for concurrent use; results are bit-identical to
 // building a fresh machine per cell because Machine.Run resets to cold
 // state first.
@@ -212,7 +214,8 @@ type Runner struct {
 	cacheBytes     int64
 	// noAdmit stops new builds from entering the cache (brownout's
 	// no-cache lever); already-cached workloads still serve.
-	noAdmit  bool
+	noAdmit bool
+	// machines pools idle machines by Config.hardware.
 	machines map[Config][]*Machine
 	perf     Perf
 	observer func(CellEvent)
@@ -440,13 +443,19 @@ func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy even
 	return w, nil
 }
 
-// acquireMachine pops a pooled machine for cfg or assembles one.
+// acquireMachine pops a pooled machine with cfg's hardware or
+// assembles one. A pooled machine proves only its hardware valid, so
+// the rest of cfg is checked either way.
 func (r *Runner) acquireMachine(cfg Config) (*Machine, error) {
+	if err := cfg.validateRun(); err != nil {
+		return nil, err
+	}
+	key := cfg.hardware()
 	r.mu.Lock()
-	pool := r.machines[cfg]
+	pool := r.machines[key]
 	if n := len(pool); n > 0 {
 		m := pool[n-1]
-		r.machines[cfg] = pool[:n-1]
+		r.machines[key] = pool[:n-1]
 		r.perf.MachineReuses++
 		r.mu.Unlock()
 		return m, nil
@@ -464,21 +473,22 @@ func (r *Runner) acquireMachine(cfg Config) (*Machine, error) {
 	return m, err
 }
 
-// releaseMachine returns a healthy machine to its configuration's pool.
+// releaseMachine returns a healthy machine to its hardware's pool.
 func (r *Runner) releaseMachine(m *Machine) {
+	key := m.cfg.hardware()
 	r.mu.Lock()
-	r.machines[m.cfg] = append(r.machines[m.cfg], m)
+	r.machines[key] = append(r.machines[key], m)
 	r.mu.Unlock()
 }
 
 // RunCell simulates one (profile, configuration) cell: the workload is
 // materialized once per (profile, MaxEvents) and shared, the machine
-// comes from the per-configuration pool. label names the cell in panic
-// and timeout errors. A non-positive timeout runs inline; otherwise the
-// cell is abandoned with an error after timeout (the worker goroutine
-// still returns its machine to the pool when it eventually finishes —
-// reuse is safe because Run resets first). A panicking machine is
-// dropped, never pooled.
+// comes from the pool of cfg's hardware and replays as cfg. label names
+// the cell in panic and timeout errors. A non-positive timeout runs
+// inline; otherwise the cell is abandoned with an error after timeout
+// (the worker goroutine still returns its machine to the pool when it
+// eventually finishes — reuse is safe because Run resets first). A
+// panicking machine is dropped, never pooled.
 func (r *Runner) RunCell(label string, prof workload.Profile, cfg Config, timeout time.Duration) (Result, error) {
 	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
 	if err != nil {
@@ -495,17 +505,17 @@ func (r *Runner) RunWorkload(label string, w *Workload, cfg Config, timeout time
 		return Result{}, err
 	}
 	if timeout <= 0 {
-		return r.simulate(label, m, w)
+		return r.simulate(label, m, w, cfg)
 	}
 	type cellOut struct {
 		res Result
 		err error
 	}
 	ch := make(chan cellOut, 1)
-	go func() {
-		res, serr := r.simulate(label, m, w)
+	go func(cfg Config) { // an argument, so only this path copies cfg to the heap
+		res, serr := r.simulate(label, m, w, cfg)
 		ch <- cellOut{res: res, err: serr}
-	}()
+	}(cfg)
 	select {
 	case out := <-ch:
 		return out.res, out.err
@@ -514,12 +524,12 @@ func (r *Runner) RunWorkload(label string, w *Workload, cfg Config, timeout time
 	}
 }
 
-// simulate replays w on m with panic containment and timing accounting,
-// notifying the observer (if any) about the completed cell. The fault
-// hook (if any) runs first: an injected error fails the cell with the
-// untouched machine pooled again; an injected panic takes the same
-// containment path as a real simulation panic.
-func (r *Runner) simulate(label string, m *Machine, w *Workload) (res Result, err error) {
+// simulate replays w on m as cfg with panic containment and timing
+// accounting, notifying the observer (if any) about the completed cell.
+// The fault hook (if any) runs first: an injected error fails the cell
+// with the untouched machine pooled again; an injected panic takes the
+// same containment path as a real simulation panic.
+func (r *Runner) simulate(label string, m *Machine, w *Workload, cfg Config) (res Result, err error) {
 	r.mu.Lock()
 	hook := r.fault
 	r.mu.Unlock()
@@ -543,14 +553,14 @@ func (r *Runner) simulate(label string, m *Machine, w *Workload) (res Result, er
 		obs := r.observer
 		r.mu.Unlock()
 		if obs != nil {
-			obs(CellEvent{Label: label, App: w.App, Config: m.cfg.Name, Wall: elapsed, Err: err})
+			obs(CellEvent{Label: label, App: w.App, Config: cfg.Name, Wall: elapsed, Err: err})
 		}
 	}()
 	if hook != nil {
-		if herr := hook(FaultPoint{Op: "run", Label: label, App: w.App, Config: m.cfg.Name}); herr != nil {
+		if herr := hook(FaultPoint{Op: "run", Label: label, App: w.App, Config: cfg.Name}); herr != nil {
 			return Result{}, fmt.Errorf("esp: run %s: %w", label, herr)
 		}
 	}
-	res = m.Run(w)
+	res = m.runAs(w, &cfg)
 	return res, nil
 }

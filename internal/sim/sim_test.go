@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"espsim/internal/core"
 	"espsim/internal/eventq"
 	"espsim/internal/workload"
 )
@@ -156,6 +157,63 @@ func TestRunnerIdenticalAcrossPaths(t *testing.T) {
 	}
 }
 
+// TestRunnerPoolsByHardware: cells whose configs differ only in Name,
+// Sched, MaxEvents or MaxPending share one pooled machine, and every
+// result, its Config label included, equals a fresh machine's.
+func TestRunnerPoolsByHardware(t *testing.T) {
+	timed := workload.MobileWeb()
+	timed.Events = 24
+	deep := espConfig()
+	deep.Name, deep.ESP = "esp-deep", core.DefaultOptions()
+	deep.ESP.JumpDepth = 8
+	wide := deep
+	wide.Name, wide.MaxPending = "esp-deep-wide", 8
+	groups := []struct {
+		prof workload.Profile
+		cfgs []Config
+	}{
+		{timed, []Config{{Name: "base"}, {Name: "base@edf", Sched: eventq.SchedEDF}}},
+		{testProfile(t), []Config{deep, wide}},
+	}
+	r := NewRunner()
+	got := map[string]Result{}
+	for g, group := range groups {
+		prof := group.prof
+		for round := 0; round < 2; round++ {
+			for _, cfg := range group.cfgs {
+				for _, maxEvents := range []int{4, 0} {
+					cfg.MaxEvents = maxEvents
+					res, err := r.RunCell(cfg.Name, prof, cfg, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := NewWorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := NewMachine(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := m.Run(w); !reflect.DeepEqual(res, want) {
+						t.Fatalf("%s at max_events %d: pooled result differs from a fresh machine's\ngot  %+v\nwant %+v",
+							cfg.Name, maxEvents, res, want)
+					}
+					if maxEvents == 0 {
+						got[cfg.Name] = res
+					}
+				}
+			}
+		}
+		if builds := r.Perf().MachineBuilds; builds != int64(g+1) {
+			t.Fatalf("%d hardware configs built %d machines", g+1, builds)
+		}
+	}
+	if got["esp-deep"].Cycles == got["esp-deep-wide"].Cycles {
+		t.Fatal("MaxPending 8 replays like 2: the test cannot see a per-run queue view")
+	}
+}
+
 // TestMaterializeGenericSource checks the copy path: a multi-queue
 // source replays identically whether driven directly or materialized.
 func TestMaterializeGenericSource(t *testing.T) {
@@ -204,12 +262,12 @@ func TestRunnerPanicDropsMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.simulate("boom-cell", m, nil) // nil workload panics in Run
+	_, err = r.simulate("boom-cell", m, nil, m.cfg) // nil workload panics in Run
 	if err == nil || !strings.Contains(err.Error(), "boom-cell") || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic error naming the cell", err)
 	}
 	r.mu.Lock()
-	pooled := len(r.machines[m.cfg])
+	pooled := len(r.machines[m.cfg.hardware()])
 	r.mu.Unlock()
 	if pooled != 0 {
 		t.Fatalf("panicked machine was returned to the pool")

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -58,11 +59,26 @@ func tapeSeed(insts ...Inst) []byte {
 	return data
 }
 
+// randomSeed is a fuzz seed of n instructions of every kind, flags
+// included, with uniformly random 64-bit PCs and Addrs: their windows
+// fill the operand table, and most operands then escape.
+func randomSeed(n int) []byte {
+	r := rand.New(rand.NewSource(int64(n)))
+	insts := make([]Inst, n)
+	for i := range insts {
+		insts[i] = Inst{PC: r.Uint64(), Addr: r.Uint64(), Kind: Kind(r.Intn(6)),
+			Taken: r.Intn(2) == 0, Indirect: r.Intn(4) == 0, Call: r.Intn(4) == 0, Ret: r.Intn(4) == 0}
+	}
+	return tapeSeed(insts...)
+}
+
 // FuzzTapeRoundTrip: any instruction stream, encoded to a tape and
 // decoded again, comes back identical (nil and empty streams included),
 // in exactly sized arrays; a Cursor walks it as the replay loops see
 // it, and Skip keeps it in step; and a builder's views of several
-// streams decode to each of them.
+// streams share one operand table and decode to each of them. The
+// seeds reach every operand form: windowed and escaped Addrs, PCs past
+// 32 bits, and ALU instructions with an Addr or an unknown kind.
 func FuzzTapeRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -80,15 +96,38 @@ func FuzzTapeRoundTrip(f *testing.F) {
 		Inst{PC: 0x10, Kind: Load, Taken: true, Indirect: true, Call: true},
 		Inst{PC: 0x14, Kind: 4},
 	))
+	// Operands in 20 windows, one per instruction, then back in the
+	// first: the last five of the first pass escape, the second pass
+	// finds its windows in the table.
+	var spread []Inst
+	for pass := 0; pass < 2; pass++ {
+		for k := uint64(0); k < 20; k++ {
+			kind := []Kind{Load, Store, Branch, ALU}[k%4]
+			spread = append(spread, Inst{PC: 0x4000_0000 + 4*uint64(len(spread)),
+				Kind: kind, Addr: k<<winShift | (0x0fff_fffc - 64*k)})
+		}
+	}
+	f.Add(tapeSeed(spread...))
+	f.Add(randomSeed(64))
+	// PCs at and past 2^32, taken branches among them, and ALU
+	// instructions with operands.
+	f.Add(tapeSeed(
+		Inst{PC: 1 << 32, Kind: ALU, Addr: 0xdead_beef},
+		Inst{PC: 1<<32 + 4, Kind: Branch, Taken: true, Addr: 0xffff_ffff_ffff_fff0},
+		Inst{PC: 0xffff_ffff_ffff_fff0, Kind: Load, Addr: 1 << 63},
+		Inst{PC: 0xffff_ffff_ffff_fff4, Kind: 9, Addr: 0},
+		Inst{PC: 0xffff_ffff_ffff_fff8, Kind: Store, Addr: 0xffff_ffff},
+		Inst{PC: 0x1_0000_0000_0000, Kind: ALU, Addr: 0x1_0000_0000_0000},
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insts := instsFromBytes(data)
 		tape := EncodeTape(insts)
 		if got := tape.Insts(); !reflect.DeepEqual(got, insts) {
 			t.Fatalf("round trip changed the stream\n got: %+v\nwant: %+v", got, insts)
 		}
-		if tape.Len() != len(insts) || cap(tape.ops) != len(tape.ops) || cap(tape.args) != len(tape.args) {
-			t.Fatalf("tape of %d insts has ops %d/%d, args %d/%d (len/cap)",
-				len(insts), len(tape.ops), cap(tape.ops), len(tape.args), cap(tape.args))
+		if tape.Len() != len(insts) || !exactlySized(tape) {
+			t.Fatalf("tape of %d insts has ops %d/%d, words %d/%d (len/cap)",
+				len(insts), len(tape.ops), cap(tape.ops), len(tape.words), cap(tape.words))
 		}
 
 		if got, want := replayView(tape), wantReplay(insts); !reflect.DeepEqual(got, want) {
@@ -111,12 +150,15 @@ func FuzzTapeRoundTrip(f *testing.F) {
 			}
 		}
 		arena, views := b.Finish()
-		if cap(arena.ops) != len(arena.ops) || cap(arena.args) != len(arena.args) {
+		if !exactlySized(arena) {
 			t.Fatal("builder arena not exactly sized")
 		}
 		for k, s := range streams {
 			if got := views[k].Insts(); !reflect.DeepEqual(got, s) {
 				t.Fatalf("view %d decodes to %+v, want %+v", k, got, s)
+			}
+			if s != nil && views[k].tab != arena.tab {
+				t.Fatalf("view %d has its own operand table", k)
 			}
 		}
 		// The views tile the arena, so it walks as their concatenation.
@@ -128,6 +170,13 @@ func FuzzTapeRoundTrip(f *testing.F) {
 			t.Fatalf("arena decodes to %d insts, want %d", len(got), len(all))
 		}
 	})
+}
+
+// exactlySized reports whether t's arrays, its escapes included, are
+// sized exactly.
+func exactlySized(t Tape) bool {
+	return cap(t.ops) == len(t.ops) && cap(t.words) == len(t.words) &&
+		(t.tab == nil || cap(t.tab.esc) == len(t.tab.esc))
 }
 
 // replayView walks t with a Cursor the way the replay loops do and
@@ -142,7 +191,7 @@ func replayView(t Tape) []Inst {
 		in := Inst{PC: pc}
 		switch op.Kind() {
 		case Branch:
-			c.Branch(op, pc, &in)
+			op.SetBranch(&in, pc, c.Target(op))
 		case Load, Store:
 			in.Kind, in.Addr = op.Kind(), c.Addr()
 		}
@@ -193,9 +242,10 @@ func TestTapeCursorForks(t *testing.T) {
 }
 
 // TestTapeSuiteShapeSize: a stream shaped like the synthetic suite's,
-// one PC discontinuity at its start and no ALU operands, costs one op
-// byte per instruction plus eight bytes per memory op and branch and
-// eight for the first PC.
+// one PC discontinuity at its start, no ALU operands and every operand
+// in a few windows, costs one op byte per instruction plus a four-byte
+// word per memory op and branch, two words for the first PC, and its
+// operand table once.
 func TestTapeSuiteShapeSize(t *testing.T) {
 	var insts []Inst
 	pc := uint64(0x4000_0000)
@@ -210,7 +260,34 @@ func TestTapeSuiteShapeSize(t *testing.T) {
 		insts = append(insts, in)
 		pc = in.NextPC()
 	}
-	if got, want := EncodeTape(insts).Bytes(), int64(1000+8*300+8); got != want {
+	if got, want := EncodeTape(insts).Bytes(), int64(1000+4*300+8)+tableBytes; got != want {
 		t.Fatalf("tape is %d bytes, want %d", got, want)
+	}
+}
+
+// TestTapeEscapes: once 15 windows are taken, an operand in a new
+// window escapes and costs 12 bytes, its word and its side-array entry,
+// while operands in the table's windows still take one word; the
+// escapes decode exactly, through a cursor too.
+func TestTapeEscapes(t *testing.T) {
+	var insts []Inst
+	for k := uint64(0); k < 40; k++ {
+		insts = append(insts, Inst{PC: 0x1000 + 4*k, Kind: Load, Addr: k<<winShift + 8*k})
+	}
+	for k := uint64(0); k < 15; k++ {
+		insts = append(insts, Inst{PC: 0x1000 + 4*(40+k), Kind: Store, Addr: k<<winShift + 4})
+	}
+	tape := EncodeTape(insts)
+	if got, want := len(tape.tab.esc), 25; got != want {
+		t.Fatalf("%d escaped operands, want %d", got, want)
+	}
+	if got, want := tape.Bytes(), int64(55+4*55+8)+tableBytes+8*25; got != want {
+		t.Fatalf("tape is %d bytes, want %d", got, want)
+	}
+	if got := tape.Insts(); !reflect.DeepEqual(got, insts) {
+		t.Fatalf("round trip changed the stream\n got: %+v\nwant: %+v", got, insts)
+	}
+	if got, want := replayView(tape), wantReplay(insts); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cursor walk differs from the stream\n got: %+v\nwant: %+v", got, want)
 	}
 }

@@ -7,6 +7,15 @@
 // but statistically calibrated traces (package workload); everything above
 // the generator consumes only the types defined here, so recorded traces
 // and synthetic traces are interchangeable.
+//
+// Inst is the interchange record, 24 bytes wide. The workload plane
+// stores streams as a Tape instead: an op byte per instruction plus
+// 32-bit operand words, where an address is a 4-bit window index over a
+// 28-bit offset into one of up to 15 windows of 256 MiB that the whole
+// tape shares, an explicit PC is two words, and an address outside
+// every window escapes to a 64-bit side array at 12 bytes. Synthetic
+// sessions cost about 2.8 bytes per instruction that way, and the replay
+// loops walk a tape in place through an inlined Cursor.
 package trace
 
 // Kind classifies a dynamic instruction. The timing model only needs to
