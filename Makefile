@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint inline-check test race bench-go flame fuzz-smoke tier1 clean
+.PHONY: all build vet fmt-check lint inline-check test race bench-go flame fuzz-smoke tier1 clean
 
 all: tier1
 
@@ -11,12 +11,20 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint is the domain gate: go vet plus esplint, the in-tree analyzer
-# suite that proves the replay/plane/fault contracts (complete pooled
-# resets, an immutable workload plane, a total error taxonomy,
-# wrap-safe sentinel matching). Any diagnostic fails the build; see
-# DESIGN.md §12 for the annotation grammar that governs each check.
-lint: vet
+# fmt-check fails when any Go file outside testdata/ (ledgerbench/
+# included) is not gofmt-clean, and names the files. Hidden directories
+# (.git, .bench_build, .flame) are skipped.
+fmt-check:
+	@out="$$(find . -path './.*' -prune -o -path '*/testdata' -prune -o -name '*.go' -print | xargs gofmt -l)"; \
+	if [ -n "$$out" ]; then echo "fmt-check: not gofmt-clean:"; echo "$$out"; exit 1; fi
+
+# lint is the domain gate: go vet, the gofmt check, and esplint, the
+# in-tree analyzer suite that proves the replay/plane/fault contracts
+# (complete pooled resets, an immutable workload plane, a total error
+# taxonomy, wrap-safe sentinel matching). Any diagnostic fails the
+# build; see DESIGN.md §12 for the annotation grammar that governs each
+# check.
+lint: vet fmt-check
 	$(GO) run ./cmd/esplint ./...
 
 # inline-check fails when a trace.Cursor method (or Op method) that the

@@ -280,10 +280,10 @@ func TestPredictUpdateEquivalence(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		h := next()
 		in := trace.Inst{
-			PC:     0x1000 + (h%977)*4,
-			Kind:   trace.Branch,
-			Taken:  h>>8&3 != 0,
-			Addr:   0x1000 + (h>>16%4096)*4,
+			PC:    0x1000 + (h%977)*4,
+			Kind:  trace.Branch,
+			Taken: h>>8&3 != 0,
+			Addr:  0x1000 + (h>>16%4096)*4,
 		}
 		switch h >> 40 % 10 {
 		case 0:

@@ -47,7 +47,9 @@ func (k StallKind) String() string {
 type Assist interface {
 	// EventStart announces that ev is about to execute normally. pending
 	// lists the future events currently visible in the software event
-	// queue (at most two).
+	// queue (at most two unless MaxPending widens the view). It is a view
+	// into the workload's shared, immutable queue table: read it, never
+	// write through it.
 	EventStart(ev trace.Event, pending []trace.Event)
 	// EventEnd announces that ev has retired its last instruction.
 	EventEnd(ev trace.Event)

@@ -235,9 +235,9 @@ func FuzzSchedulerConfig(f *testing.F) {
 	f.Add(mk(2, [4]int64{100, 5000, 1 << 8, 400}, [4]int64{50, 0, 2 << 8, 900}))
 	f.Add(mk(3, [4]int64{0, math.MinInt64, 0, math.MaxInt64}))
 	f.Add(mk(2, [4]int64{math.MaxInt64, math.MaxInt64, 255 << 8, math.MaxInt64}))
-	f.Add(mk(2, [4]int64{-1000, -5, 3 << 8, -77}))          // past-due, negative length
-	f.Add(mk(3, [4]int64{math.MinInt64, 1, 0, 1}))          // slack underflow
-	f.Add(mk(9, [4]int64{0, 0, 0, 0}))                      // invalid policy
+	f.Add(mk(2, [4]int64{-1000, -5, 3 << 8, -77})) // past-due, negative length
+	f.Add(mk(3, [4]int64{math.MinInt64, 1, 0, 1})) // slack underflow
+	f.Add(mk(9, [4]int64{0, 0, 0, 0}))             // invalid policy
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

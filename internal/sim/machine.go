@@ -36,13 +36,6 @@ type Machine struct {
 
 	ra  *runahead.Engine
 	esp *core.ESP
-
-	// Replay scratch, reused across runs so a warm replay never touches
-	// the heap: the workload-view box handed to the looper and to ESP as
-	// its stream source, and the looper itself (whose queue-view scratch
-	// persists inside it).
-	src  wsource
-	loop eventq.Looper
 }
 
 // NewMachine validates cfg and assembles the machine.
@@ -97,9 +90,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Config returns the configuration the machine was built from.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Reset restores every component to its just-constructed cold state
 // without reallocating tables: caches are invalidated in place, predictor
 // tables are zeroed, assist structures return to their pools. A reset
@@ -129,16 +119,12 @@ func (m *Machine) Reset() {
 	if m.esp != nil {
 		m.esp.Reset()
 	}
-	// Replay scratch: already unbound at the end of Replay, but clearing
-	// here too keeps Reset self-contained — a reset machine holds no
-	// reference to any workload regardless of how its last run ended.
-	m.src = wsource{}
-	m.loop.Reset()
 }
 
 // Run resets the machine and replays w through it, returning the
-// simulation result. The workload is only read; the machine's MaxEvents
-// was already applied when w was materialized, and MaxPending shapes the
+// simulation result. The workload is only read. The machine's MaxEvents
+// bounds the replay (a workload built under a larger bound, or none,
+// replays only its first MaxEvents events), and MaxPending shapes the
 // queue view here.
 func (m *Machine) Run(w *Workload) Result { return m.runAs(w, &m.cfg) }
 
@@ -150,31 +136,46 @@ func (m *Machine) runAs(w *Workload, cfg *Config) Result {
 	return m.result(w, cfg.Name)
 }
 
-// Replay resets the machine and replays w through it, leaving the results
-// in the machine's statistics (read them via Run, which wraps Replay and
-// assembles a Result). This is the allocation-zero hot path: a warm
-// machine replaying a materialized workload performs no heap allocations —
-// the workload view and looper scratch live on the machine and are
-// rebound in place.
+// Replay resets the machine and replays w through it, bounded by the
+// machine's MaxEvents, leaving the results in the machine's statistics
+// (read them via Run, which wraps Replay and assembles a Result). This
+// is the allocation-zero hot path: a warm machine replaying a
+// materialized workload performs no heap allocations, because the replay
+// reads the workload's tapes and queue views in place and keeps no
+// scratch of its own.
 func (m *Machine) Replay(w *Workload) { m.replay(w, m.cfg.MaxEvents, m.cfg.MaxPending) }
 
-// replay is Replay with the session bound and queue view given.
+// replay is the looper thread (paper §2.2, Figure 2): it dequeues the
+// workload's events in order, at most maxEvents when positive, and runs
+// each through the core. The assist sees each event's queue view as
+// w.Source(maxPending).Pending reports it, and ESP reads its speculative
+// streams from w itself.
 func (m *Machine) replay(w *Workload, maxEvents, maxPending int) {
 	m.Reset()
-	m.src = wsource{w: w, maxPending: maxPending}
 	if m.esp != nil {
-		m.esp.Src = &m.src
+		m.esp.Src = w
 	}
-	m.loop.Src = &m.src
-	m.loop.Core = m.c
-	m.loop.MaxEvents = maxEvents
-	m.loop.Run()
+	c, assist := m.c, m.c.Assist
+	for i, ev := range w.events[:execCount(w.nExec, maxEvents)] {
+		if assist != nil {
+			assist.EventStart(ev, w.pending(i, maxPending))
+		}
+		c.BeginEvent(ev.Handler)
+		// Queue management runs between dequeue and handler entry; ESP
+		// overlaps its pre-event prefetches with it (§3.6).
+		c.RunFiller(eventq.LooperOverhead)
+		c.RunEvent(w.normal[i])
+		if assist != nil {
+			assist.EventEnd(ev)
+		}
+		// The handler returned to the looper's dispatch loop: the call
+		// stack (and with it the RAS) is realigned to the loop's depth.
+		c.BP.ClearRAS()
+	}
 	// Unbind the workload so a pooled machine never pins its arena.
 	if m.esp != nil {
 		m.esp.Src = nil
 	}
-	m.loop.Src = nil
-	m.src = wsource{}
 }
 
 // result assembles the Result, labelled config, and energy accounting

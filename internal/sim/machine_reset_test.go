@@ -76,18 +76,14 @@ func TestDirtyComponentsReplayBitIdentical(t *testing.T) {
 			dirty.stride.OnAccess(0x100, 0x9000)
 			dirty.stride.OnAccess(0x100, 0x9040)
 		}
-		// Replay scratch and free-lists: make the machine look like a
-		// replay that died mid-run — workload still bound to the source
-		// and looper boxes, and (for ESP) the engine abandoned inside an
-		// event with live sneak-peek slots drawn from its free-lists and
-		// never returned by EventEnd. Reset alone must reclaim all of it.
-		dirty.src = wsource{w: wB, maxPending: cfg.MaxPending}
-		dirty.loop.Src = &dirty.src
-		dirty.loop.Core = dirty.c
-		dirty.loop.MaxEvents = 1
+		// Free-lists: make the machine look like a replay that died
+		// mid-run — for ESP, the engine still bound to workload B and
+		// abandoned inside an event with live sneak-peek slots drawn
+		// from its free-lists and never returned by EventEnd. Reset
+		// alone must reclaim all of it.
 		if dirty.esp != nil {
-			dirty.esp.Src = &dirty.src
-			dirty.esp.EventStart(dirty.src.Event(0), dirty.src.Pending(0))
+			dirty.esp.Src = wB
+			dirty.esp.EventStart(wB.events[0], wB.pending(0, cfg.MaxPending))
 		}
 
 		if got := dirty.Run(wA); !reflect.DeepEqual(got, wantA) {

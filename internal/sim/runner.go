@@ -516,10 +516,14 @@ func (r *Runner) RunWorkload(label string, w *Workload, cfg Config, timeout time
 		res, serr := r.simulate(label, m, w, cfg)
 		ch <- cellOut{res: res, err: serr}
 	}(cfg)
+	// A stopped timer is released at once; under the go 1.22 timer
+	// semantics an unstopped one stays live until it fires.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case out := <-ch:
 		return out.res, out.err
-	case <-time.After(timeout):
+	case <-timer.C:
 		return Result{}, fmt.Errorf("esp: run %s: exceeded %v %w", label, timeout, ErrTimeout)
 	}
 }

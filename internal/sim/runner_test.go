@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"espsim/internal/eventq"
+	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
 
@@ -204,8 +208,10 @@ func TestFaultHookBuildFailureNotSticky(t *testing.T) {
 	}
 }
 
-// workloadDigest hashes every observable byte of a workload: events,
-// pending views, and the normal and speculative instruction streams.
+// workloadDigest hashes every observable byte of a workload: events and
+// pending views (every trace.Event field of both, since assists get
+// views into the workload's own pending table), and the normal and
+// speculative instruction streams.
 func workloadDigest(w *Workload) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) {
@@ -215,14 +221,14 @@ func workloadDigest(w *Workload) uint64 {
 		}
 		h.Write(b[:])
 	}
+	putEvent := func(ev trace.Event) { fmt.Fprintf(h, "%+v;", ev) }
 	src := w.Source(0)
 	for i := 0; i < src.Len(); i++ {
-		ev := src.Event(i)
-		put(uint64(ev.ID))
-		put(uint64(ev.Len))
-		put(uint64(ev.Handler))
-		for _, p := range src.Pending(i) {
-			put(uint64(p.ID))
+		putEvent(src.Event(i))
+		pend := src.Pending(i)
+		put(uint64(len(pend)))
+		for _, p := range pend {
+			putEvent(p)
 		}
 		for _, spec := range []bool{false, true} {
 			for _, in := range src.Insts(i, spec) {
@@ -288,5 +294,40 @@ func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 	}
 	if after := workloadDigest(w); after != before {
 		t.Fatalf("workload mutated by concurrent replays: digest %x -> %x", before, after)
+	}
+}
+
+// TestTimedCellsReleaseTimers: a finished timed cell leaves nothing live
+// behind it. espd runs every cell with a timeout (two minutes by
+// default), and a timeout timer left running would pin its memory until
+// it fired. The first batch warms the runner's pools and the runtime's
+// caches; only what the second batch leaves live is measured, since
+// warm-up garbage makes a single batch's delta unreliable.
+func TestTimedCellsReleaseTimers(t *testing.T) {
+	w := MaterializeSource("empty", &eventq.TraceSource{}, 0)
+	r := NewRunner()
+	batch := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := r.RunWorkload("timed", w, Config{Name: "base"}, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const cells = 1000
+	batch(500)
+	before := liveHeap()
+	batch(cells)
+	after := liveHeap()
+	// The runner's pooled machine must count in both measurements.
+	runtime.KeepAlive(r)
+	if per := (after - before) / cells; per > 64 {
+		t.Fatalf("each finished timed cell left %d B live, want at most 64", per)
 	}
 }

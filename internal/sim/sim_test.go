@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"espsim/internal/core"
+	"espsim/internal/cpu"
 	"espsim/internal/eventq"
+	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
 
@@ -100,6 +104,85 @@ func TestMachineReuseBitIdentical(t *testing.T) {
 		reused.Run(w) // dirty the machine
 		if got := reused.Run(w); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: reused machine diverged from fresh machine\ngot  %+v\nwant %+v", cfg.Name, got, want)
+		}
+	}
+}
+
+// replayRecorder is an assist that only watches: it records each event
+// a replay announces, the queue view EventStart hands over, and the
+// instructions the core retires between EventStart and EventEnd.
+type replayRecorder struct {
+	core         *cpu.Core
+	starts, ends []trace.Event
+	views        [][]trace.Event
+	retired      []int64
+	startInsts   int64
+}
+
+func (r *replayRecorder) EventStart(ev trace.Event, pending []trace.Event) {
+	r.starts = append(r.starts, ev)
+	r.views = append(r.views, pending)
+	r.startInsts = r.core.Stats.Insts
+}
+
+func (r *replayRecorder) EventEnd(ev trace.Event) {
+	r.ends = append(r.ends, ev)
+	r.retired = append(r.retired, r.core.Stats.Insts-r.startInsts)
+}
+
+func (r *replayRecorder) OnInst(int) int                     { return math.MaxInt }
+func (r *replayRecorder) CorrectBranch(int, trace.Inst) bool { return false }
+func (r *replayRecorder) OnStall(cpu.StallKind, int, trace.Cursor, int) bool {
+	return false
+}
+
+// TestReplayLoop pins the looper: a replay announces each executed event
+// in order to EventStart and EventEnd, hands EventStart exactly the
+// queue view w.Source(MaxPending) reports (nil-ness included), retires
+// each event's stream plus the looper's queue-management instructions,
+// and stops after MaxEvents events. A session workload's views are
+// trimmed to MaxPending; the generic source's nil, empty and
+// out-of-order views must arrive as the source gave them.
+func TestReplayLoop(t *testing.T) {
+	sess, err := NewWorkload(testProfile(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	generic := MaterializeSource("generic", newGenericSource(t), 0)
+	for _, w := range []*Workload{sess, generic} {
+		for _, maxPending := range []int{0, 5} {
+			for _, maxEvents := range []int{0, 7} {
+				m, err := NewMachine(Config{Name: "base", MaxEvents: maxEvents, MaxPending: maxPending})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &replayRecorder{core: m.c}
+				m.c.Assist = rec
+				m.Replay(w)
+
+				src := w.Source(maxPending)
+				n := src.Len()
+				if maxEvents > 0 {
+					n = maxEvents // both workloads are longer
+				}
+				name := fmt.Sprintf("%s max_pending %d max_events %d", w.App, maxPending, maxEvents)
+				if len(rec.starts) != n || len(rec.ends) != n {
+					t.Fatalf("%s: %d starts and %d ends, want %d", name, len(rec.starts), len(rec.ends), n)
+				}
+				for i := 0; i < n; i++ {
+					ev := src.Event(i)
+					if rec.starts[i] != ev || rec.ends[i] != ev {
+						t.Fatalf("%s: event %d announced as %+v / %+v, want %+v", name, i, rec.starts[i], rec.ends[i], ev)
+					}
+					if want := src.Pending(i); !reflect.DeepEqual(rec.views[i], want) {
+						t.Fatalf("%s: event %d saw queue view %+v (nil %v), want %+v (nil %v)",
+							name, i, rec.views[i], rec.views[i] == nil, want, want == nil)
+					}
+					if want := int64(len(src.Insts(i, false)) + eventq.LooperOverhead); rec.retired[i] != want {
+						t.Fatalf("%s: event %d retired %d instructions, want %d", name, i, rec.retired[i], want)
+					}
+				}
+			}
 		}
 	}
 }

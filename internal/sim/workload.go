@@ -44,13 +44,13 @@ type Workload struct {
 	normal []trace.Tape
 	spec   []trace.Tape
 
-	// pend[i] spans event i's queue view in pendTab. For session-built
-	// workloads pendTab is the session's event list itself (views are
-	// windows into it) and trim is true: Source applies MaxPending at
-	// view time, like eventq.SessionSource did. For generic sources the
-	// source's own Pending results are flattened into pendTab verbatim
-	// and trim is false, matching the old RunSource path, which never
-	// applied MaxPending.
+	// pend[i] spans event i's queue view in pendTab. A session's views,
+	// and a schedule's, are windows into the workload's own event list
+	// (pendTab is that list) as deep as the queue can see, and trim is
+	// true: a replay cuts each to the machine's MaxPending (0 means the
+	// 2-entry hardware queue). An unscheduled generic source's views are
+	// flattened into pendTab as the source gave them, nil and empty ones
+	// included, and trim is false: every replay sees them unchanged.
 	pendTab []trace.Event
 	pend    []span
 	trim    bool
@@ -81,8 +81,8 @@ func (w *Workload) Sched() *eventq.SchedStats {
 }
 
 // NewWorkload materializes prof's session, truncated to maxEvents when
-// positive. The result replays bit-identically to driving the session
-// through eventq.SessionSource, for any MaxPending.
+// positive. Its queue views are the session's, trimmed at replay to the
+// machine's MaxPending.
 //
 //esp:ctor
 func NewWorkload(prof workload.Profile, maxEvents int) (*Workload, error) {
@@ -96,17 +96,17 @@ func NewWorkload(prof workload.Profile, maxEvents int) (*Workload, error) {
 }
 
 // MaterializeSource snapshots an arbitrary eventq.Source into a
-// Workload. A workload.Session behind eventq.SessionSource takes the
-// session fast path; other sources (recorded traces, multi-queue merges)
-// are encoded stream by stream. Pending views are stored as the source
-// returned them, so replays match the old direct-source path exactly.
+// Workload. Its queue views are kept as the source gave them: a replay
+// never trims them. The exception is an eventq.SessionSource with the
+// default view (MaxPending 0), which is built like NewWorkload, so its
+// views are the session's and a replay trims them to the machine's
+// MaxPending. Other sources (recorded traces, multi-queue merges) are
+// encoded stream by stream.
 //
 //esp:ctor
 func MaterializeSource(app string, src eventq.Source, maxEvents int) *Workload {
 	w := &Workload{App: app}
 	if ss, ok := src.(eventq.SessionSource); ok && ss.MaxPending <= 0 {
-		// Default queue view: identical to the session path, which keeps
-		// the untrimmed window and trims per machine at view time.
 		w.trim = true
 		w.fromSession(ss.S, maxEvents)
 		return w
@@ -283,7 +283,7 @@ func (tb *tapeBuild) finish(w *Workload) {
 }
 
 // fromSession materializes a synthetic session. Streams are generated in
-// event order exactly as eventq.SessionSource would have on demand, by
+// event order, each equal to what eventq.SessionSource.Insts returns, by
 // one reused walker, and encoded onto the tape.
 //
 //esp:ctor
@@ -466,11 +466,37 @@ func (w *Workload) Insts() int64 {
 	return total
 }
 
-// Source returns a read-only eventq.Source view of the workload.
-// maxPending widens the queue view past the default two entries for
-// session-built workloads (generic-source workloads keep the pending
-// lists their source reported). Views are stateless: any number may be
-// used concurrently.
+// SpecTape implements core.StreamSource: pre-execution walks the
+// speculative stream variant (the paper's forked-off renderer
+// processes, §5), which exists for every event a queue view can name.
+func (w *Workload) SpecTape(ev trace.Event) trace.Tape { return w.spec[ev.ID] }
+
+// pending returns event i's queue view: a capacity-pinned window into
+// the flattened pending table, never a copy. Session views are trimmed
+// to maxPending (0 means 2); generic-source views come back as the
+// source gave them.
+func (w *Workload) pending(i, maxPending int) []trace.Event {
+	sp := w.pend[i]
+	if sp.off < 0 {
+		return nil
+	}
+	n := int(sp.n)
+	if w.trim {
+		max := maxPending
+		if max <= 0 {
+			max = 2
+		}
+		if n > max {
+			n = max
+		}
+	}
+	end := int(sp.off) + n
+	return w.pendTab[sp.off:end:end]
+}
+
+// Source returns a read-only eventq.Source view of the workload, with
+// queue views as a replay under maxPending sees them. Views are
+// stateless: any number may be used concurrently.
 func (w *Workload) Source(maxPending int) eventq.Source {
 	return &wsource{w: w, maxPending: maxPending}
 }
@@ -490,45 +516,11 @@ func (s *wsource) Event(i int) trace.Event { return s.w.events[i] }
 // Speculative streams exist beyond the executed prefix, covering every
 // event the pending lists can name.
 func (s *wsource) Insts(i int, speculative bool) []trace.Inst {
-	return s.Tape(i, speculative).Insts()
-}
-
-// Tape implements eventq.TapeSource: the stream's view into the
-// workload's tape, which the replay loops walk.
-func (s *wsource) Tape(i int, speculative bool) trace.Tape {
 	if speculative {
-		return s.w.spec[i]
+		return s.w.spec[i].Insts()
 	}
-	return s.w.normal[i]
+	return s.w.normal[i].Insts()
 }
 
-// SpecTape implements core.StreamSource: pre-execution walks the
-// speculative stream variant (the paper's forked-off renderer
-// processes, §5).
-func (s *wsource) SpecTape(ev trace.Event) trace.Tape { return s.Tape(ev.ID, true) }
-
-// Pending implements eventq.Source: a capacity-pinned view into the
-// flattened pending table, never a copy.
-func (s *wsource) Pending(i int) []trace.Event {
-	sp := s.w.pend[i]
-	if sp.off < 0 {
-		return nil
-	}
-	n := int(sp.n)
-	if s.w.trim {
-		max := s.maxPending
-		if max <= 0 {
-			max = 2
-		}
-		if n > max {
-			n = max
-		}
-	}
-	end := int(sp.off) + n
-	return s.w.pendTab[sp.off:end:end]
-}
-
-// PendingInto implements eventq.FlatSource.
-func (s *wsource) PendingInto(i int, buf []trace.Event) []trace.Event {
-	return append(buf, s.Pending(i)...)
-}
+// Pending implements eventq.Source.
+func (s *wsource) Pending(i int) []trace.Event { return s.w.pending(i, s.maxPending) }

@@ -175,39 +175,6 @@ func (e Event) Timed() bool {
 	return e.Class != ClassNone || e.Prio != 0 || e.Arrival != 0 || e.Deadline != 0
 }
 
-// Program produces replayable instruction streams for events. Stream may
-// be called any number of times for the same event; each call restarts the
-// event from its first instruction.
-type Program interface {
-	// Stream returns ev's instruction stream. When speculative is true the
-	// stream is the pre-execution variant, which follows the normal stream
-	// until ev.Diverge and then departs from it.
-	Stream(ev Event, speculative bool) Stream
-}
-
-// SliceStream adapts a materialized instruction slice to the Stream
-// interface.
-type SliceStream struct {
-	insts []Inst //esp:immutable
-	pos   int
-}
-
-// NewSliceStream returns a Stream that yields insts in order.
-func NewSliceStream(insts []Inst) *SliceStream { return &SliceStream{insts: insts} }
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
-	}
-	i := s.insts[s.pos]
-	s.pos++
-	return i, true
-}
-
-// Reset rewinds the stream to the first instruction.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
 // Record drains a stream into a slice, up to max instructions
 // (max <= 0 means unbounded).
 func Record(s Stream, max int) []Inst {

@@ -67,7 +67,7 @@ const (
 const condBias = 0.955
 
 // Generator synthesizes replayable event instruction streams for one
-// application profile. It implements trace.Program.
+// application profile.
 type Generator struct {
 	prof            Profile
 	handlerFuncs    int // functions per handler region
@@ -130,9 +130,12 @@ func (g *Generator) static(pc uint64) uint64 { return Hash2(g.prof.Seed, pc) }
 // (5..14, mean 9.5, giving a ~10.5% branch fraction).
 func (g *Generator) blockLen(pc uint64) int { return 5 + int(g.static(pc)%10) }
 
-// Stream implements trace.Program. Each call allocates an independent
-// stream; hot paths that materialize many events should reuse one Walker
-// via Init/Append instead.
+// Stream returns ev's instruction stream; when speculative is true it is
+// the pre-execution variant, which follows the normal stream until
+// ev.Diverge and then departs from it. Each call allocates an independent
+// stream that restarts the event from its first instruction; hot paths
+// that materialize many events should reuse one Walker via Init/Append
+// instead.
 func (g *Generator) Stream(ev trace.Event, speculative bool) trace.Stream {
 	s := &stream{}
 	s.w.Init(g, ev, speculative)
