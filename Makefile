@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check lint inline-check test race bench-go flame fuzz-smoke tier1 clean
+.PHONY: all build vet fmt-check lint inline-check test race ledgerbench-check bench-go flame fuzz-smoke tier1 clean
 
 all: tier1
 
@@ -48,6 +48,12 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
+# ledgerbench-check vets and tests the benchmark of record, its own
+# module over the cluster, serve, sim, tenantq, fault, checkpoint and
+# trace APIs, which the root module's build and tests never compile.
+ledgerbench-check:
+	cd ledgerbench && $(GO) vet . && $(GO) test .
+
 # bench-go runs the Go benchmark suite: raw simulator throughput per
 # machine class and warm reuse against rebuild-per-cell. The paper's
 # figures come from `go run ./cmd/espbench`; the end-to-end and
@@ -78,8 +84,9 @@ fuzz-smoke:
 # lint subsumes vet and adds the domain analyzers, so a contract
 # violation fails the gate before any test runs; inline-check keeps the
 # replay loops' decode inlined; race then runs every test uncached, so
-# a stale pass cannot satisfy it.
-tier1: lint build inline-check race fuzz-smoke
+# a stale pass cannot satisfy it; ledgerbench-check keeps an API change
+# from breaking the benchmark unnoticed.
+tier1: lint build inline-check race ledgerbench-check fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -2,7 +2,8 @@
 // workers: it accepts the same POST /sweep as a single daemon, shards
 // the grid application-by-application with affinity placement (every
 // configuration of one application goes to one worker, keeping its
-// workload cache and machine pools hot), quarantines sick or flaky
+// workload cache and machine pools hot; rendezvous hashing with loads
+// bounded by each application's size), quarantines sick or flaky
 // workers behind escalating circuit breakers fed by health probes,
 // lets idle workers steal shards from stragglers, and — when the
 // fleet shares a checkpoint directory — hands a dead worker's journal
@@ -12,7 +13,7 @@
 //
 //	POST /sweep    {"apps":[...],"configs":[...],"sweep_id":"..."}  -> merged grid
 //	GET  /metrics  shards, steals, reschedules, quarantines, handoffs -> JSON
-//	GET  /workers  app→worker placements + per-worker breaker state
+//	GET  /workers  a default full-suite sweep's app→worker owners + per-worker breaker state
 //	GET  /healthz  coordinator liveness
 //
 // Usage:

@@ -23,9 +23,11 @@ type Options struct {
 	// Workers is the fleet, in a stable order (placement hashes names,
 	// so order only affects log readability). Required, names unique.
 	Workers []Worker
-	// Pin overrides rendezvous placement per application (hot-spot
-	// isolation, deterministic tests). Unknown worker names are
-	// ignored and fall back to hashing.
+	// Pin overrides placement per application (hot-spot isolation,
+	// deterministic tests). A pinned shard still counts toward its
+	// worker's load, so the bounded-load placement steers the unpinned
+	// ones around it. Unknown worker names are ignored and the app is
+	// placed as if unpinned.
 	Pin map[string]string
 	// MaxShardAttempts bounds how many workers a shard may burn before
 	// its cells are reported failed (default 3; at least 1).
@@ -170,9 +172,11 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 	}
 	apps := req.Apps
 	if len(apps) == 0 {
-		for _, p := range workload.Suite() {
-			apps = append(apps, p.Name)
-		}
+		apps = suiteApps()
+	}
+	owners, err := c.place(apps, req)
+	if err != nil {
+		return serve.SweepResponse{}, err
 	}
 
 	// Fair-queue admission: the whole grid is one acquisition at its
@@ -202,8 +206,8 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 
 	shards := make([]*shard, len(apps))
 	for i, app := range apps {
-		shards[i] = &shard{app: app, preferred: c.owner(app)}
-		c.log.Info("cluster placement", "app", app, "worker", shards[i].preferred)
+		shards[i] = &shard{app: app, preferred: owners[app]}
+		c.log.Info("cluster placement", "app", app, "worker", owners[app])
 	}
 	q := newShardQueue(shards, c.opt.HedgeAfter)
 
@@ -434,29 +438,46 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 	}
 }
 
-// Placements reports the current owner of every application in the
-// fleet — the map GET /workers serves, sorted by app for stable output.
-func (c *Coordinator) Placements(apps []string) []Placement {
-	if len(apps) == 0 {
-		for _, p := range workload.Suite() {
-			apps = append(apps, p.Name)
-		}
-	}
-	out := make([]Placement, 0, len(apps))
-	for _, app := range apps {
-		out = append(out, Placement{App: app, Worker: c.owner(app)})
+// Placements reports the owner of every suite application in a
+// default full-suite sweep — the map GET /workers serves, sorted by app.
+func (c *Coordinator) Placements() []Placement {
+	// Suite apps are known and distinct, so place cannot fail here.
+	owners, _ := c.place(suiteApps(), serve.SweepRequest{})
+	out := make([]Placement, 0, len(owners))
+	for app, w := range owners {
+		out = append(out, Placement{App: app, Worker: w})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
 	return out
 }
 
-// owner is app's affinity worker: its pin when that names a fleet
-// member, its rendezvous placement otherwise.
-func (c *Coordinator) owner(app string) string {
-	if pinned, ok := c.workers[c.opt.Pin[app]]; ok {
-		return pinned.Name()
+// place gives each of apps its affinity worker for req: assign over the
+// apps' shard costs, with the fleet's pins. An unknown app is an invalid
+// request, and so is a repeated one: each app is one shard with one
+// scoped journal "<sweep_id>.<app>", and two shards of one app could run
+// on two workers at once, two writers on one file.
+func (c *Coordinator) place(apps []string, req serve.SweepRequest) (map[string]string, error) {
+	costs := make(map[string]int64, len(apps))
+	for _, app := range apps {
+		if _, dup := costs[app]; dup {
+			return nil, fmt.Errorf("%w: cluster: \"apps\" names %q twice", serve.ErrInvalid, app)
+		}
+		cost, err := shardCost(app, req)
+		if err != nil {
+			return nil, fmt.Errorf("%w: cluster: %v", serve.ErrInvalid, err)
+		}
+		costs[app] = cost
 	}
-	return Place(app, c.names)
+	return assign(costs, c.names, c.opt.Pin), nil
+}
+
+// suiteApps lists the paper suite, the grid of a sweep that names no apps.
+func suiteApps() []string {
+	var apps []string
+	for _, p := range workload.Suite() {
+		apps = append(apps, p.Name)
+	}
+	return apps
 }
 
 // Placement is one app→worker affinity assignment.

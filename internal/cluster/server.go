@@ -16,7 +16,7 @@ import (
 //
 //	POST /sweep    sharded across workers, merged app-major
 //	GET  /metrics  scheduling/quarantine/handoff counters + per-worker breaker state
-//	GET  /workers  current app→worker placements
+//	GET  /workers  the app→worker owners a default full-suite sweep uses
 //	GET  /healthz  coordinator liveness
 type Server struct {
 	c   *Coordinator
@@ -101,7 +101,7 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Placements []Placement   `json:"placements"`
 		Workers    []WorkerState `json:"workers"`
-	}{s.c.Placements(nil), s.c.Metrics().Workers})
+	}{s.c.Placements(), s.c.Metrics().Workers})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

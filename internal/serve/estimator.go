@@ -1,20 +1,19 @@
 package serve
 
 import (
+	"strconv"
 	"sync"
 	"time"
 )
 
 // estimator predicts one cell's wall time from history, for
 // deadline-aware admission: an exponentially weighted moving average
-// per (app, config) cell, with an all-cells average as the fallback
-// for cells never seen. It deliberately under-promises — an unknown
-// cell estimates zero (never shed), so shedding only ever fires on
-// evidence.
+// per cell, keyed by cellKey. It deliberately under-promises — a cell
+// never seen at its size estimates zero (never shed), so shedding only
+// ever fires on evidence about that cell.
 type estimator struct {
 	mu     sync.Mutex
 	perKey map[string]time.Duration
-	global time.Duration
 }
 
 // ewmaAlpha is the smoothing factor: high enough to track a workload
@@ -26,9 +25,20 @@ func newEstimator() *estimator {
 	return &estimator{perKey: make(map[string]time.Duration)}
 }
 
-// observe folds one completed cell's wall time into the averages.
-func (e *estimator) observe(app, config string, wall time.Duration) {
-	key := app + "/" + config
+// cellKey names one cell for the estimator: its workload, its resolved
+// configuration, and the knobs that size its work, max_events and scale
+// (0 and 1 are the same size). A full gmaps cell takes ~70 ms and a
+// one-event one ~1 ms, so evidence from one size says nothing about
+// another.
+func cellKey(app, config string, maxEvents int, scale float64) string {
+	if scale == 0 {
+		scale = 1
+	}
+	return app + "/" + config + "/" + strconv.Itoa(maxEvents) + "/" + strconv.FormatFloat(scale, 'g', -1, 64)
+}
+
+// observe folds one completed cell's wall time into its average.
+func (e *estimator) observe(key string, wall time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if prev, ok := e.perKey[key]; ok {
@@ -36,29 +46,13 @@ func (e *estimator) observe(app, config string, wall time.Duration) {
 	} else {
 		e.perKey[key] = wall
 	}
-	if e.global == 0 {
-		e.global = wall
-	} else {
-		e.global += time.Duration(ewmaAlpha * float64(wall-e.global))
-	}
-}
-
-// estimate predicts one cell's wall time; zero means no evidence (the
-// caller must not shed on it).
-func (e *estimator) estimate(app, config string) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if est, ok := e.perKey[app+"/"+config]; ok {
-		return est
-	}
-	return e.global
 }
 
 // cannotFinish is the shed predicate: true when the deadline has
-// already passed, or the evidence-backed estimate exceeds what is
-// left. A zero deadline never sheds; a zero estimate only sheds
-// already-expired work.
-func (e *estimator) cannotFinish(app, config string, deadline, now time.Time) bool {
+// already passed, or the cell's evidence-backed estimate exceeds what
+// is left. A zero deadline never sheds; a cell with no evidence only
+// sheds when already expired.
+func (e *estimator) cannotFinish(key string, deadline, now time.Time) bool {
 	if deadline.IsZero() {
 		return false
 	}
@@ -66,6 +60,8 @@ func (e *estimator) cannotFinish(app, config string, deadline, now time.Time) bo
 	if rem <= 0 {
 		return true
 	}
-	est := e.estimate(app, config)
-	return est > 0 && est > rem
+	e.mu.Lock()
+	est := e.perKey[key]
+	e.mu.Unlock()
+	return est > rem
 }

@@ -196,6 +196,29 @@ func TestRunDeadlineShedOnEvidence(t *testing.T) {
 	assertDrained(t, s)
 }
 
+// TestRunDeadlineEvidenceIsPerSize: evidence from a full cell does not
+// shed a one-event run of the same app and config. The estimator keys
+// cells by their size (max_events, scale), and a size never seen
+// estimates zero. The deadline is half the full cell's replay time
+// (about 35ms on a typical host), so the race detector's slowdown
+// scales it along with the one-event cell.
+func TestRunDeadlineEvidenceIsPerSize(t *testing.T) {
+	s := testServer(t, Options{Workers: 1})
+	if rec := post(t, s, "/run", RunRequest{App: "gmaps", Config: "base"}); rec.Code != http.StatusOK {
+		t.Fatalf("full gmaps/base cell: status %d: %s", rec.Code, rec.Body.String())
+	}
+	half := s.runner.Perf().SimWall / 2
+	rec := post(t, s, "/run", RunRequest{App: "gmaps", Config: "base", MaxEvents: 1, DeadlineMs: max(half.Milliseconds(), 1)})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("one-event gmaps/base with a %v deadline, after a full cell's %v: status %d, want 200: %s",
+			half, 2*half, rec.Code, rec.Body.String())
+	}
+	if got := s.met.DeadlineShed.Load(); got != 0 {
+		t.Errorf("DeadlineShed counter %d, want 0", got)
+	}
+	assertDrained(t, s)
+}
+
 // TestTenantQuotaAndHeader: a tenant's cumulative cell budget refuses
 // the overflow with 429 (kind quota, counted per tenant and globally),
 // the X-ESP-Tenant header is honored, and a header/body disagreement is

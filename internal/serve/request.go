@@ -250,10 +250,17 @@ func (req *SweepRequest) validate() error {
 	if err := validateID("shard", req.Shard); err != nil {
 		return err
 	}
+	// A repeated app would be two batches appending to one journal, and
+	// at espcoord two shards sharing one scoped journal "<sweep_id>.<app>".
+	seen := make(map[string]bool, len(req.Apps))
 	for _, app := range req.Apps {
 		if _, err := workload.ByName(app); err != nil {
 			return err
 		}
+		if seen[app] {
+			return fmt.Errorf("\"apps\" names %q twice", app)
+		}
+		seen[app] = true
 	}
 	for _, name := range req.Configs {
 		if _, err := cellConfig(name, req.Sched, 0, 0); err != nil {

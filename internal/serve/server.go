@@ -217,7 +217,6 @@ func New(opt Options) *Server {
 			s.met.CellErrors.Add(1)
 		} else {
 			s.met.CellsOK.Add(1)
-			s.est.observe(ev.App, ev.Config, ev.Wall)
 		}
 	})
 	if opt.MemBudget > 0 {
@@ -370,13 +369,15 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, requests *atomic.
 }
 
 // grid is what the admission ladder sees of a request: whose it is,
-// which cells it asks for, how far each may run, and by when. /run is
-// a one-cell grid.
+// which cells it asks for, how large each is, and by when. /run is a
+// one-cell grid.
 type grid struct {
 	tenant    string
 	apps      []string
 	configs   []string
+	sched     string
 	maxEvents int
+	scale     float64
 	deadline  time.Time
 }
 
@@ -412,9 +413,13 @@ func (s *Server) allShed(g grid) bool {
 		return false
 	}
 	now := time.Now()
-	for _, app := range g.apps {
-		for _, name := range g.configs {
-			if !s.est.cannotFinish(app, name, g.deadline, now) {
+	for _, name := range g.configs {
+		cfg, err := cellConfig(name, g.sched, 0, 0)
+		if err != nil {
+			return false // unresolvable: the cell path reports it
+		}
+		for _, app := range g.apps {
+			if !s.est.cannotFinish(cellKey(app, cfg.Name, g.maxEvents, g.scale), g.deadline, now) {
 				return false
 			}
 		}
@@ -448,22 +453,30 @@ func (s *Server) refuse(tenant string, err error, cells int) error {
 // machine configuration and the workload (a preset through the
 // runner's cache, or an inline trace), sheds the cell when queueing
 // left too little of the deadline, clamps timeout to what remains of
-// it, and simulates. op ("run" or "sweep") prefixes the cell's label.
+// it, simulates, and feeds the wall time to the estimator. op ("run"
+// or "sweep") prefixes the cell's label.
 func (s *Server) runCell(tenant, op string, c RunRequest, timeout time.Duration, deadline time.Time) (esp.Result, error) {
 	wl, cfg, err := resolve(s.runner, c)
 	if err != nil {
 		return esp.Result{}, err
 	}
+	key := cellKey(wl.App, cfg.Name, c.MaxEvents, c.Scale)
+	start := time.Now()
 	if !deadline.IsZero() {
-		now := time.Now()
-		if s.est.cannotFinish(wl.App, cfg.Name, deadline, now) {
+		if s.est.cannotFinish(key, deadline, start) {
 			return esp.Result{}, s.refuse(tenant, fmt.Errorf("%w: %s/%s cannot finish within what queueing left of the deadline",
 				tenantq.ErrDeadlineShed, wl.App, cfg.Name), 1)
 		}
-		timeout = min(timeout, deadline.Sub(now))
+		timeout = min(timeout, deadline.Sub(start))
 	}
 	res, err := s.runner.RunWorkload(op+"/"+wl.App+"/"+cfg.Name, wl, cfg, timeout)
-	if errors.Is(err, sim.ErrTimeout) {
+	timedOut := errors.Is(err, sim.ErrTimeout)
+	if err == nil || timedOut {
+		// A timed-out cell ran at least this long, and its abandoned
+		// replay keeps running: the lower bound is evidence too.
+		s.est.observe(key, time.Since(start))
+	}
+	if timedOut {
 		s.met.Timeouts.Add(1)
 	}
 	return res, err
@@ -486,7 +499,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := deadlineOf(req.DeadlineMs, time.Now())
 	release, err := s.admit(grid{tenant: tenant, apps: []string{req.workloadName()}, configs: []string{req.Config},
-		maxEvents: req.MaxEvents, deadline: deadline})
+		sched: req.Sched, maxEvents: req.MaxEvents, scale: req.Scale, deadline: deadline})
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -541,7 +554,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// in time still answers every cell — shed, with zero simulation and
 	// no journal claim; a coordinator propagating an exhausted budget
 	// (negative deadline_ms) always lands here.
-	release, err := s.admit(grid{tenant: tenant, apps: apps, configs: req.Configs, maxEvents: req.MaxEvents, deadline: deadline})
+	release, err := s.admit(grid{tenant: tenant, apps: apps, configs: req.Configs, sched: req.Sched,
+		maxEvents: req.MaxEvents, scale: req.Scale, deadline: deadline})
 	if errors.Is(err, tenantq.ErrDeadlineShed) {
 		cells := make([]SweepCell, 0, len(apps)*len(req.Configs))
 		for _, app := range apps {

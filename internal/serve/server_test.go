@@ -10,7 +10,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -422,6 +424,24 @@ func TestSweepBatchesGrid(t *testing.T) {
 	}
 	if perf.WorkloadReuses == 0 {
 		t.Fatalf("batching produced no workload cache hits: %+v", perf)
+	}
+}
+
+// TestSweepRejectsDuplicateApps: a grid naming one app twice is a 400
+// naming the app, before anything is simulated or journaled — two
+// batches of one app would append to one journal.
+func TestSweepRejectsDuplicateApps(t *testing.T) {
+	dir := t.TempDir()
+	s := testServer(t, Options{Workers: 2, CheckpointDir: dir})
+	rec := postRaw(t, s, "/sweep", []byte(`{"apps":["pixlr","pixlr"],"configs":["base"],"sweep_id":"dup","max_events":8}`))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `\"pixlr\"`) {
+		t.Fatalf("status %d, want 400 naming pixlr: %s", rec.Code, rec.Body.String())
+	}
+	if cells := s.runner.Perf().Cells; cells != 0 {
+		t.Errorf("refused sweep simulated %d cells", cells)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused sweep left %d journal files (err %v)", len(entries), err)
 	}
 }
 
