@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check lint inline-check test race ledgerbench-check bench-go flame fuzz-smoke tier1 clean
+.PHONY: all build vet fmt-check lint inline-check test race ledgerbench-check examples-smoke bench-go flame fuzz-smoke tier1 clean
 
 all: tier1
 
@@ -54,6 +54,14 @@ race:
 ledgerbench-check:
 	cd ledgerbench && $(GO) vet . && $(GO) test .
 
+# examples-smoke runs every program under examples/, the public
+# facade's documented idioms, discards its output, and fails when one
+# exits non-zero.
+examples-smoke:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d exited non-zero"; exit 1; }; \
+	done
+
 # bench-go runs the Go benchmark suite: raw simulator throughput per
 # machine class and warm reuse against rebuild-per-cell. The paper's
 # figures come from `go run ./cmd/espbench`; the end-to-end and
@@ -79,14 +87,15 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerConfig -fuzztime=$(FUZZTIME) ./internal/eventq
+	$(GO) test -run='^$$' -fuzz=FuzzSourceWorkload -fuzztime=$(FUZZTIME) ./internal/sim
 
 # tier1 is the robustness gate: everything must be green before merge.
 # lint subsumes vet and adds the domain analyzers, so a contract
 # violation fails the gate before any test runs; inline-check keeps the
 # replay loops' decode inlined; race then runs every test uncached, so
 # a stale pass cannot satisfy it; ledgerbench-check keeps an API change
-# from breaking the benchmark unnoticed.
-tier1: lint build inline-check race ledgerbench-check fuzz-smoke
+# from breaking the benchmark unnoticed, and examples-smoke the examples.
+tier1: lint build inline-check race ledgerbench-check examples-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

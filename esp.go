@@ -27,6 +27,12 @@
 //	for i := 0; i < laps; i++ {
 //		res := m.Run(w) // resets, then replays; no reallocation
 //	}
+//
+// Every entry point builds a workload the same way: a session or trace
+// whose executed events carry timing (the mobile profiles, ESPT v2
+// traces) is laid out in dispatch order, so m.Run(w) above reads what
+// Run(prof, cfg) reads when cfg is FIFO and sets no MaxEvents,
+// Result.Sched included.
 package esp
 
 import (
@@ -76,9 +82,6 @@ type SchedStats = eventq.SchedStats
 // "slack"; empty means FIFO).
 func SchedByName(name string) (SchedPolicy, error) { return eventq.SchedByName(name) }
 
-// SchedNames lists the scheduler policy names in policy order.
-func SchedNames() []string { return eventq.SchedNames() }
-
 // Config is a complete machine configuration. Sub-configurations (CPU,
 // RA, ESP) resolve to their package defaults only when left entirely
 // zero; Validate rejects a partially-filled sub-config with an error
@@ -104,28 +107,9 @@ type Machine = sim.Machine
 type Perf = sim.Perf
 
 // NewWorkload materializes prof's session, truncated to maxEvents when
-// positive (0: the whole session).
+// positive (0: the whole session), under FIFO dispatch.
 func NewWorkload(prof workload.Profile, maxEvents int) (*Workload, error) {
 	return sim.NewWorkload(prof, maxEvents)
-}
-
-// NewWorkloadSched is NewWorkload under an explicit dispatch policy:
-// events and streams are laid out in schedule order, and the result
-// carries the schedule's responsiveness stats.
-func NewWorkloadSched(prof workload.Profile, maxEvents int, policy SchedPolicy) (*Workload, error) {
-	return sim.NewWorkloadSched(prof, maxEvents, policy)
-}
-
-// MaterializeSource snapshots any event source (recorded trace,
-// multi-queue merge) into an immutable Workload.
-func MaterializeSource(app string, src eventq.Source, maxEvents int) *Workload {
-	return sim.MaterializeSource(app, src, maxEvents)
-}
-
-// MaterializeSourceSched is MaterializeSource under an explicit
-// dispatch policy.
-func MaterializeSourceSched(app string, src eventq.Source, maxEvents int, policy SchedPolicy) (*Workload, error) {
-	return sim.MaterializeSourceSched(app, src, maxEvents, policy)
 }
 
 // NewMachine validates cfg and assembles a reusable machine.
@@ -151,9 +135,10 @@ func Run(prof workload.Profile, cfg Config) (Result, error) {
 
 // RunSource simulates any event source (synthetic session or recorded
 // trace) under one configuration. The configuration is validated first:
-// a bad Config yields a wrapped error, never a panic. When cfg.Sched is
-// non-FIFO or the source's events carry scheduling metadata (an ESPT v2
-// trace), the workload is materialized in schedule order.
+// a bad Config yields a wrapped error, never a panic, and so does a
+// source whose queue view names an event outside it. When the source's
+// executed events carry scheduling metadata (an ESPT v2 trace), the
+// workload is materialized in dispatch order under cfg.Sched.
 func RunSource(app string, src eventq.Source, cfg Config) (Result, error) {
 	m, err := sim.NewMachine(cfg)
 	if err != nil {

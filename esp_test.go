@@ -1,9 +1,11 @@
 package esp
 
 import (
+	"strings"
 	"testing"
 
 	"espsim/internal/eventq"
+	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
 
@@ -289,6 +291,26 @@ func TestMultiQueueThroughFacade(t *testing.T) {
 	}
 	if r.ESPStats.SlotMismatches == 0 {
 		t.Fatal("20% runtime mispredictions should surface as slot mismatches")
+	}
+}
+
+// TestRunSourceRejectsViewOutsideTrace: a recorded trace whose queue
+// view names an event outside it is refused with an error naming the
+// event and the ID, not replayed until ESP indexes past the workload.
+func TestRunSourceRejectsViewOutsideTrace(t *testing.T) {
+	prof := workload.Amazon()
+	sess, err := workload.NewSession(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := make([]trace.EventTrace, 12)
+	for i, ev := range sess.Events[:len(events)] {
+		events[i] = trace.EventTrace{Event: ev, Insts: trace.Record(sess.Gen.Stream(ev, false), ev.Len)}
+	}
+	events[2].Event.ID = 1000
+	_, err = RunSource("trace", &eventq.TraceSource{Events: events}, ESPNLConfig())
+	if err == nil || !strings.Contains(err.Error(), "event 0's queue view names event 1000") {
+		t.Fatalf("err = %v, want the out-of-range view refused", err)
 	}
 }
 

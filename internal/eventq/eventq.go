@@ -30,7 +30,9 @@ type Source interface {
 	Insts(i int, speculative bool) []trace.Inst
 	// Pending returns the future events visible in the queue when event
 	// i starts executing (at most two, matching the 2-entry hardware
-	// event queue).
+	// event queue). An event's ID is its position in the source, so
+	// every ID here lies in [0, Len()); a workload build rejects any
+	// other.
 	Pending(i int) []trace.Event
 }
 

@@ -10,13 +10,14 @@ import (
 )
 
 // This file makes the order in which the looper drains the event queue a
-// first-class, pluggable dimension. The paper's evaluation drains FIFO;
-// PES (see PAPERS.md) shows mobile-web responsiveness is won by
-// reordering the queue around deadlines, and "Asynchronous Programming
-// in a Prioritized Form" supplies the priority semantics. A Schedule is
-// materialized once at workload build time from event metadata alone —
-// it is part of the immutable workload plane, so warm replay stays
-// allocation-zero and bit-identical regardless of policy.
+// simulated dimension with a closed set of policies. The paper's
+// evaluation drains FIFO; PES (see PAPERS.md) shows mobile-web
+// responsiveness is won by reordering the queue around deadlines, and
+// "Asynchronous Programming in a Prioritized Form" supplies the priority
+// semantics. A Schedule is materialized once at workload build time from
+// event metadata alone — it is part of the immutable workload plane, so
+// warm replay stays allocation-zero and bit-identical regardless of
+// policy.
 
 // SchedPolicy selects how ready events are ordered for dispatch.
 type SchedPolicy uint8
@@ -79,35 +80,6 @@ func SchedByName(name string) (SchedPolicy, error) {
 	}
 }
 
-// A Scheduler orders ready events for dispatch. Less reports whether a
-// should dispatch before b when both are ready; it must be a pure
-// function of the two events (a strict weak ordering), because the
-// dispatch loop breaks remaining ties by queue position to keep
-// schedules deterministic.
-type Scheduler interface {
-	// Name labels the scheduler in stats and config strings.
-	Name() string
-	// Less reports whether ready event a dispatches before ready
-	// event b.
-	Less(a, b trace.Event) bool
-}
-
-// ForPolicy returns the built-in Scheduler implementing p.
-func ForPolicy(p SchedPolicy) (Scheduler, error) {
-	switch p {
-	case SchedFIFO:
-		return fifoSched{}, nil
-	case SchedPriority:
-		return prioSched{}, nil
-	case SchedEDF:
-		return edfSched{}, nil
-	case SchedSlack:
-		return slackSched{}, nil
-	default:
-		return nil, fmt.Errorf("eventq: invalid scheduler policy %d", uint8(p))
-	}
-}
-
 // effDeadline maps "no deadline" (zero) to +inf so deadline-aware
 // policies run undeadlined events after all deadlined work.
 func effDeadline(e trace.Event) int64 {
@@ -162,46 +134,21 @@ func serviceLen(e trace.Event) int64 {
 	return int64(e.Len)
 }
 
-type fifoSched struct{}
-
-func (fifoSched) Name() string { return "fifo" }
-func (fifoSched) Less(a, b trace.Event) bool {
-	return a.Arrival < b.Arrival
-}
-
-type prioSched struct{}
-
-func (prioSched) Name() string { return "prio" }
-func (prioSched) Less(a, b trace.Event) bool {
-	if a.Prio != b.Prio {
-		return a.Prio < b.Prio
+// less reports whether ready event a dispatches before ready event b
+// under p. It is a pure function of the two events (a strict weak
+// ordering); the dispatch loop breaks remaining ties by queue position.
+func (p SchedPolicy) less(a, b trace.Event) bool {
+	switch p {
+	case SchedEDF:
+		if da, db := effDeadline(a), effDeadline(b); da != db {
+			return da < db
+		}
+	case SchedSlack:
+		if sa, sb := effSlack(a), effSlack(b); sa != sb {
+			return sa < sb
+		}
 	}
-	return a.Arrival < b.Arrival
-}
-
-type edfSched struct{}
-
-func (edfSched) Name() string { return "edf" }
-func (edfSched) Less(a, b trace.Event) bool {
-	da, db := effDeadline(a), effDeadline(b)
-	if da != db {
-		return da < db
-	}
-	if a.Prio != b.Prio {
-		return a.Prio < b.Prio
-	}
-	return a.Arrival < b.Arrival
-}
-
-type slackSched struct{}
-
-func (slackSched) Name() string { return "slack" }
-func (slackSched) Less(a, b trace.Event) bool {
-	sa, sb := effSlack(a), effSlack(b)
-	if sa != sb {
-		return sa < sb
-	}
-	if a.Prio != b.Prio {
+	if p != SchedFIFO && a.Prio != b.Prio {
 		return a.Prio < b.Prio
 	}
 	return a.Arrival < b.Arrival
@@ -256,25 +203,17 @@ type Schedule struct {
 // BuildSchedule simulates a single non-preemptive virtual-time dispatch
 // loop over evs under the named policy and returns the materialized
 // schedule. Virtual time advances in instruction units: an event is
-// ready once its Arrival has passed, the scheduler picks among ready
+// ready once its Arrival has passed, the policy picks among ready
 // events, and dispatching an event occupies the looper for its service
 // length. Untimed events (all arrivals zero) are all ready at once, so
 // every policy degenerates to a deterministic tie-break on queue
-// position — FIFO order.
+// position — FIFO order. A policy outside the defined set is an error.
 //
 //esp:ctor
 func BuildSchedule(evs []trace.Event, policy SchedPolicy) (*Schedule, error) {
-	sched, err := ForPolicy(policy)
-	if err != nil {
-		return nil, err
+	if !policy.Valid() {
+		return nil, fmt.Errorf("eventq: invalid scheduler policy %d", uint8(policy))
 	}
-	return BuildScheduleWith(evs, sched), nil
-}
-
-// BuildScheduleWith is BuildSchedule with a caller-supplied Scheduler.
-//
-//esp:ctor
-func BuildScheduleWith(evs []trace.Event, sched Scheduler) *Schedule {
 	n := len(evs)
 	order := make([]int32, 0, n)
 	dispatch := make([]int64, 0, n)
@@ -289,7 +228,7 @@ func BuildScheduleWith(evs []trace.Event, sched Scheduler) *Schedule {
 		return evs[byArr[a]].Arrival < evs[byArr[b]].Arrival
 	})
 
-	h := readyHeap{evs: evs, sched: sched}
+	h := readyHeap{evs: evs, policy: policy}
 	var prioReady [256]int32
 	inversions := 0
 	var t int64
@@ -329,8 +268,8 @@ func BuildScheduleWith(evs []trace.Event, sched Scheduler) *Schedule {
 		Order:    order,
 		Dispatch: dispatch,
 		Complete: complete,
-		Stats:    scheduleStats(evs, sched.Name(), order, complete, inversions),
-	}
+		Stats:    scheduleStats(evs, policy.String(), order, complete, inversions),
+	}, nil
 }
 
 // scheduleStats computes the responsiveness summary for a dispatch
@@ -385,21 +324,21 @@ func scheduleStats(evs []trace.Event, policy string, order []int32, complete []i
 }
 
 // readyHeap is a binary min-heap of ready event indices, ordered by the
-// scheduler's Less with queue position as the final tie-break (so every
+// policy's less with queue position as the final tie-break (so every
 // pop is deterministic even when the policy is indifferent).
 type readyHeap struct {
-	evs   []trace.Event
-	sched Scheduler
-	idx   []int32
+	evs    []trace.Event
+	policy SchedPolicy
+	idx    []int32
 }
 
 func (h *readyHeap) empty() bool { return len(h.idx) == 0 }
 
 func (h *readyHeap) less(a, b int32) bool {
-	if h.sched.Less(h.evs[a], h.evs[b]) {
+	if h.policy.less(h.evs[a], h.evs[b]) {
 		return true
 	}
-	if h.sched.Less(h.evs[b], h.evs[a]) {
+	if h.policy.less(h.evs[b], h.evs[a]) {
 		return false
 	}
 	return a < b

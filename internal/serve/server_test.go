@@ -241,6 +241,37 @@ func TestRunTimedTrace(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTraceViewOutsideTrace: an inline trace whose queue view
+// names an event outside it — past its end, or negative as a uvarint
+// past 2^63 decodes — is malformed client input: a 400 naming the ID,
+// not a retryable 500 from a replay that panicked.
+func TestRunRejectsTraceViewOutsideTrace(t *testing.T) {
+	sess, err := workload.NewSession(workload.Amazon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := make([]trace.EventTrace, 12)
+	for i, ev := range sess.Events[:len(events)] {
+		events[i] = trace.EventTrace{Event: ev, Insts: trace.Record(sess.Gen.Stream(ev, false), ev.Len)}
+	}
+	s := testServer(t, Options{Workers: 1})
+	for _, id := range []int{1000, -1} {
+		events[2].Event.ID = id
+		var buf bytes.Buffer
+		if err := trace.WriteFile(&buf, events); err != nil {
+			t.Fatal(err)
+		}
+		rec := post(t, s, "/run", RunRequest{TraceB64: base64.StdEncoding.EncodeToString(buf.Bytes()), Config: "ESP+NL"})
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("ID %d: status %d, want 400 (body %s)", id, rec.Code, rec.Body.String())
+		}
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, fmt.Sprintf("names event %d", id)) {
+			t.Fatalf("ID %d: error body %q does not name the ID", id, rec.Body.String())
+		}
+	}
+}
+
 // TestRunRejectsBadRequests: every malformed body is a 400 with a JSON
 // error, never a 500 or a silently defaulted field.
 func TestRunRejectsBadRequests(t *testing.T) {

@@ -8,11 +8,10 @@ import (
 	"espsim/internal/workload"
 )
 
-// specLookahead bounds how far past the executed prefix speculative
-// streams must exist: the hardware event queue exposes at most 8 future
-// events (workload sessions cap VisibleDepth there, matching the paper's
-// deepest jump-ahead study). The actual horizon is computed exactly from
-// the pending lists; this constant only sizes the session fast path.
+// specLookahead is the deepest queue view a schedule derives: the
+// hardware event queue exposes at most 8 future events (workload
+// sessions cap VisibleDepth there, matching the paper's deepest
+// jump-ahead study), so schedWindows caps each slot's window at it.
 const specLookahead = 8
 
 // span locates one event's queue view in the flattened pending table:
@@ -45,12 +44,13 @@ type Workload struct {
 	spec   []trace.Tape
 
 	// pend[i] spans event i's queue view in pendTab. A session's views,
-	// and a schedule's, are windows into the workload's own event list
-	// (pendTab is that list) as deep as the queue can see, and trim is
-	// true: a replay cuts each to the machine's MaxPending (0 means the
-	// 2-entry hardware queue). An unscheduled generic source's views are
-	// flattened into pendTab as the source gave them, nil and empty ones
-	// included, and trim is false: every replay sees them unchanged.
+	// and a timed input's dispatch-order views, are windows into the
+	// workload's own event list (pendTab is that list) as deep as the
+	// queue can see, and trim is true: a replay cuts each to the
+	// machine's MaxPending (0 means the 2-entry hardware queue). A
+	// generic source kept in source order has its views flattened into
+	// pendTab as the source gave them, nil and empty ones included, and
+	// trim is false: every replay sees them unchanged.
 	pendTab []trace.Event
 	pend    []span
 	trim    bool
@@ -60,10 +60,10 @@ type Workload struct {
 	tape trace.Tape
 
 	// sched is the dispatch schedule this workload was materialized
-	// under, nil for classic FIFO builds of untimed sessions. The
-	// events/streams above are already laid out in schedule order, so
-	// replay needs no scheduler in the loop — the policy is baked into
-	// the immutable plane at build time.
+	// under, nil when every executed event is untimed and the policy is
+	// FIFO. The events/streams above are already laid out in schedule
+	// order, so replay needs no scheduler in the loop — the policy is
+	// baked into the immutable plane at build time.
 	sched *eventq.Schedule
 }
 
@@ -80,107 +80,215 @@ func (w *Workload) Sched() *eventq.SchedStats {
 	return &cp
 }
 
-// NewWorkload materializes prof's session, truncated to maxEvents when
-// positive. Its queue views are the session's, trimmed at replay to the
-// machine's MaxPending.
-//
-//esp:ctor
+// NewWorkload is NewWorkloadSched under FIFO.
 func NewWorkload(prof workload.Profile, maxEvents int) (*Workload, error) {
-	sess, err := workload.NewSession(prof)
-	if err != nil {
-		return nil, fmt.Errorf("esp: building session: %w", err)
-	}
-	w := &Workload{App: prof.Name, trim: true}
-	w.fromSession(sess, maxEvents)
-	return w, nil
+	return NewWorkloadSched(prof, maxEvents, eventq.SchedFIFO)
 }
 
-// MaterializeSource snapshots an arbitrary eventq.Source into a
-// Workload. Its queue views are kept as the source gave them: a replay
-// never trims them. The exception is an eventq.SessionSource with the
-// default view (MaxPending 0), which is built like NewWorkload, so its
-// views are the session's and a replay trims them to the machine's
-// MaxPending. Other sources (recorded traces, multi-queue merges) are
-// encoded stream by stream.
-//
-//esp:ctor
+// MaterializeSource is MaterializeSourceSched under FIFO. It panics
+// when the source is malformed: a queue view names an event outside it.
 func MaterializeSource(app string, src eventq.Source, maxEvents int) *Workload {
-	w := &Workload{App: app}
-	if ss, ok := src.(eventq.SessionSource); ok && ss.MaxPending <= 0 {
-		w.trim = true
-		w.fromSession(ss.S, maxEvents)
-		return w
+	w, err := MaterializeSourceSched(app, src, maxEvents, eventq.SchedFIFO)
+	if err != nil {
+		panic(err)
 	}
-	w.fromSource(src, maxEvents)
 	return w
 }
 
-// NewWorkloadSched materializes prof's session under a dispatch policy:
-// the session is truncated to maxEvents, the schedule over those events
-// is built once (eventq.BuildSchedule), and events and streams are laid
-// out in dispatch order with each event remapped to its slot position —
-// the eventq.MultiQueueSource idiom, which keeps per-event data
-// placement unique while the original seed keeps every stream
-// deterministic. An untimed session orders identically under every
-// policy (all arrivals are zero), so its build is bit-identical to
-// NewWorkload and only gains the schedule's stats.
-//
-//esp:ctor
+// NewWorkloadSched materializes prof's session, truncated to maxEvents
+// when positive, under a dispatch policy (see build).
 func NewWorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
-	if !prof.Timed && policy == eventq.SchedFIFO {
-		return NewWorkload(prof, maxEvents)
-	}
 	sess, err := workload.NewSession(prof)
 	if err != nil {
 		return nil, fmt.Errorf("esp: building session: %w", err)
 	}
-	nExec := execCount(len(sess.Events), maxEvents)
-	sched, err := eventq.BuildSchedule(sess.Events[:nExec], policy)
+	return build(prof.Name, sessionInput{sess}, maxEvents, policy)
+}
+
+// MaterializeSourceSched snapshots an arbitrary eventq.Source (recorded
+// traces, multi-queue merges) into a Workload under a dispatch policy
+// (see build). Unless the source is timed, a replay sees its queue
+// views as it gave them, never trimmed. An eventq.SessionSource with
+// the default view (MaxPending 0) is built as its session, like
+// NewWorkloadSched, so a replay trims its views to MaxPending.
+func MaterializeSourceSched(app string, src eventq.Source, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
+	if ss, ok := src.(eventq.SessionSource); ok && ss.MaxPending <= 0 {
+		return build(app, sessionInput{ss.S}, maxEvents, policy)
+	}
+	return build(app, sourceInput{src}, maxEvents, policy)
+}
+
+// build materializes in, truncated to maxEvents when positive, under a
+// dispatch policy. When any executed event is timed or the policy is
+// not FIFO it bakes the schedule (eventq.BuildSchedule) into the
+// workload. A timed input is laid out in dispatch order, each event's
+// ID remapped to its slot — the eventq.MultiQueueSource idiom, which
+// keeps per-event data placement unique — with queue views derived
+// from the schedule's clock and trimmed at replay. Otherwise the
+// schedule is the identity and the input keeps its own order and
+// views. A queue view that names an event outside the input is an
+// error: ESP would read that event's speculative stream.
+//
+//esp:ctor
+func build(app string, in input, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
+	n := in.len()
+	nExec := execCount(n, maxEvents)
+	w := &Workload{App: app, events: in.events(nExec), nExec: nExec}
+	exec := w.events[:nExec]
+	timed := anyTimed(exec)
+	if timed || policy != eventq.SchedFIFO {
+		sched, err := eventq.BuildSchedule(exec, policy)
+		if err != nil {
+			return nil, fmt.Errorf("esp: building schedule: %w", err)
+		}
+		w.sched = sched
+	}
+	if timed {
+		w.events = schedEvents(exec, w.sched)
+		w.pendTab, w.pend, w.trim = w.events, schedWindows(w.events, w.sched.Dispatch), true
+	} else {
+		in.views(w)
+	}
+	nSpec, err := specHorizon(n, w.pendTab, w.pend)
 	if err != nil {
-		return nil, fmt.Errorf("esp: building schedule: %w", err)
+		return nil, err
 	}
-	w := &Workload{App: prof.Name, trim: true, sched: sched}
-	if !anyTimed(sess.Events[:nExec]) {
-		// Identity order: the classic layout (including beyond-prefix
-		// speculative streams) is exactly right; keep it bit-identical.
-		w.fromSession(sess, maxEvents)
-		return w, nil
+
+	tb := in.tapeBuild(w.events, nExec, nSpec)
+	for k, ev := range w.events[:nExec] {
+		i := k
+		if timed {
+			i = int(w.sched.Order[k])
+		}
+		in.pair(tb, k, i, ev)
 	}
-	w.fromSessionSched(sess, nExec, sched)
+	for i := nExec; i < nSpec; i++ {
+		in.spec(tb, i)
+	}
+	tb.finish(w)
 	return w, nil
 }
 
-// MaterializeSourceSched is MaterializeSource under a dispatch policy,
-// for recorded traces and other generic sources. Untimed sources under
-// FIFO take the classic path unscheduled.
-//
-//esp:ctor
-func MaterializeSourceSched(app string, src eventq.Source, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
-	n := src.Len()
-	nExec := execCount(n, maxEvents)
-	evs := make([]trace.Event, nExec)
-	timed := false
-	for i := range evs {
-		evs[i] = src.Event(i)
-		if evs[i].Timed() {
-			timed = true
-		}
-	}
-	if !timed && policy == eventq.SchedFIFO {
-		return MaterializeSource(app, src, maxEvents), nil
-	}
-	sched, err := eventq.BuildSchedule(evs, policy)
-	if err != nil {
-		return nil, fmt.Errorf("esp: building schedule: %w", err)
-	}
-	w := &Workload{App: app, sched: sched}
-	if !timed {
-		w.fromSource(src, maxEvents)
-		return w, nil
-	}
-	w.fromSourceSched(src, evs, sched)
-	return w, nil
+// input is what build materializes: a synthetic session or a generic
+// eventq.Source.
+type input interface {
+	// len returns the number of events.
+	len() int
+	// events returns the event list; its first nExec entries are the
+	// executed events.
+	events(nExec int) []trace.Event
+	// views sets w's queue views over w.events in input order.
+	views(w *Workload)
+	// tapeBuild starts the tape of nExec stream pairs and speculative
+	// streams up to nSpec, for the event list evs.
+	tapeBuild(evs []trace.Event, nExec, nSpec int) *tapeBuild
+	// pair adds input event i's normal and speculative streams, laid
+	// out as ev in slot k.
+	pair(tb *tapeBuild, k, i int, ev trace.Event)
+	// spec adds input event i's speculative stream, past the executed
+	// prefix.
+	spec(tb *tapeBuild, i int)
 }
+
+// sessionInput is a synthetic session. The tape build's reused walker
+// generates its streams, each equal to what its generator's Stream
+// returns for the event as laid out; its queue views are VisibleDepth
+// windows into its own event list, trimmed at replay.
+type sessionInput struct{ *workload.Session }
+
+func (in sessionInput) len() int                 { return len(in.Events) }
+func (in sessionInput) events(int) []trace.Event { return in.Events }
+
+//esp:ctor
+func (in sessionInput) views(w *Workload) {
+	n := len(in.Events)
+	w.pendTab, w.trim = in.Events, true
+	w.pend = make([]span, w.nExec)
+	for i := range w.pend {
+		w.pend[i] = span{off: int32(i + 1), n: int32(min(in.VisibleDepth[i], n-1-i))}
+	}
+}
+
+// tapeBuild reserves the op array for every stream the build adds (a
+// normal stream for each of the first nExec events, and a separate
+// speculative one for each diverging event among them and each later
+// event up to nSpec) and the walker's scratch for the longest, so each
+// is allocated once.
+func (sessionInput) tapeBuild(evs []trace.Event, nExec, nSpec int) *tapeBuild {
+	total, longest := 0, 0
+	for i, ev := range evs[:nSpec] {
+		total += ev.Len
+		if i < nExec && ev.Diverge >= 0 {
+			total += ev.Len
+		}
+		longest = max(longest, ev.Len)
+	}
+	tb := newTapeBuild(nExec, nSpec)
+	tb.b.Grow(total)
+	tb.scratch = make([]trace.Inst, 0, longest)
+	return tb
+}
+
+func (in sessionInput) pair(tb *tapeBuild, k, _ int, ev trace.Event) {
+	tb.normal[k] = tb.generate(in.Gen, ev, false)
+	if ev.Diverge < 0 {
+		// Pre-execution matches normal execution: share the view.
+		tb.spec[k] = tb.normal[k]
+	} else {
+		tb.spec[k] = tb.generate(in.Gen, ev, true)
+	}
+}
+
+func (in sessionInput) spec(tb *tapeBuild, i int) {
+	tb.spec[i] = tb.generate(in.Gen, in.Events[i], true)
+}
+
+// sourceInput is a generic source. Its streams are encoded as handed
+// out, stored once when both variants are the same slice (recorded
+// traces hand back one), and its queue views are copied as given and
+// never trimmed.
+type sourceInput struct{ eventq.Source }
+
+func (in sourceInput) len() int { return in.Len() }
+
+func (in sourceInput) events(nExec int) []trace.Event {
+	evs := make([]trace.Event, nExec)
+	for i := range evs {
+		evs[i] = in.Event(i)
+	}
+	return evs
+}
+
+//esp:ctor
+func (in sourceInput) views(w *Workload) {
+	w.pend = make([]span, w.nExec)
+	for i := range w.pend {
+		p := in.Pending(i)
+		if p == nil {
+			// Preserve the source's nil view exactly (off -1 marks it).
+			w.pend[i] = span{off: -1}
+			continue
+		}
+		w.pend[i] = span{off: int32(len(w.pendTab)), n: int32(len(p))}
+		w.pendTab = append(w.pendTab, p...)
+	}
+}
+
+func (sourceInput) tapeBuild(_ []trace.Event, nExec, nSpec int) *tapeBuild {
+	return newTapeBuild(nExec, nSpec)
+}
+
+func (in sourceInput) pair(tb *tapeBuild, k, i int, _ trace.Event) {
+	norm, spec := in.Insts(i, false), in.Insts(i, true)
+	tb.normal[k] = tb.b.Add(norm)
+	if sameSlice(norm, spec) {
+		tb.spec[k] = tb.normal[k]
+	} else {
+		tb.spec[k] = tb.b.Add(spec)
+	}
+}
+
+func (in sourceInput) spec(tb *tapeBuild, i int) { tb.spec[i] = tb.b.Add(in.Insts(i, true)) }
 
 // anyTimed reports whether any event carries scheduling metadata.
 func anyTimed(evs []trace.Event) bool {
@@ -200,25 +308,23 @@ func execCount(n, maxEvents int) int {
 	return n
 }
 
-// specHorizon returns how many events need speculative streams: the
-// executed prefix plus every future event a pending list references,
-// clamped to the session length.
-func specHorizon(n, nExec int, pendTab []trace.Event, pend []span) int {
-	h := nExec
-	for _, sp := range pend {
+// specHorizon returns how many events need speculative streams: at
+// least the executed prefix (len(pend) events), and every event a queue
+// view names. A view naming an ID outside [0, n) is an error.
+func specHorizon(n int, pendTab []trace.Event, pend []span) (int, error) {
+	h := len(pend)
+	for i, sp := range pend {
 		if sp.n <= 0 {
 			continue
 		}
 		for _, ev := range pendTab[sp.off : sp.off+sp.n] {
-			if ev.ID >= h {
-				h = ev.ID + 1
+			if ev.ID < 0 || ev.ID >= n {
+				return 0, fmt.Errorf("esp: event %d's queue view names event %d, outside the %d events of the input", i, ev.ID, n)
 			}
+			h = max(h, ev.ID+1)
 		}
 	}
-	if h > n {
-		h = n
-	}
-	return h
+	return h, nil
 }
 
 // tapeBuild encodes a workload's streams into one tape. It keeps each
@@ -237,26 +343,6 @@ type tapeBuild struct {
 
 func newTapeBuild(nExec, nSpec int) *tapeBuild {
 	return &tapeBuild{normal: make([]int, nExec), spec: make([]int, nSpec)}
-}
-
-// sessionTapeBuild sizes the build of a session's streams: a normal
-// stream for each of the first nExec events, and a separate speculative
-// one for each diverging event among them and each later event up to
-// nSpec. The op array is reserved for all of them and the walker's
-// scratch for the longest, so each is allocated once.
-func sessionTapeBuild(evs []trace.Event, nExec, nSpec int) *tapeBuild {
-	total, longest := 0, 0
-	for i, ev := range evs[:nSpec] {
-		total += ev.Len
-		if i < nExec && ev.Diverge >= 0 {
-			total += ev.Len
-		}
-		longest = max(longest, ev.Len)
-	}
-	tb := newTapeBuild(nExec, nSpec)
-	tb.b.Grow(total)
-	tb.scratch = make([]trace.Inst, 0, longest)
-	return tb
 }
 
 // generate walks one event's stream and adds it to the tape.
@@ -279,92 +365,6 @@ func (tb *tapeBuild) finish(w *Workload) {
 	w.spec = make([]trace.Tape, len(tb.spec))
 	for i, k := range tb.spec {
 		w.spec[i] = views[k]
-	}
-}
-
-// fromSession materializes a synthetic session. Streams are generated in
-// event order, each equal to what eventq.SessionSource.Insts returns, by
-// one reused walker, and encoded onto the tape.
-//
-//esp:ctor
-func (w *Workload) fromSession(sess *workload.Session, maxEvents int) {
-	n := len(sess.Events)
-	w.events = sess.Events
-	w.nExec = execCount(n, maxEvents)
-
-	// Pending views are windows into the session's own event list: the
-	// flattened pending table is that list itself, no copies.
-	w.pendTab = sess.Events
-	w.pend = make([]span, w.nExec)
-	for i := 0; i < w.nExec; i++ {
-		d := sess.VisibleDepth[i]
-		if rest := n - 1 - i; d > rest {
-			d = rest
-		}
-		w.pend[i] = span{off: int32(i + 1), n: int32(d)}
-	}
-	nSpec := specHorizon(n, w.nExec, w.pendTab, w.pend)
-
-	tb := sessionTapeBuild(sess.Events, w.nExec, nSpec)
-	for i := 0; i < w.nExec; i++ {
-		ev := sess.Events[i]
-		tb.normal[i] = tb.generate(sess.Gen, ev, false)
-		if ev.Diverge < 0 {
-			// Pre-execution matches normal execution: share the view.
-			tb.spec[i] = tb.normal[i]
-		} else {
-			tb.spec[i] = tb.generate(sess.Gen, ev, true)
-		}
-	}
-	for i := w.nExec; i < nSpec; i++ {
-		tb.spec[i] = tb.generate(sess.Gen, sess.Events[i], true)
-	}
-	tb.finish(w)
-}
-
-// fromSource materializes a generic source by encoding its streams. When
-// a source hands back the same backing array for both variants (recorded
-// traces do), the view is shared the same way.
-//
-//esp:ctor
-func (w *Workload) fromSource(src eventq.Source, maxEvents int) {
-	n := src.Len()
-	w.nExec = execCount(n, maxEvents)
-
-	w.pend = make([]span, w.nExec)
-	for i := 0; i < w.nExec; i++ {
-		p := src.Pending(i)
-		if p == nil {
-			// Preserve the source's nil view exactly (off -1 marks it).
-			w.pend[i] = span{off: -1}
-			continue
-		}
-		start := len(w.pendTab)
-		w.pendTab = append(w.pendTab, p...)
-		w.pend[i] = span{off: int32(start), n: int32(len(w.pendTab) - start)}
-	}
-	nSpec := specHorizon(n, w.nExec, w.pendTab, w.pend)
-
-	w.events = make([]trace.Event, w.nExec)
-	tb := newTapeBuild(w.nExec, nSpec)
-	for i := 0; i < w.nExec; i++ {
-		w.events[i] = src.Event(i)
-		tb.addPair(i, src.Insts(i, false), src.Insts(i, true))
-	}
-	for i := w.nExec; i < nSpec; i++ {
-		tb.spec[i] = tb.b.Add(src.Insts(i, true))
-	}
-	tb.finish(w)
-}
-
-// addPair adds event i's normal and speculative streams, once when the
-// source hands back the same slice for both.
-func (tb *tapeBuild) addPair(i int, norm, spec []trace.Inst) {
-	tb.normal[i] = tb.b.Add(norm)
-	if sameSlice(norm, spec) {
-		tb.spec[i] = tb.normal[i]
-	} else {
-		tb.spec[i] = tb.b.Add(spec)
 	}
 }
 
@@ -403,55 +403,6 @@ func schedWindows(evs []trace.Event, dispatch []int64) []span {
 		pend[k] = span{off: int32(k + 1), n: int32(d)}
 	}
 	return pend
-}
-
-// fromSessionSched materializes a timed session in dispatch order: the
-// scheduled event list (remapped IDs) is its own pending table, queue
-// views follow the schedule's virtual clock, and streams are generated
-// per scheduled slot. Every pending reference names a scheduled slot,
-// so the speculative horizon is the executed prefix itself.
-//
-//esp:ctor
-func (w *Workload) fromSessionSched(sess *workload.Session, nExec int, sched *eventq.Schedule) {
-	w.nExec = nExec
-	evs := schedEvents(sess.Events[:nExec], sched)
-	w.events = evs
-	w.pendTab = evs
-	w.pend = schedWindows(evs, sched.Dispatch)
-
-	tb := sessionTapeBuild(evs, nExec, nExec)
-	for k, ev := range evs {
-		tb.normal[k] = tb.generate(sess.Gen, ev, false)
-		if ev.Diverge < 0 {
-			tb.spec[k] = tb.normal[k]
-		} else {
-			tb.spec[k] = tb.generate(sess.Gen, ev, true)
-		}
-	}
-	tb.finish(w)
-}
-
-// fromSourceSched materializes a timed generic source in dispatch
-// order, copying each slot's streams from the source's original event
-// index. Queue views are schedule-derived (the source's own pending
-// lists describe its unscheduled order) and trimmed by MaxPending at
-// view time like session builds.
-//
-//esp:ctor
-func (w *Workload) fromSourceSched(src eventq.Source, evs []trace.Event, sched *eventq.Schedule) {
-	nExec := len(evs)
-	w.nExec = nExec
-	w.trim = true
-	sevs := schedEvents(evs, sched)
-	w.events = sevs
-	w.pendTab = sevs
-	w.pend = schedWindows(sevs, sched.Dispatch)
-
-	tb := newTapeBuild(nExec, nExec)
-	for k, oi := range sched.Order {
-		tb.addPair(k, src.Insts(int(oi), false), src.Insts(int(oi), true))
-	}
-	tb.finish(w)
 }
 
 // Events returns the number of events a replay of this workload executes.
