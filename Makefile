@@ -79,7 +79,9 @@ flame:
 	$(GO) tool pprof $(PPROF_FLAGS) -top -nodecount=20 .flame/espsim.test .flame/cpu.pprof
 
 # fuzz-smoke gives every fuzz target a short adversarial shake on each
-# gate run (FUZZTIME per target); longer campaigns raise FUZZTIME.
+# gate run (FUZZTIME per target); longer campaigns raise FUZZTIME. CI
+# runs this target with FUZZTIME=30s, so this is the one list of fuzz
+# targets: a new one is added here only.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFile -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/trace

@@ -3,8 +3,10 @@
 // cells on a bounded pool of pooled-machine workers with an LRU
 // workload cache, so concurrent requests for the same application share
 // one materialized arena, and degrades gracefully under load (429 past
-// the queue bound, per-cell timeouts, panic isolation, per-cell retries
-// with a circuit breaker, crash-safe sweep checkpoints, SIGTERM drain).
+// the queue bound, panic isolation, per-cell retries with a circuit
+// breaker, crash-safe sweep checkpoints, SIGTERM drain). A cell stops at
+// its next event once its timeout passes (504) or its client leaves
+// (499), and its machine serves the next cell.
 //
 // Endpoints:
 //

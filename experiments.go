@@ -1,6 +1,7 @@
 package esp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -29,10 +30,9 @@ type Harness struct {
 	Scale float64
 	// MaxEvents truncates sessions when positive (fast unit tests).
 	MaxEvents int
-	// Timeout bounds the wall-clock time of one simulation cell; a cell
-	// exceeding it fails with an error instead of hanging the sweep.
-	// Zero means no limit. The timed-out simulation goroutine cannot be
-	// interrupted and is abandoned to finish in the background.
+	// Timeout bounds the wall-clock time of one cell's replay; a cell
+	// exceeding it stops at its next event and fails with an error
+	// instead of hanging the sweep. Zero means no limit.
 	Timeout time.Duration
 
 	mu     sync.Mutex
@@ -110,10 +110,15 @@ func (h *Harness) Run(prof workload.Profile, cfg Config) (Result, error) {
 		// The runner shares one materialized workload per
 		// (profile, MaxEvents) across every configuration and resets a
 		// pooled machine per configuration instead of rebuilding it; it
-		// also contains panics and enforces the timeout (the timed-out
-		// simulation goroutine cannot be interrupted and is abandoned to
-		// finish in the background).
-		cell.res, cell.err = runner.RunCell(key, prof, cfg, h.Timeout)
+		// also contains panics and stops the replay when ctx ends. The
+		// memoized cell serves every caller, so only Timeout bounds it.
+		ctx := context.Background()
+		if h.Timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, h.Timeout)
+			defer cancel()
+		}
+		cell.res, cell.err = runner.RunCell(ctx, key, prof, cfg)
 	})
 	return cell.res, cell.err
 }

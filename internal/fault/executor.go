@@ -61,16 +61,17 @@ func (e *Executor) Retries() int64 { return e.retries.Load() }
 // run receives the 1-based attempt number. Retrying stops on success,
 // on a non-retryable error, when the attempt budget is exhausted, when
 // ctx is done, or when the breaker opens mid-retry. A run that sheds
-// (KindShed) refused the work rather than attempting it: it is not
-// counted as an attempt, records no outcome, and hands back a
-// half-open breaker's probe slot.
+// (KindShed) refused the work, and a canceled one (KindCanceled) was
+// stopped because nobody waits for it; neither says anything about the
+// cell, so neither is counted as an attempt, records an outcome, or
+// keeps a half-open breaker's probe slot.
 func (e *Executor) Run(ctx context.Context, key string, run func(attempt int) error) Outcome {
 	if !e.breakers.Allow(key) {
 		return Outcome{Skipped: true, Err: ErrBreakerOpen}
 	}
 	for attempt := 1; ; attempt++ {
 		err := run(attempt)
-		if Classify(err) == KindShed {
+		if k := Classify(err); k == KindShed || k == KindCanceled {
 			e.breakers.Release(key)
 			return Outcome{Attempts: attempt - 1, Err: err}
 		}

@@ -42,8 +42,9 @@ const (
 	// containment (the machine is dropped, the error carries
 	// sim.ErrPanic).
 	Panic
-	// Slow stalls the operation by the plan's SleepFor before letting it
-	// proceed, so a cell with a tighter deadline times out.
+	// Slow stalls the operation by the plan's SleepFor, or until the
+	// cell is stopped, before letting it proceed, so a cell with a
+	// tighter deadline times out.
 	Slow
 	// BuildFail fails the workload materialization ("build" ops) with an
 	// ErrInjected-wrapped error; the runner drops the failed build from
@@ -201,7 +202,12 @@ func (p *Plan) Hook() sim.FaultHook {
 		case Panic:
 			panic(fmt.Sprintf("fault: injected panic in %s/%s attempt %d", pt.App, pt.Config, attempt+1))
 		case Slow:
-			time.Sleep(p.SleepFor)
+			stall := time.NewTimer(p.SleepFor)
+			select {
+			case <-stall.C:
+			case <-pt.Done:
+			}
+			stall.Stop()
 			return nil
 		case BuildFail:
 			return fmt.Errorf("fault: build %s attempt %d: %w", pt.App, attempt+1, ErrInjected)

@@ -103,6 +103,23 @@ func TestPlanSlowStalls(t *testing.T) {
 	}
 }
 
+// TestPlanSlowEndsWhenStopped: a Slow stall ends as soon as the cell's
+// Done channel closes, so a stall longer than the cell's timeout
+// returns at the timeout.
+func TestPlanSlowEndsWhenStopped(t *testing.T) {
+	p := &Plan{Seed: 5, SleepFor: 10 * time.Second}
+	p.Always("laggy", "cfg", Slow)
+	done := make(chan struct{})
+	time.AfterFunc(10*time.Millisecond, func() { close(done) })
+	start := time.Now()
+	if err := p.Hook()(sim.FaultPoint{Op: "run", App: "laggy", Config: "cfg", Done: done}); err != nil {
+		t.Fatalf("slow fault errored: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed >= p.SleepFor/2 {
+		t.Fatalf("stopped slow fault stalled %v, want it to end with Done", elapsed)
+	}
+}
+
 // TestRetryPolicyBackoff: doubling, capping, and jitter bounds.
 func TestRetryPolicyBackoff(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond, JitterFrac: 0.5}.WithDefaults()
@@ -249,33 +266,48 @@ func TestExecutorWithBreakerSkips(t *testing.T) {
 // half-open probe hands its slot back instead of quarantining the key
 // for good.
 func TestExecutorShedIsNotAnAttempt(t *testing.T) {
+	checkNotAnAttempt(t, Sentinel("shed", KindShed))
+}
+
+// TestExecutorCanceledIsNotAnAttempt: a run stopped because its client
+// left is no evidence against the cell. It neither trips a threshold-1
+// breaker nor keeps a half-open probe slot, so a client that hangs up
+// cannot quarantine a cell.
+func TestExecutorCanceledIsNotAnAttempt(t *testing.T) {
+	checkNotAnAttempt(t, context.Canceled)
+}
+
+// checkNotAnAttempt drives runs that fail with refused through a
+// threshold-1 breaker: each reports zero attempts and feeds the breaker
+// nothing, and a refused half-open probe hands its slot back.
+func checkNotAnAttempt(t *testing.T, refused error) {
+	t.Helper()
 	b := NewBreakerSet(1, time.Hour)
 	now := time.Unix(1000, 0)
 	b.now = func() time.Time { return now }
 	e := NewExecutor(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, b, nil, 1)
-	shed := Sentinel("shed", KindShed)
-	sheds := func(int) error { return fmt.Errorf("late: %w", shed) }
+	refuses := func(int) error { return fmt.Errorf("late: %w", refused) }
 	for i := 0; i < 3; i++ {
-		out := e.Run(context.Background(), "cell", sheds)
-		if out.Attempts != 0 || out.Skipped || !errors.Is(out.Err, shed) {
-			t.Fatalf("shed run %d: %+v, want 0 attempts and the shed error", i, out)
+		out := e.Run(context.Background(), "cell", refuses)
+		if out.Attempts != 0 || out.Skipped || !errors.Is(out.Err, refused) {
+			t.Fatalf("refused run %d: %+v, want 0 attempts and the %v error", i, out, refused)
 		}
 	}
 	if b.Trips() != 0 || !b.Allow("cell") {
-		t.Fatal("sheds tripped the breaker")
+		t.Fatalf("%v runs tripped the breaker", refused)
 	}
 
-	// Trip the breaker, let the cooldown pass, and shed the probe.
+	// Trip the breaker, let the cooldown pass, and refuse the probe.
 	e.Run(context.Background(), "cell", func(int) error { return fmt.Errorf("down") })
 	if b.Allow("cell") {
 		t.Fatal("tripped breaker admitted work inside cooldown")
 	}
 	now = now.Add(2 * time.Hour)
-	if out := e.Run(context.Background(), "cell", sheds); out.Skipped || out.Attempts != 0 {
-		t.Fatalf("half-open shed: %+v, want an unskipped run with 0 attempts", out)
+	if out := e.Run(context.Background(), "cell", refuses); out.Skipped || out.Attempts != 0 {
+		t.Fatalf("half-open %v run: %+v, want an unskipped run with 0 attempts", refused, out)
 	}
 	if b.StateOf("cell") != "half_open" || !b.Allow("cell") {
-		t.Fatalf("shed probe kept the slot: state %s, next probe denied", b.StateOf("cell"))
+		t.Fatalf("%v probe kept the slot: state %s, next probe denied", refused, b.StateOf("cell"))
 	}
 }
 

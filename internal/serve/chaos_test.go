@@ -236,8 +236,9 @@ func TestChaosCrashResume(t *testing.T) {
 	hook := func(pt sim.FaultPoint) error {
 		// The "crash": after six cells have started, the client vanishes
 		// and the daemon begins draining, exactly as a SIGTERM mid-sweep
-		// would unfold. Cells already past this hook run to completion
-		// and journal; the rest are abandoned.
+		// would unfold. Cells finished before it journal; the cells in
+		// flight stop at their next event and the rest never start, all
+		// reported canceled.
 		if pt.Op == "run" && ops.Add(1) == 6 {
 			srv.BeginDrain()
 			cancel()

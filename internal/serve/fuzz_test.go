@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	esp "espsim"
 	"espsim/internal/trace"
@@ -17,8 +18,9 @@ func fuzzTraceLimits() trace.Limits {
 // FuzzRunRequest feeds arbitrary bytes to the POST /run decoder. The
 // properties: it never panics; everything it accepts re-validates,
 // re-marshals, and re-parses to the same request (so a request that
-// survives the decoder is canonical); and an accepted inline trace can
-// be handed to the trace decoder without panicking, whatever it holds.
+// survives the decoder is canonical); its timeout resolves to a
+// duration in (0, 24h]; and an accepted inline trace can be handed to
+// the trace decoder without panicking, whatever it holds.
 func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`{}`))
@@ -40,6 +42,7 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(`{"app":"amazon","config":"base","tenant":"no/slashes"}`))
 	f.Add([]byte(`{"app":"amazon","config":"base","deadline_ms":-1}`))
 	f.Add([]byte(`{"configs":["base"],"tenant":"t.1","deadline_ms":9223372036854775807}`))
+	f.Add([]byte(`{"app":"amazon","config":"base","timeout_ms":10000000000000}`)) // wraps negative as a Duration
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseRunRequest(data)
@@ -62,6 +65,9 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if again != req {
 			t.Fatalf("request not canonical: %+v -> %+v", req, again)
+		}
+		if d := timeoutOf(req.TimeoutMs, Options{}.withDefaults().DefaultTimeout); d <= 0 || d > 24*time.Hour {
+			t.Fatalf("accepted timeout_ms %d resolves to %v, want (0, 24h]", req.TimeoutMs, d)
 		}
 		if req.TraceB64 != "" {
 			// Inline traces are only syntax-checked at materialization time

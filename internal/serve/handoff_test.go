@@ -200,3 +200,30 @@ func TestJournalzPeek(t *testing.T) {
 		t.Error("journal peeks not counted")
 	}
 }
+
+// TestResumeDigestsSched: the dispatch policy shapes results, so a
+// sweep_id journaled under one policy is not resumed under another
+// (409). FIFO stays out of the digest: a journal written with no
+// "sched" resumes under "fifo", and keeps the digest it had before the
+// policy was digested.
+func TestResumeDigestsSched(t *testing.T) {
+	s := testServer(t, Options{Workers: 1, CheckpointDir: t.TempDir()})
+	req := SweepRequest{SweepID: "x", Apps: []string{"mobileheavy"}, Configs: []string{"ESP+NL"}, MaxEvents: 24}
+	if got, want := SweepDigest(req.Apps, req), "722a193e1b6279f9ff0203a3ca25712241c078bbdfcf3feee8aca733eb933482"; got != want {
+		t.Fatalf("FIFO digest %s, want the pre-policy digest %s", got, want)
+	}
+	first := smallSweep(t, s, req, 1)
+
+	fifo := req
+	fifo.Sched = "fifo"
+	again := smallSweep(t, s, fifo, 1)
+	if !again.Cells[0].Resumed || !reflect.DeepEqual(again.Cells[0].Result, first.Cells[0].Result) {
+		t.Fatalf("\"fifo\" resubmission: %+v, want the journaled cell resumed", again.Cells[0])
+	}
+
+	prio := req
+	prio.Sched = "prio"
+	if rec := post(t, s, "/sweep", prio); rec.Code != http.StatusConflict {
+		t.Fatalf("\"prio\" resubmission of a FIFO journal: status %d, want 409: %s", rec.Code, rec.Body.String())
+	}
+}

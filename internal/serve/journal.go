@@ -33,16 +33,24 @@ type journalRecord struct {
 // SweepDigest hashes the result-shaping parameters of a sweep request.
 // TimeoutMs, SweepID, and Shard are deliberately excluded: they change
 // whether (or where) cells run, never what a finished cell contains.
-// Exported so the espcoord coordinator can digest-check a dead
-// worker's shard journal before handing its cells to a peer.
+// The dispatch policy "sched" resolves to is digested unless it is
+// FIFO, so journals whose digest carries no policy still resume under
+// no "sched" or "fifo". Exported so the espcoord coordinator can
+// digest-check a dead worker's shard journal before handing its cells
+// to a peer.
 func SweepDigest(apps []string, req SweepRequest) string {
+	var sched string
+	if p, _ := esp.SchedByName(req.Sched); p != esp.SchedFIFO {
+		sched = p.String()
+	}
 	canonical, _ := json.Marshal(struct {
 		Apps       []string `json:"apps"`
 		Configs    []string `json:"configs"`
 		Scale      float64  `json:"scale"`
 		MaxEvents  int      `json:"max_events"`
 		MaxPending int      `json:"max_pending"`
-	}{apps, req.Configs, req.Scale, req.MaxEvents, req.MaxPending})
+		Sched      string   `json:"sched,omitempty"`
+	}{apps, req.Configs, req.Scale, req.MaxEvents, req.MaxPending, sched})
 	sum := sha256.Sum256(canonical)
 	return hex.EncodeToString(sum[:])
 }

@@ -2,10 +2,11 @@ package serve
 
 // Leak detection for the admission machinery: every request path —
 // success, rejection, cancellation, timeout, conflict, drain — must
-// return its queue ticket and worker slot. The gauges these tests pin
-// to zero are the ticket channel admit fills and the fair queue that
-// grants worker slots, so a missing release on any error path shows up
-// as a stuck count, not a slow leak in production.
+// return its queue ticket and worker slot, and no replay may outlive
+// its response. The gauges these tests pin to zero are the ticket
+// channel admit fills and the fair queue that grants worker slots, so
+// a missing release on any error path shows up as a stuck count, not a
+// slow leak in production.
 
 import (
 	"bytes"
@@ -15,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -38,6 +40,21 @@ func assertDrained(t *testing.T, s *Server) {
 	}
 	if n := s.tq.InFlightCells(); n != 0 {
 		t.Errorf("%d tenant cells still in flight, want 0", n)
+	}
+}
+
+// assertGoroutinesBack asserts that no goroutine a request started
+// outlives its response by more than 100 ms: a stopped cell's replay,
+// and any stall injected into it, ends with the cell.
+func assertGoroutinesBack(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines outlive the response, want 0", runtime.NumGoroutine()-before)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -166,10 +183,12 @@ func TestErrorPathsNoLeak(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testServer(t, tc.opt)
+			goroutines := runtime.NumGoroutine()
 			if rec := tc.req(t, s); rec.Code != tc.want {
 				t.Fatalf("status %d, want %d: %s", rec.Code, tc.want, rec.Body.String())
 			}
 			assertDrained(t, s)
+			assertGoroutinesBack(t, goroutines)
 		})
 	}
 

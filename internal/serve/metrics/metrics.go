@@ -97,8 +97,9 @@ type Metrics struct {
 	JournalErrors atomic.Int64
 	SweepConflict atomic.Int64 // 409: sweep_id reused for a different grid or still running
 
-	// CellLatency observes simulated-cell wall times (from the engine
-	// observer, so batched sweep cells are measured individually).
+	// CellLatency observes simulated-cell wall times (recorded per cell
+	// by the server's cell path, so batched sweep cells are measured
+	// individually).
 	CellLatency Histogram
 }
 

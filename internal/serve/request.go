@@ -201,13 +201,15 @@ func (req *RunRequest) validate() error {
 	return err
 }
 
-// maxDeadlineMs bounds a relative deadline to 24 hours: anything larger
-// is a typo (and would overflow Duration math long before mattering).
-const maxDeadlineMs = 24 * 60 * 60 * 1000
+// maxBudgetMs bounds timeout_ms and a relative deadline to 24 hours:
+// anything larger is a typo (and would overflow Duration math long
+// before mattering).
+const maxBudgetMs = 24 * 60 * 60 * 1000
 
 // validateKnobs checks the knobs /run and /sweep share. deadline_ms may
 // be negative — "already expired" — but is bounded both ways, so
-// arrival+deadline stays inside Duration range.
+// arrival+deadline stays inside Duration range; timeout_ms is bounded
+// the same way, so it always converts to a positive Duration.
 func validateKnobs(scale float64, maxEvents, maxPending, timeoutMs int, tenant string, deadlineMs int64) error {
 	switch {
 	case scale < 0 || scale > maxScale:
@@ -216,10 +218,10 @@ func validateKnobs(scale float64, maxEvents, maxPending, timeoutMs int, tenant s
 		return fmt.Errorf("\"max_events\" must be non-negative, got %d", maxEvents)
 	case maxPending < 0:
 		return fmt.Errorf("\"max_pending\" must be non-negative, got %d", maxPending)
-	case timeoutMs < 0:
-		return fmt.Errorf("\"timeout_ms\" must be non-negative, got %d", timeoutMs)
-	case deadlineMs > maxDeadlineMs || deadlineMs < -maxDeadlineMs:
-		return fmt.Errorf("\"deadline_ms\" must be within ±%d (24h), got %d", int64(maxDeadlineMs), deadlineMs)
+	case timeoutMs < 0 || timeoutMs > maxBudgetMs:
+		return fmt.Errorf("\"timeout_ms\" must be in [0, %d] (24h), got %d", maxBudgetMs, timeoutMs)
+	case deadlineMs > maxBudgetMs || deadlineMs < -maxBudgetMs:
+		return fmt.Errorf("\"deadline_ms\" must be within ±%d (24h), got %d", int64(maxBudgetMs), deadlineMs)
 	}
 	return validateID("tenant", tenant)
 }

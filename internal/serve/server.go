@@ -136,7 +136,7 @@ func (o Options) withDefaults() Options {
 // Server is the espd simulation service. One Server owns one sim.Runner
 // — so every request shares the LRU workload cache and the per-config
 // machine pools — plus the admission machinery (worker slots, queue
-// tickets) and the metrics the runner's observer feeds.
+// tickets) and the metrics runCell records.
 //
 // Create with New, mount anywhere via http.Handler, stop with Drain.
 type Server struct {
@@ -208,17 +208,6 @@ func New(opt Options) *Server {
 	if opt.FaultHook != nil {
 		s.runner.SetFaultHook(opt.FaultHook)
 	}
-	// Thread the observability layer through the engine: every replayed
-	// cell — including cells inside sweep batches and abandoned
-	// (timed-out) cells finishing late — lands in the histogram.
-	s.runner.SetObserver(func(ev sim.CellEvent) {
-		s.met.CellLatency.Observe(ev.Wall)
-		if ev.Err != nil {
-			s.met.CellErrors.Add(1)
-		} else {
-			s.met.CellsOK.Add(1)
-		}
-	})
 	if opt.MemBudget > 0 {
 		bcfg := opt.Brownout
 		bcfg.Budget = opt.MemBudget
@@ -452,10 +441,12 @@ func (s *Server) refuse(tenant string, err error, cells int) error {
 // runCell runs one cell the way both endpoints do: it resolves the
 // machine configuration and the workload (a preset through the
 // runner's cache, or an inline trace), sheds the cell when queueing
-// left too little of the deadline, clamps timeout to what remains of
-// it, simulates, and feeds the wall time to the estimator. op ("run"
-// or "sweep") prefixes the cell's label.
-func (s *Server) runCell(tenant, op string, c RunRequest, timeout time.Duration, deadline time.Time) (esp.Result, error) {
+// left too little of the deadline, and replays it on the calling
+// goroutine under ctx bounded by timeout and by what remains of the
+// deadline, so the cell stops when either passes or ctx ends (its
+// client left). It records the cell's metrics and feeds the wall time
+// to the estimator. op ("run" or "sweep") prefixes the cell's label.
+func (s *Server) runCell(ctx context.Context, tenant, op string, c RunRequest, timeout time.Duration, deadline time.Time) (esp.Result, error) {
 	wl, cfg, err := resolve(s.runner, c)
 	if err != nil {
 		return esp.Result{}, err
@@ -469,15 +460,24 @@ func (s *Server) runCell(tenant, op string, c RunRequest, timeout time.Duration,
 		}
 		timeout = min(timeout, deadline.Sub(start))
 	}
-	res, err := s.runner.RunWorkload(op+"/"+wl.App+"/"+cfg.Name, wl, cfg, timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	res, err := s.runner.RunWorkload(ctx, op+"/"+wl.App+"/"+cfg.Name, wl, cfg)
+	cancel()
+	wall := time.Since(start)
+	s.met.CellLatency.Observe(wall)
 	timedOut := errors.Is(err, sim.ErrTimeout)
 	if err == nil || timedOut {
-		// A timed-out cell ran at least this long, and its abandoned
-		// replay keeps running: the lower bound is evidence too.
-		s.est.observe(key, time.Since(start))
+		// A timed-out cell would have run at least this long: the lower
+		// bound is evidence too.
+		s.est.observe(key, wall)
 	}
 	if timedOut {
 		s.met.Timeouts.Add(1)
+	}
+	if err != nil {
+		s.met.CellErrors.Add(1)
+	} else {
+		s.met.CellsOK.Add(1)
 	}
 	return res, err
 }
@@ -514,7 +514,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// One attempt, no breaker: a /run client retries for itself.
 	start := time.Now()
-	res, err := s.runCell(tenant, "run", req, timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout), deadline)
+	res, err := s.runCell(r.Context(), tenant, "run", req, timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout), deadline)
 	wall := time.Since(start)
 	if err != nil {
 		status := s.fail(w, err)
@@ -746,7 +746,7 @@ func (s *Server) runBatch(ctx context.Context, tenant string, req SweepRequest, 
 		var res esp.Result
 		out := s.exec.Run(ctx, key, func(attempt int) error {
 			var err error
-			res, err = s.runCell(tenant, "sweep", c, timeout, deadline)
+			res, err = s.runCell(ctx, tenant, "sweep", c, timeout, deadline)
 			if err != nil {
 				s.log.Warn("sweep cell", "cell", key, "attempt", attempt, "err", err.Error())
 			}
@@ -940,7 +940,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusClientGone is the nginx-convention 499 "client closed request":
-// the client's context died while the request waited for a worker.
+// the client's context died while the request waited for a worker or
+// while its cell ran.
 const statusClientGone = 499
 
 // HTTPStatus maps a fault.ErrorKind to the status espd and espcoord

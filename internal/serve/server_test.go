@@ -13,6 +13,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -291,6 +292,8 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		{"app and trace", `{"app":"amazon","trace_b64":"aGk=","config":"base"}`},
 		{"negative max_events", `{"app":"amazon","config":"base","max_events":-1}`},
 		{"negative timeout", `{"app":"amazon","config":"base","timeout_ms":-5}`},
+		{"timeout past 24h", `{"app":"amazon","config":"base","timeout_ms":18446744073710}`},
+		{"timeout that wraps", `{"app":"amazon","config":"base","timeout_ms":10000000000000}`},
 		{"huge scale", `{"app":"amazon","config":"base","scale":1e9}`},
 		{"scaled trace", `{"trace_b64":"aGk=","config":"base","scale":2}`},
 		{"bad base64", `{"trace_b64":"!!!","config":"base"}`},
@@ -399,6 +402,71 @@ func TestTimeoutReturns504(t *testing.T) {
 	}
 	if got := s.met.Timeouts.Load(); got != 1 {
 		t.Fatalf("timeout counter %d, want 1", got)
+	}
+}
+
+// TestTimeoutBurstStopsCells: a cell that blows its timeout stops at
+// its next event and hands its machine straight back. Six full
+// gmaps/ESP+NL cells with a 1 ms budget on a one-worker daemon build no
+// second machine and complete nothing, even once a full replay's worth
+// of time has passed.
+func TestTimeoutBurstStopsCells(t *testing.T) {
+	s := testServer(t, Options{Workers: 1})
+	if rec := post(t, s, "/run", RunRequest{App: "gmaps", Config: "ESP+NL", MaxEvents: 1}); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", rec.Code, rec.Body.String())
+	}
+	for i := 0; i < 6; i++ {
+		if rec := post(t, s, "/run", RunRequest{App: "gmaps", Config: "ESP+NL", TimeoutMs: 1}); rec.Code != http.StatusGatewayTimeout {
+			t.Fatalf("burst run %d: status %d, want 504: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		snap := metricsSnapshot(t, s)
+		if snap.Engine.MachineBuilds != 1 || snap.Cells.Timeouts != 6 || snap.Cells.Completed != 1 {
+			t.Fatalf("%s: %d machines built, %d timeouts, %d completed; want 1, 6, 1",
+				when, snap.Engine.MachineBuilds, snap.Cells.Timeouts, snap.Cells.Completed)
+		}
+	}
+	check("after the burst")
+	// A replay the burst left running would finish within one full
+	// replay of its own.
+	prof, err := workload.ByName("gmaps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := esp.Run(prof, esp.ESPNLConfig()); err != nil {
+		t.Fatal(err)
+	}
+	check("after one full replay")
+}
+
+// TestRunClientGoneStopsCell: a /run whose client hangs up while its
+// cell replays answers 499 at once instead of finishing the replay (a
+// finished replay would answer 200), and the stopped cell's machine
+// serves the next cell.
+func TestRunClientGoneStopsCell(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var hungUp atomic.Bool
+	hook := func(pt sim.FaultPoint) error {
+		if pt.Op == "run" && hungUp.CompareAndSwap(false, true) {
+			cancel() // the client leaves as its cell starts
+		}
+		return nil
+	}
+	s := testServer(t, Options{Workers: 1, FaultHook: hook})
+	if rec := doRun(s, ctx, RunRequest{App: "gmaps", Config: "ESP+NL"}); rec.Code != statusClientGone {
+		t.Fatalf("client gone mid-cell: status %d, want %d: %s", rec.Code, statusClientGone, rec.Body.String())
+	}
+	if rec := post(t, s, "/run", RunRequest{App: "gmaps", Config: "ESP+NL", MaxEvents: 8}); rec.Code != http.StatusOK {
+		t.Fatalf("next cell: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if perf := s.runner.Perf(); perf.MachineBuilds != 1 || perf.MachineReuses != 1 || perf.Cells != 1 {
+		t.Fatalf("engine %+v, want 1 machine built and reused once, 1 cell completed", perf)
+	}
+	if snap := metricsSnapshot(t, s); snap.Cells.Completed != 1 || snap.Cells.Errors != 1 {
+		t.Fatalf("cell counters %+v, want 1 completed and 1 error", snap.Cells)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"espsim/internal/trace"
@@ -84,7 +85,7 @@ func TestRunnerByteBudget(t *testing.T) {
 
 	for round := 0; round < 2; round++ {
 		for _, p := range profs {
-			if _, err := r.RunCell(p.Name, p, espConfig(), 0); err != nil {
+			if _, err := r.RunCell(context.Background(), p.Name, p, espConfig()); err != nil {
 				t.Fatalf("run %s: %v", p.Name, err)
 			}
 			if got := r.CacheBytes(); got > budget {
@@ -177,7 +178,7 @@ func TestTrimWorkloadCache(t *testing.T) {
 		t.Fatalf("MRU entry did not survive the trim (reuses %d)", got)
 	}
 	// Evicted-but-held workloads still replay.
-	if _, err := r.RunWorkload("held", w, espConfig(), 0); err != nil {
+	if _, err := r.RunWorkload(context.Background(), "held", w, espConfig()); err != nil {
 		t.Fatalf("replay of held workload after trim: %v", err)
 	}
 

@@ -126,14 +126,9 @@ func (m *Machine) Reset() {
 // bounds the replay (a workload built under a larger bound, or none,
 // replays only its first MaxEvents events), and MaxPending shapes the
 // queue view here.
-func (m *Machine) Run(w *Workload) Result { return m.runAs(w, &m.cfg) }
-
-// runAs is Run as cfg, a config with m's hardware: cfg's MaxEvents and
-// MaxPending shape the replay and its Name labels the result, so the
-// result equals a fresh cfg machine's Run.
-func (m *Machine) runAs(w *Workload, cfg *Config) Result {
-	m.replay(w, cfg.MaxEvents, cfg.MaxPending)
-	return m.result(w, cfg.Name)
+func (m *Machine) Run(w *Workload) Result {
+	m.replay(w, m.cfg.MaxEvents, m.cfg.MaxPending, nil)
+	return m.result(w, m.cfg.Name)
 }
 
 // Replay resets the machine and replays w through it, bounded by the
@@ -143,20 +138,29 @@ func (m *Machine) runAs(w *Workload, cfg *Config) Result {
 // materialized workload performs no heap allocations, because the replay
 // reads the workload's tapes and queue views in place and keeps no
 // scratch of its own.
-func (m *Machine) Replay(w *Workload) { m.replay(w, m.cfg.MaxEvents, m.cfg.MaxPending) }
+func (m *Machine) Replay(w *Workload) { m.replay(w, m.cfg.MaxEvents, m.cfg.MaxPending, nil) }
 
 // replay is the looper thread (paper §2.2, Figure 2): it dequeues the
 // workload's events in order, at most maxEvents when positive, and runs
 // each through the core. The assist sees each event's queue view as
 // w.Source(maxPending).Pending reports it, and ESP reads its speculative
-// streams from w itself.
-func (m *Machine) replay(w *Workload, maxEvents, maxPending int) {
+// streams from w itself. Before each dequeue it polls done (a nil done
+// never closes): once done is closed no further event runs, and replay
+// returns true.
+func (m *Machine) replay(w *Workload, maxEvents, maxPending int, done <-chan struct{}) (stopped bool) {
 	m.Reset()
 	if m.esp != nil {
 		m.esp.Src = w
 	}
 	c, assist := m.c, m.c.Assist
+events:
 	for i, ev := range w.events[:execCount(w.nExec, maxEvents)] {
+		select {
+		case <-done:
+			stopped = true
+			break events
+		default:
+		}
 		if assist != nil {
 			assist.EventStart(ev, w.pending(i, maxPending))
 		}
@@ -176,6 +180,7 @@ func (m *Machine) replay(w *Workload, maxEvents, maxPending int) {
 	if m.esp != nil {
 		m.esp.Src = nil
 	}
+	return stopped
 }
 
 // result assembles the Result, labelled config, and energy accounting

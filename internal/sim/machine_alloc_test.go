@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"espsim/internal/eventq"
@@ -85,11 +86,11 @@ func TestRunnerWarmCellAllocFlat(t *testing.T) {
 	prof.Events = 30
 	cfg := espConfig()
 	r := NewRunner()
-	if _, err := r.RunCell("warm", prof, cfg, 0); err != nil {
+	if _, err := r.RunCell(context.Background(), "warm", prof, cfg); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(3, func() {
-		if _, err := r.RunCell("warm", prof, cfg, 0); err != nil {
+		if _, err := r.RunCell(context.Background(), "warm", prof, cfg); err != nil {
 			t.Error(err)
 		}
 	})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -13,8 +14,8 @@ import (
 	"espsim/internal/workload"
 )
 
-// ErrTimeout marks a cell abandoned because it exceeded its time
-// budget; errors.Is(err, ErrTimeout) classifies it (the espd service
+// ErrTimeout marks a cell stopped because its context's deadline
+// passed; errors.Is(err, ErrTimeout) classifies it (the espd service
 // maps it to 504).
 var ErrTimeout = errors.New("timeout")
 
@@ -30,18 +31,21 @@ var ErrBuild = errors.New("workload build failed")
 
 // FaultPoint identifies one injectable operation for a FaultHook:
 // Op is "build" (workload materialization; Config is empty) or "run"
-// (one cell replay).
+// (one cell replay). Done is the cell's context's Done channel for a
+// run (nil for a build, which nothing stops), so a stalling hook can
+// end its stall when the cell is stopped.
 type FaultPoint struct {
 	Op     string
 	Label  string
 	App    string
 	Config string
+	Done   <-chan struct{}
 }
 
 // FaultHook is the runner's chaos-injection seam: when installed with
 // SetFaultHook it is called before every workload build and every cell
 // replay. Returning an error fails the operation; panicking exercises
-// the runner's panic containment; sleeping exercises timeouts. A nil
+// the runner's panic containment; stalling exercises timeouts. A nil
 // hook (the production default) costs one nil check per operation.
 type FaultHook func(FaultPoint) error
 
@@ -154,17 +158,6 @@ func (p Perf) String() string {
 		p.BuildWall.Round(time.Millisecond), p.SimWall.Round(time.Millisecond))
 }
 
-// CellEvent describes one completed simulation, delivered to the
-// observer installed with SetObserver. Wall is replay time only (build
-// time is in Perf.BuildWall); Err is non-nil when the replay panicked.
-type CellEvent struct {
-	Label  string
-	App    string
-	Config string
-	Wall   time.Duration
-	Err    error
-}
-
 // workloadKey identifies one materialization: the full profile value
 // (Profile is a comparable struct of scalars) plus the executed-prefix
 // bound and the dispatch policy the schedule was baked under. Two cells
@@ -218,7 +211,6 @@ type Runner struct {
 	// machines pools idle machines by Config.hardware.
 	machines map[Config][]*Machine
 	perf     Perf
-	observer func(CellEvent)
 	fault    FaultHook
 }
 
@@ -282,15 +274,6 @@ func (r *Runner) TrimWorkloadCache(target int64) {
 	for r.cacheBytes > target && r.lru.Len() > 0 {
 		r.evictOldestLocked()
 	}
-}
-
-// SetObserver installs fn to be called after every completed replay
-// (successful or panicking), from the replaying goroutine. A nil fn
-// removes the observer.
-func (r *Runner) SetObserver(fn func(CellEvent)) {
-	r.mu.Lock()
-	r.observer = fn
-	r.mu.Unlock()
 }
 
 // SetFaultHook installs h to be consulted before every workload build
@@ -481,62 +464,44 @@ func (r *Runner) releaseMachine(m *Machine) {
 	r.mu.Unlock()
 }
 
-// RunCell simulates one (profile, configuration) cell: the workload is
-// materialized once per (profile, MaxEvents) and shared, the machine
-// comes from the pool of cfg's hardware and replays as cfg. label names
-// the cell in panic and timeout errors. A non-positive timeout runs
-// inline; otherwise the cell is abandoned with an error after timeout
-// (the worker goroutine still returns its machine to the pool when it
-// eventually finishes — reuse is safe because Run resets first). A
-// panicking machine is dropped, never pooled.
-func (r *Runner) RunCell(label string, prof workload.Profile, cfg Config, timeout time.Duration) (Result, error) {
+// RunCell simulates one (profile, configuration) cell on the calling
+// goroutine: the workload is materialized once per (profile, MaxEvents)
+// and shared, the machine comes from the pool of cfg's hardware and
+// replays as cfg. label names the cell in panic and stop errors. ctx
+// bounds the replay, not the build: once it is done no further event
+// runs, and the cell fails with ErrTimeout if its deadline passed or
+// with ctx's error otherwise. A stopped cell's machine goes straight
+// back to the pool (every replay resets first); a panicking machine is
+// dropped, never pooled.
+func (r *Runner) RunCell(ctx context.Context, label string, prof workload.Profile, cfg Config) (Result, error) {
 	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
 	if err != nil {
 		return Result{}, err
 	}
-	return r.RunWorkload(label, w, cfg, timeout)
+	return r.RunWorkload(ctx, label, w, cfg)
 }
 
 // RunWorkload is RunCell for an already-materialized workload (e.g. one
 // built from a generic source).
-func (r *Runner) RunWorkload(label string, w *Workload, cfg Config, timeout time.Duration) (Result, error) {
+func (r *Runner) RunWorkload(ctx context.Context, label string, w *Workload, cfg Config) (Result, error) {
 	m, err := r.acquireMachine(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if timeout <= 0 {
-		return r.simulate(label, m, w, cfg)
-	}
-	type cellOut struct {
-		res Result
-		err error
-	}
-	ch := make(chan cellOut, 1)
-	go func(cfg Config) { // an argument, so only this path copies cfg to the heap
-		res, serr := r.simulate(label, m, w, cfg)
-		ch <- cellOut{res: res, err: serr}
-	}(cfg)
-	// A stopped timer is released at once; under the go 1.22 timer
-	// semantics an unstopped one stays live until it fires.
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		return out.res, out.err
-	case <-timer.C:
-		return Result{}, fmt.Errorf("esp: run %s: exceeded %v %w", label, timeout, ErrTimeout)
-	}
+	return r.simulate(ctx, label, m, w, cfg)
 }
 
-// simulate replays w on m as cfg with panic containment and timing
-// accounting, notifying the observer (if any) about the completed cell.
-// The fault hook (if any) runs first: an injected error fails the cell
-// with the untouched machine pooled again; an injected panic takes the
-// same containment path as a real simulation panic.
-func (r *Runner) simulate(label string, m *Machine, w *Workload, cfg Config) (res Result, err error) {
+// simulate replays w on m as cfg (cfg's MaxEvents and MaxPending shape
+// the replay and its Name labels the result, so the result equals a
+// fresh cfg machine's Run) with panic containment and timing
+// accounting. The fault hook (if any) runs first: an injected error
+// fails the cell with the untouched machine pooled again; an injected
+// panic takes the same containment path as a real simulation panic.
+func (r *Runner) simulate(ctx context.Context, label string, m *Machine, w *Workload, cfg Config) (res Result, err error) {
 	r.mu.Lock()
 	hook := r.fault
 	r.mu.Unlock()
+	done := ctx.Done()
 	start := time.Now()
 	defer func() {
 		elapsed := time.Since(start)
@@ -554,17 +519,18 @@ func (r *Runner) simulate(label string, m *Machine, w *Workload, cfg Config) (re
 				r.perf.addSched(res.Sched)
 			}
 		}
-		obs := r.observer
 		r.mu.Unlock()
-		if obs != nil {
-			obs(CellEvent{Label: label, App: w.App, Config: cfg.Name, Wall: elapsed, Err: err})
-		}
 	}()
 	if hook != nil {
-		if herr := hook(FaultPoint{Op: "run", Label: label, App: w.App, Config: cfg.Name}); herr != nil {
+		if herr := hook(FaultPoint{Op: "run", Label: label, App: w.App, Config: cfg.Name, Done: done}); herr != nil {
 			return Result{}, fmt.Errorf("esp: run %s: %w", label, herr)
 		}
 	}
-	res = m.runAs(w, &cfg)
-	return res, nil
+	if m.replay(w, cfg.MaxEvents, cfg.MaxPending, done) {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return Result{}, fmt.Errorf("esp: run %s: stopped at its deadline: %w", label, ErrTimeout)
+		}
+		return Result{}, fmt.Errorf("esp: run %s: stopped: %w", label, ctx.Err())
+	}
+	return m.result(w, cfg.Name), nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -83,39 +84,6 @@ func TestRunnerSetWorkloadCapTrims(t *testing.T) {
 	}
 }
 
-// TestRunnerObserver checks that the observer sees every completed cell
-// with its label, app, config and a sane duration.
-func TestRunnerObserver(t *testing.T) {
-	prof := testProfile(t)
-	r := NewRunner()
-	var (
-		mu     sync.Mutex
-		events []CellEvent
-	)
-	r.SetObserver(func(ev CellEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	})
-	cfg := espConfig()
-	for i := 0; i < 2; i++ {
-		if _, err := r.RunCell("cell", prof, cfg, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(events) != 2 {
-		t.Fatalf("observer saw %d events, want 2", len(events))
-	}
-	for _, ev := range events {
-		if ev.Label != "cell" || ev.App != prof.Name || ev.Config != cfg.Name {
-			t.Fatalf("event %+v: wrong identity", ev)
-		}
-		if ev.Err != nil || ev.Wall <= 0 {
-			t.Fatalf("event %+v: want nil error and positive wall time", ev)
-		}
-	}
-}
-
 // TestFaultHookInjectsRunFaults drives every injection shape through
 // one runner: an injected error fails the cell (machine pooled again),
 // an injected panic takes the containment path (machine dropped, error
@@ -125,7 +93,7 @@ func TestFaultHookInjectsRunFaults(t *testing.T) {
 	prof := testProfile(t)
 	cfg := espConfig()
 	r := NewRunner()
-	want, err := r.RunCell("ref", prof, cfg, 0)
+	want, err := r.RunCell(context.Background(), "ref", prof, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,17 +114,17 @@ func TestFaultHookInjectsRunFaults(t *testing.T) {
 		return nil
 	})
 
-	if _, err := r.RunCell("cell", prof, cfg, 0); err == nil || !strings.Contains(err.Error(), "injected") {
+	if _, err := r.RunCell(context.Background(), "cell", prof, cfg); err == nil || !strings.Contains(err.Error(), "injected") {
 		t.Fatalf("injected error did not surface: %v", err)
 	} else if errors.Is(err, ErrPanic) {
 		t.Fatalf("plain injected error classified as panic: %v", err)
 	}
 	fail = "panic"
-	if _, err := r.RunCell("cell", prof, cfg, 0); !errors.Is(err, ErrPanic) {
+	if _, err := r.RunCell(context.Background(), "cell", prof, cfg); !errors.Is(err, ErrPanic) {
 		t.Fatalf("injected panic not classified ErrPanic: %v", err)
 	}
 	fail = "none"
-	res, err := r.RunCell("cell", prof, cfg, 0)
+	res, err := r.RunCell(context.Background(), "cell", prof, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +132,7 @@ func TestFaultHookInjectsRunFaults(t *testing.T) {
 		t.Fatal("post-fault replay deviates from the uninjected reference")
 	}
 	r.SetFaultHook(nil)
-	if _, err := r.RunCell("cell", prof, cfg, 0); err != nil {
+	if _, err := r.RunCell(context.Background(), "cell", prof, cfg); err != nil {
 		t.Fatalf("removed hook still faults: %v", err)
 	}
 	if len(calls) == 0 {
@@ -187,15 +155,15 @@ func TestFaultHookBuildFailureNotSticky(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := r.RunCell("cell", prof, cfg, 0); !errors.Is(err, ErrBuild) {
+	if _, err := r.RunCell(context.Background(), "cell", prof, cfg); !errors.Is(err, ErrBuild) {
 		t.Fatalf("injected build failure not classified ErrBuild: %v", err)
 	}
-	res, err := r.RunCell("cell", prof, cfg, 0)
+	res, err := r.RunCell(context.Background(), "cell", prof, cfg)
 	if err != nil {
 		t.Fatalf("retry after transient build failure: %v", err)
 	}
 	r.SetFaultHook(nil)
-	want, err := NewRunner().RunCell("ref", prof, cfg, 0)
+	want, err := NewRunner().RunCell(context.Background(), "ref", prof, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +229,7 @@ func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 	}
 	want := make([]Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := r.RunWorkload("ref", w, cfg, 0)
+		res, err := r.RunWorkload(context.Background(), "ref", w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +244,7 @@ func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 			wg.Add(1)
 			go func(i int, cfg Config) {
 				defer wg.Done()
-				res, err := r.RunWorkload("soak", w, cfg, 0)
+				res, err := r.RunWorkload(context.Background(), "soak", w, cfg)
 				if err != nil {
 					errs <- err
 					return
@@ -298,17 +266,21 @@ func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 }
 
 // TestTimedCellsReleaseTimers: a finished timed cell leaves nothing live
-// behind it. espd runs every cell with a timeout (two minutes by
-// default), and a timeout timer left running would pin its memory until
-// it fired. The first batch warms the runner's pools and the runtime's
-// caches; only what the second batch leaves live is measured, since
-// warm-up garbage makes a single batch's delta unreliable.
+// behind it. espd runs every cell under a context with a timeout (two
+// minutes by default), canceled once the cell returns; a timeout timer
+// left running would pin its memory until it fired. The first batch
+// warms the runner's pools and the runtime's caches; only what the
+// second batch leaves live is measured, since warm-up garbage makes a
+// single batch's delta unreliable.
 func TestTimedCellsReleaseTimers(t *testing.T) {
 	w := MaterializeSource("empty", &eventq.TraceSource{}, 0)
 	r := NewRunner()
 	batch := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := r.RunWorkload("timed", w, Config{Name: "base"}, time.Hour); err != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+			_, err := r.RunWorkload(ctx, "timed", w, Config{Name: "base"})
+			cancel()
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -329,5 +301,53 @@ func TestTimedCellsReleaseTimers(t *testing.T) {
 	runtime.KeepAlive(r)
 	if per := (after - before) / cells; per > 64 {
 		t.Fatalf("each finished timed cell left %d B live, want at most 64", per)
+	}
+}
+
+// TestRunWorkloadStopsOnContext: a cell whose context is done before
+// its replay runs no event. An expired deadline fails it with
+// ErrTimeout, a cancellation with an error wrapping context.Canceled;
+// either way the cell is not counted and its machine is pooled again.
+func TestRunWorkloadStopsOnContext(t *testing.T) {
+	prof := testProfile(t)
+	cfg := espConfig()
+	r := NewRunner()
+	w, err := r.Workload(prof, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunWorkload(context.Background(), "warm", w, cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"expired", expired, ErrTimeout},
+		{"canceled", canceled, context.Canceled},
+	} {
+		before := r.Perf()
+		if _, err := r.RunWorkload(tc.ctx, "stopped", w, cfg); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err %v, want %v", tc.name, err, tc.want)
+		}
+		after := r.Perf()
+		if after.Cells != before.Cells {
+			t.Fatalf("%s: stopped cell counted: Cells %d -> %d", tc.name, before.Cells, after.Cells)
+		}
+		if after.MachineBuilds != 1 || after.MachineReuses != before.MachineReuses+1 {
+			t.Fatalf("%s: machines %d built/%d reused, want the pooled machine reused", tc.name, after.MachineBuilds, after.MachineReuses)
+		}
+	}
+	if _, err := r.RunWorkload(context.Background(), "after", w, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if p := r.Perf(); p.MachineBuilds != 1 || p.Cells != 2 {
+		t.Fatalf("after the stopped cells: %d machines built, %d cells, want 1 and 2", p.MachineBuilds, p.Cells)
 	}
 }

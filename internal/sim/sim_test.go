@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -194,9 +195,11 @@ func TestRunnerSharesWorkloadsAndMachines(t *testing.T) {
 	prof := testProfile(t)
 	r := NewRunner()
 	cfgs := []Config{{Name: "base"}, espConfig()}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	for round := 0; round < 2; round++ {
 		for _, cfg := range cfgs {
-			if _, err := r.RunCell("test", prof, cfg, time.Minute); err != nil {
+			if _, err := r.RunCell(ctx, "test", prof, cfg); err != nil {
 				t.Fatalf("round %d, %s: %v", round, cfg.Name, err)
 			}
 		}
@@ -230,7 +233,7 @@ func TestRunnerIdenticalAcrossPaths(t *testing.T) {
 
 	r := NewRunner()
 	for i := 0; i < 2; i++ {
-		got, err := r.RunCell("cell", prof, cfg, 0)
+		got, err := r.RunCell(context.Background(), "cell", prof, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +269,7 @@ func TestRunnerPoolsByHardware(t *testing.T) {
 			for _, cfg := range group.cfgs {
 				for _, maxEvents := range []int{4, 0} {
 					cfg.MaxEvents = maxEvents
-					res, err := r.RunCell(cfg.Name, prof, cfg, 0)
+					res, err := r.RunCell(context.Background(), cfg.Name, prof, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -345,7 +348,7 @@ func TestRunnerPanicDropsMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.simulate("boom-cell", m, nil, m.cfg) // nil workload panics in Run
+	_, err = r.simulate(context.Background(), "boom-cell", m, nil, m.cfg) // nil workload panics in replay
 	if err == nil || !strings.Contains(err.Error(), "boom-cell") || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic error naming the cell", err)
 	}
