@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check lint inline-check test race ledgerbench-check examples-smoke bench-go flame fuzz-smoke tier1 clean
+.PHONY: all build vet fmt-check lint inline-check fma-check test race ledgerbench-check examples-smoke bench-go flame fuzz-smoke tier1 clean
 
 all: tier1
 
@@ -38,6 +38,18 @@ inline-check:
 	for f in $(INLINED); do \
 		printf '%s\n' "$$inl" | grep -qxF "$$f" || { echo "inline-check: trace.$$f no longer inlines"; exit 1; }; \
 	done
+
+# fma-check fails when an arm64 build of a model package fuses a
+# floating-point multiply and add into one instruction (FMADDD, FMSUBD,
+# FNMADDD, FNMSUBD). A fused product skips a rounding, so results would
+# differ from amd64's, which never fuses; an explicit float64()
+# conversion around the product prevents it on every architecture.
+FMA_PKGS = ./internal/cpu ./internal/energy ./internal/core ./internal/runahead \
+	./internal/mem ./internal/branch ./internal/prefetch
+fma-check:
+	@asm="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1)" || { printf '%s\n' "$$asm" | tail -20; echo "fma-check: arm64 build failed"; exit 1; }; \
+	fused="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]F(N?MADD|N?MSUB)D[[:space:]]')"; \
+	if [ -n "$$fused" ]; then echo "fma-check: fused multiply-adds in an arm64 build:"; printf '%s\n' "$$fused"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -90,14 +102,16 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerConfig -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzSourceWorkload -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzCacheOracle -fuzztime=$(FUZZTIME) ./internal/mem
 
 # tier1 is the robustness gate: everything must be green before merge.
 # lint subsumes vet and adds the domain analyzers, so a contract
 # violation fails the gate before any test runs; inline-check keeps the
-# replay loops' decode inlined; race then runs every test uncached, so
+# replay loops' decode inlined and fma-check the model's float rounding
+# the same on every architecture; race then runs every test uncached, so
 # a stale pass cannot satisfy it; ledgerbench-check keeps an API change
 # from breaking the benchmark unnoticed, and examples-smoke the examples.
-tier1: lint build inline-check race ledgerbench-check examples-smoke fuzz-smoke
+tier1: lint build inline-check fma-check race ledgerbench-check examples-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

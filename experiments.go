@@ -108,8 +108,8 @@ func (h *Harness) Run(prof workload.Profile, cfg Config) (Result, error) {
 	h.mu.Unlock()
 	cell.once.Do(func() {
 		// The runner shares one materialized workload per
-		// (profile, MaxEvents) across every configuration and resets a
-		// pooled machine per configuration instead of rebuilding it; it
+		// (profile, MaxEvents) across every configuration and fits a
+		// pooled machine to each cell instead of building one; it
 		// also contains panics and stops the replay when ctx ends. The
 		// memoized cell serves every caller, so only Timeout bounds it.
 		ctx := context.Background()

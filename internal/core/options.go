@@ -89,11 +89,14 @@ func (s Sizes) mode(i int) int {
 // and the list budgets must hold at least one record each.
 func (s Sizes) Validate() error {
 	modeName := [2]string{"ESP-1", "ESP-2"}
+	// Spelled out, not concatenated, so a valid config validates without
+	// allocating: the sim Runner validates every cell's config.
+	cachelet := [2][2]string{{"ESP-1 I-cachelet", "ESP-1 D-cachelet"}, {"ESP-2 I-cachelet", "ESP-2 D-cachelet"}}
 	for m := 0; m < 2; m++ {
-		if err := mem.CheckGeometry(modeName[m]+" I-cachelet", s.ICacheletBytes[m], s.ICacheletWays[m]); err != nil {
+		if err := mem.CheckGeometry(cachelet[m][0], s.ICacheletBytes[m], s.ICacheletWays[m]); err != nil {
 			return fmt.Errorf("core: bad cachelet geometry: %w", err)
 		}
-		if err := mem.CheckGeometry(modeName[m]+" D-cachelet", s.DCacheletBytes[m], s.DCacheletWays[m]); err != nil {
+		if err := mem.CheckGeometry(cachelet[m][1], s.DCacheletBytes[m], s.DCacheletWays[m]); err != nil {
 			return fmt.Errorf("core: bad cachelet geometry: %w", err)
 		}
 		for _, b := range []struct {

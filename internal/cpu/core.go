@@ -337,7 +337,9 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 			}
 			switch level {
 			case mem.LevelL2:
-				p := cfg.L2IExposure * float64(lat)
+				// The conversion rounds the product before it is added,
+				// so no architecture fuses the two into an FMA.
+				p := float64(cfg.L2IExposure * float64(lat))
 				cycles += p
 				st.IMissCycles += int64(p)
 			case mem.LevelMem:
@@ -394,7 +396,7 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 			}
 			switch level {
 			case mem.LevelL2:
-				p := cfg.L2DExposure * float64(lat)
+				p := float64(cfg.L2DExposure * float64(lat)) // unfused, as above
 				cycles += p
 				st.DMissCycles += int64(p)
 			case mem.LevelMem:

@@ -88,13 +88,16 @@ func Compute(a Activity, m Model) Breakdown {
 	var b Breakdown
 	b.Static = float64(a.Cycles) * m.StaticPerCycle
 	b.Mispredict = float64(a.Mispredicts) * m.WrongPathPerMispredict
-	b.Dynamic = float64(a.Insts+a.PreExecInsts)*m.PerInst +
-		float64(a.Branches)*m.PerBranch +
-		float64(a.L1IAccesses+a.L1DAccesses)*m.PerL1 +
-		float64(a.L2Accesses)*m.PerL2 +
-		float64(a.MemAccesses)*m.PerMem +
-		float64(a.Prefetches)*(m.PerL1+m.PerL2) +
-		float64(a.CacheletOps)*m.PerCachelet +
-		float64(a.ListOps)*m.PerList
+	// Each product is rounded by an explicit conversion, which keeps a
+	// compiler from fusing it into the sum (an FMA on arm64 and others),
+	// so the sum is bit-identical on every architecture.
+	b.Dynamic = float64(float64(a.Insts+a.PreExecInsts)*m.PerInst) +
+		float64(float64(a.Branches)*m.PerBranch) +
+		float64(float64(a.L1IAccesses+a.L1DAccesses)*m.PerL1) +
+		float64(float64(a.L2Accesses)*m.PerL2) +
+		float64(float64(a.MemAccesses)*m.PerMem) +
+		float64(float64(a.Prefetches)*(m.PerL1+m.PerL2)) +
+		float64(float64(a.CacheletOps)*m.PerCachelet) +
+		float64(float64(a.ListOps)*m.PerList)
 	return b
 }

@@ -134,9 +134,9 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the espd simulation service. One Server owns one sim.Runner
-// — so every request shares the LRU workload cache and the per-config
-// machine pools — plus the admission machinery (worker slots, queue
-// tickets) and the metrics runCell records.
+// — so every request shares the LRU workload cache and the pooled
+// machines, at most one per worker slot — plus the admission machinery
+// (worker slots, queue tickets) and the metrics runCell records.
 //
 // Create with New, mount anywhere via http.Handler, stop with Drain.
 type Server struct {
@@ -518,7 +518,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	wall := time.Since(start)
 	if err != nil {
 		status := s.fail(w, err)
-		s.log.Error("run", "app", req.workloadName(), "config", req.Config, "status", status, "wall_ms", wall.Milliseconds(), "err", err.Error())
+		s.log.Log(r.Context(), failLevel(status), "run", "app", req.workloadName(), "config", req.Config, "status", status, "wall_ms", wall.Milliseconds(), "err", err.Error())
 		return
 	}
 	s.log.Info("run", "app", req.workloadName(), "config", req.Config, "status", http.StatusOK, "wall_ms", wall.Milliseconds())
@@ -967,6 +967,18 @@ func HTTPStatus(k fault.ErrorKind) int {
 		return http.StatusInternalServerError
 	}
 	return http.StatusInternalServerError
+}
+
+// failLevel is the log level of a request that failed with status:
+// Error for a fault of the server or of a worker behind it (500, 502),
+// Warn for what the client caused or the server refused by design (4xx,
+// 499, 503 overload or draining, 504 the client's own timeout or
+// deadline).
+func failLevel(status int) slog.Level {
+	if status == http.StatusInternalServerError || status == http.StatusBadGateway {
+		return slog.LevelError
+	}
+	return slog.LevelWarn
 }
 
 // fail answers err with the status its kind maps to and returns that

@@ -13,6 +13,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -410,6 +411,93 @@ func TestTimeoutReturns504(t *testing.T) {
 // gmaps/ESP+NL cells with a 1 ms budget on a one-worker daemon build no
 // second machine and complete nothing, even once a full replay's worth
 // of time has passed.
+// logRecorder is an slog.Handler that keeps each record's message,
+// level and "status" attribute.
+type logRecorder struct {
+	mu   sync.Mutex
+	recs []loggedLine
+}
+
+type loggedLine struct {
+	msg    string
+	level  slog.Level
+	status int64
+}
+
+func (h *logRecorder) Enabled(context.Context, slog.Level) bool { return true }
+func (h *logRecorder) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *logRecorder) WithGroup(string) slog.Handler            { return h }
+
+func (h *logRecorder) Handle(_ context.Context, r slog.Record) error {
+	line := loggedLine{msg: r.Message, level: r.Level}
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "status" {
+			line.status = a.Value.Int64()
+		}
+		return true
+	})
+	h.mu.Lock()
+	h.recs = append(h.recs, line)
+	h.mu.Unlock()
+	return nil
+}
+
+// TestRunFailureLogLevels: a failed /run logs at Error only when the
+// server is at fault. A client that hangs up while its cell runs (499)
+// and a cell that outlives the client's own timeout_ms (504) log at
+// Warn; a cell that panics (500) logs at Error.
+func TestRunFailureLogLevels(t *testing.T) {
+	const (
+		hangUp = iota + 1
+		stall
+		crash
+	)
+	var mode atomic.Int32
+	var cancel context.CancelFunc
+	hook := func(pt sim.FaultPoint) error {
+		if pt.Op != "run" {
+			return nil
+		}
+		switch mode.Load() {
+		case hangUp:
+			cancel()
+		case stall:
+			<-pt.Done
+		case crash:
+			panic("injected")
+		}
+		return nil
+	}
+	logs := &logRecorder{}
+	s := testServer(t, Options{Workers: 1, FaultHook: hook, Logger: slog.New(logs)})
+	for _, tc := range []struct {
+		name   string
+		mode   int32
+		status int
+		level  slog.Level
+	}{
+		{"client gone", hangUp, statusClientGone, slog.LevelWarn},
+		{"client timeout", stall, http.StatusGatewayTimeout, slog.LevelWarn},
+		{"panic", crash, http.StatusInternalServerError, slog.LevelError},
+	} {
+		var ctx context.Context
+		ctx, cancel = context.WithCancel(context.Background())
+		mode.Store(tc.mode)
+		rec := doRun(s, ctx, RunRequest{App: "amazon", Config: "ESP+NL", MaxEvents: 8, TimeoutMs: 50})
+		cancel()
+		if rec.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.status, rec.Body.String())
+		}
+		logs.mu.Lock()
+		last := logs.recs[len(logs.recs)-1]
+		logs.mu.Unlock()
+		if last.msg != "run" || last.status != int64(tc.status) || last.level != tc.level {
+			t.Fatalf("%s: logged %q status %d at %v, want \"run\" status %d at %v",
+				tc.name, last.msg, last.status, last.level, tc.status, tc.level)
+		}
+	}
+}
+
 func TestTimeoutBurstStopsCells(t *testing.T) {
 	s := testServer(t, Options{Workers: 1})
 	if rec := post(t, s, "/run", RunRequest{App: "gmaps", Config: "ESP+NL", MaxEvents: 1}); rec.Code != http.StatusOK {

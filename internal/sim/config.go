@@ -7,17 +7,20 @@
 //     (trace.Tape) — and immutable afterwards, so it can be replayed and
 //     shared across goroutines freely;
 //
-//   - the machine plane: a Machine assembles the core, memory hierarchy,
-//     branch predictor, prefetchers and stall-window assist once from a
-//     Config, and Reset() restores all of them to cold state without
-//     reallocating their tables, so one Machine replays many workloads
-//     with an allocation-flat hot loop.
+//   - the machine plane: a Machine assembles the core, memory hierarchy
+//     and branch predictor once, is fit to a Config by attaching the
+//     prefetchers and stall-window assist it names (each built on first
+//     use and kept), and Reset() restores all of them to cold state
+//     without reallocating their tables, so one Machine replays many
+//     workloads under many configurations with an allocation-flat hot
+//     loop.
 //
 // A Runner joins the planes for sweeps: workloads are materialized once
-// per application and shared across every configuration, machines are
-// recycled per configuration, and per-cell timing/allocation counters
-// record what the reuse saved. Errors keep the "esp:" prefix because
-// this package is the engine behind the public esp API.
+// per application and shared across every configuration, one machine
+// per cell in flight is recycled and fit to each cell, and per-cell
+// timing/allocation counters record what the reuse saved. Errors keep
+// the "esp:" prefix because this package is the engine behind the
+// public esp API.
 package sim
 
 import (
@@ -44,11 +47,10 @@ const (
 )
 
 // Config is a complete machine configuration, and a comparable value.
-// Every field but Name, Sched, MaxEvents and MaxPending is hardware: it
-// shapes the machine NewMachine assembles. The other four only label
-// results or bound a replay, so configs with equal hardware share one
-// machine; the Runner pools machines by hardware and replays a pooled
-// one as each cell's config.
+// Every design point shares the Figure 7 hierarchy and predictor; the
+// other fields pick the timing model, the idealized structures, the
+// prefetchers and the assist a Machine is fit to, or label results and
+// bound a replay.
 type Config struct {
 	// Name labels the configuration in tables and memoization keys.
 	Name string
@@ -145,30 +147,6 @@ func (r Result) Speedup(base Result) float64 {
 	return float64(base.Cycles) / float64(r.Cycles)
 }
 
-// hardware returns c without the fields that do not shape the machine:
-// the Runner's machine-pool key.
-func (c Config) hardware() Config {
-	c.Name, c.Sched, c.MaxEvents, c.MaxPending = "", 0, 0, 0
-	return c
-}
-
-// validateRun is the part of Validate that checks the fields hardware
-// drops, which a pooled machine's build never saw.
-func (c Config) validateRun() error {
-	var err error
-	switch {
-	case c.MaxEvents < 0:
-		err = fmt.Errorf("MaxEvents must be non-negative, got %d", c.MaxEvents)
-	case c.MaxPending < 0:
-		err = fmt.Errorf("MaxPending must be non-negative, got %d", c.MaxPending)
-	case !c.Sched.Valid():
-		err = fmt.Errorf("unknown scheduler policy %d (have %v)", uint8(c.Sched), eventq.SchedNames())
-	default:
-		return nil
-	}
-	return fmt.Errorf("esp: config %q: %w", c.Name, err)
-}
-
 // effectiveCPU resolves the timing configuration. Only the all-zero
 // struct selects DefaultConfig (so `Config{...}` literals keep working);
 // any explicitly-set field means the caller owns the whole struct, and
@@ -226,8 +204,13 @@ func (c Config) Validate() error {
 		}
 		return fail(err)
 	}
-	if err := c.validateRun(); err != nil {
-		return err
+	switch {
+	case c.MaxEvents < 0:
+		return fail(fmt.Errorf("MaxEvents must be non-negative, got %d", c.MaxEvents))
+	case c.MaxPending < 0:
+		return fail(fmt.Errorf("MaxPending must be non-negative, got %d", c.MaxPending))
+	case !c.Sched.Valid():
+		return fail(fmt.Errorf("unknown scheduler policy %d (have %v)", uint8(c.Sched), eventq.SchedNames()))
 	}
 	if c.EFetch && c.PIF {
 		return fail(fmt.Errorf("EFetch and PIF are mutually exclusive instruction prefetchers; enable at most one"))

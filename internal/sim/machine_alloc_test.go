@@ -94,10 +94,41 @@ func TestRunnerWarmCellAllocFlat(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	// RunCell assembles a fresh Result (one ESPStats box for ESP configs);
-	// anything beyond that small constant means the hot path regressed.
-	const maxAllocs = 4
-	if n > maxAllocs {
-		t.Errorf("warm RunCell heap-allocates %v times per run, want <= %d", n, maxAllocs)
+	if n > warmCellAllocs {
+		t.Errorf("warm RunCell heap-allocates %v times per run, want <= %d", n, warmCellAllocs)
+	}
+}
+
+// warmCellAllocs bounds a warm cell's heap allocations: RunCell
+// assembles a fresh Result (one ESPStats or RAStats box for assisted
+// configs); anything beyond that small constant means the hot path
+// regressed.
+const warmCellAllocs = 4
+
+// TestRunnerRefitAllocFlat: once a slot has run each Figure 9 config,
+// cycling through them all allocates no more per cell than a warm cell
+// of one config, so fitting a machine to a config it has seen builds
+// nothing.
+func TestRunnerRefitAllocFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is wall-clock heavy")
+	}
+	prof := workload.Bing()
+	prof.Events = 30
+	cfgs := fig9Configs()
+	r := NewRunner()
+	cycle := func() {
+		for _, cfg := range cfgs {
+			if _, err := r.RunCell(context.Background(), "cycle", prof, cfg); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(3, cycle) / float64(len(cfgs)); n > warmCellAllocs {
+		t.Errorf("cycling the Figure 9 configs heap-allocates %.2f times per cell, want <= %d", n, warmCellAllocs)
+	}
+	if p := r.Perf(); p.MachineBuilds != 1 {
+		t.Fatalf("one caller built %d machines, want 1", p.MachineBuilds)
 	}
 }

@@ -65,8 +65,9 @@ type Perf struct {
 	WorkloadReuses   int64
 	WorkloadEvicts   int64
 	WorkloadBypasses int64
-	// MachineBuilds counts machines assembled; MachineReuses counts
-	// cells that reset and reused a pooled machine.
+	// MachineBuilds counts machines assembled, at most the number of
+	// cells that ever ran at once; MachineReuses counts cells that ran
+	// on a pooled machine, fit to their config.
 	MachineBuilds int64
 	MachineReuses int64
 	// BuildWall is time spent materializing workloads and assembling
@@ -183,11 +184,11 @@ type workloadCell struct {
 
 // Runner joins the planes for sweeps: it materializes each workload once
 // (single-flight, shared by every configuration and goroutine) and pools
-// one reusable Machine per distinct hardware configuration per
-// concurrent worker: cells whose configs differ only in Name, Sched,
-// MaxEvents or MaxPending share machines.
+// machines as worker slots: a cell pops any idle machine, fits it to its
+// config and returns it when done, and a machine is built only when
+// every pooled one is busy, so at most one exists per cell in flight.
 // All methods are safe for concurrent use; results are bit-identical to
-// building a fresh machine per cell because Machine.Run resets to cold
+// building a fresh machine per cell because every replay resets to cold
 // state first.
 //
 // The workload cache is unbounded by default; a long-lived Runner (the
@@ -208,18 +209,15 @@ type Runner struct {
 	// noAdmit stops new builds from entering the cache (brownout's
 	// no-cache lever); already-cached workloads still serve.
 	noAdmit bool
-	// machines pools idle machines by Config.hardware.
-	machines map[Config][]*Machine
-	perf     Perf
-	fault    FaultHook
+	// idle holds the machines no cell is using.
+	idle  []*Machine
+	perf  Perf
+	fault FaultHook
 }
 
 // NewRunner returns an empty Runner with an unbounded workload cache.
 func NewRunner() *Runner {
-	return &Runner{
-		workloads: make(map[workloadKey]*workloadCell),
-		machines:  make(map[Config][]*Machine),
-	}
+	return &Runner{workloads: make(map[workloadKey]*workloadCell)}
 }
 
 // SetWorkloadCap bounds the workload cache to n materializations,
@@ -426,21 +424,22 @@ func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy even
 	return w, nil
 }
 
-// acquireMachine pops a pooled machine with cfg's hardware or
-// assembles one. A pooled machine proves only its hardware valid, so
-// the rest of cfg is checked either way.
+// acquireMachine pops an idle machine and fits it to cfg, or assembles
+// one when every pooled machine is busy.
 func (r *Runner) acquireMachine(cfg Config) (*Machine, error) {
-	if err := cfg.validateRun(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key := cfg.hardware()
 	r.mu.Lock()
-	pool := r.machines[key]
-	if n := len(pool); n > 0 {
-		m := pool[n-1]
-		r.machines[key] = pool[:n-1]
+	if n := len(r.idle); n > 0 {
+		m := r.idle[n-1]
+		r.idle = r.idle[:n-1]
 		r.perf.MachineReuses++
 		r.mu.Unlock()
+		if err := m.fit(cfg); err != nil {
+			r.releaseMachine(m)
+			return nil, err
+		}
 		return m, nil
 	}
 	r.mu.Unlock()
@@ -456,19 +455,18 @@ func (r *Runner) acquireMachine(cfg Config) (*Machine, error) {
 	return m, err
 }
 
-// releaseMachine returns a healthy machine to its hardware's pool.
+// releaseMachine returns a healthy machine to the pool.
 func (r *Runner) releaseMachine(m *Machine) {
-	key := m.cfg.hardware()
 	r.mu.Lock()
-	r.machines[key] = append(r.machines[key], m)
+	r.idle = append(r.idle, m)
 	r.mu.Unlock()
 }
 
 // RunCell simulates one (profile, configuration) cell on the calling
 // goroutine: the workload is materialized once per (profile, MaxEvents)
-// and shared, the machine comes from the pool of cfg's hardware and
-// replays as cfg. label names the cell in panic and stop errors. ctx
-// bounds the replay, not the build: once it is done no further event
+// and shared, and a pooled machine is fit to cfg and replays it. label
+// names the cell in panic and stop errors. ctx bounds the replay, not
+// the build: once it is done no further event
 // runs, and the cell fails with ErrTimeout if its deadline passed or
 // with ctx's error otherwise. A stopped cell's machine goes straight
 // back to the pool (every replay resets first); a panicking machine is
@@ -488,16 +486,14 @@ func (r *Runner) RunWorkload(ctx context.Context, label string, w *Workload, cfg
 	if err != nil {
 		return Result{}, err
 	}
-	return r.simulate(ctx, label, m, w, cfg)
+	return r.simulate(ctx, label, m, w)
 }
 
-// simulate replays w on m as cfg (cfg's MaxEvents and MaxPending shape
-// the replay and its Name labels the result, so the result equals a
-// fresh cfg machine's Run) with panic containment and timing
-// accounting. The fault hook (if any) runs first: an injected error
+// simulate replays w on m, as the config m is fit to, with panic
+// containment and timing accounting. The fault hook (if any) runs first: an injected error
 // fails the cell with the untouched machine pooled again; an injected
 // panic takes the same containment path as a real simulation panic.
-func (r *Runner) simulate(ctx context.Context, label string, m *Machine, w *Workload, cfg Config) (res Result, err error) {
+func (r *Runner) simulate(ctx context.Context, label string, m *Machine, w *Workload) (res Result, err error) {
 	r.mu.Lock()
 	hook := r.fault
 	r.mu.Unlock()
@@ -522,15 +518,15 @@ func (r *Runner) simulate(ctx context.Context, label string, m *Machine, w *Work
 		r.mu.Unlock()
 	}()
 	if hook != nil {
-		if herr := hook(FaultPoint{Op: "run", Label: label, App: w.App, Config: cfg.Name, Done: done}); herr != nil {
+		if herr := hook(FaultPoint{Op: "run", Label: label, App: w.App, Config: m.cfg.Name, Done: done}); herr != nil {
 			return Result{}, fmt.Errorf("esp: run %s: %w", label, herr)
 		}
 	}
-	if m.replay(w, cfg.MaxEvents, cfg.MaxPending, done) {
+	if m.replay(w, done) {
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return Result{}, fmt.Errorf("esp: run %s: stopped at its deadline: %w", label, ErrTimeout)
 		}
 		return Result{}, fmt.Errorf("esp: run %s: stopped: %w", label, ctx.Err())
 	}
-	return m.result(w, cfg.Name), nil
+	return m.result(w), nil
 }

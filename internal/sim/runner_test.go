@@ -26,6 +26,67 @@ func smallSuite() []workload.Profile {
 	return out
 }
 
+// fig9Configs returns the Figure 9 machine axis: base, NL, NL+S,
+// Runahead, Runahead+NL, ESP and ESP+NL.
+func fig9Configs() []Config {
+	return []Config{
+		{Name: "base"},
+		{Name: "NL", NLI: true, NLD: true},
+		{Name: "NL+S", NLI: true, NLD: true, StridePF: true},
+		{Name: "Runahead", Assist: AssistRunahead},
+		{Name: "Runahead+NL", NLI: true, NLD: true, Assist: AssistRunahead},
+		{Name: "ESP", Assist: AssistESP},
+		espConfig(),
+	}
+}
+
+// TestRunnerMachinesPerCellInFlight: goroutines cycling the Figure 9
+// configs, each from a different starting point, never have more cells
+// in flight than there are goroutines, so the Runner builds at most one
+// machine per goroutine, and every result equals a fresh machine's.
+func TestRunnerMachinesPerCellInFlight(t *testing.T) {
+	prof := testProfile(t)
+	prof.Events = 8
+	cfgs := fig9Configs()
+	w, err := NewWorkload(prof, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m.Run(w)
+	}
+
+	const goroutines, laps = 3, 2
+	r := NewRunner()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < laps*len(cfgs); i++ {
+				k := (g*2 + i) % len(cfgs)
+				res, err := r.RunCell(context.Background(), "cycle", prof, cfgs[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(res, want[k]) {
+					t.Errorf("%s: pooled result differs from a fresh machine's", cfgs[k].Name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := r.Perf(); p.MachineBuilds > goroutines {
+		t.Fatalf("%d goroutines built %d machines, want at most %d", goroutines, p.MachineBuilds, goroutines)
+	}
+}
+
 // TestRunnerWorkloadLRU exercises the cap: with room for two workloads,
 // touching a third evicts the least recently used, and re-requesting the
 // evicted key rebuilds it (a build, not a reuse).

@@ -189,8 +189,9 @@ func TestReplayLoop(t *testing.T) {
 }
 
 // TestRunnerSharesWorkloadsAndMachines checks the reuse counters: two
-// configs over one profile materialize the workload once, and repeated
-// cells of one config reuse its pooled machine.
+// configs over one profile materialize the workload once, and one
+// caller's cells all run on one pooled machine, fit to each config in
+// turn.
 func TestRunnerSharesWorkloadsAndMachines(t *testing.T) {
 	prof := testProfile(t)
 	r := NewRunner()
@@ -211,8 +212,8 @@ func TestRunnerSharesWorkloadsAndMachines(t *testing.T) {
 	if p.WorkloadBuilds != 1 || p.WorkloadReuses != 3 {
 		t.Fatalf("workloads = %d built/%d reused, want 1/3", p.WorkloadBuilds, p.WorkloadReuses)
 	}
-	if p.MachineBuilds != 2 || p.MachineReuses != 2 {
-		t.Fatalf("machines = %d built/%d reused, want 2/2", p.MachineBuilds, p.MachineReuses)
+	if p.MachineBuilds != 1 || p.MachineReuses != 3 {
+		t.Fatalf("machines = %d built/%d reused, want 1/3", p.MachineBuilds, p.MachineReuses)
 	}
 }
 
@@ -243,10 +244,12 @@ func TestRunnerIdenticalAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestRunnerPoolsByHardware: cells whose configs differ only in Name,
-// Sched, MaxEvents or MaxPending share one pooled machine, and every
-// result, its Config label included, equals a fresh machine's.
-func TestRunnerPoolsByHardware(t *testing.T) {
+// TestRunnerSlotReplaysEachShape: one caller's cells share one pooled
+// machine whatever their configs — hardware, Name, Sched, MaxEvents and
+// MaxPending alike — and every result, its Config label included, equals
+// a fresh machine's, also when the same slot alternates between configs
+// and session lengths.
+func TestRunnerSlotReplaysEachShape(t *testing.T) {
 	timed := workload.MobileWeb()
 	timed.Events = 24
 	deep := espConfig()
@@ -259,11 +262,11 @@ func TestRunnerPoolsByHardware(t *testing.T) {
 		cfgs []Config
 	}{
 		{timed, []Config{{Name: "base"}, {Name: "base@edf", Sched: eventq.SchedEDF}}},
-		{testProfile(t), []Config{deep, wide}},
+		{testProfile(t), []Config{deep, wide, {Name: "ra-nl", NLI: true, NLD: true, Assist: AssistRunahead}, espConfig()}},
 	}
 	r := NewRunner()
 	got := map[string]Result{}
-	for g, group := range groups {
+	for _, group := range groups {
 		prof := group.prof
 		for round := 0; round < 2; round++ {
 			for _, cfg := range group.cfgs {
@@ -291,9 +294,9 @@ func TestRunnerPoolsByHardware(t *testing.T) {
 				}
 			}
 		}
-		if builds := r.Perf().MachineBuilds; builds != int64(g+1) {
-			t.Fatalf("%d hardware configs built %d machines", g+1, builds)
-		}
+	}
+	if builds := r.Perf().MachineBuilds; builds != 1 {
+		t.Fatalf("one caller's cells built %d machines, want 1", builds)
 	}
 	if got["esp-deep"].Cycles == got["esp-deep-wide"].Cycles {
 		t.Fatal("MaxPending 8 replays like 2: the test cannot see a per-run queue view")
@@ -348,12 +351,12 @@ func TestRunnerPanicDropsMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.simulate(context.Background(), "boom-cell", m, nil, m.cfg) // nil workload panics in replay
+	_, err = r.simulate(context.Background(), "boom-cell", m, nil) // nil workload panics in replay
 	if err == nil || !strings.Contains(err.Error(), "boom-cell") || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want panic error naming the cell", err)
 	}
 	r.mu.Lock()
-	pooled := len(r.machines[m.cfg.hardware()])
+	pooled := len(r.idle)
 	r.mu.Unlock()
 	if pooled != 0 {
 		t.Fatalf("panicked machine was returned to the pool")
