@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check lint inline-check fma-check test race ledgerbench-check examples-smoke bench-go flame fuzz-smoke tier1 clean
+.PHONY: all build vet fmt-check lint inline-check fma-check test race paper-check ledgerbench-check examples-smoke bench-go flame fuzz-smoke tier1 clean
 
 all: tier1
 
@@ -57,8 +57,22 @@ test:
 # race is the whole suite under the race detector, uncached: the chaos
 # soaks, leak, overload, cluster and scheduling tests all run here. For
 # a focused local run, narrow it: go test -race -run TestChaos ./internal/serve
+# It skips the paper record, which paper-check runs without the race
+# detector (see below).
 race:
-	$(GO) test -race -count=1 ./...
+	$(GO) test -race -count=1 -skip '^TestPaperRecord$$' ./...
+
+# paper-check is the executable paper record: cmd/espbench's
+# TestPaperRecord regenerates every figure `go run ./cmd/espbench`
+# prints and fails unless it equals EXPERIMENTS.md's "Figures (measured
+# output)" block byte for byte (the trailing engine: line, reuse
+# counters and wall times, aside). It takes about 12 s on a 2-vCPU
+# host and runs without the race detector, under which it took 138 s
+# (11x): the only concurrency it drives, RunAll's figure workers sharing
+# one Runner, is what the root package's golden parallel sweep already
+# races.
+paper-check:
+	$(GO) test -count=1 -run '^TestPaperRecord$$' ./cmd/espbench
 
 # ledgerbench-check vets and tests the benchmark of record, its own
 # module over the cluster, serve, sim, tenantq, fault, checkpoint and
@@ -109,9 +123,10 @@ fuzz-smoke:
 # violation fails the gate before any test runs; inline-check keeps the
 # replay loops' decode inlined and fma-check the model's float rounding
 # the same on every architecture; race then runs every test uncached, so
-# a stale pass cannot satisfy it; ledgerbench-check keeps an API change
-# from breaking the benchmark unnoticed, and examples-smoke the examples.
-tier1: lint build inline-check fma-check race ledgerbench-check examples-smoke fuzz-smoke
+# a stale pass cannot satisfy it; paper-check keeps every figure equal to
+# the EXPERIMENTS.md record; ledgerbench-check keeps an API change from
+# breaking the benchmark unnoticed, and examples-smoke the examples.
+tier1: lint build inline-check fma-check race paper-check ledgerbench-check examples-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

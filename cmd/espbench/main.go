@@ -12,25 +12,55 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"espsim"
 	"espsim/internal/workload"
 )
 
-func main() {
-	var (
-		fig   = flag.String("fig", "all", "which figure to regenerate (all, headline, ablations, seeds, related, 3, 6, 8, 9, 10, 11a, 11b, 12, 13, 14)")
-		scale = flag.Float64("scale", 1, "event-count scale factor")
-		app   = flag.String("app", "amazon", "application for -fig ablations")
-		csv   = flag.Bool("csv", false, "emit tables as CSV (for plotting)")
-		par   = flag.Int("par", 4, "figure-level parallelism for -fig all")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	csvOut = *csv
+// run is espbench with its arguments and output streams passed in, so
+// a test can check its output; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("espbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig   = fs.String("fig", "all", "which figure to regenerate (all, headline, ablations, seeds, related, 3, 6, 8, 9, 10, 11a, 11b, 12, 13, 14)")
+		scale = fs.Float64("scale", 1, "event-count scale factor")
+		app   = fs.String("app", "amazon", "application for -fig ablations")
+		csv   = fs.Bool("csv", false, "emit tables as CSV (for plotting)")
+		par   = fs.Int("par", 4, "figure-level parallelism for -fig all")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "espbench:", err)
+		return 1
+	}
+	printFigure := func(f esp.Figure) {
+		if *csv {
+			fmt.Fprint(stdout, f.Table.CSV())
+			fmt.Fprintln(stdout)
+		} else {
+			fmt.Fprintln(stdout, f.Table)
+			if f.PaperNote != "" {
+				fmt.Fprintf(stdout, "  %s\n", f.PaperNote)
+			}
+			fmt.Fprintln(stdout)
+		}
+		for _, key := range f.CellErrorKeys() {
+			fmt.Fprintf(stderr, "espbench: %s: cell %s failed: %v\n", f.ID, key, f.CellErrors[key])
+		}
+	}
+
 	h := esp.NewHarness()
 	h.Scale = *scale
 
@@ -42,56 +72,57 @@ func main() {
 		}
 		head, err := h.Headline()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(head)
-		fmt.Println("engine:", sweep.Perf)
+		fmt.Fprintln(stdout, head)
+		fmt.Fprintln(stdout, "engine:", sweep.Perf)
 		if !sweep.OK() {
-			fmt.Fprintln(os.Stderr, "espbench: sweep degraded:")
-			fmt.Fprintln(os.Stderr, sweep.Summary())
-			os.Exit(1)
+			fmt.Fprintln(stderr, "espbench: sweep degraded:")
+			fmt.Fprintln(stderr, sweep.Summary())
+			return 1
 		}
 	case "headline":
 		head, err := h.Headline()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(head)
+		fmt.Fprintln(stdout, head)
 	case "seeds":
 		prof, err := workload.ByName(*app)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		t, err := h.SeedStudy(prof, 5)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	case "ablations":
 		prof, err := workload.ByName(*app)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		abls, err := h.AllAblations(prof)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		for _, a := range abls {
-			fmt.Println(a.Table)
-			fmt.Println()
+			fmt.Fprintln(stdout, a.Table)
+			fmt.Fprintln(stdout)
 		}
 	default:
 		nf, ok := standardFigure(*fig)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "espbench: unknown figure %q\n", *fig)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "espbench: unknown figure %q\n", *fig)
+			return 2
 		}
 		f, err := nf.Gen(h)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		printFigure(f)
 	}
+	return 0
 }
 
 // standardFigure finds the figure -fig names: "9" or "fig9" is the
@@ -104,27 +135,3 @@ func standardFigure(name string) (esp.NamedFigure, bool) {
 	}
 	return esp.NamedFigure{}, false
 }
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "espbench:", err)
-	os.Exit(1)
-}
-
-func printFigure(f esp.Figure) {
-	if csvOut {
-		fmt.Print(f.Table.CSV())
-		fmt.Println()
-	} else {
-		fmt.Println(f.Table)
-		if f.PaperNote != "" {
-			fmt.Printf("  %s\n", f.PaperNote)
-		}
-		fmt.Println()
-	}
-	for _, key := range f.CellErrorKeys() {
-		fmt.Fprintf(os.Stderr, "espbench: %s: cell %s failed: %v\n", f.ID, key, f.CellErrors[key])
-	}
-}
-
-// csvOut switches printFigure to CSV rendering.
-var csvOut bool

@@ -107,9 +107,10 @@ func (h *Harness) Run(prof workload.Profile, cfg Config) (Result, error) {
 	}
 	h.mu.Unlock()
 	cell.once.Do(func() {
-		// The runner shares one materialized workload per
-		// (profile, MaxEvents) across every configuration and fits a
-		// pooled machine to each cell instead of building one; it
+		// The runner shares one materialized workload per profile,
+		// MaxEvents, policy and queue depth (sim.Runner.WorkloadSched)
+		// across every configuration and fits a pooled machine to each
+		// cell instead of building one; it
 		// also contains panics and stops the replay when ctx ends. The
 		// memoized cell serves every caller, so only Timeout bounds it.
 		ctx := context.Background()

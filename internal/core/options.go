@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"espsim/internal/mem"
 )
@@ -226,8 +227,8 @@ func (o *Options) Validate() error {
 	switch {
 	case o.JumpDepth < 1 || o.JumpDepth > 8:
 		return fmt.Errorf("core: JumpDepth %d out of range [1,8]", o.JumpDepth)
-	case o.BaseCPI <= 0:
-		return fmt.Errorf("core: BaseCPI must be positive, got %g (start from DefaultOptions)", o.BaseCPI)
+	case !(o.BaseCPI > 0) || math.IsInf(o.BaseCPI, 1):
+		return fmt.Errorf("core: BaseCPI must be positive and finite, got %g (start from DefaultOptions)", o.BaseCPI)
 	case o.PrefetchLead < 0 || o.PreEventWindow < 0:
 		return fmt.Errorf("core: prefetch windows must be non-negative, got lead=%d window=%d", o.PrefetchLead, o.PreEventWindow)
 	case o.MinLead < 0:

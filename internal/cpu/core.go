@@ -123,25 +123,26 @@ type Config struct {
 // Validate reports whether the configuration is coherent, with an
 // actionable error naming the offending field. The zero Config is NOT
 // valid: callers that want defaults should start from DefaultConfig.
+// Every float range check is written so that NaN fails it.
 func (c Config) Validate() error {
 	switch {
 	case c.Width <= 0:
 		return fmt.Errorf("cpu: Width must be positive, got %d (start from DefaultConfig)", c.Width)
 	case c.ROB <= 0:
 		return fmt.Errorf("cpu: ROB must be positive, got %d", c.ROB)
-	case c.BaseCPI <= 0:
-		return fmt.Errorf("cpu: BaseCPI must be positive, got %g", c.BaseCPI)
+	case !(c.BaseCPI > 0) || math.IsInf(c.BaseCPI, 1):
+		return fmt.Errorf("cpu: BaseCPI must be positive and finite, got %g", c.BaseCPI)
 	case c.MispredictPenalty < 0:
 		return fmt.Errorf("cpu: MispredictPenalty must be non-negative, got %d", c.MispredictPenalty)
 	case c.MisfetchPenalty < 0:
 		return fmt.Errorf("cpu: MisfetchPenalty must be non-negative, got %d", c.MisfetchPenalty)
-	case c.L2IExposure < 0 || c.L2IExposure > 1:
+	case !(c.L2IExposure >= 0 && c.L2IExposure <= 1):
 		return fmt.Errorf("cpu: L2IExposure must be in [0,1], got %g", c.L2IExposure)
-	case c.L2DExposure < 0 || c.L2DExposure > 1:
+	case !(c.L2DExposure >= 0 && c.L2DExposure <= 1):
 		return fmt.Errorf("cpu: L2DExposure must be in [0,1], got %g", c.L2DExposure)
 	case c.MemIExposed < 0 || c.MemDExposed < 0:
 		return fmt.Errorf("cpu: exposed memory latencies must be non-negative, got I=%d D=%d", c.MemIExposed, c.MemDExposed)
-	case c.MLPFactor < 0 || c.MLPFactor > 1:
+	case !(c.MLPFactor >= 0 && c.MLPFactor <= 1):
 		return fmt.Errorf("cpu: MLPFactor must be in [0,1], got %g", c.MLPFactor)
 	case c.ExitFlushPenalty < 0:
 		return fmt.Errorf("cpu: ExitFlushPenalty must be non-negative, got %d", c.ExitFlushPenalty)

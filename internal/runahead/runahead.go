@@ -14,6 +14,7 @@ package runahead
 
 import (
 	"fmt"
+	"math"
 
 	"espsim/internal/branch"
 	"espsim/internal/cpu"
@@ -55,16 +56,17 @@ type Config struct {
 
 // Validate reports whether the configuration is coherent, naming the
 // offending field. The zero Config is NOT valid: start from
-// DefaultConfig or DataOnlyConfig.
+// DefaultConfig or DataOnlyConfig. Every float range check is written
+// so that NaN fails it.
 func (c Config) Validate() error {
 	switch {
-	case c.BaseCPI <= 0:
-		return fmt.Errorf("runahead: BaseCPI must be positive, got %g (start from DefaultConfig)", c.BaseCPI)
-	case c.DepFrac < 0 || c.DepFrac > 1:
+	case !(c.BaseCPI > 0) || math.IsInf(c.BaseCPI, 1):
+		return fmt.Errorf("runahead: BaseCPI must be positive and finite, got %g (start from DefaultConfig)", c.BaseCPI)
+	case !(c.DepFrac >= 0 && c.DepFrac <= 1):
 		return fmt.Errorf("runahead: DepFrac must be in [0,1], got %g", c.DepFrac)
-	case c.BranchDepFrac < 0 || c.BranchDepFrac > 1:
+	case !(c.BranchDepFrac >= 0 && c.BranchDepFrac <= 1):
 		return fmt.Errorf("runahead: BranchDepFrac must be in [0,1], got %g", c.BranchDepFrac)
-	case c.WrongPathStop < 0 || c.WrongPathStop > 1:
+	case !(c.WrongPathStop >= 0 && c.WrongPathStop <= 1):
 		return fmt.Errorf("runahead: WrongPathStop must be in [0,1], got %g", c.WrongPathStop)
 	case c.EnterCost < 0:
 		return fmt.Errorf("runahead: EnterCost must be non-negative, got %d", c.EnterCost)

@@ -361,11 +361,12 @@ func traceWorkload(traceB64 string, maxEvents int, policy esp.SchedPolicy, lim t
 
 // resolve turns one validated (app-or-trace, config) pair into the two
 // planes a runner needs. Preset workloads go through the runner's LRU
-// cache keyed by (profile, MaxEvents) — which subsumes (app, scale),
-// since scale changes the profile value — so concurrent requests share
-// one materialized arena. A name, knob, or inline trace that does not
-// resolve is ErrInvalid; a preset that fails to build is the runner's
-// own error (sim.ErrBuild, retryable).
+// cache keyed by (profile, MaxEvents, policy, queue depth) — which
+// subsumes (app, scale), since scale changes the profile value — so
+// concurrent requests share one materialized arena, built only as deep
+// as the cell's MaxPending reads. A name, knob, or inline trace that
+// does not resolve is ErrInvalid; a preset that fails to build is the
+// runner's own error (sim.ErrBuild, retryable).
 func resolve(r *sim.Runner, req RunRequest) (*sim.Workload, esp.Config, error) {
 	cfg, err := cellConfig(req.Config, req.Sched, req.MaxEvents, req.MaxPending)
 	if err != nil {
@@ -382,7 +383,7 @@ func resolve(r *sim.Runner, req RunRequest) (*sim.Workload, esp.Config, error) {
 	if err != nil {
 		return nil, esp.Config{}, invalid(err)
 	}
-	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
+	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched, cfg.MaxPending)
 	return w, cfg, err
 }
 

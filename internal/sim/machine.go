@@ -180,7 +180,9 @@ func (m *Machine) Reset() {
 // simulation result. The workload is only read. The machine's MaxEvents
 // bounds the replay (a workload built under a larger bound, or none,
 // replays only its first MaxEvents events), and MaxPending shapes the
-// queue view here.
+// queue view here, never deeper than the views w keeps (a Runner's
+// bounded workloads keep only what their cells read; Runner.RunWorkload
+// refuses a deeper replay).
 func (m *Machine) Run(w *Workload) Result {
 	m.replay(w, nil)
 	return m.result(w)

@@ -161,12 +161,29 @@ func (p Perf) String() string {
 
 // workloadKey identifies one materialization: the full profile value
 // (Profile is a comparable struct of scalars) plus the executed-prefix
-// bound and the dispatch policy the schedule was baked under. Two cells
-// with equal keys share one Workload.
+// bound, the dispatch policy the schedule was baked under and the depth
+// of queue view kept (cellDepth). Two cells with equal keys share one
+// Workload.
 type workloadKey struct {
 	prof      workload.Profile
 	maxEvents int
 	sched     eventq.SchedPolicy
+	depth     int
+}
+
+// cellDepth is how deep a Runner keeps the queue views of prof's
+// workload for cells that replay maxEvents events under maxPending: as
+// deep as such a replay reads (viewDepth) when maxEvents bounds an
+// untimed session, and whole (specLookahead) otherwise. An unbounded
+// replay runs every event, and a timed session's views name only
+// executed events (the queue holds what has arrived by dispatch), so a
+// shallower workload would hold no less; there one serves every
+// MaxPending.
+func cellDepth(prof workload.Profile, maxEvents, maxPending int) int {
+	if maxEvents <= 0 || prof.Timed {
+		return specLookahead
+	}
+	return viewDepth(maxPending)
 }
 
 type workloadCell struct {
@@ -191,9 +208,12 @@ type workloadCell struct {
 // building a fresh machine per cell because every replay resets to cold
 // state first.
 //
-// The workload cache is unbounded by default; a long-lived Runner (the
-// espd service) should SetWorkloadCap so distinct (profile, MaxEvents)
-// keys evict least-recently-used arenas instead of accumulating.
+// A bounded cell's workload is built only as deep as its MaxPending
+// reads (see cellDepth), so the cache keys a workload by profile,
+// MaxEvents, dispatch policy and that depth. The cache is unbounded by
+// default; a long-lived Runner (the espd service) should SetWorkloadCap
+// so distinct keys evict least-recently-used arenas instead of
+// accumulating.
 // Eviction only drops the cache entry — workloads are immutable, so a
 // goroutine still replaying an evicted workload is unaffected.
 type Runner struct {
@@ -321,22 +341,27 @@ func (r *Runner) evictOldestLocked() {
 }
 
 // Workload returns the materialized workload for prof truncated to
-// maxEvents, building it on first use and sharing it afterwards.
-// Concurrent callers for the same key block on one materialization.
+// maxEvents, at full depth (any MaxPending replays it), building it on
+// first use and sharing it afterwards. Concurrent callers for the same
+// key block on one materialization.
 //
 // Failed builds are never cached: every waiter on the failing
 // materialization observes the same error (wrapped in ErrBuild), but
 // the cache entry is dropped immediately, so a later call — a retry
 // after a transient failure — materializes from scratch.
 func (r *Runner) Workload(prof workload.Profile, maxEvents int) (*Workload, error) {
-	return r.WorkloadSched(prof, maxEvents, eventq.SchedFIFO)
+	return r.WorkloadSched(prof, maxEvents, eventq.SchedFIFO, specLookahead)
 }
 
-// WorkloadSched is Workload under an explicit dispatch policy; the
-// policy is part of the cache key, so the same profile scheduled two
-// ways materializes two arenas.
-func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
-	key := workloadKey{prof: prof, maxEvents: maxEvents, sched: policy}
+// WorkloadSched is Workload under an explicit dispatch policy, for
+// cells that replay with MaxPending maxPending. The policy is part of
+// the cache key, so the same profile scheduled two ways materializes
+// two arenas; so is the depth of queue view maxPending reads when
+// maxEvents bounds an untimed session (cellDepth), and the workload
+// keeps its views and speculative streams only that deep: a replay
+// under a deeper MaxPending needs its own.
+func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, maxPending int) (*Workload, error) {
+	key := workloadKey{prof: prof, maxEvents: maxEvents, sched: policy, depth: cellDepth(prof, maxEvents, maxPending)}
 	r.mu.Lock()
 	cell, ok := r.workloads[key]
 	if !ok && r.noAdmit {
@@ -346,7 +371,7 @@ func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy even
 		hook := r.fault
 		r.perf.WorkloadBypasses++
 		r.mu.Unlock()
-		return r.buildWorkload(prof, maxEvents, policy, hook)
+		return r.buildWorkload(key, hook)
 	}
 	if !ok {
 		cell = &workloadCell{}
@@ -362,7 +387,7 @@ func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy even
 	built := false
 	cell.once.Do(func() {
 		built = true
-		cell.w, cell.err = r.buildWorkload(prof, maxEvents, policy, hook)
+		cell.w, cell.err = r.buildWorkload(key, hook)
 	})
 	if built && cell.err == nil {
 		// Fold the finished build into the byte budget — unless a
@@ -397,10 +422,11 @@ func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy even
 	return cell.w, cell.err
 }
 
-// buildWorkload materializes one workload with fault-hook and perf
-// accounting, shared by the cached and cache-bypass paths.
-func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, hook FaultHook) (*Workload, error) {
+// buildWorkload materializes the workload key names with fault-hook and
+// perf accounting, shared by the cached and cache-bypass paths.
+func (r *Runner) buildWorkload(key workloadKey, hook FaultHook) (*Workload, error) {
 	start := time.Now()
+	prof := key.prof
 	var w *Workload
 	var err error
 	if hook != nil {
@@ -409,7 +435,7 @@ func (r *Runner) buildWorkload(prof workload.Profile, maxEvents int, policy even
 		}
 	}
 	if err == nil {
-		w, err = NewWorkloadSched(prof, maxEvents, policy)
+		w, err = sessionWorkload(prof, key.maxEvents, key.sched, key.depth)
 		if err != nil {
 			err = fmt.Errorf("esp: workload %s: %w: %w", prof.Name, ErrBuild, err)
 		}
@@ -463,16 +489,16 @@ func (r *Runner) releaseMachine(m *Machine) {
 }
 
 // RunCell simulates one (profile, configuration) cell on the calling
-// goroutine: the workload is materialized once per (profile, MaxEvents)
-// and shared, and a pooled machine is fit to cfg and replays it. label
-// names the cell in panic and stop errors. ctx bounds the replay, not
-// the build: once it is done no further event
-// runs, and the cell fails with ErrTimeout if its deadline passed or
-// with ctx's error otherwise. A stopped cell's machine goes straight
+// goroutine: the workload is materialized once per key (see
+// WorkloadSched) and shared, and a pooled machine is fit to cfg and
+// replays it. label names the cell in panic and stop errors. ctx bounds
+// the replay, not the build: once it is done no further event runs, and
+// the cell fails with ErrTimeout if its deadline passed or with ctx's
+// error otherwise. A stopped cell's machine goes straight
 // back to the pool (every replay resets first); a panicking machine is
 // dropped, never pooled.
 func (r *Runner) RunCell(ctx context.Context, label string, prof workload.Profile, cfg Config) (Result, error) {
-	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched)
+	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched, cfg.MaxPending)
 	if err != nil {
 		return Result{}, err
 	}
@@ -480,8 +506,12 @@ func (r *Runner) RunCell(ctx context.Context, label string, prof workload.Profil
 }
 
 // RunWorkload is RunCell for an already-materialized workload (e.g. one
-// built from a generic source).
+// built from a generic source). A workload that keeps shallower queue
+// views than cfg's MaxPending reads is an error.
 func (r *Runner) RunWorkload(ctx context.Context, label string, w *Workload, cfg Config) (Result, error) {
+	if d := viewDepth(cfg.MaxPending); w.depth > 0 && d > w.depth {
+		return Result{}, fmt.Errorf("esp: workload %s keeps queue views %d deep, but MaxPending %d reads %d", w.App, w.depth, cfg.MaxPending, d)
+	}
 	m, err := r.acquireMachine(cfg)
 	if err != nil {
 		return Result{}, err

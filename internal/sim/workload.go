@@ -2,17 +2,29 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"espsim/internal/eventq"
 	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
 
-// specLookahead is the deepest queue view a schedule derives: the
+// specLookahead is the deepest queue view a workload holds: the
 // hardware event queue exposes at most 8 future events (workload
 // sessions cap VisibleDepth there, matching the paper's deepest
-// jump-ahead study), so schedWindows caps each slot's window at it.
+// jump-ahead study), so schedWindows caps each slot's window at it. A
+// full-depth build keeps every view this deep.
 const specLookahead = 8
+
+// viewDepth is how deep a replay under maxPending reads each session
+// queue view: maxPending, where 0 means the paper's 2-entry hardware
+// queue, and never past specLookahead.
+func viewDepth(maxPending int) int {
+	if maxPending <= 0 {
+		return 2
+	}
+	return min(maxPending, specLookahead)
+}
 
 // span locates one event's queue view in the flattened pending table:
 // pendTab[off:off+n].
@@ -25,11 +37,21 @@ type span struct{ off, n int32 }
 // construction — replays only read it — so one Workload can be shared by
 // any number of Machines across goroutines.
 //
+// The public constructors keep every queue view as deep as the queue
+// can see, so a replay under any MaxPending reads it. A Runner builds a
+// bounded session only as deep as its cells' MaxPending reads, with the
+// speculative streams and events past those views left out; a replay
+// under a deeper MaxPending sees its views cut at that depth, and
+// Runner.RunWorkload refuses one.
+//
 //esp:plane workload
 type Workload struct {
 	// App names the application (profile name or caller-chosen label).
 	App string
 
+	// events is the event list: the executed prefix, and for a bounded
+	// session the later events its queue views name (a copy, so the
+	// rest of the session is not kept).
 	events []trace.Event
 	// nExec is the number of events a replay executes (the session
 	// truncated by MaxEvents). Speculative streams extend further, to
@@ -45,15 +67,16 @@ type Workload struct {
 
 	// pend[i] spans event i's queue view in pendTab. A session's views,
 	// and a timed input's dispatch-order views, are windows into the
-	// workload's own event list (pendTab is that list) as deep as the
-	// queue can see, and trim is true: a replay cuts each to the
-	// machine's MaxPending (0 means the 2-entry hardware queue). A
-	// generic source kept in source order has its views flattened into
-	// pendTab as the source gave them, nil and empty ones included, and
-	// trim is false: every replay sees them unchanged.
+	// workload's own event list (pendTab is that list) at most depth
+	// deep, where depth is specLookahead unless a Runner built the
+	// workload for shallower views; a replay cuts each to the machine's
+	// MaxPending (0 means the 2-entry hardware queue). A generic source
+	// kept in source order has its views flattened into pendTab as the
+	// source gave them, nil and empty ones included, and depth 0: every
+	// replay sees them unchanged.
 	pendTab []trace.Event
 	pend    []span
-	trim    bool
+	depth   int
 
 	// tape holds every materialized stream back to back, in arrays sized
 	// exactly (trace.Tape documents the encoding).
@@ -96,13 +119,20 @@ func MaterializeSource(app string, src eventq.Source, maxEvents int) *Workload {
 }
 
 // NewWorkloadSched materializes prof's session, truncated to maxEvents
-// when positive, under a dispatch policy (see build).
+// when positive, under a dispatch policy (see build), at full depth: a
+// replay under any MaxPending reads it.
 func NewWorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
+	return sessionWorkload(prof, maxEvents, policy, specLookahead)
+}
+
+// sessionWorkload is NewWorkloadSched keeping each queue view at most
+// depth events deep.
+func sessionWorkload(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, depth int) (*Workload, error) {
 	sess, err := workload.NewSession(prof)
 	if err != nil {
 		return nil, fmt.Errorf("esp: building session: %w", err)
 	}
-	return build(prof.Name, sessionInput{sess}, maxEvents, policy)
+	return build(prof.Name, sessionInput{sess}, maxEvents, policy, depth)
 }
 
 // MaterializeSourceSched snapshots an arbitrary eventq.Source (recorded
@@ -113,9 +143,9 @@ func NewWorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedP
 // NewWorkloadSched, so a replay trims its views to MaxPending.
 func MaterializeSourceSched(app string, src eventq.Source, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
 	if ss, ok := src.(eventq.SessionSource); ok && ss.MaxPending <= 0 {
-		return build(app, sessionInput{ss.S}, maxEvents, policy)
+		return build(app, sessionInput{ss.S}, maxEvents, policy, specLookahead)
 	}
-	return build(app, sourceInput{src}, maxEvents, policy)
+	return build(app, sourceInput{src}, maxEvents, policy, specLookahead)
 }
 
 // build materializes in, truncated to maxEvents when positive, under a
@@ -126,11 +156,15 @@ func MaterializeSourceSched(app string, src eventq.Source, maxEvents int, policy
 // keeps per-event data placement unique — with queue views derived
 // from the schedule's clock and trimmed at replay. Otherwise the
 // schedule is the identity and the input keeps its own order and
-// views. A queue view that names an event outside the input is an
+// views. A session's or timed input's views are kept at most depth
+// deep (specLookahead keeps them whole), and the speculative horizon
+// ends at the last event a kept view names: a shallower depth builds
+// fewer speculative streams. A generic source's views are kept as
+// given. A queue view that names an event outside the input is an
 // error: ESP would read that event's speculative stream.
 //
 //esp:ctor
-func build(app string, in input, maxEvents int, policy eventq.SchedPolicy) (*Workload, error) {
+func build(app string, in input, maxEvents int, policy eventq.SchedPolicy, depth int) (*Workload, error) {
 	n := in.len()
 	nExec := execCount(n, maxEvents)
 	w := &Workload{App: app, events: in.events(nExec), nExec: nExec}
@@ -145,13 +179,19 @@ func build(app string, in input, maxEvents int, policy eventq.SchedPolicy) (*Wor
 	}
 	if timed {
 		w.events = schedEvents(exec, w.sched)
-		w.pendTab, w.pend, w.trim = w.events, schedWindows(w.events, w.sched.Dispatch), true
+		w.pendTab, w.pend, w.depth = w.events, schedWindows(w.events, w.sched.Dispatch, depth), depth
 	} else {
-		in.views(w)
+		in.views(w, depth)
 	}
 	nSpec, err := specHorizon(n, w.pendTab, w.pend)
 	if err != nil {
 		return nil, err
+	}
+	if w.depth > 0 && nSpec < len(w.events) {
+		// A bounded session's views name no event past the horizon:
+		// keep a copy of the events up to it, not the whole session.
+		w.events = slices.Clone(w.events[:nSpec])
+		w.pendTab = w.events
 	}
 
 	tb := in.tapeBuild(w.events, nExec, nSpec)
@@ -177,8 +217,9 @@ type input interface {
 	// events returns the event list; its first nExec entries are the
 	// executed events.
 	events(nExec int) []trace.Event
-	// views sets w's queue views over w.events in input order.
-	views(w *Workload)
+	// views sets w's queue views over w.events in input order, a
+	// session's at most depth deep.
+	views(w *Workload, depth int)
 	// tapeBuild starts the tape of nExec stream pairs and speculative
 	// streams up to nSpec, for the event list evs.
 	tapeBuild(evs []trace.Event, nExec, nSpec int) *tapeBuild
@@ -193,19 +234,20 @@ type input interface {
 // sessionInput is a synthetic session. The tape build's reused walker
 // generates its streams, each equal to what its generator's Stream
 // returns for the event as laid out; its queue views are VisibleDepth
-// windows into its own event list, trimmed at replay.
+// windows into its own event list, cut at the build's depth and
+// trimmed at replay.
 type sessionInput struct{ *workload.Session }
 
 func (in sessionInput) len() int                 { return len(in.Events) }
 func (in sessionInput) events(int) []trace.Event { return in.Events }
 
 //esp:ctor
-func (in sessionInput) views(w *Workload) {
+func (in sessionInput) views(w *Workload, depth int) {
 	n := len(in.Events)
-	w.pendTab, w.trim = in.Events, true
+	w.pendTab, w.depth = in.Events, depth
 	w.pend = make([]span, w.nExec)
 	for i := range w.pend {
-		w.pend[i] = span{off: int32(i + 1), n: int32(min(in.VisibleDepth[i], n-1-i))}
+		w.pend[i] = span{off: int32(i + 1), n: int32(min(in.VisibleDepth[i], n-1-i, depth))}
 	}
 }
 
@@ -260,7 +302,7 @@ func (in sourceInput) events(nExec int) []trace.Event {
 }
 
 //esp:ctor
-func (in sourceInput) views(w *Workload) {
+func (in sourceInput) views(w *Workload, _ int) {
 	w.pend = make([]span, w.nExec)
 	for i := range w.pend {
 		p := in.Pending(i)
@@ -309,8 +351,9 @@ func execCount(n, maxEvents int) int {
 }
 
 // specHorizon returns how many events need speculative streams: at
-// least the executed prefix (len(pend) events), and every event a queue
-// view names. A view naming an ID outside [0, n) is an error.
+// least the executed prefix (len(pend) events), and every event a kept
+// queue view names, so a view cut shallower ends the horizon sooner. A
+// view naming an ID outside [0, n) is an error.
 func specHorizon(n int, pendTab []trace.Event, pend []span) (int, error) {
 	h := len(pend)
 	for i, sp := range pend {
@@ -390,14 +433,14 @@ func schedEvents(evs []trace.Event, sched *eventq.Schedule) []trace.Event {
 // schedWindows derives the hardware event queue's visibility from the
 // schedule's virtual clock: when slot k dispatches, the consecutive run
 // of later slots whose events have already arrived is resident in the
-// queue (capped at the paper's deepest study, 8 entries). Under light
-// load the queue is often empty at dispatch — exactly the reduced ESP
-// opportunity a real mobile session offers.
-func schedWindows(evs []trace.Event, dispatch []int64) []span {
+// queue (capped at depth, at most the paper's deepest study, 8
+// entries). Under light load the queue is often empty at dispatch —
+// exactly the reduced ESP opportunity a real mobile session offers.
+func schedWindows(evs []trace.Event, dispatch []int64, depth int) []span {
 	pend := make([]span, len(evs))
 	for k := range evs {
 		d := 0
-		for d < specLookahead && k+1+d < len(evs) && evs[k+1+d].Arrival <= dispatch[k] {
+		for d < depth && k+1+d < len(evs) && evs[k+1+d].Arrival <= dispatch[k] {
 			d++
 		}
 		pend[k] = span{off: int32(k + 1), n: int32(d)}
@@ -424,30 +467,26 @@ func (w *Workload) SpecTape(ev trace.Event) trace.Tape { return w.spec[ev.ID] }
 
 // pending returns event i's queue view: a capacity-pinned window into
 // the flattened pending table, never a copy. Session views are trimmed
-// to maxPending (0 means 2); generic-source views come back as the
-// source gave them.
+// to maxPending (0 means 2), and never reach past the depth the
+// workload keeps; generic-source views come back as the source gave
+// them.
 func (w *Workload) pending(i, maxPending int) []trace.Event {
 	sp := w.pend[i]
 	if sp.off < 0 {
 		return nil
 	}
 	n := int(sp.n)
-	if w.trim {
-		max := maxPending
-		if max <= 0 {
-			max = 2
-		}
-		if n > max {
-			n = max
-		}
+	if w.depth > 0 {
+		n = min(n, viewDepth(maxPending))
 	}
 	end := int(sp.off) + n
 	return w.pendTab[sp.off:end:end]
 }
 
 // Source returns a read-only eventq.Source view of the workload, with
-// queue views as a replay under maxPending sees them. Views are
-// stateless: any number may be used concurrently.
+// queue views as a replay under maxPending sees them (on a workload a
+// Runner built shallower, cut at its depth). Views are stateless: any
+// number may be used concurrently.
 func (w *Workload) Source(maxPending int) eventq.Source {
 	return &wsource{w: w, maxPending: maxPending}
 }

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"espsim/internal/trace"
 )
@@ -151,57 +152,65 @@ type Profile struct {
 // run time for longer sessions.
 const ScaleDivisor = 10
 
-// Validate reports whether the profile's parameters are usable.
+// Validate reports whether the profile's parameters are usable. Every
+// float field must be finite and in range, and each check is written so
+// that NaN fails it: a NaN field would also make the profile unequal to
+// itself, so no workload cache keyed by it could ever hit.
 func (p *Profile) Validate() error {
 	switch {
 	case p.Events <= 0:
 		return fmt.Errorf("workload %q: Events must be positive", p.Name)
 	case p.MeanEventLen < 64:
 		return fmt.Errorf("workload %q: MeanEventLen %d too small", p.Name, p.MeanEventLen)
+	case !(p.EventLenSpread >= 0 && p.EventLenSpread <= 4):
+		return fmt.Errorf("workload %q: EventLenSpread must be in [0,4], got %g", p.Name, p.EventLenSpread)
 	case p.Handlers <= 0:
 		return fmt.Errorf("workload %q: Handlers must be positive", p.Name)
 	case p.HandlerFootprint < 4096 || p.RuntimeFootprint < 4096:
 		return fmt.Errorf("workload %q: code footprints must be >= 4KiB", p.Name)
-	case p.LoadFrac < 0 || p.StoreFrac < 0 || p.LoadFrac+p.StoreFrac > 0.9:
+	case !(p.LoadFrac >= 0 && p.StoreFrac >= 0 && p.LoadFrac+p.StoreFrac <= 0.9):
 		return fmt.Errorf("workload %q: bad memory mix", p.Name)
 	case p.SharedData < 4096 || p.EventHeap < 256:
 		return fmt.Errorf("workload %q: data regions too small", p.Name)
-	case p.DepProb < 0 || p.DepProb > 1:
-		return fmt.Errorf("workload %q: DepProb out of range", p.Name)
-	case p.ReuseFrac < 0 || p.ReuseFrac > 0.999:
+	case !(p.ReuseFrac >= 0 && p.ReuseFrac <= 0.999):
 		return fmt.Errorf("workload %q: ReuseFrac out of range", p.Name)
-	case p.HotCallFrac < 0 || p.HotCallFrac > 1:
-		return fmt.Errorf("workload %q: HotCallFrac out of range", p.Name)
-	case p.CodeIntensity < 0 || p.CodeIntensity > 8:
+	case !(p.CodeIntensity >= 0 && p.CodeIntensity <= 8):
 		return fmt.Errorf("workload %q: CodeIntensity out of range", p.Name)
-	case p.QueueNext < 0 || p.QueueNext > 1 || p.QueueSecond < 0 || p.QueueSecond > 1:
-		return fmt.Errorf("workload %q: queue probabilities out of range", p.Name)
 	case p.DeadlineSlack < 0:
 		return fmt.Errorf("workload %q: DeadlineSlack must be non-negative", p.Name)
 	}
-	if p.Timed {
-		active := 0
-		for i, cs := range p.Mix {
-			if cs.Weight == 0 {
-				continue
-			}
-			switch {
-			case cs.Weight < 0:
-				return fmt.Errorf("workload %q: Mix[%d] negative Weight", p.Name, i)
-			case cs.Class == trace.ClassNone || cs.Class >= trace.NumEventClasses:
-				return fmt.Errorf("workload %q: Mix[%d] invalid event class", p.Name, i)
-			case cs.MeanGap <= 0:
-				return fmt.Errorf("workload %q: Mix[%d] MeanGap must be positive", p.Name, i)
-			case cs.DeadlineLo < 0 || cs.DeadlineHi < cs.DeadlineLo:
-				return fmt.Errorf("workload %q: Mix[%d] bad deadline window", p.Name, i)
-			case cs.LenScale < 0 || cs.LenScale > 8:
-				return fmt.Errorf("workload %q: Mix[%d] LenScale out of range", p.Name, i)
-			}
-			active++
+	for _, f := range [...]struct {
+		name string
+		x    float64
+	}{
+		{"RuntimeFrac", p.RuntimeFrac}, {"SharedFrac", p.SharedFrac}, {"StrideFrac", p.StrideFrac},
+		{"HotFrac", p.HotFrac}, {"HotCallFrac", p.HotCallFrac}, {"DataDepBranch", p.DataDepBranch},
+		{"DepProb", p.DepProb}, {"QueueNext", p.QueueNext}, {"QueueSecond", p.QueueSecond},
+	} {
+		if !(f.x >= 0 && f.x <= 1) {
+			return fmt.Errorf("workload %q: %s must be in [0,1], got %g", p.Name, f.name, f.x)
 		}
-		if active == 0 {
-			return fmt.Errorf("workload %q: Timed profile needs at least one active Mix entry", p.Name)
+	}
+	active := 0
+	for i, cs := range p.Mix {
+		switch {
+		case !(cs.Weight >= 0) || math.IsInf(cs.Weight, 1):
+			return fmt.Errorf("workload %q: Mix[%d] Weight must be non-negative and finite, got %g", p.Name, i, cs.Weight)
+		case !(cs.LenScale >= 0 && cs.LenScale <= 8):
+			return fmt.Errorf("workload %q: Mix[%d] LenScale must be in [0,8], got %g", p.Name, i, cs.LenScale)
+		case !p.Timed || cs.Weight == 0:
+			continue
+		case cs.Class == trace.ClassNone || cs.Class >= trace.NumEventClasses:
+			return fmt.Errorf("workload %q: Mix[%d] invalid event class", p.Name, i)
+		case cs.MeanGap <= 0:
+			return fmt.Errorf("workload %q: Mix[%d] MeanGap must be positive", p.Name, i)
+		case cs.DeadlineLo < 0 || cs.DeadlineHi < cs.DeadlineLo:
+			return fmt.Errorf("workload %q: Mix[%d] bad deadline window", p.Name, i)
 		}
+		active++
+	}
+	if p.Timed && active == 0 {
+		return fmt.Errorf("workload %q: Timed profile needs at least one active Mix entry", p.Name)
 	}
 	return nil
 }
