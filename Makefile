@@ -20,7 +20,7 @@ fmt-check:
 
 # lint is the domain gate: go vet, the gofmt check, and esplint, the
 # in-tree analyzer suite that proves the replay/plane/fault contracts
-# (complete pooled resets, an immutable workload plane, a total error
+# (complete in-place resets, an immutable workload plane, a total error
 # taxonomy, wrap-safe sentinel matching). Any diagnostic fails the
 # build; see DESIGN.md §12 for the annotation grammar that governs each
 # check.

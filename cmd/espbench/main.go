@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	espbench [-fig all|headline|ablations|seeds|related|3|6|8|9|10|11a|11b|12|13|14] [-scale 1] [-par 4]
+//	espbench [-fig all|headline|ablations|seeds|related|eventlen|3|6|8|9|10|11a|11b|12|13|14] [-scale 1] [-par 4]
 //
 // With -fig all the figures run concurrently through the fault-tolerant
 // sweep runner: a figure that fails is reported and skipped, the rest
@@ -30,7 +30,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("espbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig   = fs.String("fig", "all", "which figure to regenerate (all, headline, ablations, seeds, related, 3, 6, 8, 9, 10, 11a, 11b, 12, 13, 14)")
+		fig   = fs.String("fig", "all", "which figure to regenerate (all, headline, ablations, seeds, related, eventlen, 3, 6, 8, 9, 10, 11a, 11b, 12, 13, 14)")
 		scale = fs.Float64("scale", 1, "event-count scale factor")
 		app   = fs.String("app", "amazon", "application for -fig ablations")
 		csv   = fs.Bool("csv", false, "emit tables as CSV (for plotting)")

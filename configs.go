@@ -11,9 +11,7 @@ import (
 )
 
 // The named configurations below are the machine design points that
-// appear across the paper's figures. Names double as memoization keys in
-// the experiment Harness, so each distinct design point has a distinct
-// name.
+// appear across the paper's figures.
 
 // BaselineConfig is the Figure 7 core with no prefetching: the
 // normalization baseline of Figure 9.
@@ -336,8 +334,8 @@ func ConfigNames() []string {
 }
 
 // SchedConfig returns cfg scheduled under policy. Non-FIFO policies get
-// "@policy" appended to the name, so memoization keys, result labels,
-// and golden-corpus keys stay distinct per schedule.
+// "@policy" appended to the name, so result labels and golden-corpus
+// keys stay distinct per schedule.
 func SchedConfig(cfg Config, policy SchedPolicy) Config {
 	cfg.Sched = policy
 	if policy != SchedFIFO {

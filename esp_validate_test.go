@@ -1,12 +1,14 @@
 package esp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"espsim/internal/core"
 	"espsim/internal/cpu"
 	"espsim/internal/runahead"
+	"espsim/internal/workload"
 )
 
 // TestConfigValidate is the table-driven contract for Config.Validate:
@@ -223,5 +225,42 @@ func TestHarnessMemoizesErrors(t *testing.T) {
 	}
 	if err1.Error() != err2.Error() {
 		t.Fatalf("memoized errors differ: %v vs %v", err1, err2)
+	}
+}
+
+// TestHarnessKeysCellsByValue: a profile or config changed without being
+// renamed is a cell of its own, so each Harness result equals esp.Run of
+// the same pair.
+func TestHarnessKeysCellsByValue(t *testing.T) {
+	h := NewHarness()
+	h.MaxEvents = 6
+	prof := workload.Amazon()
+	long := prof
+	long.MeanEventLen *= 4
+	lead := ESPNLConfig()
+	lead.ESP.PrefetchLead = 30
+	for _, c := range []struct {
+		prof workload.Profile
+		cfg  Config
+	}{
+		{prof, NLSConfig()},
+		{long, NLSConfig()},
+		{prof, ESPNLConfig()},
+		{prof, lead},
+	} {
+		got, err := h.Run(c.prof, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.cfg
+		cfg.MaxEvents = h.MaxEvents
+		want, err := Run(c.prof, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%s (MeanEventLen %d, PrefetchLead %d): Harness reads %d cycles, esp.Run %d",
+				c.prof.Name, cfg.Name, c.prof.MeanEventLen, cfg.ESP.PrefetchLead, got.Cycles, want.Cycles)
+		}
 	}
 }

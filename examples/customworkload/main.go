@@ -39,7 +39,6 @@ func iotSensor() workload.Profile {
 		Handlers:         12,
 		HandlerFootprint: 32 << 10,
 		RuntimeFootprint: 128 << 10,
-		RuntimeFrac:      0.3,
 		LoadFrac:         0.24,
 		StoreFrac:        0.12,
 		SharedData:       2 << 20,

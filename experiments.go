@@ -37,7 +37,14 @@ type Harness struct {
 
 	mu     sync.Mutex
 	runner *sim.Runner
-	cells  map[string]*harnessCell
+	cells  map[cellKey]*harnessCell
+}
+
+// cellKey identifies a memoized cell by value: a profile or config
+// changed without being renamed is a different cell.
+type cellKey struct {
+	prof workload.Profile
+	cfg  Config
 }
 
 // harnessCell memoizes one (profile, config) simulation. The sync.Once
@@ -54,7 +61,7 @@ func NewHarness() *Harness {
 	return &Harness{
 		Scale:  1,
 		runner: sim.NewRunner(),
-		cells:  make(map[string]*harnessCell),
+		cells:  make(map[cellKey]*harnessCell),
 	}
 }
 
@@ -91,10 +98,10 @@ func (h *Harness) Run(prof workload.Profile, cfg Config) (Result, error) {
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = h.MaxEvents
 	}
-	key := fmt.Sprintf("%s/%s/%g/%d", prof.Name, cfg.Name, h.Scale, cfg.MaxEvents)
+	key := cellKey{prof, cfg}
 	h.mu.Lock()
 	if h.cells == nil {
-		h.cells = make(map[string]*harnessCell)
+		h.cells = make(map[cellKey]*harnessCell)
 	}
 	if h.runner == nil {
 		h.runner = sim.NewRunner()
@@ -119,7 +126,7 @@ func (h *Harness) Run(prof workload.Profile, cfg Config) (Result, error) {
 			ctx, cancel = context.WithTimeout(ctx, h.Timeout)
 			defer cancel()
 		}
-		cell.res, cell.err = runner.RunCell(ctx, key, prof, cfg)
+		cell.res, cell.err = runner.RunCell(ctx, prof.Name+"/"+cfg.Name, prof, cfg)
 	})
 	return cell.res, cell.err
 }
@@ -570,6 +577,60 @@ func (h *Harness) FigRelated() (Figure, error) {
 	t := stats.NewTable(fig.Title, "config", "HW budget", "improvement % over base (HMean)")
 	for _, name := range fig.Order {
 		t.Add(name, budgets[name], fmt.Sprintf("%.1f", fig.Summary[name]))
+	}
+	fig.Table = t
+	return fig, nil
+}
+
+// FigEventLen re-derives deviation 1 of EXPERIMENTS.md: amazon with
+// events 1, 2, 4 and 8 times as long and as many times fewer (at least
+// 4), under NL+S and ESP+NL. The generator's code working set grows only
+// as len^0.8 (DESIGN.md §6), so a long event warms the L1-I for itself:
+// ESP's gain falls with event length while its coverage barely moves.
+func (h *Harness) FigEventLen() (Figure, error) {
+	var prof workload.Profile
+	for _, p := range h.Suite() {
+		if p.Name == "amazon" {
+			prof = p
+		}
+	}
+	fig := Figure{
+		ID:        "eventlen",
+		Title:     "Event length: amazon with longer, fewer events",
+		PaperNote: "Not a paper figure: the cause of deviation 1. Longer events leave ESP fewer L1-I misses to cover (NL+S MPKI), so its gain falls while its coverage of an event stays nearly flat.",
+		Apps:      []string{"x1", "x2", "x4", "x8"},
+		Series:    make(map[string][]float64),
+		Order:     []string{"gain%", "coverage%", "NL+S I-MPKI", "ESP+NL I-MPKI"},
+	}
+	t := stats.NewTable(fig.Title,
+		"event length", "ESP+NL gain % over NL+S", "coverage %", "NL+S L1-I MPKI", "ESP+NL L1-I MPKI")
+	var firstErr error
+	for i, label := range fig.Apps {
+		mult := 1 << i
+		p := prof
+		p.MeanEventLen *= mult
+		p.Events = max(p.Events/mult, 4)
+		base, errB := h.Run(p, NLSConfig())
+		e, errE := h.Run(p, ESPNLConfig())
+		row := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+		if err := firstOf(errB, errE); err != nil {
+			fig.cellError(label, ESPNLConfig().Name, err)
+			if firstErr == nil {
+				firstErr = err
+			}
+			t.Add(label, "error", "-", "-", "-")
+		} else {
+			cov := float64(e.ESPStats.PreExecInsts) / float64(e.Insts)
+			row = []float64{stats.Improvement(e.Speedup(base)), cov * 100, base.IMPKI, e.IMPKI}
+			t.Add(label, fmt.Sprintf("%.1f", row[0]), fmt.Sprintf("%.0f", row[1]),
+				fmt.Sprintf("%.1f", row[2]), fmt.Sprintf("%.1f", row[3]))
+		}
+		for k, name := range fig.Order {
+			fig.Series[name] = append(fig.Series[name], row[k])
+		}
+	}
+	if len(fig.CellErrors) == len(fig.Apps) {
+		return fig, fmt.Errorf("esp: figure eventlen: every cell failed: %w", firstErr)
 	}
 	fig.Table = t
 	return fig, nil

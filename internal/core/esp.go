@@ -54,7 +54,9 @@ type Stats struct {
 
 // slot is one hardware event-queue entry plus the per-mode execution
 // context of the event it tracks: its speculative stream position (the
-// re-entrancy state of §3.4), PIR, cachelets and prediction lists.
+// re-entrancy state of §3.4), PIR, cachelets and prediction lists. An
+// engine owns its slots for its lifetime, and each slot owns its
+// structures: a new occupant resets or overwrites them before reading.
 type slot struct {
 	ev    trace.Event
 	valid bool
@@ -69,12 +71,19 @@ type slot struct {
 	fetchLine uint64
 	haveLine  bool
 
-	pir     uint64
-	ras     branch.RASState
+	pir uint64
+	ras branch.RASState
+	// replica is the slot's predictor copy in the BPReplicate design,
+	// built on its first pre-execution and overwritten from the live
+	// predictor at each occupant's first step.
 	replica *branch.Predictor
 
-	icl *mem.Cache
-	dcl *mem.Cache
+	// icl and dcl are the occupant's cachelets: the pair in icls/dcls for
+	// the mode it is in now. A slot builds one pair per mode it occupies
+	// (index 0 is ESP-1, 1 is ESP-2 or deeper; the Ideal design uses
+	// only 0).
+	icl, dcl   *mem.Cache
+	icls, dcls [2]*mem.Cache
 
 	ilist accessList
 	dlist accessList
@@ -96,6 +105,23 @@ type slot struct {
 	ws []*mem.WorkingSet
 }
 
+// scrub empties the slot for a new occupant, or none: every field
+// returns to a fresh slot's zero except the structures the slot owns.
+// The list record arrays and study-profile slice keep their storage (a
+// truncated-and-appended slice holds exactly what a fresh one would),
+// and the cachelets and replica wait for the next occupant to reset or
+// overwrite them.
+func (s *slot) scrub() {
+	il, dl, bl := s.ilist, s.dlist, s.blist
+	il.reset(0)
+	dl.reset(0)
+	bl.reset(0, 0)
+	*s = slot{
+		ilist: il, dlist: dl, blist: bl, ws: clearProfiles(s.ws),
+		icls: s.icls, dcls: s.dcls, replica: s.replica,
+	}
+}
+
 // listsFull reports whether none of the three prediction lists can hold
 // even a minimal further record: pre-executing this event gathers
 // nothing. Space can reappear as the normal event drains the shared
@@ -114,7 +140,13 @@ type ESP struct {
 	// Stats accumulates across the run.
 	Stats Stats
 
+	// slots are the JumpDepth hardware event-queue entries, nearest
+	// first, and spare is the entry the running event consumes from: it
+	// is cons while that event has records, idle otherwise. These
+	// JumpDepth+1 slots are the engine's for its lifetime; EventStart
+	// rotates the departing entry to spare and the spare to the tail.
 	slots []*slot
+	spare *slot
 
 	// Consumption state for the current normal event.
 	cons                *slot
@@ -133,19 +165,6 @@ type ESP struct {
 	// Study collects Figure 13 working-set samples when enabled.
 	Study *WorkingSetStudy
 
-	// Recycling pools. The engine simulates one hardware structure set
-	// being reused event after event, so the software mirrors it: retired
-	// slots, their cachelets (bucketed by geometry) and replica
-	// predictors go back to these intrusive free-lists instead of the
-	// garbage collector. A pooled structure is always reset to cold state
-	// before reuse, keeping results bit-identical to allocate-fresh. The
-	// cachelet buckets are a linear-scanned slice, not a map: an engine
-	// sees at most a handful of geometries, and bucket lookup sits on the
-	// per-event rotation path.
-	cachePools []cachePool
-	slotPool   []*slot
-	bpPool     []*branch.Predictor
-
 	// runWindow/promote scratch, reused across calls.
 	readyAt     []float64
 	done        []bool
@@ -155,16 +174,6 @@ type ESP struct {
 // instNever is the OnInst wake value meaning "no per-instruction work
 // left this event".
 const instNever = int(^uint(0) >> 1)
-
-// cacheGeom keys the cachelet pool: cachelets are interchangeable
-// exactly when their geometry matches.
-type cacheGeom struct{ bytes, ways int }
-
-// cachePool is one geometry bucket of the cachelet free-list.
-type cachePool struct {
-	geom cacheGeom
-	free []*mem.Cache
-}
 
 // New returns an ESP engine sharing the core's hierarchy and predictor.
 func New(opt Options, h *mem.Hierarchy, bp *branch.Predictor, src StreamSource) (*ESP, error) {
@@ -176,6 +185,7 @@ func New(opt Options, h *mem.Hierarchy, bp *branch.Predictor, src StreamSource) 
 	for i := range e.slots {
 		e.slots[i] = &slot{}
 	}
+	e.spare = &slot{}
 	e.readyAt = make([]float64, opt.JumpDepth)
 	e.done = make([]bool, opt.JumpDepth)
 	if opt.MeasureWorkingSets {
@@ -185,19 +195,17 @@ func New(opt Options, h *mem.Hierarchy, bp *branch.Predictor, src StreamSource) 
 }
 
 // Reset restores the engine to its just-constructed state without
-// reallocating its structures: every slot is scrubbed back to the pool's
-// cold state, statistics are zeroed, and pooled cachelets, lists and
-// replica predictors keep their storage. Src points at the workload
-// being replayed and is cleared; the caller installs the next workload's
-// stream source before running again.
+// reallocating its structures: every slot, the consumed one included, is
+// scrubbed and kept, statistics are zeroed, and the slots' cachelets,
+// lists and replica predictors keep their storage. Src points at the
+// workload being replayed and is cleared; the caller installs the next
+// workload's stream source before running again.
 func (e *ESP) Reset() {
-	if e.cons != nil {
-		e.freeSlot(e.cons)
-		e.cons = nil
-	}
 	for _, s := range e.slots {
-		e.scrubSlot(s)
+		s.scrub()
 	}
+	e.spare.scrub()
+	e.cons = nil
 	e.Stats = Stats{}
 	e.consI, e.consD, e.consB = 0, 0, 0
 	e.curIdx = 0
@@ -214,20 +222,6 @@ func (e *ESP) Reset() {
 	e.lineScratch = e.lineScratch[:0]
 }
 
-// scrubSlot releases a slot's cachelets and replica to the pools and
-// restores the zero state a fresh &slot{} would have (the list record
-// arrays keep their capacity; truncated-and-appended slices hold exactly
-// what fresh ones would).
-func (e *ESP) scrubSlot(s *slot) {
-	e.releaseSlotRes(s)
-	il, dl, bl := s.ilist, s.dlist, s.blist
-	il.reset(0)
-	dl.reset(0)
-	bl.reset(0, 0)
-	ws := clearProfiles(s.ws)
-	*s = slot{ilist: il, dlist: dl, blist: bl, ws: ws}
-}
-
 // clearProfiles empties a study-profile slice while keeping its storage.
 func clearProfiles(ws []*mem.WorkingSet) []*mem.WorkingSet {
 	for i := range ws {
@@ -236,110 +230,63 @@ func clearProfiles(ws []*mem.WorkingSet) []*mem.WorkingSet {
 	return ws[:0]
 }
 
-// takeSlot pops a pooled slot (or builds the first few).
-func (e *ESP) takeSlot() *slot {
-	if n := len(e.slotPool); n > 0 {
-		s := e.slotPool[n-1]
-		e.slotPool = e.slotPool[:n-1]
-		return s
+// occupy points a slot at a new future event at the given depth,
+// discarding any state from a previous occupant: its cachelets for the
+// depth's mode come back cold and its lists take that mode's budgets.
+func (e *ESP) occupy(s *slot, depth int, ev trace.Event) {
+	s.scrub()
+	s.ev, s.valid = ev, true
+	s.pir = e.BP.PIR()
+	if e.Opt.IdleCore {
+		s.delay = float64(e.Opt.IdleTransfer)
 	}
-	return &slot{}
-}
-
-// freeSlot scrubs a rotated-out slot and pools it for reuse.
-func (e *ESP) freeSlot(s *slot) {
-	e.scrubSlot(s)
-	e.slotPool = append(e.slotPool, s)
-}
-
-// releaseSlotRes returns a slot's cachelets and replica predictor to
-// their pools, reset to cold state.
-func (e *ESP) releaseSlotRes(s *slot) {
-	e.releaseCache(s.icl)
-	e.releaseCache(s.dcl)
-	s.icl, s.dcl = nil, nil
-	if s.replica != nil {
-		e.bpPool = append(e.bpPool, s.replica)
-		s.replica = nil
-	}
-}
-
-func (e *ESP) releaseCache(c *mem.Cache) {
-	if c == nil {
-		return
-	}
-	c.Reset()
-	g := cacheGeom{c.SizeBytes(), c.Ways()}
-	for i := range e.cachePools {
-		if e.cachePools[i].geom == g {
-			e.cachePools[i].free = append(e.cachePools[i].free, c)
-			return
-		}
-	}
-	e.cachePools = append(e.cachePools, cachePool{geom: g, free: []*mem.Cache{c}})
-}
-
-// resetSlot points a slot at a (new) future event, discarding any state
-// from a previous occupant. The slot's cachelets and list storage are
-// recycled through the pools, never reallocated.
-func (e *ESP) resetSlot(s *slot, depth int, ev trace.Event, valid bool) {
-	m := e.Opt.Sizes.mode(depth)
-	sz := e.Opt.Sizes
-	e.releaseSlotRes(s)
-	il, dl, bl := s.ilist, s.dlist, s.blist
-	ws := clearProfiles(s.ws)
-	*s = slot{ev: ev, valid: valid, ilist: il, dlist: dl, blist: bl, ws: ws}
 	if e.Opt.Ideal {
-		s.icl = e.cachelet("I-cachelet", 4<<20, 16)
-		s.dcl = e.cachelet("D-cachelet", 4<<20, 16)
-		s.ilist.reset(0)
-		s.dlist.reset(0)
-		s.blist.reset(0, 0)
+		e.cachelets(s, 0)
 		s.ilist.unbounded()
 		s.dlist.unbounded()
 		s.blist.unbounded()
-	} else {
-		s.icl = e.cachelet("I-cachelet", sz.ICacheletBytes[m], sz.ICacheletWays[m])
-		s.dcl = e.cachelet("D-cachelet", sz.DCacheletBytes[m], sz.DCacheletWays[m])
-		s.ilist.reset(sz.IListBytes[m])
-		s.dlist.reset(sz.DListBytes[m])
-		s.blist.reset(sz.BListDirBytes[m], sz.BListTgtBytes[m])
+		return
 	}
-	if valid {
-		s.pir = e.BP.PIR()
-	}
-	if valid && e.Opt.IdleCore {
-		s.delay = float64(e.Opt.IdleTransfer)
-	}
+	m := e.Opt.Sizes.mode(depth)
+	sz := e.Opt.Sizes
+	e.cachelets(s, m)
+	s.ilist.reset(sz.IListBytes[m])
+	s.dlist.reset(sz.DListBytes[m])
+	s.blist.reset(sz.BListDirBytes[m], sz.BListTgtBytes[m])
 }
 
-// cachelet acquires a per-slot cachelet, from the geometry-keyed pool
-// when one is available (pooled cachelets are reset to cold state, so
-// reuse is bit-identical to building fresh). Geometry was checked by
-// Options.Validate in New (and the Ideal-mode sizes are compiled-in
-// constants), so a build failure here is an internal invariant
-// violation — the panic is unreachable from any input that passed
-// validation.
-func (e *ESP) cachelet(name string, bytes, ways int) *mem.Cache {
-	g := cacheGeom{bytes, ways}
-	for i := range e.cachePools {
-		p := &e.cachePools[i]
-		if p.geom != g {
-			continue
-		}
-		if n := len(p.free); n > 0 {
-			c := p.free[n-1]
-			p.free[n-1] = nil
-			p.free = p.free[:n-1]
-			return c
-		}
-		break
+// idealCacheletBytes sizes the Ideal design's cachelets, 16-way: large
+// enough that no pre-execution evicts.
+const idealCacheletBytes = 4 << 20
+
+// cachelets points s at its I/D cachelet pair for mode m, cold: the
+// slot builds the pair the first time it occupies m and resets it in
+// place after that.
+func (e *ESP) cachelets(s *slot, m int) {
+	ib, iw, db, dw := idealCacheletBytes, 16, idealCacheletBytes, 16
+	if !e.Opt.Ideal {
+		sz := e.Opt.Sizes
+		ib, iw, db, dw = sz.ICacheletBytes[m], sz.ICacheletWays[m], sz.DCacheletBytes[m], sz.DCacheletWays[m]
 	}
-	c, err := mem.NewCache(name, bytes, ways)
+	s.icl = coldCachelet(&s.icls[m], "I-cachelet", ib, iw)
+	s.dcl = coldCachelet(&s.dcls[m], "D-cachelet", db, dw)
+}
+
+// coldCachelet resets *c, or builds it on first use. Geometry was checked
+// by Options.Validate in New (and the Ideal-mode sizes are compiled-in
+// constants), so a build failure here is an internal invariant violation
+// — the panic is unreachable from any input that passed validation.
+func coldCachelet(c **mem.Cache, name string, bytes, ways int) *mem.Cache {
+	if *c != nil {
+		(*c).Reset()
+		return *c
+	}
+	nc, err := mem.NewCache(name, bytes, ways)
 	if err != nil {
 		panic(fmt.Sprintf("core: internal invariant: cachelet geometry escaped validation: %v", err))
 	}
-	return c
+	*c = nc
+	return nc
 }
 
 // promote upgrades a slot that moved one step closer to execution: its
@@ -355,20 +302,17 @@ func (e *ESP) promote(s *slot, newDepth int) {
 	if m == om {
 		return
 	}
+	oi, od := s.icl, s.dcl
+	e.cachelets(s, m)
+	e.lineScratch = oi.AppendLines(e.lineScratch[:0])
+	for _, l := range e.lineScratch {
+		s.icl.Install(l, false)
+	}
+	e.lineScratch = od.AppendLines(e.lineScratch[:0])
+	for _, l := range e.lineScratch {
+		s.dcl.Install(l, false)
+	}
 	sz := e.Opt.Sizes
-	icl := e.cachelet("I-cachelet", sz.ICacheletBytes[m], sz.ICacheletWays[m])
-	e.lineScratch = s.icl.AppendLines(e.lineScratch[:0])
-	for _, l := range e.lineScratch {
-		icl.Install(l, false)
-	}
-	dcl := e.cachelet("D-cachelet", sz.DCacheletBytes[m], sz.DCacheletWays[m])
-	e.lineScratch = s.dcl.AppendLines(e.lineScratch[:0])
-	for _, l := range e.lineScratch {
-		dcl.Install(l, false)
-	}
-	e.releaseCache(s.icl)
-	e.releaseCache(s.dcl)
-	s.icl, s.dcl = icl, dcl
 	s.ilist.setCapacity(sz.IListBytes[m])
 	s.dlist.setCapacity(sz.DListBytes[m])
 	s.blist.setCapacity(sz.BListDirBytes[m], sz.BListTgtBytes[m])
@@ -385,7 +329,7 @@ func (e *ESP) EventStart(ev trace.Event, pending []trace.Event) {
 		if s.preExecuted {
 			e.cons = s
 			e.Stats.EventsConsumed++
-			if e.Opt.BPMode == BPReplicate && s.replica != nil {
+			if e.Opt.BPMode == BPReplicate {
 				e.installReplica(s.replica)
 			}
 		}
@@ -403,15 +347,15 @@ func (e *ESP) EventStart(ev trace.Event, pending []trace.Event) {
 		e.curIdx = 0
 	}
 
-	// Rotate: every remaining slot moves one position forward. The
-	// departing slot may live on as e.cons until this event ends; if it
-	// was not consumed it is recycled immediately.
+	// Rotate: every remaining slot moves one position forward, the spare
+	// becomes the empty tail, and the departing slot becomes the spare,
+	// which is e.cons until this event ends if it was consumed. A spare
+	// still consumed, because its event never ended, is taken back too.
 	departing := e.slots[0]
 	copy(e.slots, e.slots[1:])
-	e.slots[len(e.slots)-1] = e.takeSlot()
-	if departing != e.cons {
-		e.freeSlot(departing)
-	}
+	e.slots[len(e.slots)-1] = e.spare
+	e.spare.scrub()
+	e.spare = departing
 
 	// Resync slots with the pending events now visible in the queue.
 	for i := range e.slots {
@@ -425,11 +369,11 @@ func (e *ESP) EventStart(ev trace.Event, pending []trace.Event) {
 				e.Stats.SlotMismatches++
 				e.finishStudy(s)
 			}
-			e.resetSlot(s, i, pending[i], true)
+			e.occupy(s, i, pending[i])
 		} else if s.valid {
 			// No longer visible in the software queue: drop it.
 			e.finishStudy(s)
-			e.resetSlot(s, i, trace.Event{}, false)
+			s.scrub()
 		}
 	}
 
@@ -481,9 +425,6 @@ func (e *ESP) refreshWake() {
 // records against the ESP-1 slot's list capacity.
 func (e *ESP) updateReservations() {
 	s := e.slots[0]
-	if s == e.cons {
-		return // defensive: never self-reserve
-	}
 	if e.cons == nil {
 		s.ilist.setReserved(0)
 		s.dlist.setReserved(0)
@@ -496,13 +437,10 @@ func (e *ESP) updateReservations() {
 }
 
 // EventEnd implements cpu.Assist. The consumed slot was rotated out of
-// the queue at EventStart and nothing references it past this point, so
-// it is recycled.
+// the queue at EventStart and stays the spare, read by nothing past this
+// point.
 func (e *ESP) EventEnd(trace.Event) {
-	if e.cons != nil {
-		e.freeSlot(e.cons)
-		e.cons = nil
-	}
+	e.cons = nil
 	e.updateReservations()
 }
 
@@ -729,15 +667,11 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 			e.Stats.EventsPreExecuted++
 		}
 		if e.Opt.BPMode == BPReplicate {
-			var r *branch.Predictor
-			if n := len(e.bpPool); n > 0 {
-				r = e.bpPool[n-1]
-				e.bpPool = e.bpPool[:n-1]
-			} else {
-				r = new(branch.Predictor)
+			if s.replica == nil {
+				s.replica = new(branch.Predictor)
 			}
-			*r = *e.BP // full overwrite: pooled state cannot leak through
-			s.replica = r
+			// Full overwrite: no earlier occupant's training leaks through.
+			*s.replica = *e.BP
 		}
 	}
 	bp := e.BP

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"espsim/internal/branch"
@@ -277,6 +278,43 @@ func TestSlotMismatchDiscardsRecords(t *testing.T) {
 	}
 	if e.Stats.SlotMismatches == 0 {
 		t.Fatal("mismatch not counted")
+	}
+}
+
+// TestEngineOwnsItsSlots: an engine holds the same JumpDepth+1 slots
+// for its lifetime. Rotation, an event abandoned without its EventEnd,
+// and Reset hand slots back; none is dropped or added.
+func TestEngineOwnsItsSlots(t *testing.T) {
+	e, src, _, _ := testESP(t, DefaultOptions())
+	owned := func() map[*slot]bool {
+		m := map[*slot]bool{e.spare: true}
+		for _, s := range e.slots {
+			m[s] = true
+		}
+		return m
+	}
+	want := owned()
+	if len(want) != e.Opt.JumpDepth+1 {
+		t.Fatalf("a new engine holds %d slots, want JumpDepth+1 = %d", len(want), e.Opt.JumpDepth+1)
+	}
+	for id := 0; id < 9; id++ {
+		src.streams[id+1] = mkStream(300, uint64(id+1)<<16, 20)
+		src.streams[id+2] = mkStream(300, uint64(id+2)<<16, 20)
+		e.EventStart(ev(id, 100), []trace.Event{ev(id+1, 300), ev(id+2, 300)})
+		e.OnStall(cpu.StallD, 0, trace.Cursor{}, 2000)
+		if id%3 != 2 { // every third event is abandoned mid-run
+			e.EventEnd(ev(id, 100))
+		}
+		if !maps.Equal(owned(), want) {
+			t.Fatalf("after event %d the engine's slots changed", id)
+		}
+	}
+	if e.Stats.EventsConsumed == 0 {
+		t.Fatal("no event consumed its records: the rotation went untested")
+	}
+	e.Reset()
+	if !maps.Equal(owned(), want) {
+		t.Fatal("Reset changed the engine's slots")
 	}
 }
 

@@ -86,8 +86,8 @@ func (s Sizes) mode(i int) int {
 }
 
 // Validate checks every per-mode capacity: the cachelets must form legal
-// cache geometries (the engine builds a fresh pair per tracked event)
-// and the list budgets must hold at least one record each.
+// cache geometries (each slot builds a pair per mode it occupies) and
+// the list budgets must hold at least one record each.
 func (s Sizes) Validate() error {
 	modeName := [2]string{"ESP-1", "ESP-2"}
 	// Spelled out, not concatenated, so a valid config validates without

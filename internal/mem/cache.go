@@ -139,9 +139,6 @@ func (c *Cache) Name() string { return c.name }
 // SizeBytes returns the capacity in bytes.
 func (c *Cache) SizeBytes() int { return c.nSets * c.ways * trace.LineBytes }
 
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 func (c *Cache) index(lineAddr uint64) (set uint64, tag uint64) {
 	blk := lineAddr >> 6 // line number
 	return blk & c.setMask, blk >> c.setShift

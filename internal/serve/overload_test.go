@@ -332,15 +332,10 @@ func TestBrownoutDegradationAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := testServer(t, Options{
-		Workers:   2,
-		MemBudget: wl.Bytes(),
-		// Slow recovery (ticks are 5ms, 20 calm ticks per step) keeps
-		// the browned-out window comfortably wider than the assertions
-		// inside it, while full recovery still lands well under a second.
-		Brownout:         tenantq.BrownoutConfig{RecoverAfter: 20},
-		BrownoutInterval: 5 * time.Millisecond,
-	})
+	// Recovery steps down one level per four calm 200 ms ticks: the
+	// browned-out window is far wider than the assertions inside it,
+	// and full recovery takes about 2.4 s.
+	s := testServer(t, Options{Workers: 2, MemBudget: wl.Bytes()})
 	defer s.Close()
 
 	// First run caches a workload and blows the budget.

@@ -79,13 +79,6 @@ type Options struct {
 	// caching new workloads, halves concurrency, then admits only small
 	// bounded grids — degrading instead of dying. 0 disables both.
 	MemBudget int64
-	// Brownout tunes the controller's watermarks and hysteresis; its
-	// Budget field is overridden by MemBudget.
-	Brownout tenantq.BrownoutConfig
-	// BrownoutInterval is the background observation cadence — how
-	// quickly the controller notices recovery while the daemon idles
-	// (default 200ms; admissions also observe synchronously).
-	BrownoutInterval time.Duration
 	// SmallGridMax is the largest cells×max_events product the deepest
 	// brownout level still admits; requests without an explicit
 	// max_events bound are never "small" (default 4096).
@@ -123,9 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 30 * time.Second
-	}
-	if o.BrownoutInterval <= 0 {
-		o.BrownoutInterval = 200 * time.Millisecond
 	}
 	if o.SmallGridMax <= 0 {
 		o.SmallGridMax = 4096
@@ -209,9 +199,7 @@ func New(opt Options) *Server {
 		s.runner.SetFaultHook(opt.FaultHook)
 	}
 	if opt.MemBudget > 0 {
-		bcfg := opt.Brownout
-		bcfg.Budget = opt.MemBudget
-		s.brown = tenantq.NewBrownout(bcfg)
+		s.brown = tenantq.NewBrownout(opt.MemBudget)
 		s.runner.SetWorkloadBudget(opt.MemBudget)
 		go s.brownoutLoop()
 	}
@@ -316,10 +304,15 @@ func (s *Server) observeBrownout() tenantq.BrownoutLevel {
 	return level
 }
 
+// brownoutInterval is the background observation cadence: how quickly
+// the brownout controller notices recovery while the daemon idles
+// (admissions also observe synchronously).
+const brownoutInterval = 200 * time.Millisecond
+
 // brownoutLoop re-observes on a timer so the controller walks back down
 // through its hysteresis while no requests arrive. Stopped by Close.
 func (s *Server) brownoutLoop() {
-	tick := time.NewTicker(s.opt.BrownoutInterval)
+	tick := time.NewTicker(brownoutInterval)
 	defer tick.Stop()
 	for {
 		select {

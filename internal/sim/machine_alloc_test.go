@@ -10,9 +10,11 @@ import (
 
 // TestReplayAllocFree pins the PR's headline contract: a warm machine
 // replaying a materialized workload performs zero heap allocations. The
-// first replay may still size pools and scratch to the workload; every
-// replay after that must run entirely out of the machine's own storage,
-// for every assist and prefetcher configuration the sweep grid uses.
+// first replay (a depth-8 ESP engine's first few) may still size scratch
+// and list arrays to the workload; every replay after that must run
+// entirely out of the machine's own storage, for every assist and
+// prefetcher configuration the sweep grid uses and every ESP design that
+// owns structures of its own.
 func TestReplayAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is wall-clock heavy")
@@ -22,19 +24,29 @@ func TestReplayAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{
+	for _, cfg := range append([]Config{
 		{Name: "base"},
 		{Name: "nls", NLI: true, NLD: true, StridePF: true},
 		{Name: "efetch", EFetch: true},
 		{Name: "pif", PIF: true},
 		{Name: "ra", NLI: true, NLD: true, Assist: AssistRunahead},
 		espConfig(),
-	} {
+	}, espDesigns()...) {
 		m, err := NewMachine(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		m.Replay(w) // warm-up: pools and scratch size themselves here
+		// Warm-up: scratch and list arrays size themselves here. An ESP
+		// slot's list arrays grow to the largest occupant it has held,
+		// and which occupants a slot holds shifts from replay to replay,
+		// so a depth-8 engine's nine slots take a few replays to settle.
+		warm := 1
+		if cfg.ESP.JumpDepth > 2 {
+			warm = 4
+		}
+		for range warm {
+			m.Replay(w)
+		}
 		if n := testing.AllocsPerRun(3, func() { m.Replay(w) }); n != 0 {
 			t.Errorf("%s: warm Replay heap-allocates %v times per run, want 0", cfg.Name, n)
 		}

@@ -29,14 +29,14 @@ func TestDirtyComponentsReplayBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, cfg := range []Config{
+	for _, cfg := range append([]Config{
 		{Name: "base"},
 		{Name: "nls", NLI: true, NLD: true, StridePF: true},
 		{Name: "efetch", EFetch: true},
 		{Name: "pif", PIF: true},
 		{Name: "ra", NLI: true, NLD: true, Assist: AssistRunahead},
 		espConfig(),
-	} {
+	}, espDesigns()...) {
 		// Golden results come from two never-used machines, so the
 		// baseline does not itself depend on Reset being correct.
 		freshA, err := NewMachine(cfg)
@@ -76,11 +76,11 @@ func TestDirtyComponentsReplayBitIdentical(t *testing.T) {
 			dirty.stride.OnAccess(0x100, 0x9000)
 			dirty.stride.OnAccess(0x100, 0x9040)
 		}
-		// Free-lists: make the machine look like a replay that died
-		// mid-run — for ESP, the engine still bound to workload B and
-		// abandoned inside an event with live sneak-peek slots drawn
-		// from its free-lists and never returned by EventEnd. Reset
-		// alone must reclaim all of it.
+		// Make the machine look like a replay that died mid-run — for
+		// ESP, the engine still bound to workload B and abandoned inside
+		// an event whose EventEnd never came, its slots holding B's
+		// occupants, cachelets and replicas. Reset alone must reclaim
+		// all of it.
 		if dirty.esp != nil {
 			dirty.esp.Src = wB
 			dirty.esp.EventStart(wB.events[0], wB.pending(0, cfg.MaxPending))

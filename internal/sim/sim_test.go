@@ -27,6 +27,25 @@ func espConfig() Config {
 	return Config{Name: "esp-nl", NLI: true, NLD: true, Assist: AssistESP}
 }
 
+// espDesigns are the ESP design points whose engines own more than the
+// default's slots: BPReplicate a predictor replica per slot, Ideal
+// 4 MiB cachelets, IdleCore 32 KB cachelets in both modes, and depth 8
+// nine slots.
+func espDesigns() []Config {
+	design := func(name string, opt core.Options) Config {
+		c := espConfig()
+		c.Name, c.ESP = name, opt
+		return c
+	}
+	rep, ideal, deep := core.DefaultOptions(), core.DefaultOptions(), core.DefaultOptions()
+	rep.BPMode = core.BPReplicate
+	ideal.Ideal = true
+	deep.JumpDepth = 8
+	d8 := design("esp-depth8", deep)
+	d8.MaxPending = 8
+	return []Config{design("esp-replicate", rep), design("esp-ideal", ideal), design("esp-idlecore", core.IdleCoreOptions()), d8}
+}
+
 // TestWorkloadMatchesSessionSource checks that a materialized workload's
 // Source view is observationally identical to the on-demand
 // eventq.SessionSource it replaces, including speculative streams beyond

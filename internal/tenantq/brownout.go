@@ -50,43 +50,33 @@ var (
 	brownExit  = [3]float64{0.70, 0.80, 0.90}
 )
 
-// BrownoutConfig shapes the controller. Budget is the byte budget the
-// watermarks are fractions of.
-type BrownoutConfig struct {
-	// Budget is the memory budget in bytes (<= 0 disables the
-	// controller: Observe always reports BrownNormal).
-	Budget int64
-	// RecoverAfter is how many consecutive calm observations step the
-	// level down once — the hysteresis that stops flapping (default 4).
-	RecoverAfter int
-}
-
-func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 4
-	}
-	return c
-}
+// recoverAfter is how many consecutive calm observations step the level
+// down once: the hysteresis that stops flapping.
+const recoverAfter = 4
 
 // Brownout is the watermark state machine: feed it usage observations,
 // read the level. Escalation is immediate (to the highest level whose
 // entry watermark usage reaches); recovery is stepwise with
-// hysteresis — RecoverAfter consecutive observations at/below the
+// hysteresis — recoverAfter consecutive observations at/below the
 // current level's exit watermark step down one level.
 type Brownout struct {
-	mu    sync.Mutex
-	cfg   BrownoutConfig
-	level atomic.Int32
-	calm  int
+	mu sync.Mutex
+	// budget is the memory budget in bytes the watermarks are fractions
+	// of (<= 0 disables the controller: Observe always reports
+	// BrownNormal).
+	budget int64
+	level  atomic.Int32
+	calm   int
 
 	escalations atomic.Int64
 	recoveries  atomic.Int64
 }
 
-// NewBrownout assembles a controller; nil-safe methods make a disabled
-// controller (Budget <= 0) equivalent to no controller at all.
-func NewBrownout(cfg BrownoutConfig) *Brownout {
-	return &Brownout{cfg: cfg.withDefaults()}
+// NewBrownout assembles a controller for a byte budget; nil-safe methods
+// make a disabled controller (budget <= 0) equivalent to no controller
+// at all.
+func NewBrownout(budget int64) *Brownout {
+	return &Brownout{budget: budget}
 }
 
 // Level reads the current level without observing.
@@ -101,16 +91,16 @@ func (b *Brownout) Level() BrownoutLevel {
 // while browned out: the first level's calm watermark, so recovery is
 // reachable.
 func (b *Brownout) TrimTarget() int64 {
-	if b == nil || b.cfg.Budget <= 0 {
+	if b == nil || b.budget <= 0 {
 		return 0
 	}
-	return int64(brownExit[0] * float64(b.cfg.Budget))
+	return int64(brownExit[0] * float64(b.budget))
 }
 
 // Observe feeds one usage sample (bytes) and returns the level after
 // applying it.
 func (b *Brownout) Observe(usage int64) BrownoutLevel {
-	if b == nil || b.cfg.Budget <= 0 {
+	if b == nil || b.budget <= 0 {
 		return BrownNormal
 	}
 	b.mu.Lock()
@@ -118,7 +108,7 @@ func (b *Brownout) Observe(usage int64) BrownoutLevel {
 	cur := BrownoutLevel(b.level.Load())
 	target := BrownNormal
 	for i := 2; i >= 0; i-- {
-		if float64(usage) >= brownEnter[i]*float64(b.cfg.Budget) {
+		if float64(usage) >= brownEnter[i]*float64(b.budget) {
 			target = BrownoutLevel(i + 1)
 			break
 		}
@@ -128,9 +118,9 @@ func (b *Brownout) Observe(usage int64) BrownoutLevel {
 		cur = target
 		b.calm = 0
 		b.escalations.Add(1)
-	case cur > BrownNormal && float64(usage) <= brownExit[cur-1]*float64(b.cfg.Budget):
+	case cur > BrownNormal && float64(usage) <= brownExit[cur-1]*float64(b.budget):
 		b.calm++
-		if b.calm >= b.cfg.RecoverAfter {
+		if b.calm >= recoverAfter {
 			cur--
 			b.calm = 0
 			b.recoveries.Add(1)
@@ -158,7 +148,7 @@ func (b *Brownout) Snapshot() BrownoutSnapshot {
 	}
 	return BrownoutSnapshot{
 		Level:       b.Level().String(),
-		Budget:      b.cfg.Budget,
+		Budget:      b.budget,
 		Escalations: b.escalations.Load(),
 		Recoveries:  b.recoveries.Load(),
 	}

@@ -5,7 +5,7 @@ import "testing"
 // TestBrownoutEscalation: escalation is immediate to the highest level
 // whose entry watermark the usage crosses; nothing waits on calm counts.
 func TestBrownoutEscalation(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Budget: 100})
+	b := NewBrownout(100)
 	if got := b.Observe(50); got != BrownNormal {
 		t.Fatalf("50%% usage → %v, want normal", got)
 	}
@@ -19,7 +19,7 @@ func TestBrownoutEscalation(t *testing.T) {
 		t.Fatalf("97%% usage → %v, want small_only", got)
 	}
 	// Straight from normal to the top in one observation.
-	b2 := NewBrownout(BrownoutConfig{Budget: 100})
+	b2 := NewBrownout(100)
 	if got := b2.Observe(99); got != BrownSmallOnly {
 		t.Fatalf("spike to 99%% → %v, want small_only", got)
 	}
@@ -28,30 +28,38 @@ func TestBrownoutEscalation(t *testing.T) {
 	}
 }
 
-// TestBrownoutRecoveryHysteresis: stepping down takes RecoverAfter
+// TestBrownoutRecoveryHysteresis: stepping down takes recoverAfter (4)
 // consecutive calm observations, one level at a time, and the band
 // between exit and enter holds the level while resetting the calm run.
 func TestBrownoutRecoveryHysteresis(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Budget: 100, RecoverAfter: 2})
+	b := NewBrownout(100)
 	b.Observe(99) // small_only
-	if got := b.Observe(85); got != BrownSmallOnly {
-		t.Fatalf("first calm observation stepped down early: %v", got)
+	for i := 1; i < recoverAfter; i++ {
+		if got := b.Observe(85); got != BrownSmallOnly {
+			t.Fatalf("calm observation %d stepped down early: %v", i, got)
+		}
 	}
 	if got := b.Observe(85); got != BrownHalfConcurrency {
-		t.Fatalf("second calm observation → %v, want half_concurrency", got)
+		t.Fatalf("calm observation %d → %v, want half_concurrency", recoverAfter, got)
 	}
 	// Hysteresis band for level 2 is (80, 90): holds and resets calm.
-	b.Observe(75)
+	for i := 1; i < recoverAfter; i++ {
+		b.Observe(75)
+	}
 	if got := b.Observe(85); got != BrownHalfConcurrency {
 		t.Fatalf("band observation dropped the level: %v", got)
 	}
-	if got := b.Observe(75); got != BrownHalfConcurrency {
-		t.Fatalf("calm run must restart after a band observation: %v", got)
+	for i := 1; i < recoverAfter; i++ {
+		if got := b.Observe(75); got != BrownHalfConcurrency {
+			t.Fatalf("calm run must restart after a band observation: %v", got)
+		}
 	}
 	if got := b.Observe(75); got != BrownNoCache {
-		t.Fatalf("two calm observations → %v, want no_cache", got)
+		t.Fatalf("%d calm observations → %v, want no_cache", recoverAfter, got)
 	}
-	b.Observe(60)
+	for i := 1; i < recoverAfter; i++ {
+		b.Observe(60)
+	}
 	if got := b.Observe(60); got != BrownNormal {
 		t.Fatalf("final recovery → %v, want normal", got)
 	}
@@ -67,21 +75,27 @@ func TestBrownoutRecoveryHysteresis(t *testing.T) {
 // TestBrownoutReEscalationResetsCalm: pressure during recovery throws
 // away the calm run.
 func TestBrownoutReEscalationResetsCalm(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Budget: 100, RecoverAfter: 2})
+	b := NewBrownout(100)
 	b.Observe(85) // no_cache
-	b.Observe(65) // calm 1
+	for i := 1; i < recoverAfter; i++ {
+		b.Observe(65) // calm, one short of a step down
+	}
 	b.Observe(92) // re-escalates to half_concurrency
 	if got := b.Level(); got != BrownHalfConcurrency {
 		t.Fatalf("re-escalation → %v", got)
 	}
-	b.Observe(70)
+	for i := 1; i < recoverAfter; i++ {
+		if got := b.Observe(70); got != BrownHalfConcurrency {
+			t.Fatalf("calm run did not restart after re-escalation: %v", got)
+		}
+	}
 	if got := b.Observe(70); got != BrownNoCache {
 		t.Fatalf("fresh calm run → %v, want no_cache", got)
 	}
 }
 
 func TestBrownoutDisabledAndNil(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Budget: 0})
+	b := NewBrownout(0)
 	if got := b.Observe(1 << 40); got != BrownNormal {
 		t.Fatalf("disabled controller browned out: %v", got)
 	}
@@ -98,7 +112,7 @@ func TestBrownoutDisabledAndNil(t *testing.T) {
 }
 
 func TestBrownoutTrimTarget(t *testing.T) {
-	b := NewBrownout(BrownoutConfig{Budget: 1000})
+	b := NewBrownout(1000)
 	if got := b.TrimTarget(); got != 700 {
 		t.Fatalf("TrimTarget = %d, want 700 (brownExit[0] × Budget)", got)
 	}

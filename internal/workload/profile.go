@@ -75,10 +75,9 @@ type Profile struct {
 
 	// HandlerFootprint is the code bytes reachable per handler type;
 	// RuntimeFootprint the shared JS-engine/runtime code all handlers
-	// call into; RuntimeFrac the fraction of call sites that target it.
+	// call into.
 	HandlerFootprint int
 	RuntimeFootprint int
-	RuntimeFrac      float64
 
 	// LoadFrac/StoreFrac are per-instruction memory mix (of non-branch
 	// slots); BranchFrac emerges from the mean basic-block length.
@@ -183,7 +182,7 @@ func (p *Profile) Validate() error {
 		name string
 		x    float64
 	}{
-		{"RuntimeFrac", p.RuntimeFrac}, {"SharedFrac", p.SharedFrac}, {"StrideFrac", p.StrideFrac},
+		{"SharedFrac", p.SharedFrac}, {"StrideFrac", p.StrideFrac},
 		{"HotFrac", p.HotFrac}, {"HotCallFrac", p.HotCallFrac}, {"DataDepBranch", p.DataDepBranch},
 		{"DepProb", p.DepProb}, {"QueueNext", p.QueueNext}, {"QueueSecond", p.QueueSecond},
 	} {
@@ -236,7 +235,6 @@ func base(name string, seed uint64) Profile {
 		Handlers:         24,
 		HandlerFootprint: 96 << 10,
 		RuntimeFootprint: 384 << 10,
-		RuntimeFrac:      0.30,
 		LoadFrac:         0.26,
 		StoreFrac:        0.10,
 		SharedData:       3 << 20,

@@ -55,7 +55,7 @@ const (
 // conditional class, so the total always sums to 1000.
 const (
 	loopPM     = 110 // backward loop branches with static trip counts
-	callPM     = 140 // direct calls (RuntimeFrac of sites target runtime code)
+	callPM     = 140 // direct calls into the event's code working set
 	retPM      = 120 // returns
 	indirectPM = 40  // indirect dispatch (8 possible targets per site)
 	jumpPM     = 80  // unconditional forward jumps

@@ -101,7 +101,7 @@ func TestInvariantPerfectStructures(t *testing.T) {
 func TestInvariantJumpDepth(t *testing.T) {
 	const jumpDepthPerAppTolerance = 0.05
 
-	// Distinct names: the harness memoizes cells by configuration name.
+	// Distinct names keep the depths' cell labels apart.
 	depthCfg := func(depth int) Config {
 		name := "ESP+NL-jd" + string(rune('0'+depth))
 		return espVariant(name, func(o *core.Options) { o.JumpDepth = depth }, true)

@@ -297,6 +297,22 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
+// TestShapeEventLength locks in deviation 1's cause: ESP+NL's gain over
+// NL+S falls strictly as amazon's events grow x1 to x8, and stays
+// positive.
+func TestShapeEventLength(t *testing.T) {
+	f := mustFig(t)(shapeHarness().FigEventLen())
+	gain := f.Series["gain%"]
+	for i, g := range gain {
+		if !(g > 0) {
+			t.Errorf("%s: gain %.1f%% is not positive", f.Apps[i], g)
+		}
+		if i > 0 && !(g < gain[i-1]) {
+			t.Errorf("%s: gain %.1f%% does not fall below %s's %.1f%%", f.Apps[i], g, f.Apps[i-1], gain[i-1])
+		}
+	}
+}
+
 func TestHarnessMemoization(t *testing.T) {
 	h := NewHarness()
 	h.MaxEvents = 10

@@ -30,6 +30,7 @@ func StandardFigures() []NamedFigure {
 		{"fig13", (*Harness).Fig13},
 		{"fig14", (*Harness).Fig14},
 		{"related", (*Harness).FigRelated},
+		{"eventlen", (*Harness).FigEventLen},
 	}
 }
 
