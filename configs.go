@@ -55,9 +55,10 @@ func PIFConfig() Config {
 	return Config{Name: "PIF", PIF: true}
 }
 
-// RunaheadConfig is runahead execution with no prefetchers ("Runahead").
+// RunaheadConfig is runahead execution with no prefetchers ("Runahead"):
+// the zero RA, Figure 9's full runahead.
 func RunaheadConfig() Config {
-	return Config{Name: "Runahead", Assist: AssistRunahead, RA: runahead.DefaultConfig()}
+	return Config{Name: "Runahead", Assist: AssistRunahead}
 }
 
 // RunaheadNLConfig combines runahead with next-line prefetching

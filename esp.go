@@ -82,10 +82,11 @@ type SchedStats = eventq.SchedStats
 // "slack"; empty means FIFO).
 func SchedByName(name string) (SchedPolicy, error) { return eventq.SchedByName(name) }
 
-// Config is a complete machine configuration. Sub-configurations (CPU,
-// RA, ESP) resolve to their package defaults only when left entirely
-// zero; Validate rejects a partially-filled sub-config with an error
-// naming the missing field instead of silently discarding the rest.
+// Config is a complete machine configuration: what the paper's design
+// points vary on the one Figure 7 core. It is read as set. The zero RA
+// is Figure 9's full runahead; an ESP assist needs its options set
+// (start from a preset, or core.DefaultOptions()), and Validate rejects
+// zero ones.
 type Config = sim.Config
 
 // Result is the outcome of one simulation.

@@ -196,7 +196,7 @@ func TestProbeQuarantines(t *testing.T) {
 	golden := readGoldenCorpus(t)
 	healthy := newWorker("healthy", serve.Options{Workers: 2})
 	sick := newWorker("sick", serve.Options{Workers: 2})
-	plan := &fault.NetPlan{Seed: 11}
+	plan := &fault.NetPlan{}
 	plan.Always("sick", fault.NetErr)
 
 	c, err := New(Options{

@@ -113,7 +113,7 @@ func TestGreedyTenantFloodDegradedFleet(t *testing.T) {
 	w0 := newWorker("w0", serve.Options{Workers: 2})
 	w1 := newWorker("w1", serve.Options{Workers: 2})
 	w2 := newWorker("w2", serve.Options{Workers: 2})
-	plan := &fault.NetPlan{Seed: 17}
+	plan := &fault.NetPlan{}
 	plan.Always("w2", fault.NetErr)
 
 	gridCells := len(gridApps) * len(gridConfigs)

@@ -24,9 +24,6 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// maxRequestBytes bounds a /sweep body, as espd's default does.
-const maxRequestBytes = 8 << 20
-
 // NewServer mounts a Coordinator behind HTTP.
 func NewServer(c *Coordinator) *Server {
 	s := &Server{c: c, log: c.log, mux: http.NewServeMux()}
@@ -68,7 +65,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // one validation, one tenant identity whether the body or the
 // X-ESP-Tenant header names it — and runs it on the fleet.
 func (s *Server) sweep(w http.ResponseWriter, r *http.Request) (serve.SweepResponse, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
 	if err != nil {
 		return serve.SweepResponse{}, fmt.Errorf("%w: reading request body: %v", serve.ErrInvalid, err)
 	}

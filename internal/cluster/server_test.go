@@ -57,6 +57,27 @@ func TestCoordinatorHonorsTenantHeader(t *testing.T) {
 	}
 }
 
+// TestCoordinatorOversizeBodyRejected: a well-formed /sweep body one
+// byte past serve.MaxRequestBytes is a 400 at espcoord, as at espd, and
+// reaches no worker.
+func TestCoordinatorOversizeBodyRejected(t *testing.T) {
+	w0 := newWorker("w0", serve.Options{Workers: 1})
+	c, err := New(Options{Workers: []Worker{w0}, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail := `{"apps":["amazon"],"configs":["base"],"sweep_id":"`, `"}`
+	body := head + strings.Repeat("x", serve.MaxRequestBytes+1-len(head)-len(tail)) + tail
+	rec := httptest.NewRecorder()
+	NewServer(c).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("status %d (%s), want 400 for an oversize body", rec.Code, rec.Body.String())
+	}
+	if cells := workerMetrics(t, w0).Engine.Cells; cells != 0 {
+		t.Errorf("refused sweep simulated %d cells, want 0", cells)
+	}
+}
+
 // TestCoordinatorClientGoneAtTenantGate: a client that hangs up while
 // its sweep waits at the tenant gate gets espd's 499, not a 400.
 func TestCoordinatorClientGoneAtTenantGate(t *testing.T) {

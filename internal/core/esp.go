@@ -238,7 +238,7 @@ func (e *ESP) occupy(s *slot, depth int, ev trace.Event) {
 	s.ev, s.valid = ev, true
 	s.pir = e.BP.PIR()
 	if e.Opt.IdleCore {
-		s.delay = float64(e.Opt.IdleTransfer)
+		s.delay = idleTransfer
 	}
 	if e.Opt.Ideal {
 		e.cachelets(s, 0)
@@ -490,15 +490,15 @@ func (e *ESP) advanceConsumption() {
 		return
 	}
 	horizon := int32(e.curIdx + e.Opt.PrefetchLead)
-	minLead := int32(e.Opt.MinLead)
+	lead := int32(minLead)
 	if e.Opt.Ideal {
-		minLead = 0
+		lead = 0
 	}
 	if e.Opt.UseI {
 		for e.consI < len(c.ilist.recs) && c.ilist.recs[e.consI].Count <= horizon {
 			r := c.ilist.recs[e.consI]
 			e.consI++
-			if r.Count-int32(e.curIdx) < minLead {
+			if r.Count-int32(e.curIdx) < lead {
 				e.Stats.SkippedLate++
 				continue
 			}
@@ -510,7 +510,7 @@ func (e *ESP) advanceConsumption() {
 		for e.consD < len(c.dlist.recs) && c.dlist.recs[e.consD].Count <= horizon {
 			r := c.dlist.recs[e.consD]
 			e.consD++
-			if r.Count-int32(e.curIdx) < minLead {
+			if r.Count-int32(e.curIdx) < lead {
 				e.Stats.SkippedLate++
 				continue
 			}
@@ -547,10 +547,6 @@ func (e *ESP) CorrectBranch(idx int, in trace.Inst) bool {
 	}
 	return false
 }
-
-// misfetchCost is the decoder re-steer bubble paid inside pre-execution
-// when a direct branch misses the BTB.
-const misfetchCost = 5
 
 // preExecResult describes why a pre-execution step stopped.
 type preExecResult uint8
@@ -630,7 +626,7 @@ func (e *ESP) runWindow(window float64) bool {
 			t += use
 			continue
 		}
-		b := window - t - float64(e.Opt.SwitchPenalty)
+		b := window - t - switchPenalty
 		if b <= 0 {
 			break
 		}
@@ -704,7 +700,6 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 	// slot resumes.
 	var (
 		bud      = *b
-		baseCPI  = e.Opt.BaseCPI
 		cur      = s.cur
 		pos      = s.pos
 		n        = cur.Len()
@@ -719,7 +714,7 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 		}
 		at := cur
 		op, pc := cur.Op(pos)
-		bud -= baseCPI
+		bud -= cpu.BaseCPI
 
 		// Instruction fetch through the I-cachelet.
 		if l := trace.Line(pc); !s.haveLine || l != s.fetchLine {
@@ -740,10 +735,10 @@ func (e *ESP) runSlot(s *slot, depth int, b *float64) (preExecResult, int) {
 			pred := bp.PredictUpdate(&in)
 			miss := branch.Mispredicted(pred, in)
 			if branch.Misfetched(pred, in) {
-				bud -= misfetchCost
+				bud -= cpu.MisfetchPenalty
 			}
 			if miss {
-				bud -= float64(e.Opt.MispredictPenalty)
+				bud -= cpu.MispredictPenalty
 				if !e.Opt.Naive && !s.poisoned {
 					if s.blist.add(BranchRec{
 						PC: in.PC, Target: in.Addr, Count: int32(pos),

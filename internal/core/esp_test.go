@@ -58,9 +58,9 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal("JumpDepth 9 accepted")
 	}
 	bad = DefaultOptions()
-	bad.BaseCPI = 0
+	bad.MinWindow = -1
 	if err := bad.Validate(); err == nil {
-		t.Fatal("zero BaseCPI accepted")
+		t.Fatal("negative MinWindow accepted")
 	}
 }
 

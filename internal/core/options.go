@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"espsim/internal/mem"
 )
@@ -150,18 +149,10 @@ type Options struct {
 	// Sizes are the structure capacities (Figure 8).
 	Sizes Sizes
 
-	// BaseCPI is the pre-execution pseudo-retirement rate;
-	// SwitchPenalty the pipeline-drain cost of entering an ESP mode;
-	// MispredictPenalty the pre-execution's own flush cost;
-	// PrefetchLead the list-prefetch lookahead in instructions (§3.6);
-	// PreEventWindow the looper-overhead head start (§3.6);
-	// MinLead is the smallest useful prefetch lead in instructions.
-	BaseCPI           float64
-	SwitchPenalty     int
-	MispredictPenalty int
-	PrefetchLead      int
-	PreEventWindow    int
-	MinLead           int
+	// PrefetchLead is the list-prefetch lookahead in instructions and
+	// PreEventWindow the looper-overhead head start (§3.6).
+	PrefetchLead   int
+	PreEventWindow int
 
 	// DirtyHazardPeriod: every n-th dirty eviction from a D-cachelet
 	// poisons the remainder of that pre-execution (§4.4: lost store
@@ -179,18 +170,30 @@ type Options struct {
 	// instead of inside the main core's stall windows. The helper has
 	// its own L1-sized private caches (no cachelets needed), never
 	// disturbs the main pipeline (no drain/flush costs), but pays
-	// IdleTransfer cycles per event to ship live-ins over and the
+	// idleTransfer cycles per event to ship live-ins over and the
 	// gathered lists back — and it costs a whole core.
-	IdleCore     bool
-	IdleTransfer int
+	IdleCore bool
 }
+
+// The engine's calibration, shared by every design point. Pre-execution
+// runs on the core's own pipeline, so it retires at cpu.BaseCPI and pays
+// cpu.MispredictPenalty and cpu.MisfetchPenalty like normal execution.
+const (
+	// switchPenalty is the pipeline-drain cost of entering an ESP mode.
+	switchPenalty = 8
+	// minLead is the smallest useful prefetch lead in instructions: a
+	// list record due sooner is skipped as late.
+	minLead = 30
+	// idleTransfer is the IdleCore helper's per-event cost, in cycles,
+	// of shipping live-ins over and the gathered lists back.
+	idleTransfer = 400
+)
 
 // IdleCoreOptions returns the §7 idle-core design point: ESP's recording
 // and replay machinery driven by a dedicated helper core.
 func IdleCoreOptions() Options {
 	o := DefaultOptions()
 	o.IdleCore = true
-	o.IdleTransfer = 400
 	// The helper core uses its own 32 KB L1-sized caches.
 	o.Sizes.ICacheletBytes = [2]int{32 << 10, 32 << 10}
 	o.Sizes.ICacheletWays = [2]int{8, 8}
@@ -208,12 +211,8 @@ func DefaultOptions() Options {
 		BPMode:            BPSeparatePIR,
 		JumpDepth:         2,
 		Sizes:             DefaultSizes(),
-		BaseCPI:           0.95,
-		SwitchPenalty:     8,
-		MispredictPenalty: 15,
 		PrefetchLead:      190,
 		PreEventWindow:    70,
-		MinLead:           30,
 		DirtyHazardPeriod: 4,
 		MinWindow:         28,
 	}
@@ -227,22 +226,14 @@ func (o *Options) Validate() error {
 	switch {
 	case o.JumpDepth < 1 || o.JumpDepth > 8:
 		return fmt.Errorf("core: JumpDepth %d out of range [1,8]", o.JumpDepth)
-	case !(o.BaseCPI > 0) || math.IsInf(o.BaseCPI, 1):
-		return fmt.Errorf("core: BaseCPI must be positive and finite, got %g (start from DefaultOptions)", o.BaseCPI)
 	case o.PrefetchLead < 0 || o.PreEventWindow < 0:
 		return fmt.Errorf("core: prefetch windows must be non-negative, got lead=%d window=%d", o.PrefetchLead, o.PreEventWindow)
-	case o.MinLead < 0:
-		return fmt.Errorf("core: MinLead must be non-negative, got %d", o.MinLead)
-	case o.SwitchPenalty < 0 || o.MispredictPenalty < 0:
-		return fmt.Errorf("core: penalties must be non-negative, got switch=%d mispredict=%d", o.SwitchPenalty, o.MispredictPenalty)
 	case o.MinWindow < 0:
 		return fmt.Errorf("core: MinWindow must be non-negative, got %d", o.MinWindow)
 	case o.DirtyHazardPeriod < 0:
 		return fmt.Errorf("core: DirtyHazardPeriod must be non-negative, got %d", o.DirtyHazardPeriod)
 	case o.BPMode > BPReplicate:
 		return fmt.Errorf("core: unknown BPMode %d", o.BPMode)
-	case o.IdleTransfer < 0:
-		return fmt.Errorf("core: IdleTransfer must be non-negative, got %d", o.IdleTransfer)
 	}
 	if err := o.Sizes.Validate(); err != nil {
 		return err

@@ -13,7 +13,6 @@
 package cpu
 
 import (
-	"fmt"
 	"math"
 
 	"espsim/internal/branch"
@@ -85,87 +84,39 @@ type FetchObserver interface {
 	OnFetch(addr uint64, level mem.Level)
 }
 
-// Config parametrizes the timing model.
-type Config struct {
-	// Width is the issue width; ROB the reorder-buffer capacity.
-	Width int
-	ROB   int
+// The timing model's parameters: the Figure 7 core with calibrated
+// exposure factors. The paper evaluates this one core, so no design
+// point varies them. The 4-wide issue enters only through BaseCPI.
+const (
+	// ROB is the reorder-buffer capacity.
+	ROB = 96
 	// BaseCPI is the dependency-limited cycles per instruction with a
 	// perfect memory system and predictor.
-	BaseCPI float64
+	BaseCPI = 0.95
 	// MispredictPenalty is the branch misprediction flush cost.
-	MispredictPenalty int
+	MispredictPenalty = 15
 	// MisfetchPenalty is the decoder re-steer bubble when a correctly
 	// predicted direct branch missed the BTB.
-	MisfetchPenalty int
+	MisfetchPenalty = 5
 	// L2IExposure and L2DExposure are the fractions of an L2-hit miss
 	// latency that the out-of-order window fails to hide (front-end
 	// misses are barely hidden; data misses mostly are).
-	L2IExposure float64
-	L2DExposure float64
+	L2IExposure = 0.8
+	L2DExposure = 0.3
 	// MemIExposed and MemDExposed are the exposed cycles of an LLC miss:
 	// the 101-cycle idle DRAM latency plus queueing and row-activation
 	// delays under load (data misses overlap slightly with ROB drain).
-	MemIExposed int
-	MemDExposed int
+	MemIExposed = 120
+	MemDExposed = 115
 	// MLPFactor scales the exposed cost of an LLC data miss that falls
 	// within ROB instructions of the previous one (memory-level
 	// parallelism: overlapped misses).
-	MLPFactor float64
+	MLPFactor = 0.15
 	// ExitFlushPenalty is charged to the normal execution each time an
 	// assist used a stall window: returning from speculative execution
 	// flushes the pipeline like a misprediction (§4.1).
-	ExitFlushPenalty int
-	// PerfectBP makes every branch predicted correctly (Figure 3).
-	PerfectBP bool
-}
-
-// Validate reports whether the configuration is coherent, with an
-// actionable error naming the offending field. The zero Config is NOT
-// valid: callers that want defaults should start from DefaultConfig.
-// Every float range check is written so that NaN fails it.
-func (c Config) Validate() error {
-	switch {
-	case c.Width <= 0:
-		return fmt.Errorf("cpu: Width must be positive, got %d (start from DefaultConfig)", c.Width)
-	case c.ROB <= 0:
-		return fmt.Errorf("cpu: ROB must be positive, got %d", c.ROB)
-	case !(c.BaseCPI > 0) || math.IsInf(c.BaseCPI, 1):
-		return fmt.Errorf("cpu: BaseCPI must be positive and finite, got %g", c.BaseCPI)
-	case c.MispredictPenalty < 0:
-		return fmt.Errorf("cpu: MispredictPenalty must be non-negative, got %d", c.MispredictPenalty)
-	case c.MisfetchPenalty < 0:
-		return fmt.Errorf("cpu: MisfetchPenalty must be non-negative, got %d", c.MisfetchPenalty)
-	case !(c.L2IExposure >= 0 && c.L2IExposure <= 1):
-		return fmt.Errorf("cpu: L2IExposure must be in [0,1], got %g", c.L2IExposure)
-	case !(c.L2DExposure >= 0 && c.L2DExposure <= 1):
-		return fmt.Errorf("cpu: L2DExposure must be in [0,1], got %g", c.L2DExposure)
-	case c.MemIExposed < 0 || c.MemDExposed < 0:
-		return fmt.Errorf("cpu: exposed memory latencies must be non-negative, got I=%d D=%d", c.MemIExposed, c.MemDExposed)
-	case !(c.MLPFactor >= 0 && c.MLPFactor <= 1):
-		return fmt.Errorf("cpu: MLPFactor must be in [0,1], got %g", c.MLPFactor)
-	case c.ExitFlushPenalty < 0:
-		return fmt.Errorf("cpu: ExitFlushPenalty must be non-negative, got %d", c.ExitFlushPenalty)
-	}
-	return nil
-}
-
-// DefaultConfig mirrors Figure 7 with calibrated exposure factors.
-func DefaultConfig() Config {
-	return Config{
-		Width:             4,
-		ROB:               96,
-		BaseCPI:           0.95,
-		MispredictPenalty: 15,
-		MisfetchPenalty:   5,
-		L2IExposure:       0.8,
-		L2DExposure:       0.3,
-		MemIExposed:       120,
-		MemDExposed:       115,
-		MLPFactor:         0.15,
-		ExitFlushPenalty:  8,
-	}
-}
+	ExitFlushPenalty = 8
+)
 
 // Stats aggregates the timing outcome of a run.
 type Stats struct {
@@ -230,9 +181,11 @@ func (s *Stats) Add(other Stats) {
 // Core executes event instruction streams against the memory hierarchy,
 // branch predictor and optional prefetchers, accumulating Stats.
 type Core struct {
-	Cfg  Config            //esp:immutable
 	Hier *mem.Hierarchy    //esp:immutable
 	BP   *branch.Predictor //esp:immutable
+
+	// PerfectBP makes every branch predicted correctly (Figure 3).
+	PerfectBP bool //esp:immutable
 
 	// Optional baseline prefetchers (nil disables each).
 	NLI    *prefetch.NextLineI //esp:immutable
@@ -261,8 +214,8 @@ type Core struct {
 const noFetchLine = ^uint64(0)
 
 // New returns a core over the given hierarchy and predictor.
-func New(cfg Config, h *mem.Hierarchy, bp *branch.Predictor) *Core {
-	return &Core{Cfg: cfg, Hier: h, BP: bp, fetchLine: noFetchLine, lastLLCDInst: -1 << 40}
+func New(h *mem.Hierarchy, bp *branch.Predictor) *Core {
+	return &Core{Hier: h, BP: bp, fetchLine: noFetchLine, lastLLCDInst: -1 << 40}
 }
 
 // Reset restores the core's run state (statistics, fetch-line tracking,
@@ -295,12 +248,11 @@ func (c *Core) BeginEvent(handler int) {
 // cursor's decode inlines, and a memory op's or branch's Addr is taken
 // inside the kind switch, so the loop branches on the kind once.
 func (c *Core) RunEvent(tape trace.Tape) int64 {
-	cfg := &c.Cfg
 	var (
 		st        Stats
 		cycles    float64
 		assist    = c.Assist
-		perInst   = cfg.BaseCPI
+		perfectBP = c.PerfectBP
 		hier      = c.Hier
 		bp        = c.BP
 		nli       = c.NLI
@@ -310,7 +262,6 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 		fetchLine = c.fetchLine
 		global    = c.globalInst // of instruction 0; idx counts on from it
 		lastLLCD  = c.lastLLCDInst
-		rob       = int64(cfg.ROB)
 		wake      = 0
 		cur       = tape.Cursor()
 		n         = tape.Len()
@@ -324,7 +275,7 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 		if idx >= wake {
 			wake = assist.OnInst(idx)
 		}
-		cycles += perInst
+		cycles += BaseCPI
 
 		// Instruction fetch: one hierarchy access per line transition.
 		if line := trace.Line(pc); line != fetchLine {
@@ -340,12 +291,12 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 			case mem.LevelL2:
 				// The conversion rounds the product before it is added,
 				// so no architecture fuses the two into an FMA.
-				p := float64(cfg.L2IExposure * float64(lat))
+				p := float64(L2IExposure * float64(lat))
 				cycles += p
 				st.IMissCycles += int64(p)
 			case mem.LevelMem:
 				st.LLCMissI++
-				exposed := cfg.MemIExposed
+				exposed := MemIExposed
 				cycles += float64(exposed)
 				st.IMissCycles += int64(exposed)
 				rest := cur
@@ -358,7 +309,7 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 		case trace.Branch:
 			op.SetBranch(&in, pc, cur.Target(op))
 			st.Branches++
-			correct := cfg.PerfectBP
+			correct := perfectBP
 			misfetch := false
 			if !correct && assist != nil && assist.CorrectBranch(idx, in) {
 				correct = true
@@ -367,7 +318,7 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 				pred := bp.PredictUpdate(&in)
 				correct = !branch.Mispredicted(pred, in)
 				misfetch = branch.Misfetched(pred, in)
-			} else if !cfg.PerfectBP {
+			} else if !perfectBP {
 				// Corrected branch: the prediction is suppressed but the
 				// predictor still trains on the architectural outcome.
 				bp.Update(in)
@@ -375,12 +326,12 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 			switch {
 			case !correct:
 				st.Mispredicts++
-				cycles += float64(cfg.MispredictPenalty)
-				st.BranchCycles += int64(cfg.MispredictPenalty)
+				cycles += MispredictPenalty
+				st.BranchCycles += MispredictPenalty
 			case misfetch:
 				st.Misfetches++
-				cycles += float64(cfg.MisfetchPenalty)
-				st.BranchCycles += int64(cfg.MisfetchPenalty)
+				cycles += MisfetchPenalty
+				st.BranchCycles += MisfetchPenalty
 			}
 			if in.Taken {
 				fetchLine = noFetchLine // redirect: next fetch re-accesses I$
@@ -397,15 +348,15 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 			}
 			switch level {
 			case mem.LevelL2:
-				p := float64(cfg.L2DExposure * float64(lat)) // unfused, as above
+				p := float64(L2DExposure * float64(lat)) // unfused, as above
 				cycles += p
 				st.DMissCycles += int64(p)
 			case mem.LevelMem:
 				st.LLCMissD++
-				exposed := cfg.MemDExposed
-				if g := global + int64(idx); g-lastLLCD < rob {
+				exposed := MemDExposed
+				if g := global + int64(idx); g-lastLLCD < ROB {
 					// Overlapped with the previous miss: MLP.
-					exposed = int(float64(exposed) * cfg.MLPFactor)
+					exposed = int(float64(exposed) * MLPFactor)
 				}
 				lastLLCD = global + int64(idx)
 				cycles += float64(exposed)
@@ -418,7 +369,7 @@ func (c *Core) RunEvent(tape trace.Tape) int64 {
 	c.globalInst, c.lastLLCDInst = global+int64(n), lastLLCD
 
 	st.Insts = int64(n)
-	st.BaseCycles = int64(float64(st.Insts) * cfg.BaseCPI)
+	st.BaseCycles = int64(float64(st.Insts) * BaseCPI)
 	st.Cycles = int64(cycles)
 	c.Stats.Add(st)
 	return st.Cycles
@@ -435,8 +386,8 @@ func (c *Core) offerStall(kind StallKind, idx int, rest trace.Cursor, exposed in
 	}
 	if c.Assist.OnStall(kind, idx, rest, exposed) {
 		st.StallsUsed++
-		*cycles += float64(c.Cfg.ExitFlushPenalty)
-		st.AssistPenalty += int64(c.Cfg.ExitFlushPenalty)
+		*cycles += ExitFlushPenalty
+		st.AssistPenalty += ExitFlushPenalty
 	}
 }
 
@@ -444,7 +395,7 @@ func (c *Core) offerStall(kind StallKind, idx int, rest trace.Cursor, exposed in
 // looper thread's queue-management instructions between events, §3.6).
 func (c *Core) RunFiller(n int) {
 	c.Stats.Insts += int64(n)
-	add := int64(float64(n) * c.Cfg.BaseCPI)
+	add := int64(float64(n) * BaseCPI)
 	c.Stats.Cycles += add
 	c.Stats.BaseCycles += add
 	c.globalInst += int64(n)

@@ -10,7 +10,7 @@ import (
 )
 
 func testCore() *Core {
-	return New(DefaultConfig(), mem.DefaultHierarchy(), branch.New())
+	return New(mem.DefaultHierarchy(), branch.New())
 }
 
 // seqInsts builds n straight-line ALU instructions.
@@ -25,8 +25,9 @@ func seqInsts(n int, base uint64) []trace.Inst {
 func TestBaseCPIAccounting(t *testing.T) {
 	c := testCore()
 	c.Hier.PerfectL1I = true
-	cyc := c.RunEvent(trace.EncodeTape(seqInsts(10000, 0x1000)))
-	want := int64(float64(10000) * c.Cfg.BaseCPI)
+	n := 10000
+	cyc := c.RunEvent(trace.EncodeTape(seqInsts(n, 0x1000)))
+	want := int64(float64(n) * BaseCPI)
 	if cyc < want-1 || cyc > want+1 {
 		t.Fatalf("cycles = %d, want ~%d for stall-free code", cyc, want)
 	}
@@ -34,9 +35,10 @@ func TestBaseCPIAccounting(t *testing.T) {
 
 func TestIMissCharged(t *testing.T) {
 	c := testCore()
-	cyc := c.RunEvent(trace.EncodeTape(seqInsts(16, 0x1000))) // one line, cold
-	base := int64(float64(16) * c.Cfg.BaseCPI)
-	if cyc < base+int64(c.Cfg.MemIExposed) {
+	n := 16
+	cyc := c.RunEvent(trace.EncodeTape(seqInsts(n, 0x1000))) // one line, cold
+	base := int64(float64(n) * BaseCPI)
+	if cyc < base+MemIExposed {
 		t.Fatalf("cold I-fetch not charged: %d cycles", cyc)
 	}
 	if c.Stats.LLCMissI != 1 {
@@ -53,7 +55,7 @@ func TestDMissCharged(t *testing.T) {
 	if c.Stats.LLCMissD != 1 {
 		t.Fatalf("LLCMissD = %d", c.Stats.LLCMissD)
 	}
-	if c.Stats.DMissCycles < int64(c.Cfg.MemDExposed) {
+	if c.Stats.DMissCycles < MemDExposed {
 		t.Fatalf("DMissCycles = %d", c.Stats.DMissCycles)
 	}
 }
@@ -91,15 +93,14 @@ func TestMispredictPenalty(t *testing.T) {
 	if c.Stats.Mispredicts == 0 {
 		t.Fatal("alternating branch should mispredict sometimes")
 	}
-	if c.Stats.BranchCycles < c.Stats.Mispredicts*int64(c.Cfg.MispredictPenalty) {
+	if c.Stats.BranchCycles < c.Stats.Mispredicts*MispredictPenalty {
 		t.Fatal("mispredict cycles under-charged")
 	}
 }
 
 func TestPerfectBPNoPenalty(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PerfectBP = true
-	c := New(cfg, mem.DefaultHierarchy(), branch.New())
+	c := testCore()
+	c.PerfectBP = true
 	c.Hier.PerfectL1I = true
 	var insts []trace.Inst
 	for i := 0; i < 100; i++ {
@@ -112,11 +113,10 @@ func TestPerfectBPNoPenalty(t *testing.T) {
 }
 
 func TestMisfetchCheaperThanMispredict(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.MisfetchPenalty >= cfg.MispredictPenalty {
+	if MisfetchPenalty >= MispredictPenalty {
 		t.Fatal("misfetch must be cheaper than mispredict")
 	}
-	c := New(cfg, mem.DefaultHierarchy(), branch.New())
+	c := testCore()
 	c.Hier.PerfectL1I = true
 	// Always-taken branches with rotating PCs large enough to thrash the
 	// BTB generate misfetches (direction is learned, targets are not).
@@ -133,11 +133,10 @@ func TestMisfetchCheaperThanMispredict(t *testing.T) {
 
 func TestPerfectEverythingBeatsBaseline(t *testing.T) {
 	mk := func(perfect bool) int64 {
-		cfg := DefaultConfig()
-		cfg.PerfectBP = perfect
 		h := mem.DefaultHierarchy()
 		h.PerfectL1I, h.PerfectL1D = perfect, perfect
-		c := New(cfg, h, branch.New())
+		c := New(h, branch.New())
+		c.PerfectBP = perfect
 		var insts []trace.Inst
 		for i := 0; i < 5000; i++ {
 			pc := uint64(0x1000 + (i%700)*256)
@@ -267,11 +266,12 @@ func (c *correctingAssist) CorrectBranch(int, trace.Inst) bool { return true }
 
 func TestRunFiller(t *testing.T) {
 	c := testCore()
-	c.RunFiller(700)
-	if c.Stats.Insts != 700 {
+	n := 700
+	c.RunFiller(n)
+	if c.Stats.Insts != int64(n) {
 		t.Fatalf("Insts = %d", c.Stats.Insts)
 	}
-	want := int64(700 * c.Cfg.BaseCPI)
+	want := int64(float64(n) * BaseCPI)
 	if c.Stats.Cycles != want {
 		t.Fatalf("Cycles = %d, want %d", c.Stats.Cycles, want)
 	}

@@ -25,8 +25,8 @@ const (
 	KindPanic ErrorKind = "panic"
 	// KindBuild: workload materialization failed (sim.ErrBuild).
 	KindBuild ErrorKind = "build"
-	// KindNet: a node-level network fault — drop, stall-induced
-	// transport failure, 5xx, or partition (ErrNet).
+	// KindNet: a node-level network fault — a transport failure or a
+	// worker's 5xx, real or injected by a NetPlan (ErrNet).
 	KindNet ErrorKind = "net"
 	// KindInjected: a chaos plan manufactured the failure (ErrInjected).
 	KindInjected ErrorKind = "injected"

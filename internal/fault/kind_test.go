@@ -103,58 +103,22 @@ func TestRetryable(t *testing.T) {
 	}
 }
 
-// TestNetPlanDeterministicAndRecovering: one seed yields one fault
-// assignment; hashed faults clear after FailFirst calls; Partition and
-// Always never clear.
+// TestNetPlanDeterministic: an Always worker faults on every call and
+// never clears; an unregistered worker, or a nil plan, never faults.
 func TestNetPlanDeterministic(t *testing.T) {
-	mk := func() *NetPlan {
-		return &NetPlan{Seed: 42, DropRate: 0.3, StallRate: 0.2, ErrRate: 0.2, FailFirst: 2}
-	}
-	a, b := mk(), mk()
-	workers := []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"}
-	faulted := 0
-	for _, w := range workers {
-		ka, kb := a.Peek(w, "sweep"), b.Peek(w, "sweep")
-		if ka != kb {
-			t.Fatalf("worker %s: same seed decided %v and %v", w, ka, kb)
-		}
-		if ka != NetNone {
-			faulted++
-			// Consumes FailFirst attempts, then clears.
-			if got := a.Fault(w, "sweep"); got != ka {
-				t.Fatalf("worker %s: first Fault %v, Peek said %v", w, got, ka)
-			}
-			if got := a.Fault(w, "sweep"); got != ka {
-				t.Fatalf("worker %s: second Fault %v, want %v (FailFirst=2)", w, got, ka)
-			}
-			if got := a.Fault(w, "sweep"); got != NetNone {
-				t.Fatalf("worker %s: third Fault %v, want recovered", w, got)
-			}
-		}
-	}
-	if faulted == 0 {
-		t.Fatal("seed 42 at 70% stacked rates faulted no worker out of 8")
-	}
-
-	p := &NetPlan{Seed: 1}
-	p.Partition("dead")
-	for i := 0; i < 3; i++ {
-		if got := p.Fault("dead", "sweep"); got != NetPartition {
-			t.Fatalf("partitioned worker call %d: %v", i, got)
-		}
-	}
-	if !p.Partitioned("dead") {
-		t.Fatal("Partitioned lost the registration")
-	}
-	p.Heal("dead")
-	if got := p.Fault("dead", "sweep"); got != NetNone {
-		t.Fatalf("healed worker still faults: %v", got)
-	}
+	p := &NetPlan{}
 	p.Always("flaky", NetErr)
 	for i := 0; i < 3; i++ {
-		if got := p.Fault("flaky", "probe"); got != NetErr {
+		if got := p.Fault("flaky"); got != NetErr {
 			t.Fatalf("Always worker call %d: %v", i, got)
 		}
+	}
+	if got := p.Fault("healthy"); got != NetNone {
+		t.Fatalf("unregistered worker faults: %v", got)
+	}
+	var nilPlan *NetPlan
+	if got := nilPlan.Fault("flaky"); got != NetNone {
+		t.Fatalf("nil plan faults: %v", got)
 	}
 }
 

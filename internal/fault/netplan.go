@@ -3,37 +3,25 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
-	"time"
 )
 
 // ErrNet marks a node-level network failure manufactured by a NetPlan
 // (or a real transport error the cluster wraps): the worker was
-// unreachable, stalled, partitioned, or answered a server error.
-// Classify maps it to KindNet ahead of KindInjected, so an injected
-// network fault still reads as a network fault.
+// unreachable or answered a server error. Classify maps it to KindNet
+// ahead of KindInjected, so an injected network fault still reads as a
+// network fault.
 var ErrNet = errors.New("network fault")
 
-// NetKind enumerates the network fault shapes a NetPlan can inject
-// between the coordinator and one worker — the node-level analogue of
-// Kind.
+// NetKind enumerates the network faults a NetPlan can inject between
+// the coordinator and one worker — the node-level analogue of Kind.
 type NetKind uint8
 
 const (
 	// NetNone leaves the call untouched.
 	NetNone NetKind = iota
-	// NetDrop fails the call before it reaches the worker, like a
-	// refused connection or a dropped packet.
-	NetDrop
-	// NetStall delays the call by the plan's StallFor before letting it
-	// proceed — a slow or congested link, not a dead one.
-	NetStall
 	// NetErr makes the worker answer a 5xx-shaped server error.
 	NetErr
-	// NetPartition drops every call to the worker until Heal — the
-	// quarantine shape a node breaker must absorb.
-	NetPartition
 )
 
 // String names a NetKind for logs and test output.
@@ -41,53 +29,23 @@ func (k NetKind) String() string {
 	switch k {
 	case NetNone:
 		return "none"
-	case NetDrop:
-		return "drop"
-	case NetStall:
-		return "stall"
 	case NetErr:
 		return "5xx"
-	case NetPartition:
-		return "partition"
 	default:
 		return fmt.Sprintf("netkind(%d)", uint8(k))
 	}
 }
 
-// NetPlan is a deterministic network fault plan, layered on the PR 5
-// cell plan: which (worker, operation) calls fault and how, all
-// derived from Seed by hashing — never from time or global randomness
-// — so one seed reproduces one cluster chaos run byte-for-byte. The
-// zero value injects nothing.
-//
-// Rates stack: a hashed draw in [0, 1) lands in the drop band, then
-// the stall band, then the 5xx band, else no fault. A faulted
-// (worker, operation) pair fails its first FailFirst calls and then
-// clears — the flaky-link shape rescheduling must absorb — while
-// Always and Partition registrations never clear — the dead-node shape
-// a breaker must quarantine.
+// NetPlan is a network fault plan, layered on the cell plan: the
+// workers registered with Always fault on every call and never clear —
+// the dead-node shape a breaker must quarantine. The zero value injects
+// nothing.
 type NetPlan struct {
-	// Seed fixes every fault decision.
-	Seed int64
-	// DropRate, StallRate, ErrRate are the stacked fractions of
-	// (worker, operation) pairs that drop, stall, or answer 5xx.
-	DropRate  float64
-	StallRate float64
-	ErrRate   float64
-	// FailFirst is how many calls of a faulted pair fail before it
-	// clears (minimum 1 once the plan decides to fault).
-	FailFirst int
-	// StallFor is the delay for NetStall faults.
-	StallFor time.Duration
-
 	mu     sync.Mutex
-	counts map[string]int
 	always map[string]NetKind
-	parts  map[string]bool
 }
 
-// Always registers a worker that faults with kind on every call,
-// regardless of rates.
+// Always registers a worker that faults with kind on every call.
 func (p *NetPlan) Always(worker string, kind NetKind) {
 	p.mu.Lock()
 	if p.always == nil {
@@ -97,106 +55,12 @@ func (p *NetPlan) Always(worker string, kind NetKind) {
 	p.mu.Unlock()
 }
 
-// Partition makes every call to worker drop until Heal — a network
-// partition or a dead process, as the coordinator cannot tell them
-// apart.
-func (p *NetPlan) Partition(worker string) {
-	p.mu.Lock()
-	if p.parts == nil {
-		p.parts = make(map[string]bool)
-	}
-	p.parts[worker] = true
-	p.mu.Unlock()
-}
-
-// Heal ends worker's partition.
-func (p *NetPlan) Heal(worker string) {
-	p.mu.Lock()
-	delete(p.parts, worker)
-	p.mu.Unlock()
-}
-
-// Partitioned reports whether worker is currently partitioned.
-func (p *NetPlan) Partitioned(worker string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.parts[worker]
-}
-
-// hashNet derives the deterministic fault decision for one
-// (worker, operation) pair from the seed alone.
-func (p *NetPlan) hashNet(worker, op string) NetKind {
-	total := p.DropRate + p.StallRate + p.ErrRate
-	if total <= 0 {
-		return NetNone
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|net|%s|%s", p.Seed, worker, op)
-	v := float64(h.Sum64()%100000) / 100000
-	switch {
-	case v < p.DropRate:
-		return NetDrop
-	case v < p.DropRate+p.StallRate:
-		return NetStall
-	case v < total:
-		return NetErr
-	default:
-		return NetNone
-	}
-}
-
-// Peek reports the kind a (worker, operation) pair is assigned without
-// consuming an attempt — introspection for tests asserting coverage.
-// Partition and Always registrations take precedence over rates.
-func (p *NetPlan) Peek(worker, op string) NetKind {
-	p.mu.Lock()
-	part := p.parts[worker]
-	k, ok := p.always[worker]
-	p.mu.Unlock()
-	if part {
-		return NetPartition
-	}
-	if ok {
-		return k
-	}
-	return p.hashNet(worker, op)
-}
-
-// Fault decides one call's fate, consuming an attempt: hashed faults
-// clear after FailFirst calls, Partition and Always never do.
-func (p *NetPlan) Fault(worker, op string) NetKind {
+// Fault decides one call to worker's fate.
+func (p *NetPlan) Fault(worker string) NetKind {
 	if p == nil {
 		return NetNone
 	}
 	p.mu.Lock()
-	if p.parts[worker] {
-		p.mu.Unlock()
-		return NetPartition
-	}
-	if k, ok := p.always[worker]; ok {
-		p.mu.Unlock()
-		return k
-	}
-	p.mu.Unlock()
-
-	kind := p.hashNet(worker, op)
-	if kind == NetNone {
-		return NetNone
-	}
-	key := worker + "|" + op
-	p.mu.Lock()
-	if p.counts == nil {
-		p.counts = make(map[string]int)
-	}
-	attempt := p.counts[key]
-	p.counts[key]++
-	p.mu.Unlock()
-	failFirst := p.FailFirst
-	if failFirst < 1 {
-		failFirst = 1
-	}
-	if attempt >= failFirst {
-		return NetNone
-	}
-	return kind
+	defer p.mu.Unlock()
+	return p.always[worker]
 }

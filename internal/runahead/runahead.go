@@ -13,9 +13,6 @@
 package runahead
 
 import (
-	"fmt"
-	"math"
-
 	"espsim/internal/branch"
 	"espsim/internal/cpu"
 	"espsim/internal/mem"
@@ -23,73 +20,41 @@ import (
 	"espsim/internal/workload"
 )
 
-// Config parametrizes the runahead engine.
+// Config selects the runahead design point. Its zero value is the full
+// runahead of Figure 9: fetched instruction lines warm the hierarchy,
+// independent loads and stores warm the data cache (their misses become
+// prefetches), and branches train the predictor, with the PIR and RAS
+// checkpointed around the episode.
 type Config struct {
-	// WarmI installs fetched instruction lines into the hierarchy.
-	WarmI bool
-	// WarmD performs the data accesses of independent instructions,
-	// turning their misses into prefetches. This is runahead's main
-	// benefit and the only one enabled in the "Runahead-D" configuration
-	// of Figure 11b.
-	WarmD bool
-	// TrainBP updates the branch predictor during runahead (with the PIR
-	// and RAS checkpointed around the episode).
-	TrainBP bool
-	// DepFrac is the fraction of memory instructions in the runahead
+	// DataOnly is the "Runahead-D" of Figure 11b: only the data accesses
+	// warm anything; fetched lines are not installed and the predictor
+	// is left untouched.
+	DataOnly bool
+}
+
+// DataOnlyConfig returns the "Runahead-D" configuration of Figure 11b.
+func DataOnlyConfig() Config { return Config{DataOnly: true} }
+
+// The engine's calibration, shared by every design point.
+const (
+	// depFrac is the fraction of memory instructions in the runahead
 	// window that are data-dependent on the blocking load (directly or
 	// transitively) and therefore marked invalid and skipped.
-	DepFrac float64
-	// BranchDepFrac is the fraction of branches in the window whose
+	depFrac = 0.25
+	// branchDepFrac is the fraction of branches in the window whose
 	// outcome depends on the blocking load: they resolve INV, so their
 	// outcome is just the predictor's own guess (no training value) and
 	// a wrong guess sends the rest of the episode down the wrong path.
-	BranchDepFrac float64
-	// WrongPathStop is the probability an INV branch derails the episode.
-	WrongPathStop float64
-	// BaseCPI is the pseudo-retirement rate during runahead: faster than
+	branchDepFrac = 0.10
+	// wrongPathStop is the probability an INV branch derails the episode.
+	wrongPathStop = 0.25
+	// baseCPI is the pseudo-retirement rate during runahead: faster than
 	// real retirement, since invalid results never stall execution.
-	BaseCPI float64
-	// EnterCost is the budget consumed checkpointing and redirecting
+	baseCPI = 0.22
+	// enterCost is the budget consumed checkpointing and redirecting
 	// into runahead mode.
-	EnterCost int
-}
-
-// Validate reports whether the configuration is coherent, naming the
-// offending field. The zero Config is NOT valid: start from
-// DefaultConfig or DataOnlyConfig. Every float range check is written
-// so that NaN fails it.
-func (c Config) Validate() error {
-	switch {
-	case !(c.BaseCPI > 0) || math.IsInf(c.BaseCPI, 1):
-		return fmt.Errorf("runahead: BaseCPI must be positive and finite, got %g (start from DefaultConfig)", c.BaseCPI)
-	case !(c.DepFrac >= 0 && c.DepFrac <= 1):
-		return fmt.Errorf("runahead: DepFrac must be in [0,1], got %g", c.DepFrac)
-	case !(c.BranchDepFrac >= 0 && c.BranchDepFrac <= 1):
-		return fmt.Errorf("runahead: BranchDepFrac must be in [0,1], got %g", c.BranchDepFrac)
-	case !(c.WrongPathStop >= 0 && c.WrongPathStop <= 1):
-		return fmt.Errorf("runahead: WrongPathStop must be in [0,1], got %g", c.WrongPathStop)
-	case c.EnterCost < 0:
-		return fmt.Errorf("runahead: EnterCost must be non-negative, got %d", c.EnterCost)
-	}
-	return nil
-}
-
-// DefaultConfig returns the full runahead configuration used in Figure 9.
-func DefaultConfig() Config {
-	return Config{
-		WarmI: true, WarmD: true, TrainBP: true,
-		DepFrac: 0.25, BranchDepFrac: 0.10, WrongPathStop: 0.25,
-		BaseCPI: 0.22, EnterCost: 4,
-	}
-}
-
-// DataOnlyConfig returns the "Runahead-D" configuration of Figure 11b:
-// warm the data cache only, leave the predictor untouched.
-func DataOnlyConfig() Config {
-	c := DefaultConfig()
-	c.WarmI, c.TrainBP = false, false
-	return c
-}
+	enterCost = 4
+)
 
 // Stats counts runahead activity.
 type Stats struct {
@@ -157,21 +122,21 @@ func (e *Engine) OnStall(kind cpu.StallKind, idx int, rest trace.Cursor, budget 
 		// leaves the front end empty with nothing to pre-execute.
 		return false
 	}
-	b := float64(budget - e.Cfg.EnterCost)
+	b := float64(budget - enterCost)
 	if b <= 0 {
 		return false
 	}
 	e.Stats.Episodes++
+	full := !e.Cfg.DataOnly // warm the I-side and train the predictor too
 	var (
 		ras       branch.RASState
 		savedPIR  uint64
 		fetchLine uint64
 		haveLine  bool
 		in        trace.Inst // the current branch's record
-		baseCPI   = e.Cfg.BaseCPI
 		preInsts  int64
 	)
-	if e.Cfg.TrainBP {
+	if full {
 		ras = e.BP.SnapshotRAS()
 		savedPIR = e.BP.PIR()
 	}
@@ -193,7 +158,7 @@ window:
 					break window
 				}
 				b -= float64(lat)
-				if e.Cfg.WarmI {
+				if full {
 					e.Hier.PrefetchI(pc)
 				}
 			}
@@ -202,17 +167,17 @@ window:
 		switch kind := op.Kind(); kind {
 		case trace.Branch:
 			op.SetBranch(&in, pc, rest.Target(op))
-			if dependent(e.curEv.Seed, idx, j, e.Cfg.BranchDepFrac) {
+			if dependent(e.curEv.Seed, idx, j, branchDepFrac) {
 				// The branch's input is INV: runahead follows the
 				// predictor's guess. A wrong guess derails the episode
 				// onto a wrong path; either way there is nothing to
 				// learn from it.
-				if wrongPath(e.curEv.Seed, idx, j, e.Cfg.WrongPathStop) {
+				if wrongPath(e.curEv.Seed, idx, j, wrongPathStop) {
 					break window
 				}
 				continue
 			}
-			if e.Cfg.TrainBP {
+			if full {
 				e.BP.PredictUpdate(&in)
 			}
 			if in.Taken {
@@ -220,12 +185,9 @@ window:
 			}
 		case trace.Load, trace.Store:
 			addr := rest.Addr()
-			if !e.Cfg.WarmD {
-				continue
-			}
 			// Instructions dependent on the blocking load are invalid in
 			// runahead mode and perform no access.
-			if dependent(e.curEv.Seed, idx, j, e.Cfg.DepFrac) {
+			if dependent(e.curEv.Seed, idx, j, depFrac) {
 				continue
 			}
 			// Misses under runahead do not block; they become prefetches.
@@ -233,7 +195,7 @@ window:
 		}
 	}
 	e.Stats.PreExecInsts += preInsts
-	if e.Cfg.TrainBP {
+	if full {
 		e.BP.RestoreRAS(ras)
 		e.BP.SetPIR(savedPIR)
 	}

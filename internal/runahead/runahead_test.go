@@ -43,7 +43,7 @@ func after(insts []trace.Inst, idx int) trace.Cursor {
 }
 
 func TestIgnoresInstructionStalls(t *testing.T) {
-	e, _, _ := mkEngine(DefaultConfig())
+	e, _, _ := mkEngine(Config{})
 	e.EventStart(trace.Event{}, nil)
 	if e.OnStall(cpu.StallI, 0, after(eventWithColdLoads(), 0), 100) {
 		t.Fatal("runahead must not act on instruction-miss stalls")
@@ -54,7 +54,7 @@ func TestIgnoresInstructionStalls(t *testing.T) {
 }
 
 func TestWarmsDataCache(t *testing.T) {
-	e, h, _ := mkEngine(DefaultConfig())
+	e, h, _ := mkEngine(Config{})
 	insts := eventWithColdLoads()
 	// Warm the code lines so fetch doesn't block the episode.
 	for _, in := range insts {
@@ -81,7 +81,7 @@ func TestWarmsDataCache(t *testing.T) {
 }
 
 func TestStopsOnLLCInstructionMiss(t *testing.T) {
-	e, h, _ := mkEngine(DefaultConfig())
+	e, h, _ := mkEngine(Config{})
 	insts := eventWithColdLoads()
 	// Warm only the first few lines: fetch hits a cold line quickly.
 	for _, in := range insts[:64] {
@@ -96,11 +96,7 @@ func TestStopsOnLLCInstructionMiss(t *testing.T) {
 }
 
 func TestDataOnlyConfigLeavesPredictorAlone(t *testing.T) {
-	cfg := DataOnlyConfig()
-	if cfg.TrainBP || cfg.WarmI || !cfg.WarmD {
-		t.Fatalf("DataOnlyConfig wrong: %+v", cfg)
-	}
-	e, h, bp := mkEngine(cfg)
+	e, h, bp := mkEngine(DataOnlyConfig())
 	pirBefore := bp.PIR()
 	insts := eventWithColdLoads()
 	for _, in := range insts {
@@ -115,7 +111,7 @@ func TestDataOnlyConfigLeavesPredictorAlone(t *testing.T) {
 }
 
 func TestPIRAndRASRestored(t *testing.T) {
-	e, h, bp := mkEngine(DefaultConfig())
+	e, h, bp := mkEngine(Config{})
 	var insts []trace.Inst
 	pc := uint64(0x1000)
 	for i := 0; i < 200; i++ {
@@ -146,7 +142,7 @@ func TestPIRAndRASRestored(t *testing.T) {
 }
 
 func TestBudgetBoundsWindow(t *testing.T) {
-	e, h, _ := mkEngine(DefaultConfig())
+	e, h, _ := mkEngine(Config{})
 	insts := eventWithColdLoads()
 	for _, in := range insts {
 		h.L2.Install(in.PC, false)
@@ -155,7 +151,7 @@ func TestBudgetBoundsWindow(t *testing.T) {
 	e.EventStart(trace.Event{Seed: 3}, nil)
 	e.OnStall(cpu.StallD, 0, after(insts, 0), 50)
 	small := e.Stats.PreExecInsts
-	e2, h2, _ := mkEngine(DefaultConfig())
+	e2, h2, _ := mkEngine(Config{})
 	for _, in := range insts {
 		h2.L2.Install(in.PC, false)
 		h2.L1I.Install(in.PC, false)
@@ -168,15 +164,15 @@ func TestBudgetBoundsWindow(t *testing.T) {
 }
 
 func TestTinyBudgetDeclined(t *testing.T) {
-	e, _, _ := mkEngine(DefaultConfig())
+	e, _, _ := mkEngine(Config{})
 	e.EventStart(trace.Event{}, nil)
-	if e.OnStall(cpu.StallD, 0, after(eventWithColdLoads(), 0), e.Cfg.EnterCost) {
+	if e.OnStall(cpu.StallD, 0, after(eventWithColdLoads(), 0), enterCost) {
 		t.Fatal("budget smaller than the entry cost must be declined")
 	}
 }
 
 func TestEventEndClearsWindow(t *testing.T) {
-	e, _, _ := mkEngine(DefaultConfig())
+	e, _, _ := mkEngine(Config{})
 	ev := trace.Event{}
 	e.EventStart(ev, nil)
 	e.EventEnd(ev)

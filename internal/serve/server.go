@@ -24,6 +24,9 @@ import (
 	"espsim/internal/trace"
 )
 
+// MaxRequestBytes bounds a request body, at espd and at espcoord.
+const MaxRequestBytes = 8 << 20
+
 // Options configures a Server. The zero value gets sensible defaults
 // from withDefaults.
 type Options struct {
@@ -43,8 +46,6 @@ type Options struct {
 	// DefaultTimeout bounds one cell's simulation when the request does
 	// not set timeout_ms (default: 2 minutes).
 	DefaultTimeout time.Duration
-	// MaxRequestBytes bounds a request body (default: 8 MiB).
-	MaxRequestBytes int64
 	// Logger receives structured request logs (default: slog.Default).
 	Logger *slog.Logger
 
@@ -103,9 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 2 * time.Minute
-	}
-	if o.MaxRequestBytes <= 0 {
-		o.MaxRequestBytes = 8 << 20
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -341,7 +339,7 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, requests *atomic.
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server is draining"))
 		return nil, nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opt.MaxRequestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
 		s.inflight.Done()
 		s.fail(w, invalid(fmt.Errorf("reading request body: %w", err)))

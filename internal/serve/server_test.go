@@ -771,12 +771,14 @@ func TestWorkloadCacheEviction(t *testing.T) {
 	}
 }
 
-// TestOversizeBodyRejected: a body past MaxRequestBytes is refused.
+// TestOversizeBodyRejected: a well-formed /run body one byte past
+// MaxRequestBytes is refused as too large.
 func TestOversizeBodyRejected(t *testing.T) {
-	s := testServer(t, Options{Workers: 1, MaxRequestBytes: 128})
-	big := fmt.Sprintf(`{"app":"amazon","config":"base","trace_b64":%q}`, bytes.Repeat([]byte{'A'}, 256))
-	rec := postRaw(t, s, "/run", []byte(big))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400 for oversize body", rec.Code)
+	s := testServer(t, Options{Workers: 1})
+	head, tail := `{"app":"amazon","config":"base","trace_b64":"`, `"}`
+	body := head + strings.Repeat("A", MaxRequestBytes+1-len(head)-len(tail)) + tail
+	rec := postRaw(t, s, "/run", []byte(body))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("status %d (%s), want 400 for an oversize body", rec.Code, rec.Body.String())
 	}
 }

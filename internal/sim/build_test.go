@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"espsim/internal/core"
 	"espsim/internal/eventq"
 	"espsim/internal/trace"
 	"espsim/internal/workload"
@@ -216,7 +217,7 @@ func FuzzSourceWorkload(f *testing.F) {
 	var machines []*Machine
 	for _, cfg := range []Config{
 		{Name: "Runahead+NL", NLI: true, NLD: true, Assist: AssistRunahead, MaxPending: 3},
-		{Name: "ESP+NL", NLI: true, NLD: true, Assist: AssistESP, MaxPending: 3},
+		{Name: "ESP+NL", NLI: true, NLD: true, Assist: AssistESP, ESP: core.DefaultOptions(), MaxPending: 3},
 	} {
 		m, err := NewMachine(cfg)
 		if err != nil {

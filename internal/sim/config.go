@@ -47,18 +47,13 @@ const (
 )
 
 // Config is a complete machine configuration, and a comparable value.
-// Every design point shares the Figure 7 hierarchy and predictor; the
-// other fields pick the timing model, the idealized structures, the
-// prefetchers and the assist a Machine is fit to, or label results and
-// bound a replay.
+// Every design point shares the Figure 7 core, hierarchy and predictor;
+// the fields pick the idealized structures, the prefetchers and the
+// assist a Machine is fit to, or label results and bound a replay. A
+// Config is read as set: no zero sub-config is swapped for defaults.
 type Config struct {
 	// Name labels the configuration in tables and memoization keys.
 	Name string
-
-	// CPU is the timing-model configuration. Leaving the whole struct
-	// zero selects cpu.DefaultConfig(); a partially-filled struct is a
-	// validation error (see Validate), never a silent fallback.
-	CPU cpu.Config
 
 	// NLI enables the next-line instruction prefetcher; NLD the
 	// DCU-style next-line data prefetcher; StridePF the stride
@@ -72,8 +67,9 @@ type Config struct {
 	EFetch bool
 	PIF    bool
 
-	// Assist selects none / runahead / ESP; RA and ESP configure them
-	// (all-zero structs select the documented defaults).
+	// Assist selects none / runahead / ESP; RA and ESP configure them.
+	// The zero RA is Figure 9's full runahead; an ESP assist needs its
+	// options set (start from core.DefaultOptions()).
 	Assist AssistKind
 	RA     runahead.Config
 	ESP    core.Options
@@ -147,62 +143,15 @@ func (r Result) Speedup(base Result) float64 {
 	return float64(base.Cycles) / float64(r.Cycles)
 }
 
-// effectiveCPU resolves the timing configuration. Only the all-zero
-// struct selects DefaultConfig (so `Config{...}` literals keep working);
-// any explicitly-set field means the caller owns the whole struct, and
-// Validate rejects a partial fill instead of silently discarding it.
-func (c Config) effectiveCPU() cpu.Config {
-	cc := c.CPU
-	if cc == (cpu.Config{}) {
-		cc = cpu.DefaultConfig()
-	}
-	cc.PerfectBP = cc.PerfectBP || c.PerfectBP
-	return cc
-}
-
-// effectiveRA resolves the runahead configuration (all-zero struct:
-// runahead.DefaultConfig).
-func (c Config) effectiveRA() runahead.Config {
-	if c.RA == (runahead.Config{}) {
-		return runahead.DefaultConfig()
-	}
-	return c.RA
-}
-
-// effectiveESP resolves the ESP options (all-zero struct:
-// core.DefaultOptions).
-func (c Config) effectiveESP() core.Options {
-	if c.ESP == (core.Options{}) {
-		return core.DefaultOptions()
-	}
-	return c.ESP
-}
-
-// partialHint wraps a sub-config validation error with the resolution
-// path: earlier versions treated one magic field (Width, BaseCPI) as the
-// "use defaults" sentinel, which silently discarded every other field of
-// a partially-filled struct. Now only the all-zero struct means
-// "defaults", and a partial fill is an explicit, actionable error.
-func partialHint(err error, structName, defaultsName string) error {
-	return fmt.Errorf("%w (the %s sub-config is partially filled: fill every required field — start from %s — or leave the whole struct zero to get the defaults)",
-		err, structName, defaultsName)
-}
-
 // Validate reports whether the configuration can be simulated, with a
 // wrapped, actionable error naming the offending field. It checks the
-// timing model, the assist selection and its sub-configuration
-// (including cachelet geometry for ESP), and the mutually exclusive
-// instruction prefetchers. All run paths call it, so an invalid
-// configuration yields an error, never a panic.
+// bounds, the assist selection and the ESP options (including cachelet
+// geometry), and the mutually exclusive instruction prefetchers. All
+// run paths call it, so an invalid configuration yields an error, never
+// a panic.
 func (c Config) Validate() error {
 	fail := func(err error) error {
 		return fmt.Errorf("esp: config %q: %w", c.Name, err)
-	}
-	if err := c.effectiveCPU().Validate(); err != nil {
-		if c.CPU != (cpu.Config{}) {
-			err = partialHint(err, "CPU", "cpu.DefaultConfig()")
-		}
-		return fail(err)
 	}
 	switch {
 	case c.MaxEvents < 0:
@@ -216,20 +165,12 @@ func (c Config) Validate() error {
 		return fail(fmt.Errorf("EFetch and PIF are mutually exclusive instruction prefetchers; enable at most one"))
 	}
 	switch c.Assist {
-	case AssistNone:
-	case AssistRunahead:
-		if err := c.effectiveRA().Validate(); err != nil {
-			if c.RA != (runahead.Config{}) {
-				err = partialHint(err, "RA", "runahead.DefaultConfig()")
-			}
-			return fail(err)
-		}
+	case AssistNone, AssistRunahead:
 	case AssistESP:
-		opt := c.effectiveESP()
-		if err := opt.Validate(); err != nil {
-			if c.ESP != (core.Options{}) {
-				err = partialHint(err, "ESP", "core.DefaultOptions()")
-			}
+		if c.ESP == (core.Options{}) {
+			return fail(fmt.Errorf("the ESP assist has zero options; start from core.DefaultOptions()"))
+		}
+		if err := c.ESP.Validate(); err != nil {
 			return fail(err)
 		}
 	default:

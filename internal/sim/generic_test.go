@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"espsim/internal/core"
 	"espsim/internal/trace"
 	"espsim/internal/workload"
 )
@@ -107,7 +108,7 @@ func genericConfigs() []Config {
 		{Name: "base"},
 		{Name: "NL+S", NLI: true, NLD: true, StridePF: true},
 		{Name: "Runahead+NL", NLI: true, NLD: true, Assist: AssistRunahead},
-		{Name: "ESP+NL", NLI: true, NLD: true, Assist: AssistESP},
+		{Name: "ESP+NL", NLI: true, NLD: true, Assist: AssistESP, ESP: core.DefaultOptions()},
 	}
 }
 

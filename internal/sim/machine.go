@@ -15,10 +15,10 @@ import (
 
 // Machine is the machine plane: one simulated core — hierarchy, branch
 // predictor and timing model — that replays any number of workloads.
-// Every design point shares the Figure 7 hierarchy and predictor; a
-// Config varies only the timing model, the Perfect* switches, the
-// prefetchers and the stall-window assist. Fitting the machine to a
-// Config sets the first two and attaches the rest, building each
+// Every design point shares the Figure 7 core, hierarchy and predictor;
+// a Config varies only the Perfect* switches, the prefetchers and the
+// stall-window assist. Fitting the machine to a Config sets the first
+// and attaches the rest, building each
 // prefetcher or assist the first time a config names it and keeping it
 // for the next. Run resets the hierarchy, predictor, core and attached
 // components to cold state first, without reallocating their tables, so
@@ -57,7 +57,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{hier: mem.DefaultHierarchy(), bp: branch.New()}
-	m.c = cpu.New(cpu.Config{}, m.hier, m.bp) // fit sets the timing model
+	m.c = cpu.New(m.hier, m.bp)
 	if err := m.fit(cfg); err != nil {
 		return nil, err
 	}
@@ -65,12 +65,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 }
 
 // fit prepares the machine to replay cells as cfg, which must be valid:
-// it sets cfg's timing configuration and Perfect* switches and attaches
-// the prefetchers and assist cfg names, building any the machine does
-// not have yet. Every fit component is reset by the next replay.
+// it sets cfg's Perfect* switches and attaches the prefetchers and
+// assist cfg names, building any the machine does not have yet. Every
+// fit component is reset by the next replay.
 func (m *Machine) fit(cfg Config) error {
 	c := m.c
-	c.Cfg = cfg.effectiveCPU()
+	c.PerfectBP = cfg.PerfectBP
 	m.hier.PerfectL1I, m.hier.PerfectL1D = cfg.PerfectL1I, cfg.PerfectL1D
 	c.NLI, c.DCU, c.Stride, c.FetchObs, c.Assist = nil, nil, nil, nil, nil
 	m.ra, m.esp = nil, nil
@@ -93,10 +93,10 @@ func (m *Machine) fit(cfg Config) error {
 
 	switch cfg.Assist {
 	case AssistRunahead:
-		m.ra = m.runaheadFor(cfg.effectiveRA())
+		m.ra = m.runaheadFor(cfg.RA)
 		c.Assist = m.ra
 	case AssistESP:
-		espEng, err := m.espFor(cfg.effectiveESP())
+		espEng, err := m.espFor(cfg.ESP)
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"espsim/internal/core"
 	"espsim/internal/eventq"
 	"espsim/internal/trace"
 	"espsim/internal/workload"
@@ -35,7 +36,7 @@ func fig9Configs() []Config {
 		{Name: "NL+S", NLI: true, NLD: true, StridePF: true},
 		{Name: "Runahead", Assist: AssistRunahead},
 		{Name: "Runahead+NL", NLI: true, NLD: true, Assist: AssistRunahead},
-		{Name: "ESP", Assist: AssistESP},
+		{Name: "ESP", Assist: AssistESP, ESP: core.DefaultOptions()},
 		espConfig(),
 	}
 }
@@ -285,7 +286,7 @@ func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 
 	cfgs := []Config{
 		{Name: "base", MaxEvents: 48},
-		{Name: "esp-nl", NLI: true, NLD: true, Assist: AssistESP, MaxEvents: 48},
+		{Name: "esp-nl", NLI: true, NLD: true, Assist: AssistESP, ESP: core.DefaultOptions(), MaxEvents: 48},
 		{Name: "ra", Assist: AssistRunahead, MaxEvents: 48},
 	}
 	want := make([]Result, len(cfgs))

@@ -24,7 +24,7 @@ func testProfile(t *testing.T) workload.Profile {
 }
 
 func espConfig() Config {
-	return Config{Name: "esp-nl", NLI: true, NLD: true, Assist: AssistESP}
+	return Config{Name: "esp-nl", NLI: true, NLD: true, Assist: AssistESP, ESP: core.DefaultOptions()}
 }
 
 // espDesigns are the ESP design points whose engines own more than the
