@@ -88,12 +88,12 @@ examples-smoke:
 		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d exited non-zero"; exit 1; }; \
 	done
 
-# bench-go runs the Go benchmark suite: raw simulator throughput per
-# machine class and warm reuse against rebuild-per-cell. The paper's
-# figures come from `go run ./cmd/espbench`; the end-to-end and
-# per-layer numbers live in ledgerbench/ (see ledgerbench/README.md).
+# bench-go runs the Go benchmark suite, and no tests: warm replay
+# throughput per machine class and warm reuse against rebuild-per-cell.
+# The paper's figures come from `go run ./cmd/espbench`; the end-to-end
+# and per-layer numbers live in ledgerbench/ (see ledgerbench/README.md).
 bench-go:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench=. -benchmem .
 
 # flame profiles warm two-plane replay (BenchmarkSweepReuse) and renders
 # the top of the hot path; pass PPROF_FLAGS=-http=:8080 for the

@@ -4,7 +4,8 @@
 // configuration of one application goes to one worker, keeping its
 // workload cache and machine pools hot; rendezvous hashing with loads
 // bounded by each application's size), quarantines sick or flaky
-// workers behind escalating circuit breakers fed by health probes,
+// workers behind escalating circuit breakers fed by the sweep path and
+// by /readyz probes every 5 s while a sweep runs,
 // lets idle workers steal shards from stragglers, and — when the
 // fleet shares a checkpoint directory — hands a dead worker's journal
 // to a peer so completed cells replay instead of re-simulating.
@@ -19,10 +20,13 @@
 // Usage:
 //
 //	espcoord -worker w0=http://host0:8080 -worker w1=http://host1:8080 \
-//	         [-addr :8090] [-checkpoint-dir DIR] [-max-attempts 3] \
-//	         [-breaker-threshold 2] [-breaker-cooldown 15s] [-breaker-max-cooldown 2m] \
-//	         [-probe-interval 5s] [-hedge-after 0] [-tenant name=weight[:cell_budget]]... \
-//	         [-tenant-slots N] [-log text|json]
+//	         [-addr :8090] [-checkpoint-dir DIR] [-hedge-after 0] \
+//	         [-tenant name=weight[:cell_budget]]... [-log text|json]
+//
+// The coordination constants are fixed: a shard may fail on 3 workers
+// before its cells are reported failed, 2 consecutive failures
+// quarantine a worker for 15 s (doubling per re-trip, up to 2 min), and
+// 64 sweeps per worker are admitted at once.
 package main
 
 import (
@@ -56,13 +60,7 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "listen address")
 		checkpointDir = flag.String("checkpoint-dir", "", "journal directory the fleet shares (enables handoff; empty: recompute on reschedule)")
-		maxAttempts   = flag.Int("max-attempts", 3, "workers a shard may fail on before its cells are reported failed")
-		breakerThresh = flag.Int("breaker-threshold", 2, "consecutive failures that quarantine a worker (negative: disabled)")
-		breakerCool   = flag.Duration("breaker-cooldown", 15*time.Second, "first quarantine length; re-trips double it")
-		breakerMax    = flag.Duration("breaker-max-cooldown", 2*time.Minute, "escalation cap")
-		probeInterval = flag.Duration("probe-interval", 5*time.Second, "health probe spacing (0: disabled)")
 		hedgeAfter    = flag.Duration("hedge-after", 0, "re-dispatch an in-flight shard to an idle worker after this long; first result wins (0: disabled)")
-		tenantSlots   = flag.Int("tenant-slots", 0, "concurrently admitted sweeps fleet-wide (0: 64 × workers)")
 		logFmt        = flag.String("log", "text", "log format: text or json")
 	)
 	var tenantSpecs tenantFlags
@@ -102,17 +100,11 @@ func main() {
 	}
 
 	coord, err := cluster.New(cluster.Options{
-		Workers:            fleet,
-		MaxShardAttempts:   *maxAttempts,
-		BreakerThreshold:   *breakerThresh,
-		BreakerCooldown:    *breakerCool,
-		BreakerMaxCooldown: *breakerMax,
-		ProbeInterval:      *probeInterval,
-		CheckpointDir:      *checkpointDir,
-		HedgeAfter:         *hedgeAfter,
-		Tenants:            tenants,
-		TenantSlots:        *tenantSlots,
-		Logger:             log,
+		Workers:       fleet,
+		CheckpointDir: *checkpointDir,
+		HedgeAfter:    *hedgeAfter,
+		Tenants:       tenants,
+		Logger:        log,
 	})
 	if err != nil {
 		log.Error("espcoord: assembling fleet", "err", err.Error())

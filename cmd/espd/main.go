@@ -19,11 +19,14 @@
 //
 // Usage:
 //
-//	espd [-name espd] [-addr :8080] [-workers N] [-queue 64] [-cache 32]
-//	     [-timeout 2m] [-log text|json] [-checkpoint-dir DIR]
-//	     [-retries 3] [-breaker-threshold 5] [-breaker-cooldown 30s]
-//	     [-tenant name=weight[:cell_budget]]... [-tenant-quantum 8]
-//	     [-max-tenants 256] [-mem-budget BYTES] [-small-grid-max 4096]
+//	espd [-name espd] [-addr :8080] [-workers N] [-log text|json]
+//	     [-checkpoint-dir DIR] [-mem-budget BYTES]
+//	     [-tenant name=weight[:cell_budget]]...
+//
+// The serving constants are fixed: 64 queued requests beyond the
+// running ones, 32 cached workloads, a 2-minute cell timeout, 3
+// attempts per sweep cell, and a cell breaker that opens after 5
+// consecutive failures for 30 s.
 package main
 
 import (
@@ -39,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"espsim/internal/fault"
 	"espsim/internal/serve"
 	"espsim/internal/tenantq"
 )
@@ -52,23 +54,12 @@ func (t *tenantFlags) Set(v string) error { *t = append(*t, v); return nil }
 
 func main() {
 	var (
-		name    = flag.String("name", "espd", "node name reported in logs and /metrics (espcoord fleet label)")
-		addr    = flag.String("addr", ":8080", "listen address")
-		workers = flag.Int("workers", 0, "concurrent simulation workers (0: NumCPU)")
-		queue   = flag.Int("queue", 64, "queued requests beyond the running ones before 429")
-		cache   = flag.Int("cache", 32, "LRU workload-cache capacity (materialized arenas)")
-		timeout = flag.Duration("timeout", 2*time.Minute, "default per-cell simulation timeout")
-		logFmt  = flag.String("log", "text", "log format: text or json")
-
+		name          = flag.String("name", "espd", "node name reported in logs and /metrics (espcoord fleet label)")
+		addr          = flag.String("addr", ":8080", "listen address")
+		workers       = flag.Int("workers", 0, "concurrent simulation workers (0: NumCPU)")
+		logFmt        = flag.String("log", "text", "log format: text or json")
 		checkpointDir = flag.String("checkpoint-dir", "", "directory for crash-safe sweep journals (empty: disabled)")
-		retries       = flag.Int("retries", 3, "attempts per sweep cell before reporting its error")
-		breakerThresh = flag.Int("breaker-threshold", 5, "consecutive failures that quarantine a cell (negative: disabled)")
-		breakerCool   = flag.Duration("breaker-cooldown", 30*time.Second, "quarantine time before a probe attempt")
-
 		memBudget     = flag.Int64("mem-budget", 0, "workload-cache byte budget driving brownout degradation (0: disabled)")
-		tenantQuantum = flag.Float64("tenant-quantum", 0, "DRR round size in cells per unit tenant weight (0: default 8)")
-		maxTenants    = flag.Int("max-tenants", 0, "distinct tenant ids tracked before new ones are rejected (0: default 256)")
-		smallGridMax  = flag.Int("small-grid-max", 0, "cells×max_events still admitted in the deepest brownout (0: default 4096)")
 	)
 	var tenantSpecs tenantFlags
 	flag.Var(&tenantSpecs, "tenant", "tenant config as name=weight[:cell_budget] (repeatable)")
@@ -100,21 +91,12 @@ func main() {
 	}
 
 	srv := serve.New(serve.Options{
-		Name:             *name,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		WorkloadCap:      *cache,
-		DefaultTimeout:   *timeout,
-		Logger:           log,
-		Retry:            fault.RetryPolicy{MaxAttempts: *retries},
-		BreakerThreshold: *breakerThresh,
-		BreakerCooldown:  *breakerCool,
-		CheckpointDir:    *checkpointDir,
-		Tenants:          tenants,
-		TenantQuantum:    *tenantQuantum,
-		MaxTenants:       *maxTenants,
-		MemBudget:        *memBudget,
-		SmallGridMax:     *smallGridMax,
+		Name:          *name,
+		Workers:       *workers,
+		Logger:        log,
+		CheckpointDir: *checkpointDir,
+		Tenants:       tenants,
+		MemBudget:     *memBudget,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -129,8 +111,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Info("espd listening", "addr", *addr, "workers", *workers, "queue", *queue,
-			"cache", *cache, "checkpoint_dir", *checkpointDir)
+		log.Info("espd listening", "addr", *addr, "workers", *workers, "checkpoint_dir", *checkpointDir,
+			"mem_budget", *memBudget)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -3,12 +3,11 @@ package cluster
 // TestClusterChaos is the acceptance gate for the cluster plane: a
 // seeded 4×4 sweep sharded over three in-process workers, where one
 // worker is killed mid-shard (after journaling two cells) and another
-// is quarantined behind an always-failing network link. The sweep
-// must complete via journal handoff — the dead worker's two durable
-// cells replay on the adopting peer, the rest recompute — and the
-// merged grid must be bit-identical to the single-node golden corpus,
-// with the coordinator's metrics accounting for every quarantine,
-// reschedule, steal, and handoff.
+// is dead from the start. The sweep must complete via journal handoff
+// — the dying worker's two durable cells replay on the adopting peer,
+// the rest recompute — and the merged grid must be bit-identical to
+// the single-node golden corpus, with the coordinator's metrics
+// accounting for every quarantine, reschedule, steal, and handoff.
 
 import (
 	"context"
@@ -18,7 +17,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"espsim/internal/fault"
 	"espsim/internal/serve"
@@ -29,56 +27,43 @@ func TestClusterChaos(t *testing.T) {
 	golden := readGoldenCorpus(t)
 	dir := t.TempDir() // the fleet-shared checkpoint volume
 
-	workerOpts := func(name string) serve.Options {
-		return serve.Options{
-			Name:          name,
-			Workers:       2,
-			CheckpointDir: dir,
-			Retry:         fault.RetryPolicy{MaxAttempts: 1},
-			// Node-level quarantine is the coordinator's job here;
-			// per-cell breakers off keeps the failure schedule exact.
-			BreakerThreshold: -1,
-			Logger:           quietLogger(),
-		}
+	// Roles come from the placement. The dying worker owns amazon, the
+	// first app of the grid and so the first shard it takes, and one
+	// more that must be stolen; the dead worker owns cnn; the survivor
+	// owns the last and adopts the rest.
+	names := []string{"w0", "w1", "w2"}
+	owners := placeFleet(t, names, gridRequest("chaos"))
+	dyingName, deadName, survivorName := owners["amazon"], owners["cnn"], owners["facebook"]
+	if owners["bing"] != dyingName || len(map[string]bool{dyingName: true, deadName: true, survivorName: true}) != 3 {
+		t.Fatalf("placement %v does not give amazon's owner bing too and the other two apps one worker each", owners)
 	}
 
-	// w0 dies mid-shard: its third simulated cell (and every one
-	// after) fails as the process "loses power", with two cells
-	// already durable in the shard journal.
-	var w0 *LocalWorker
-	var w0Runs atomic.Int64
-	opt0 := workerOpts("w0")
-	opt0.FaultHook = func(pt sim.FaultPoint) error {
+	// The dying worker's third simulated cell (and every one after,
+	// retries included) fails as the process "loses power", with two
+	// cells already durable in the shard journal.
+	var dying *LocalWorker
+	var dyingRuns atomic.Int64
+	dyingOpt := serve.Options{Name: dyingName, Workers: 2, CheckpointDir: dir, Logger: quietLogger()}
+	dyingOpt.FaultHook = func(pt sim.FaultPoint) error {
 		if pt.Op != "run" {
 			return nil
 		}
-		if w0Runs.Add(1) > 2 {
-			w0.Kill()
+		if dyingRuns.Add(1) > 2 {
+			dying.Kill()
 			return fmt.Errorf("%w: node lost power", fault.ErrInjected)
 		}
 		return nil
 	}
-	w0 = NewLocalWorker("w0", serve.New(opt0))
-	w1 := newWorker("w1", workerOpts("w1"))
-	w2 := newWorker("w2", workerOpts("w2"))
-
-	// w2 sits behind a dead network link: every sweep and probe call
-	// fails.
-	plan := &fault.NetPlan{}
-	plan.Always("w2", fault.NetErr)
+	dying = NewLocalWorker(dyingName, serve.New(dyingOpt))
+	dead := newWorker(deadName, serve.Options{Workers: 2, CheckpointDir: dir})
+	dead.Kill()
+	survivor := newWorker(survivorName, serve.Options{Workers: 2, CheckpointDir: dir})
+	fleet := map[string]Worker{dyingName: dying, deadName: dead, survivorName: survivor}
 
 	c, err := New(Options{
-		Workers: []Worker{w0, w1, WithNetPlan(w2, plan)},
-		// Deterministic placement: the dying worker owns two shards
-		// (one dies mid-flight, one must be stolen), the quarantined
-		// worker owns one, the survivor owns one and adopts the rest.
-		Pin:              map[string]string{"amazon": "w0", "bing": "w1", "cnn": "w2", "facebook": "w0"},
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour, // no un-quarantine inside the test
-		MaxShardAttempts: 4,
-		ProbeInterval:    10 * time.Millisecond,
-		CheckpointDir:    dir,
-		Logger:           quietLogger(),
+		Workers:       []Worker{fleet["w0"], fleet["w1"], fleet["w2"]},
+		CheckpointDir: dir,
+		Logger:        quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,23 +73,29 @@ func TestClusterChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Probe the fleet for at least one full round: the dying worker may
+	// have gone quiet after one failed attempt, under its breaker's
+	// threshold, and its probes find it dead.
+	probeUntil(t, c, func() bool {
+		return c.Metrics().Health.Probes > int64(len(names)) && c.breakers.StateOf(dyingName) == "open"
+	})
 
 	// Bit-identical to a single node under this failure schedule.
 	assertGridParity(t, golden, resp)
 
-	// The dead worker's journal was adopted: exactly its two durable
+	// The dying worker's journal was adopted: exactly its two durable
 	// cells replayed instead of re-simulating.
 	resumed := 0
 	for _, cell := range resp.Cells {
 		if cell.Resumed {
 			resumed++
 			if cell.App != "amazon" {
-				t.Errorf("cell %s/%s resumed; only the dead worker's amazon shard had a journal", cell.App, cell.Config)
+				t.Errorf("cell %s/%s resumed; only the dying worker's amazon shard had a journal", cell.App, cell.Config)
 			}
 		}
 	}
 	if resumed != 2 {
-		t.Errorf("%d cells resumed from the handoff journal, want the 2 w0 journaled before dying", resumed)
+		t.Errorf("%d cells resumed from the handoff journal, want the 2 %s journaled before dying", resumed, dyingName)
 	}
 
 	// The coordinator's /metrics tells the whole story (served over
@@ -123,28 +114,28 @@ func TestClusterChaos(t *testing.T) {
 	if snap.Shards.Done != 4 || snap.Shards.Failed != 0 {
 		t.Fatalf("shards done=%d failed=%d, want 4/0", snap.Shards.Done, snap.Shards.Failed)
 	}
-	// Exactly two nodes were quarantined: the dead one and the
-	// faulted one, each tripping its breaker once.
+	// Exactly two nodes were quarantined: the dying one and the dead
+	// one, each tripping its breaker once.
 	if snap.Quarantine.Trips != 2 {
-		t.Errorf("quarantine trips %d, want exactly 2 (dead w0, faulted w2)", snap.Quarantine.Trips)
+		t.Errorf("quarantine trips %d, want exactly 2 (dying %s, dead %s)", snap.Quarantine.Trips, dyingName, deadName)
 	}
 	states := map[string]string{}
 	for _, ws := range snap.Workers {
 		states[ws.Name] = ws.Breaker
 	}
-	if states["w0"] != "open" || states["w2"] != "open" || states["w1"] != "closed" {
-		t.Errorf("breaker states %v, want w0/w2 open and w1 closed", states)
+	if states[dyingName] != "open" || states[deadName] != "open" || states[survivorName] != "closed" {
+		t.Errorf("breaker states %v, want %s/%s open and %s closed", states, dyingName, deadName, survivorName)
 	}
 	// Both lost shards were rescheduled at least once, and the
 	// survivor stole every shard it completed beyond its own.
 	if snap.Shards.Reschedules < 2 {
-		t.Errorf("reschedules %d, want >= 2 (amazon off the dead node, cnn off the faulted one)", snap.Shards.Reschedules)
+		t.Errorf("reschedules %d, want >= 2 (amazon off the dying node, cnn off the dead one)", snap.Shards.Reschedules)
 	}
 	if snap.Shards.Steals < 3 {
-		t.Errorf("steals %d, want >= 3 (w1 completed amazon, cnn, and facebook for their owners)", snap.Shards.Steals)
+		t.Errorf("steals %d, want >= 3 (%s completed the other three shards for their owners)", snap.Shards.Steals, survivorName)
 	}
 	if snap.Handoff.Journals != 1 {
-		t.Errorf("journal handoffs %d, want exactly 1 (the dead worker's amazon journal)", snap.Handoff.Journals)
+		t.Errorf("journal handoffs %d, want exactly 1 (the dying worker's amazon journal)", snap.Handoff.Journals)
 	}
 	if snap.Handoff.ResumedCells != 2 {
 		t.Errorf("resumed cells %d, want 2", snap.Handoff.ResumedCells)
@@ -152,8 +143,9 @@ func TestClusterChaos(t *testing.T) {
 	if snap.Handoff.DigestMismatches != 0 {
 		t.Errorf("digest mismatches %d, want 0 — the handoff journal described this very sweep", snap.Handoff.DigestMismatches)
 	}
-	if snap.NetFaults == 0 {
-		t.Error("no network faults counted despite an always-failing link")
+	// Every failed attempt met a dead worker.
+	if snap.NetFaults == 0 || snap.NetFaults != snap.Shards.Reschedules {
+		t.Errorf("net faults %d, want one per rescheduled attempt (%d)", snap.NetFaults, snap.Shards.Reschedules)
 	}
 	if snap.Health.Probes == 0 || snap.Health.Failures == 0 {
 		t.Errorf("prober ran %d probes with %d failures, want both > 0", snap.Health.Probes, snap.Health.Failures)
@@ -179,21 +171,17 @@ func TestHandoffDigestMismatch(t *testing.T) {
 		t.Fatalf("seeding the conflicting journal: %v", err)
 	}
 
-	// The owner's first attempt trips over the conflicting journal
-	// (espd refuses to splice sweeps), which reads as a shard failure;
-	// the reschedule path must then inspect, refuse, and drop the
-	// journal rather than hand it off.
+	// The first attempt trips over the conflicting journal (espd
+	// refuses to splice sweeps), which reads as a shard failure; the
+	// reschedule path must then inspect, refuse, and drop the journal
+	// rather than hand it off.
 	owner := newWorker("owner", serve.Options{Workers: 2, CheckpointDir: dir})
 	steady := newWorker("steady", serve.Options{Workers: 2, CheckpointDir: dir})
 
 	c, err := New(Options{
-		Workers:          []Worker{owner, steady},
-		Pin:              map[string]string{"bing": "owner"},
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-		MaxShardAttempts: 3,
-		CheckpointDir:    dir,
-		Logger:           quietLogger(),
+		Workers:       []Worker{owner, steady},
+		CheckpointDir: dir,
+		Logger:        quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -116,3 +116,26 @@ func TestHTTPWorkerShedBodyMerges(t *testing.T) {
 		t.Fatalf("cells_shed %d, want %d", snap.Overload.CellsShed, cells)
 	}
 }
+
+// TestNetFaultsCountDeadWorkers: net_faults counts every shard attempt
+// lost to a dead worker, whichever kind of worker it was: a killed
+// LocalWorker and an HTTPWorker whose server is gone both fail with
+// ErrWorkerDown, and the healthy worker completes the grid.
+func TestNetFaultsCountDeadWorkers(t *testing.T) {
+	golden := readGoldenCorpus(t)
+	healthy := newWorker("w1", serve.Options{Workers: 2})
+	killed := newWorker("w0", serve.Options{Workers: 2})
+	killed.Kill()
+	_, ts, closed := httpWorker(t, "w2")
+	ts.Close()
+
+	resp, snap := runFleet(t, []Worker{killed, healthy, closed}, gridRequest(""))
+	assertGridParity(t, golden, resp)
+	if snap.Shards.Reschedules == 0 {
+		t.Fatal("no shard was rescheduled off the dead workers")
+	}
+	if snap.NetFaults != snap.Shards.Reschedules+snap.Shards.Failed {
+		t.Errorf("net_faults %d, want one per failed attempt (%d rescheduled, %d failed)",
+			snap.NetFaults, snap.Shards.Reschedules, snap.Shards.Failed)
+	}
+}

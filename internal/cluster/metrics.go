@@ -10,7 +10,7 @@ type counters struct {
 	ShardsFailed     atomic.Int64 // terminally failed after MaxShardAttempts
 	Steals           atomic.Int64 // shard taken by a non-preferred worker
 	Reschedules      atomic.Int64 // failed attempts put back on the queue
-	NetFaults        atomic.Int64 // attempts lost to the network layer
+	NetFaults        atomic.Int64 // attempts lost to a dead or unreachable worker (KindNet)
 	Probes           atomic.Int64
 	ProbeFailures    atomic.Int64
 	JournalHandoffs  atomic.Int64 // dead worker's journal adopted by a peer

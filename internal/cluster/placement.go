@@ -61,38 +61,32 @@ func shardCost(app string, req serve.SweepRequest) (int64, error) {
 }
 
 // assign places every shard (app → cost) on a worker by rendezvous
-// hashing with bounded loads, weighted by cost. A pin naming a worker
-// wins and counts toward that worker's load. The other shards go
-// heaviest first, ties by app name, each to the first worker in its
+// hashing with bounded loads, weighted by cost. Shards go heaviest
+// first, ties by app name, each to the first worker in its
 // rendezvous ranking whose load stays within the fleet mean with it
 // added, else to the least-loaded worker, ties by rank. Plain
 // rendezvous over a few unequal shards can leave one worker with most
 // of the grid, so its peer spends the sweep stealing — and every steal
 // materializes the stolen application's arena a second time. The
 // result depends on neither the order of the shards nor the workers.
-func assign(costs map[string]int64, workers []string, pin map[string]string) map[string]string {
+func assign(costs map[string]int64, workers []string) map[string]string {
 	owner := make(map[string]string, len(costs))
 	load := make(map[string]int64, len(workers))
 	var total int64
-	var free []string
+	apps := make([]string, 0, len(costs))
 	for app, cost := range costs {
 		total += cost
-		if w := pin[app]; slices.Contains(workers, w) {
-			owner[app] = w
-			load[w] += cost
-		} else {
-			free = append(free, app)
-		}
+		apps = append(apps, app)
 	}
-	sort.Slice(free, func(i, j int) bool {
-		if ci, cj := costs[free[i]], costs[free[j]]; ci != cj {
+	sort.Slice(apps, func(i, j int) bool {
+		if ci, cj := costs[apps[i]], costs[apps[j]]; ci != cj {
 			return ci > cj
 		}
-		return free[i] < free[j]
+		return apps[i] < apps[j]
 	})
 	// load+cost <= total/n, kept in integers so no rounding decides.
 	n := int64(len(workers))
-	for _, app := range free {
+	for _, app := range apps {
 		ranking := rank(app, workers)
 		best := ""
 		for _, w := range ranking {

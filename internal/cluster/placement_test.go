@@ -99,13 +99,13 @@ func (s *stubWorker) Sweep(_ context.Context, req serve.SweepRequest) (serve.Swe
 
 func (s *stubWorker) Probe(context.Context) error { return nil }
 
-func stubCoordinator(t *testing.T, names []string, pin map[string]string, logger *slog.Logger) *Coordinator {
+func stubCoordinator(t *testing.T, names []string, logger *slog.Logger) *Coordinator {
 	t.Helper()
 	var workers []Worker
 	for _, name := range names {
 		workers = append(workers, &stubWorker{name: name})
 	}
-	c, err := New(Options{Workers: workers, Pin: pin, Logger: logger})
+	c, err := New(Options{Workers: workers, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,10 @@ func stubCoordinator(t *testing.T, names []string, pin map[string]string, logger
 }
 
 // TestAssignBoundedLoad checks the bounded-load placement on random
-// grids, fleets, pins and size knobs: the owners ignore the order of
-// the request's apps and of the fleet's workers, pins are honored, no
-// worker's unpinned load exceeds the fleet mean plus the largest
-// unpinned shard, and an app leaves its rendezvous owner only when that
-// owner would pass the mean with it.
+// grids, fleets and size knobs: the owners ignore the order of the
+// request's apps and of the fleet's workers, no worker's load exceeds
+// the fleet mean plus the largest shard, and an app leaves its
+// rendezvous owner only when that owner would pass the mean with it.
 func TestAssignBoundedLoad(t *testing.T) {
 	var pool []string
 	for _, p := range append(workload.Suite(), workload.MobileSuite()...) {
@@ -136,16 +135,10 @@ func TestAssignBoundedLoad(t *testing.T) {
 			Scale:     []float64{0, 0.5, 1, 3}[rng.Intn(4)],
 			MaxEvents: []int{0, 1, 40, 100}[rng.Intn(4)],
 		}
-		pin := map[string]string{}
-		for _, app := range apps {
-			if rng.Intn(5) == 0 {
-				pin[app] = append([]string{"gone"}, fleet...)[rng.Intn(len(fleet)+1)]
-			}
-		}
-		label := fmt.Sprintf("trial %d: fleet %v apps %v pin %v scale %g max_events %d",
-			trial, fleet, apps, pin, req.Scale, req.MaxEvents)
+		label := fmt.Sprintf("trial %d: fleet %v apps %v scale %g max_events %d",
+			trial, fleet, apps, req.Scale, req.MaxEvents)
 
-		owners, err := stubCoordinator(t, fleet, pin, quietLogger()).place(apps, req)
+		owners, err := stubCoordinator(t, fleet, quietLogger()).place(apps, req)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -153,7 +146,7 @@ func TestAssignBoundedLoad(t *testing.T) {
 		rng.Shuffle(len(rApps), func(i, j int) { rApps[i], rApps[j] = rApps[j], rApps[i] })
 		rFleet := append([]string(nil), fleet...)
 		rng.Shuffle(len(rFleet), func(i, j int) { rFleet[i], rFleet[j] = rFleet[j], rFleet[i] })
-		again, err := stubCoordinator(t, rFleet, pin, quietLogger()).place(rApps, req)
+		again, err := stubCoordinator(t, rFleet, quietLogger()).place(rApps, req)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -165,7 +158,6 @@ func TestAssignBoundedLoad(t *testing.T) {
 		var total, largest int64
 		cost := map[string]int64{}
 		load := map[string]int64{}
-		unpinned := map[string]int64{}
 		for _, app := range apps {
 			c, err := shardCost(app, req)
 			if err != nil {
@@ -174,21 +166,12 @@ func TestAssignBoundedLoad(t *testing.T) {
 			cost[app] = c
 			total += c
 			load[owners[app]] += c
-			if !slices.Contains(fleet, pin[app]) {
-				unpinned[owners[app]] += c
-				largest = max(largest, c)
-			}
+			largest = max(largest, c)
 		}
 		for _, app := range apps {
 			w := owners[app]
 			if !slices.Contains(fleet, w) {
 				t.Fatalf("%s: %s placed on %q, not a fleet member", label, app, w)
-			}
-			if p := pin[app]; slices.Contains(fleet, p) {
-				if w != p {
-					t.Errorf("%s: %s pinned to %s but placed on %s", label, app, p, w)
-				}
-				continue
 			}
 			if head := Place(app, fleet); w != head && (load[head]+cost[app])*n <= total {
 				t.Errorf("%s: %s moved off its rendezvous owner %s (load %d + %d within the mean %d/%d) to %s",
@@ -196,9 +179,9 @@ func TestAssignBoundedLoad(t *testing.T) {
 			}
 		}
 		for _, w := range fleet {
-			if unpinned[w]*n > total+largest*n {
-				t.Errorf("%s: %s carries %d unpinned, past the mean %d/%d plus the largest shard %d",
-					label, w, unpinned[w], total, n, largest)
+			if load[w]*n > total+largest*n {
+				t.Errorf("%s: %s carries %d, past the mean %d/%d plus the largest shard %d",
+					label, w, load[w], total, n, largest)
 			}
 		}
 	}
@@ -208,7 +191,7 @@ func TestAssignBoundedLoad(t *testing.T) {
 // against, so it lands on the app's rendezvous owner.
 func TestAssignSingleAppKeepsOwner(t *testing.T) {
 	for _, fleet := range [][]string{{"w0"}, {"w0", "w1"}, {"w0", "w1", "w2"}, {"a", "b", "c", "d", "e"}} {
-		c := stubCoordinator(t, fleet, nil, quietLogger())
+		c := stubCoordinator(t, fleet, quietLogger())
 		for _, p := range append(workload.Suite(), workload.MobileSuite()...) {
 			owners, err := c.place([]string{p.Name}, serve.SweepRequest{})
 			if err != nil {
@@ -223,14 +206,12 @@ func TestAssignSingleAppKeepsOwner(t *testing.T) {
 
 // TestAssignFig9Balance: the Fig 9 suite over the benchmark's two
 // workers leaves the heavier side within 5% of the mean by the cost
-// estimate, where plain rendezvous put about two thirds on one worker;
-// and pinned shards count toward their worker's load, so once the pins
-// fill w0 past the mean every unpinned app goes to w1.
+// estimate, where plain rendezvous put about two thirds on one worker.
 func TestAssignFig9Balance(t *testing.T) {
 	fleet := []string{"w0", "w1"}
 	suite := suiteApps()
 	req := serve.SweepRequest{}
-	owners, err := stubCoordinator(t, fleet, nil, quietLogger()).place(suite, req)
+	owners, err := stubCoordinator(t, fleet, quietLogger()).place(suite, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,21 +230,6 @@ func TestAssignFig9Balance(t *testing.T) {
 	if heavier*2*100 > total*105 {
 		t.Errorf("heavier worker carries %d of %d instructions, more than 5%% over the mean", heavier, total)
 	}
-
-	pin := map[string]string{"cnn": "w0", "facebook": "w0", "gmaps": "w0"}
-	pinned, err := stubCoordinator(t, fleet, pin, quietLogger()).place(suite, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, app := range suite {
-		want := "w1"
-		if pin[app] != "" {
-			want = pin[app]
-		}
-		if pinned[app] != want {
-			t.Errorf("with cnn, facebook and gmaps pinned to w0: %s on %s, want %s", app, pinned[app], want)
-		}
-	}
 }
 
 // TestWorkersReportsSweepOwners: GET /workers reports the owners a
@@ -272,7 +238,7 @@ func TestWorkersReportsSweepOwners(t *testing.T) {
 	// slog's handler serializes its writes, and Run joins its worker
 	// goroutines before it returns, so the buffer needs no lock.
 	var logs bytes.Buffer
-	c := stubCoordinator(t, []string{"w0", "w1"}, nil, slog.New(slog.NewJSONHandler(&logs, nil)))
+	c := stubCoordinator(t, []string{"w0", "w1"}, slog.New(slog.NewJSONHandler(&logs, nil)))
 	if _, err := c.Run(context.Background(), serve.SweepRequest{Configs: []string{"base"}}); err != nil {
 		t.Fatal(err)
 	}

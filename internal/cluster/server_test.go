@@ -81,19 +81,11 @@ func TestCoordinatorOversizeBodyRejected(t *testing.T) {
 // TestCoordinatorClientGoneAtTenantGate: a client that hangs up while
 // its sweep waits at the tenant gate gets espd's 499, not a 400.
 func TestCoordinatorClientGoneAtTenantGate(t *testing.T) {
-	c, err := New(Options{
-		Workers:     []Worker{newWorker("w0", serve.Options{Workers: 1})},
-		TenantSlots: 1,
-		Logger:      quietLogger(),
-	})
+	c, err := New(Options{Workers: []Worker{newWorker("w0", serve.Options{Workers: 1})}, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold, err := c.tq.Acquire(context.Background(), "holder", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hold()
+	defer holdTenantSlots(t, c, tenantSlots)()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -132,9 +124,10 @@ func (r refuseShard) Sweep(ctx context.Context, req serve.SweepRequest) (serve.S
 }
 
 // TestShardTerminalFailure: a shard that fails on every attempt comes
-// back as per-cell errors carrying its kind once MaxShardAttempts is
+// back as per-cell errors carrying its kind once maxShardAttempts are
 // spent, the rest of the grid is intact, and espcoord's /workers and
-// /healthz answer alongside.
+// /healthz answer alongside. The failures spread over two workers, so
+// at most one of them reaches its breaker's threshold.
 func TestShardTerminalFailure(t *testing.T) {
 	golden := readGoldenCorpus(t)
 	const failing = "bing"
@@ -142,7 +135,7 @@ func TestShardTerminalFailure(t *testing.T) {
 	for _, name := range []string{"w0", "w1"} {
 		workers = append(workers, refuseShard{Worker: newWorker(name, serve.Options{Workers: 2}), app: failing})
 	}
-	c, err := New(Options{Workers: workers, MaxShardAttempts: 2, BreakerThreshold: -1, Logger: quietLogger()})
+	c, err := New(Options{Workers: workers, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +164,9 @@ func TestShardTerminalFailure(t *testing.T) {
 	snap := c.Metrics()
 	if snap.Shards.Failed != 1 || snap.Shards.Done != int64(len(gridApps)-1) {
 		t.Fatalf("shards failed %d done %d, want 1 and %d", snap.Shards.Failed, snap.Shards.Done, len(gridApps)-1)
+	}
+	if snap.Shards.Reschedules != maxShardAttempts-1 || snap.Quarantine.Trips > 1 {
+		t.Errorf("reschedules %d trips %d, want %d and at most 1", snap.Shards.Reschedules, snap.Quarantine.Trips, maxShardAttempts-1)
 	}
 
 	rec := httptest.NewRecorder()

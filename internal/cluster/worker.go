@@ -28,10 +28,8 @@ import (
 // ErrWorkerDown reports a worker that is unreachable or no longer a
 // process: the attempt's outcome is unknown and the shard must be
 // rescheduled (the worker's journal, if shared, says what survived).
-// The sentinel carries KindNet so a shard that dies with its worker
-// reports "net" on the wire, not the unclassified fallback — without
-// wrapping fault.ErrNet, which would double-count it in the
-// coordinator's NetFaults breaker accounting.
+// The sentinel carries KindNet, so a shard that dies with its worker
+// reports "net" on the wire and counts in the coordinator's net_faults.
 var ErrWorkerDown = fault.Sentinel("cluster: worker down", fault.KindNet)
 
 // Worker is the coordinator's view of one espd node. Implementations:
@@ -42,7 +40,8 @@ type Worker interface {
 	// Sweep runs one shard. An error means the outcome is unknown or
 	// the node refused; the shard will be rescheduled.
 	Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error)
-	// Probe is the health check: nil means alive and ready.
+	// Probe is the health check: nil means the node answered /readyz
+	// with 200.
 	Probe(ctx context.Context) error
 }
 
@@ -94,15 +93,14 @@ func (lw *LocalWorker) Sweep(ctx context.Context, req serve.SweepRequest) (serve
 	return resp, nil
 }
 
-// Probe implements Worker: liveness and readiness in one check.
+// Probe implements Worker. /readyz alone decides: /healthz answers 200
+// to every GET while the process serves.
 func (lw *LocalWorker) Probe(ctx context.Context) error {
 	if lw.dead.Load() {
 		return fmt.Errorf("%w: %s", ErrWorkerDown, lw.name)
 	}
-	for _, path := range []string{"/healthz", "/readyz"} {
-		if rec := lw.do(ctx, http.MethodGet, path, nil); rec.code != http.StatusOK {
-			return fmt.Errorf("%w: %s: %s answered %d", ErrWorkerDown, lw.name, path, rec.code)
-		}
+	if rec := lw.do(ctx, http.MethodGet, "/readyz", nil); rec.code != http.StatusOK {
+		return fmt.Errorf("%w: %s: /readyz answered %d", ErrWorkerDown, lw.name, rec.code)
 	}
 	return nil
 }
@@ -168,12 +166,7 @@ func (hw *HTTPWorker) Sweep(ctx context.Context, req serve.SweepRequest) (serve.
 
 // Probe implements Worker.
 func (hw *HTTPWorker) Probe(ctx context.Context) error {
-	for _, path := range []string{"/healthz", "/readyz"} {
-		if err := hw.do(ctx, http.MethodGet, path, nil, &struct{}{}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return hw.do(ctx, http.MethodGet, "/readyz", nil, &struct{}{})
 }
 
 func (hw *HTTPWorker) do(ctx context.Context, method, path string, body, out any) error {

@@ -41,15 +41,8 @@ type BreakerSet struct {
 }
 
 // NewBreakerSet builds a set that opens a key after threshold
-// consecutive failures and half-opens it after cooldown. threshold < 1
-// returns nil: a nil *BreakerSet is valid and never trips.
+// consecutive failures and half-opens it after cooldown.
 func NewBreakerSet(threshold int, cooldown time.Duration) *BreakerSet {
-	if threshold < 1 {
-		return nil
-	}
-	if cooldown <= 0 {
-		cooldown = 30 * time.Second
-	}
 	return &BreakerSet{
 		threshold: threshold,
 		cooldown:  cooldown,
@@ -66,9 +59,6 @@ func NewBreakerSet(threshold int, cooldown time.Duration) *BreakerSet {
 // longer and longer instead of being re-offered work every cooldown.
 func NewEscalatingBreakerSet(threshold int, cooldown, maxCooldown time.Duration) *BreakerSet {
 	b := NewBreakerSet(threshold, cooldown)
-	if b == nil {
-		return nil
-	}
 	if maxCooldown < b.cooldown {
 		maxCooldown = b.cooldown
 	}
@@ -96,9 +86,6 @@ func (b *BreakerSet) cooldownFor(c *breakerCell) time.Duration {
 // its cooldown admits a single half-open probe; a denied call is
 // counted as a skip.
 func (b *BreakerSet) Allow(key string) bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c, ok := b.cells[key]
@@ -128,9 +115,6 @@ func (b *BreakerSet) Allow(key string) bool {
 // attempt used — the work was refused, not tried — recording no
 // outcome, so the next Allow admits a fresh probe.
 func (b *BreakerSet) Release(key string) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if c := b.cells[key]; c != nil && c.state == stateHalfOpen {
@@ -140,9 +124,6 @@ func (b *BreakerSet) Release(key string) {
 
 // Record feeds one attempt's outcome back for key.
 func (b *BreakerSet) Record(key string, ok bool) {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c := b.cells[key]
@@ -185,9 +166,6 @@ func (b *BreakerSet) Record(key string, ok bool) {
 // probe and counts no skip). The coordinator's metrics and placement
 // read this.
 func (b *BreakerSet) StateOf(key string) string {
-	if b == nil {
-		return "closed"
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	c, ok := b.cells[key]
@@ -207,9 +185,6 @@ func (b *BreakerSet) StateOf(key string) string {
 // OpenCount reports how many keys are currently quarantined (open or
 // half-open) — the readiness probe's signal.
 func (b *BreakerSet) OpenCount() int {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.open
@@ -218,9 +193,6 @@ func (b *BreakerSet) OpenCount() int {
 // Trips reports cumulative closed→open (and failed-probe re-open)
 // transitions; Skips reports attempts denied by an open breaker.
 func (b *BreakerSet) Trips() int64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.trips
@@ -228,9 +200,6 @@ func (b *BreakerSet) Trips() int64 {
 
 // Skips reports attempts denied by an open breaker.
 func (b *BreakerSet) Skips() int64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.skips

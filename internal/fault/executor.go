@@ -38,9 +38,8 @@ type Executor struct {
 	retries atomic.Int64
 }
 
-// NewExecutor assembles an Executor. breakers may be nil (no
-// quarantine); retryable nil retries every error; seed fixes the
-// backoff jitter stream.
+// NewExecutor assembles an Executor. retryable nil retries every
+// error; seed fixes the backoff jitter stream.
 func NewExecutor(policy RetryPolicy, breakers *BreakerSet, retryable func(error) bool, seed int64) *Executor {
 	return &Executor{
 		policy:    policy.WithDefaults(),
@@ -50,7 +49,7 @@ func NewExecutor(policy RetryPolicy, breakers *BreakerSet, retryable func(error)
 	}
 }
 
-// Breakers returns the executor's breaker set (may be nil).
+// Breakers returns the executor's breaker set.
 func (e *Executor) Breakers() *BreakerSet { return e.breakers }
 
 // Retries reports cumulative re-attempts (attempts beyond each cell's

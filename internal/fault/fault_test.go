@@ -133,7 +133,7 @@ func TestRetryPolicyBackoff(t *testing.T) {
 // TestExecutorRetriesThenSucceeds: a cell that fails twice under a
 // 3-attempt budget succeeds with 3 attempts and 2 counted retries.
 func TestExecutorRetriesThenSucceeds(t *testing.T) {
-	e := NewExecutor(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, nil, nil, 1)
+	e := NewExecutor(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, NewBreakerSet(5, time.Hour), nil, 1)
 	calls := 0
 	out := e.Run(context.Background(), "k", func(attempt int) error {
 		calls++
@@ -158,7 +158,7 @@ func TestExecutorRetriesThenSucceeds(t *testing.T) {
 func TestExecutorRespectsBudgetAndClassifier(t *testing.T) {
 	permanent := errors.New("permanent")
 	retryable := func(err error) bool { return !errors.Is(err, permanent) }
-	e := NewExecutor(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, nil, retryable, 1)
+	e := NewExecutor(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, NewBreakerSet(5, time.Hour), retryable, 1)
 
 	calls := 0
 	out := e.Run(context.Background(), "k", func(int) error { calls++; return fmt.Errorf("always") })
@@ -175,7 +175,7 @@ func TestExecutorRespectsBudgetAndClassifier(t *testing.T) {
 
 // TestExecutorStopsOnCanceledContext: no retries for a dead client.
 func TestExecutorStopsOnCanceledContext(t *testing.T) {
-	e := NewExecutor(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, nil, nil, 1)
+	e := NewExecutor(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}, NewBreakerSet(5, time.Hour), nil, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	out := e.Run(ctx, "k", func(int) error {
@@ -308,20 +308,5 @@ func checkNotAnAttempt(t *testing.T, refused error) {
 	}
 	if b.StateOf("cell") != "half_open" || !b.Allow("cell") {
 		t.Fatalf("%v probe kept the slot: state %s, next probe denied", refused, b.StateOf("cell"))
-	}
-}
-
-// TestNilBreakerSet: a nil set is a valid no-op.
-func TestNilBreakerSet(t *testing.T) {
-	var b *BreakerSet
-	if !b.Allow("x") {
-		t.Fatal("nil breaker denied")
-	}
-	b.Record("x", false)
-	if b.OpenCount() != 0 || b.Trips() != 0 || b.Skips() != 0 {
-		t.Fatal("nil breaker has state")
-	}
-	if NewBreakerSet(0, time.Second) != nil {
-		t.Fatal("threshold 0 must disable the breaker")
 	}
 }

@@ -25,8 +25,8 @@ const (
 	KindPanic ErrorKind = "panic"
 	// KindBuild: workload materialization failed (sim.ErrBuild).
 	KindBuild ErrorKind = "build"
-	// KindNet: a node-level network fault — a transport failure or a
-	// worker's 5xx, real or injected by a NetPlan (ErrNet).
+	// KindNet: a node-level fault — a worker that is unreachable or no
+	// longer a process (cluster.ErrWorkerDown).
 	KindNet ErrorKind = "net"
 	// KindInjected: a chaos plan manufactured the failure (ErrInjected).
 	KindInjected ErrorKind = "injected"
@@ -69,9 +69,8 @@ func Kinds() []ErrorKind {
 
 // Classify maps an error to its ErrorKind. Order matters and is part
 // of the contract: a timeout wrapping an injected stall is still a
-// timeout, a build failure wrapping an injected error is still a build
-// failure, and a network fault manufactured by a NetPlan is a network
-// fault before it is an injection.
+// timeout, and a build failure wrapping an injected error is still a
+// build failure.
 func Classify(err error) ErrorKind {
 	var ks *kindSentinel
 	switch {
@@ -87,8 +86,6 @@ func Classify(err error) ErrorKind {
 		// A malformed trace is a materialization failure: the workload
 		// never existed, exactly like a build error.
 		return KindBuild
-	case errors.Is(err, ErrNet):
-		return KindNet
 	case errors.Is(err, ErrInjected):
 		return KindInjected
 	case errors.Is(err, ErrBreakerOpen):
@@ -122,7 +119,7 @@ func (e *kindSentinel) Error() string { return e.msg }
 // Retryable reports whether a failure is worth another attempt on the
 // same node: timeouts (a transient stall may clear), panics (the
 // poisoned machine was dropped), build failures (the runner un-caches
-// them so a retry rebuilds), and injected faults. Network faults are
+// them so a retry rebuilds), and injected faults. Node faults are
 // deliberately not retryable at cell granularity — the coordinator
 // reschedules the whole shard on a peer instead. Validation errors,
 // dead clients, and breaker skips are final.

@@ -23,15 +23,15 @@ func TestEverySentinelMapsToExactlyOneKind(t *testing.T) {
 		{"sim.ErrTimeout", sim.ErrTimeout, KindTimeout},
 		{"sim.ErrPanic", sim.ErrPanic, KindPanic},
 		{"sim.ErrBuild", sim.ErrBuild, KindBuild},
-		{"fault.ErrNet", ErrNet, KindNet},
 		{"fault.ErrInjected", ErrInjected, KindInjected},
 		{"fault.ErrBreakerOpen", ErrBreakerOpen, KindBreakerOpen},
 		{"context.Canceled", context.Canceled, KindCanceled},
 		{"context.DeadlineExceeded", context.DeadlineExceeded, KindCanceled},
-		// The overload sentinels live in tenantq (which imports this
-		// package), so the table exercises the kind-carrying constructor
-		// they are declared with; tenantq's own tests pin the exported
-		// variables.
+		// The overload sentinels live in tenantq and the worker-down
+		// sentinel in cluster (both import this package), so the table
+		// exercises the kind-carrying constructor they are declared
+		// with; their own packages' tests pin the exported variables.
+		{"Sentinel(KindNet)", Sentinel("worker down", KindNet), KindNet},
 		{"Sentinel(KindQuota)", Sentinel("tenant quota exhausted", KindQuota), KindQuota},
 		{"Sentinel(KindBrownout)", Sentinel("brownout refused work", KindBrownout), KindBrownout},
 		{"Sentinel(KindShed)", Sentinel("deadline shed", KindShed), KindShed},
@@ -82,7 +82,7 @@ func TestClassifyPrecedence(t *testing.T) {
 	}{
 		{"timeout wrapping injected", fmt.Errorf("%w: %w", sim.ErrTimeout, ErrInjected), KindTimeout},
 		{"build wrapping injected", fmt.Errorf("%w: %w", sim.ErrBuild, ErrInjected), KindBuild},
-		{"net wrapping injected", fmt.Errorf("%w: %w", ErrNet, ErrInjected), KindNet},
+		{"injected beside a net sentinel", fmt.Errorf("%w: %w", Sentinel("worker down", KindNet), ErrInjected), KindInjected},
 		{"panic wrapping injected", fmt.Errorf("%w: %w", sim.ErrPanic, ErrInjected), KindPanic},
 	}
 	for _, tc := range cases {
@@ -92,33 +92,14 @@ func TestClassifyPrecedence(t *testing.T) {
 	}
 }
 
-// TestRetryable pins which kinds are worth a same-node retry: network
+// TestRetryable pins which kinds are worth a same-node retry: node
 // faults are not (the coordinator reschedules the shard instead).
 func TestRetryable(t *testing.T) {
 	if !Retryable(sim.ErrTimeout) || !Retryable(sim.ErrPanic) || !Retryable(sim.ErrBuild) || !Retryable(ErrInjected) {
 		t.Error("timeout/panic/build/injected must be retryable")
 	}
-	if Retryable(ErrNet) || Retryable(context.Canceled) || Retryable(ErrBreakerOpen) || Retryable(errors.New("mystery")) {
+	if Retryable(Sentinel("worker down", KindNet)) || Retryable(context.Canceled) || Retryable(ErrBreakerOpen) || Retryable(errors.New("mystery")) {
 		t.Error("net/canceled/breaker/unknown must not be retryable")
-	}
-}
-
-// TestNetPlanDeterministic: an Always worker faults on every call and
-// never clears; an unregistered worker, or a nil plan, never faults.
-func TestNetPlanDeterministic(t *testing.T) {
-	p := &NetPlan{}
-	p.Always("flaky", NetErr)
-	for i := 0; i < 3; i++ {
-		if got := p.Fault("flaky"); got != NetErr {
-			t.Fatalf("Always worker call %d: %v", i, got)
-		}
-	}
-	if got := p.Fault("healthy"); got != NetNone {
-		t.Fatalf("unregistered worker faults: %v", got)
-	}
-	var nilPlan *NetPlan
-	if got := nilPlan.Fault("flaky"); got != NetNone {
-		t.Fatalf("nil plan faults: %v", got)
 	}
 }
 
@@ -189,9 +170,5 @@ func TestBreakerStateOf(t *testing.T) {
 	}
 	if got := b.Skips(); got != 0 {
 		t.Fatalf("StateOf counted %d skips", got)
-	}
-	var nilSet *BreakerSet
-	if nilSet.StateOf("k") != "closed" {
-		t.Fatal("nil set must report closed")
 	}
 }

@@ -80,8 +80,9 @@ func metricsSnapshot(t *testing.T, s *Server) metrics.Snapshot {
 // quarter of the cells) plus one cell that never recovers. Every cell
 // must come back; recovered cells must match the golden corpus exactly
 // with the exact retry count the plan predicts; the unrecoverable cell
-// must trip its breaker and be quarantined — not re-attempted — on the
-// resubmission, which replays everything else from the journal.
+// must trip its breaker on its breakerThreshold-th failure, during the
+// first resubmission, and be quarantined — not attempted — on the
+// second; both replay everything else from the journal.
 func TestChaosSoak(t *testing.T) {
 	// The deadline must clear an organic cell comfortably (the largest
 	// golden cell costs well under a second even with the race detector
@@ -116,15 +117,14 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	s := testServer(t, Options{
-		Workers:          4,
-		CheckpointDir:    dir,
-		FaultHook:        plan.Hook(),
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
-		Retry:            fault.RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 10 * time.Millisecond},
-	})
+	s := testServer(t, Options{Workers: 4, CheckpointDir: dir, FaultHook: plan.Hook()})
 	golden := readGoldenCorpus(t)
+	// The unrecoverable cell's failures: all its attempts on the first
+	// submission, the rest of the threshold on the second.
+	attempts := fault.RetryPolicy{}.WithDefaults().MaxAttempts
+	if attempts >= breakerThreshold || 2*attempts < breakerThreshold {
+		t.Fatalf("%d attempts per submission do not trip a %d-failure breaker on the second", attempts, breakerThreshold)
+	}
 
 	resp := postSweep(t, s, chaosSweepReq("chaos-soak", timeoutMs))
 	for i, cell := range resp.Cells {
@@ -139,8 +139,8 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatalf("cell %s: want exactly one of result/error/skipped, got %+v", key, cell)
 		}
 		if cell.App == "cnn" && cell.Config == "ESP+NL" {
-			if cell.ErrorKind != "injected" || cell.Attempts != 3 {
-				t.Errorf("unrecoverable cell %s: kind %q attempts %d, want injected/3: %+v", key, cell.ErrorKind, cell.Attempts, cell)
+			if cell.ErrorKind != "injected" || cell.Attempts != attempts {
+				t.Errorf("unrecoverable cell %s: kind %q attempts %d, want injected/%d: %+v", key, cell.ErrorKind, cell.Attempts, attempts, cell)
 			}
 			continue
 		}
@@ -173,43 +173,52 @@ func TestChaosSoak(t *testing.T) {
 	if snap.Resilience.Retries < 6 {
 		t.Errorf("retries %d, want >= 6 (one per recoverable fault, two for the breaker cell)", snap.Resilience.Retries)
 	}
-	if snap.Resilience.BreakerTrips != 1 || snap.Resilience.BreakerOpen != 1 {
-		t.Errorf("breaker trips %d open %d, want 1/1", snap.Resilience.BreakerTrips, snap.Resilience.BreakerOpen)
+	if snap.Resilience.BreakerTrips != 0 || snap.Resilience.BreakerOpen != 0 {
+		t.Errorf("breaker trips %d open %d after %d failures, want 0/0", snap.Resilience.BreakerTrips, snap.Resilience.BreakerOpen, attempts)
 	}
 	if snap.Cells.Timeouts < 1 {
 		t.Errorf("timeouts %d, want >= 1 (the slow cell must blow its deadline)", snap.Cells.Timeouts)
 	}
 
-	// Resubmission: the 15 completed cells replay from the journal; the
-	// quarantined cell is skipped by its breaker without an attempt.
-	resp2 := postSweep(t, s, chaosSweepReq("chaos-soak", timeoutMs))
-	resumed := 0
-	for _, cell := range resp2.Cells {
-		key := cell.App + "/" + cell.Config
-		if cell.App == "cnn" && cell.Config == "ESP+NL" {
-			if cell.Skipped != "breaker_open" || cell.Attempts != 0 {
-				t.Errorf("quarantined cell %s: %+v, want skipped=breaker_open with 0 attempts", key, cell)
+	// Resubmissions: the 15 completed cells replay from the journal each
+	// time. The unrecoverable cell trips its breaker on its
+	// breakerThreshold-th failure, in the first, and is skipped without
+	// an attempt in the second.
+	for sub, want := range []SweepCell{
+		{ErrorKind: "injected", Attempts: breakerThreshold - attempts},
+		{Skipped: "breaker_open"},
+	} {
+		resp := postSweep(t, s, chaosSweepReq("chaos-soak", timeoutMs))
+		resumed := 0
+		for _, cell := range resp.Cells {
+			key := cell.App + "/" + cell.Config
+			if cell.App == "cnn" && cell.Config == "ESP+NL" {
+				if cell.ErrorKind != want.ErrorKind || cell.Attempts != want.Attempts || cell.Skipped != want.Skipped {
+					t.Errorf("resubmission %d: unrecoverable cell %s: %+v, want kind %q attempts %d skipped %q",
+						sub+1, key, cell, want.ErrorKind, want.Attempts, want.Skipped)
+				}
+				continue
 			}
-			continue
+			if !cell.Resumed || cell.Result == nil {
+				t.Errorf("resubmission %d: cell %s: not resumed from journal: %+v", sub+1, key, cell)
+				continue
+			}
+			resumed++
+			if !reflect.DeepEqual(*cell.Result, golden[key]) {
+				t.Errorf("resubmission %d: cell %s: resumed result deviates from golden corpus", sub+1, key)
+			}
 		}
-		if !cell.Resumed || cell.Result == nil {
-			t.Errorf("cell %s: not resumed from journal: %+v", key, cell)
-			continue
+		if resumed != total-1 {
+			t.Errorf("resubmission %d: resumed %d cells, want %d", sub+1, resumed, total-1)
 		}
-		resumed++
-		if !reflect.DeepEqual(*cell.Result, golden[key]) {
-			t.Errorf("cell %s: resumed result deviates from golden corpus", key)
+		snap = metricsSnapshot(t, s)
+		if snap.Resilience.ResumedCells != int64((sub+1)*(total-1)) {
+			t.Errorf("resubmission %d: resumed_cells metric %d, want %d", sub+1, snap.Resilience.ResumedCells, (sub+1)*(total-1))
 		}
-	}
-	if resumed != total-1 {
-		t.Errorf("resumed %d cells, want %d", resumed, total-1)
-	}
-	snap = metricsSnapshot(t, s)
-	if snap.Resilience.ResumedCells != int64(total-1) {
-		t.Errorf("resumed_cells metric %d, want %d", snap.Resilience.ResumedCells, total-1)
-	}
-	if snap.Resilience.BreakerSkips < 1 {
-		t.Errorf("breaker_skips %d, want >= 1", snap.Resilience.BreakerSkips)
+		if snap.Resilience.BreakerTrips != 1 || snap.Resilience.BreakerOpen != 1 || snap.Resilience.BreakerSkips != int64(sub+1) {
+			t.Errorf("resubmission %d: breaker trips %d open %d skips %d, want 1/1/%d", sub+1,
+				snap.Resilience.BreakerTrips, snap.Resilience.BreakerOpen, snap.Resilience.BreakerSkips, sub+1)
+		}
 	}
 	// One quarantined cell out of the whole preset grid is not enough to
 	// fail readiness.

@@ -66,7 +66,7 @@ func FuzzRunRequest(f *testing.F) {
 		if again != req {
 			t.Fatalf("request not canonical: %+v -> %+v", req, again)
 		}
-		if d := timeoutOf(req.TimeoutMs, Options{}.withDefaults().DefaultTimeout); d <= 0 || d > 24*time.Hour {
+		if d := timeoutOf(req.TimeoutMs); d <= 0 || d > 24*time.Hour {
 			t.Fatalf("accepted timeout_ms %d resolves to %v, want (0, 24h]", req.TimeoutMs, d)
 		}
 		if req.TraceB64 != "" {

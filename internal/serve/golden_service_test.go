@@ -61,7 +61,7 @@ func goldenCells(t *testing.T) []goldenCell {
 // data-race check.
 func TestServiceGoldenParity(t *testing.T) {
 	cells := goldenCells(t)
-	s := testServer(t, Options{Workers: 4, QueueDepth: 64, WorkloadCap: 16})
+	s := testServer(t, Options{Workers: 4})
 
 	const requests = 64
 	var wg sync.WaitGroup

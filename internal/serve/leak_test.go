@@ -94,7 +94,7 @@ func TestAdmissionNoLeakUnderContention(t *testing.T) {
 		}
 		return nil
 	}
-	s := testServer(t, Options{Workers: 1, QueueDepth: 1, FaultHook: hook})
+	s := testServer(t, Options{Workers: 1, FaultHook: hook})
 
 	// r1 wedges the only worker inside the engine.
 	r1 := make(chan *httptest.ResponseRecorder, 1)
@@ -103,7 +103,7 @@ func TestAdmissionNoLeakUnderContention(t *testing.T) {
 	}()
 	<-started
 
-	// r2 takes the last ticket and queues for the worker.
+	// r2 takes a ticket and queues for the worker.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	r2 := make(chan *httptest.ResponseRecorder, 1)
@@ -112,15 +112,22 @@ func TestAdmissionNoLeakUnderContention(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return len(s.tickets) == 2 })
 
-	// Queue full: a third request is rejected immediately.
+	// The test holds every other ticket. Queue full: a third request is
+	// rejected immediately.
+	for len(s.tickets) < cap(s.tickets) {
+		s.tickets <- struct{}{}
+	}
 	if rec := post(t, s, "/run", RunRequest{App: "amazon", Config: "base", MaxEvents: 8}); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("queue-full /run: status %d, want 429", rec.Code)
 	}
 	if rec := post(t, s, "/sweep", SweepRequest{Configs: []string{"base"}, MaxEvents: 8}); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("queue-full /sweep: status %d, want 429", rec.Code)
 	}
-	if d := len(s.tickets); d != 2 {
-		t.Fatalf("rejected requests moved the gauge: %d, want 2", d)
+	if d := len(s.tickets); d != cap(s.tickets) {
+		t.Fatalf("rejected requests moved the gauge: %d, want %d", d, cap(s.tickets))
+	}
+	for len(s.tickets) > 2 {
+		<-s.tickets
 	}
 
 	// r2's client hangs up while queued: 499, ticket released.
@@ -193,14 +200,10 @@ func TestErrorPathsNoLeak(t *testing.T) {
 	}
 
 	t.Run("sweep with failing cells", func(t *testing.T) {
-		// Breaker disabled, one retry: the sweep returns 200 with
-		// structured per-cell errors and releases everything.
-		s := testServer(t, Options{
-			Workers:          2,
-			BreakerThreshold: -1,
-			FaultHook:        wreck.Hook(),
-			Retry:            fault.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-		})
+		// Each failing cell's attempts stay under its breaker's
+		// threshold: the sweep returns 200 with structured per-cell
+		// errors and releases everything.
+		s := testServer(t, Options{Workers: 2, FaultHook: wreck.Hook()})
 		rec := post(t, s, "/sweep", SweepRequest{Apps: []string{"amazon", "bing"}, Configs: []string{"base", "ESP+NL"}, MaxEvents: 8})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("sweep status %d: %s", rec.Code, rec.Body.String())

@@ -32,10 +32,12 @@ func snapshotAdmitted(s *Server) map[string]int64 {
 
 // TestTenantFairnessUnderSaturation is the fairness proof at the HTTP
 // layer: four tenants with DRR weights 1:1:2:4 flood a single-worker
-// daemon with far more requests than it can serve. While the backlog
-// holds, each tenant's share of admitted cells must track its weight
-// share within 10 percentage points — no tenant starves, and no tenant
-// wins more than its weight buys.
+// daemon with far more cells than it can serve. Each /sweep takes one
+// queue ticket and queues one batch per app, so the whole backlog fits
+// within the Workers+queueDepth tickets. While the backlog holds, each
+// tenant's share of admitted cells must track its weight share within
+// 10 percentage points plus one DRR turn — no tenant starves, and no
+// tenant wins more than its weight buys.
 func TestTenantFairnessUnderSaturation(t *testing.T) {
 	slow := func(pt sim.FaultPoint) error {
 		if pt.Op == "run" {
@@ -48,15 +50,14 @@ func TestTenantFairnessUnderSaturation(t *testing.T) {
 	for name, w := range weights {
 		tenants[name] = tenantq.TenantConfig{Weight: w}
 	}
-	s := testServer(t, Options{
-		Workers:       1,
-		QueueDepth:    500,
-		Tenants:       tenants,
-		TenantQuantum: 1,
-		FaultHook:     slow,
-	})
+	s := testServer(t, Options{Workers: 1, Tenants: tenants, FaultHook: slow})
 
-	const perTenant = 100
+	// 16 sweeps of 7 apps × 2 one-event configs: 224 cells per tenant.
+	perTenant := cap(s.tickets) / len(weights)
+	body, err := json.Marshal(SweepRequest{Configs: []string{"base", "NL"}, MaxEvents: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -65,30 +66,37 @@ func TestTenantFairnessUnderSaturation(t *testing.T) {
 			wg.Add(1)
 			go func(tenant string) {
 				defer wg.Done()
-				doRun(s, ctx, RunRequest{App: "amazon", Config: "base", MaxEvents: 8, Tenant: tenant})
+				req := httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)).WithContext(ctx)
+				req.Header.Set(TenantHeader, tenant)
+				s.ServeHTTP(httptest.NewRecorder(), req)
 			}(name)
 		}
 	}
 
-	// Sample mid-backlog: after 64 grants every tenant still has dozens
-	// queued, so shares reflect the fair queue, not the tail.
+	// Sample mid-backlog: after five DRR rounds (64 cells each) every
+	// tenant still has cells queued, so shares reflect the fair queue,
+	// not the tail. The 320 cells take about 3 s under the race
+	// detector, so the wait is longer than waitFor's.
 	var counts map[string]int64
 	var total int64
-	waitFor(t, func() bool {
+	for deadline := time.Now().Add(30 * time.Second); total < 320; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d cells admitted in 30 s", total)
+		}
 		counts = snapshotAdmitted(s)
 		total = 0
 		for _, c := range counts {
 			total += c
 		}
-		return total >= 64
-	})
+	}
+	const drrQuantum = 8 // tenantq's DRR turn, in cells per unit weight
 	var weightSum float64
 	for _, w := range weights {
 		weightSum += w
 	}
 	for name, w := range weights {
 		ideal := float64(total) * w / weightSum
-		tol := 0.10*float64(total) + 2 // 10% + one DRR round of slack
+		tol := 0.10*float64(total) + drrQuantum*w + 1 // 10% + one DRR turn of slack
 		if diff := float64(counts[name]) - ideal; diff > tol || diff < -tol {
 			t.Errorf("tenant %s admitted %d of %d cells, ideal %.1f (weight %g/%g), tolerance %.1f",
 				name, counts[name], total, ideal, w, weightSum, tol)

@@ -121,9 +121,9 @@ type SweepCell struct {
 	App    string      `json:"app"`
 	Config string      `json:"config"`
 	Result *esp.Result `json:"result,omitempty"`
-	// Error is the final attempt's message; ErrorKind classifies it
-	// ("timeout", "panic", "build", "injected", "canceled", "config",
-	// "error") so clients can branch without parsing prose.
+	// Error is the final attempt's message; ErrorKind classifies it as
+	// one of fault.Kinds() ("timeout", "deadline_shed", "net", ...) so
+	// clients can branch without parsing prose.
 	Error     string `json:"error,omitempty"`
 	ErrorKind string `json:"error_kind,omitempty"`
 	// Attempts counts how many times the cell ran (0 when skipped or
@@ -408,12 +408,12 @@ func appNames() []string {
 	return names
 }
 
-// timeoutOf resolves a per-request timeout against the server default.
-func timeoutOf(ms int, def time.Duration) time.Duration {
+// timeoutOf resolves a per-request timeout against defaultTimeout.
+func timeoutOf(ms int) time.Duration {
 	if ms > 0 {
 		return time.Duration(ms) * time.Millisecond
 	}
-	return def
+	return defaultTimeout
 }
 
 // TenantHeader is the transport-level tenant identity, for clients that

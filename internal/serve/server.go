@@ -27,8 +27,8 @@ import (
 // MaxRequestBytes bounds a request body, at espd and at espcoord.
 const MaxRequestBytes = 8 << 20
 
-// Options configures a Server. The zero value gets sensible defaults
-// from withDefaults.
+// Options configures a Server: what differs between deployments. The
+// zero value gets defaults from withDefaults.
 type Options struct {
 	// Name identifies this daemon in logs and /metrics (espd -name); a
 	// coordinator uses it to label fleet members (default "espd").
@@ -36,29 +36,8 @@ type Options struct {
 	// Workers bounds how many simulation cells (or sweep batches) run
 	// concurrently (default: NumCPU).
 	Workers int
-	// QueueDepth bounds how many admitted requests may wait for a
-	// worker beyond the ones running; a request arriving past
-	// Workers+QueueDepth is rejected with 429 (default: 64).
-	QueueDepth int
-	// WorkloadCap bounds the runner's LRU workload cache (default: 32
-	// materialized arenas; < 0 means unbounded).
-	WorkloadCap int
-	// DefaultTimeout bounds one cell's simulation when the request does
-	// not set timeout_ms (default: 2 minutes).
-	DefaultTimeout time.Duration
 	// Logger receives structured request logs (default: slog.Default).
 	Logger *slog.Logger
-
-	// Retry bounds per-cell re-attempts inside a sweep (zero value:
-	// 3 attempts, 25ms..1s exponential backoff, 20% jitter; MaxAttempts
-	// 1 disables retrying).
-	Retry fault.RetryPolicy
-	// BreakerThreshold is how many consecutive failures quarantine one
-	// (app, config) cell (default 5; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long a quarantined cell stays open before a
-	// half-open probe is admitted (default 30s).
-	BreakerCooldown time.Duration
 	// CheckpointDir enables crash-safe sweep journaling: sweeps carrying
 	// a sweep_id append completed cells to <dir>/<sweep_id>.espj and
 	// resume from it. Empty disables journaling.
@@ -66,25 +45,37 @@ type Options struct {
 	// FaultHook installs a chaos injector on the runner (see
 	// sim.FaultHook). Testing only; nil in production.
 	FaultHook sim.FaultHook
-
 	// Tenants configures named tenants; any other tenant gets weight 1
-	// and no cell budget. TenantQuantum is the fair queue's DRR round in
-	// cells per unit weight (0: 8). MaxTenants bounds distinct tenant
-	// names tracked (0: 256).
-	Tenants       map[string]tenantq.TenantConfig
-	TenantQuantum float64
-	MaxTenants    int
-
+	// and no cell budget.
+	Tenants map[string]tenantq.TenantConfig
 	// MemBudget bounds the workload cache in accounted bytes and arms
 	// the brownout controller: past its watermarks the daemon stops
 	// caching new workloads, halves concurrency, then admits only small
 	// bounded grids — degrading instead of dying. 0 disables both.
 	MemBudget int64
-	// SmallGridMax is the largest cells×max_events product the deepest
-	// brownout level still admits; requests without an explicit
-	// max_events bound are never "small" (default 4096).
-	SmallGridMax int
 }
+
+// The serving constants: one value wherever espd runs.
+const (
+	// queueDepth bounds how many admitted requests may wait for a worker
+	// beyond the ones running; a request arriving past
+	// Workers+queueDepth is refused with 429.
+	queueDepth = 64
+	// workloadCap bounds the runner's LRU workload cache in materialized
+	// arenas.
+	workloadCap = 32
+	// defaultTimeout bounds one cell's simulation when the request does
+	// not set timeout_ms.
+	defaultTimeout = 2 * time.Minute
+	// breakerThreshold consecutive failures quarantine one (app, config)
+	// cell, for breakerCooldown before a half-open probe is admitted.
+	breakerThreshold = 5
+	breakerCooldown  = 30 * time.Second
+	// smallGridMax is the largest cells×max_events product the deepest
+	// brownout level still admits; requests without an explicit
+	// max_events bound are never "small".
+	smallGridMax = 4096
+)
 
 func (o Options) withDefaults() Options {
 	if o.Name == "" {
@@ -93,30 +84,8 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = runtime.NumCPU()
 	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 64
-	}
-	if o.QueueDepth < 0 {
-		o.QueueDepth = 0
-	}
-	if o.WorkloadCap == 0 {
-		o.WorkloadCap = 32
-	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 2 * time.Minute
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
-	}
-	o.Retry = o.Retry.WithDefaults()
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 30 * time.Second
-	}
-	if o.SmallGridMax <= 0 {
-		o.SmallGridMax = 4096
 	}
 	return o
 }
@@ -133,7 +102,7 @@ type Server struct {
 	runner *sim.Runner
 	met    *metrics.Metrics
 
-	// tickets bounds admitted requests at Workers+QueueDepth; the last
+	// tickets bounds admitted requests at Workers+queueDepth; the last
 	// rung of admit's ladder refuses a request that cannot take one
 	// without blocking (429). tq is the execution bound — Workers slots
 	// handed out by weighted fair queueing across tenants, with
@@ -175,24 +144,17 @@ func New(opt Options) *Server {
 		log:          opt.Logger,
 		runner:       sim.NewRunner(),
 		met:          metrics.New(),
-		tickets:      make(chan struct{}, opt.Workers+opt.QueueDepth),
+		tickets:      make(chan struct{}, opt.Workers+queueDepth),
 		est:          newEstimator(),
 		stop:         make(chan struct{}),
 		activeSweeps: make(map[string]struct{}),
 		openJournals: make(map[string]*sweepJournal),
 		mux:          http.NewServeMux(),
 	}
-	s.tq = tenantq.New(tenantq.Options{
-		Slots:      opt.Workers,
-		Quantum:    opt.TenantQuantum,
-		Tenants:    opt.Tenants,
-		MaxTenants: opt.MaxTenants,
-	})
-	breakers := fault.NewBreakerSet(opt.BreakerThreshold, opt.BreakerCooldown)
-	s.exec = fault.NewExecutor(opt.Retry, breakers, fault.Retryable, 1)
-	if opt.WorkloadCap > 0 {
-		s.runner.SetWorkloadCap(opt.WorkloadCap)
-	}
+	s.tq = tenantq.New(tenantq.Options{Slots: opt.Workers, Tenants: opt.Tenants})
+	breakers := fault.NewBreakerSet(breakerThreshold, breakerCooldown)
+	s.exec = fault.NewExecutor(fault.RetryPolicy{}, breakers, fault.Retryable, 1)
+	s.runner.SetWorkloadCap(workloadCap)
 	if opt.FaultHook != nil {
 		s.runner.SetFaultHook(opt.FaultHook)
 	}
@@ -363,17 +325,17 @@ type grid struct {
 
 // admit is the refusal ladder every request climbs, cheapest refusal
 // first: brownout (the deepest level admits only grids whose
-// cells×max_events stays within SmallGridMax; an unbounded max_events
+// cells×max_events stays within smallGridMax; an unbounded max_events
 // is never small), deadline shed (every cell provably misses the
 // deadline, so nothing is simulated), then a queue ticket. A refusal
 // comes back accounted, its fault.ErrorKind choosing the status;
 // otherwise release must be called exactly once.
 func (s *Server) admit(g grid) (release func(), err error) {
 	cells := len(g.apps) * len(g.configs)
-	small := g.maxEvents > 0 && cells*g.maxEvents <= s.opt.SmallGridMax
+	small := g.maxEvents > 0 && cells*g.maxEvents <= smallGridMax
 	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly && !small {
 		return nil, s.refuse(g.tenant, fmt.Errorf("%w (%s): only grids with cells*max_events <= %d are admitted",
-			tenantq.ErrBrownout, level, s.opt.SmallGridMax), cells)
+			tenantq.ErrBrownout, level, smallGridMax), cells)
 	}
 	if s.allShed(g) {
 		return nil, s.refuse(g.tenant, fmt.Errorf("%w: no cell can finish within the deadline", tenantq.ErrDeadlineShed), cells)
@@ -505,7 +467,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// One attempt, no breaker: a /run client retries for itself.
 	start := time.Now()
-	res, err := s.runCell(r.Context(), tenant, "run", req, timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout), deadline)
+	res, err := s.runCell(r.Context(), tenant, "run", req, timeoutOf(req.TimeoutMs), deadline)
 	wall := time.Since(start)
 	if err != nil {
 		status := s.fail(w, err)
@@ -711,7 +673,7 @@ func (s *Server) untrackJournal(id string, jr *sweepJournal) {
 // (never simulated) so the rest of the grid comes back as partial
 // results.
 func (s *Server) runBatch(ctx context.Context, tenant string, req SweepRequest, batch []SweepCell, deadline time.Time, jr *sweepJournal) {
-	timeout := timeoutOf(req.TimeoutMs, s.opt.DefaultTimeout)
+	timeout := timeoutOf(req.TimeoutMs)
 	for ci := range batch {
 		cell := &batch[ci]
 		if cell.Result != nil {

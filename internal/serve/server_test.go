@@ -324,7 +324,7 @@ func TestRunRejectsBadRequests(t *testing.T) {
 // TestQueueFullReturns429: with every ticket taken, the next request is
 // rejected immediately — backpressure, not unbounded queueing.
 func TestQueueFullReturns429(t *testing.T) {
-	s := testServer(t, Options{Workers: 1, QueueDepth: 1})
+	s := testServer(t, Options{Workers: 1})
 	for i := 0; i < cap(s.tickets); i++ {
 		s.tickets <- struct{}{}
 	}
@@ -689,13 +689,15 @@ func TestHealthzAndDrain(t *testing.T) {
 // half the preset grid, readiness fails even though the process is
 // healthy.
 func TestReadyzQuarantineThreshold(t *testing.T) {
-	s := testServer(t, Options{Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+	s := testServer(t, Options{Workers: 1})
 	preset := len(appNames()) * len(esp.ConfigNames())
 	breakers := s.exec.Breakers()
 	// Trip just over half the preset cells' breakers directly — the
 	// request path to the same state is the chaos soak's job.
 	for i := 0; i <= preset/2; i++ {
-		breakers.Record(fmt.Sprintf("cell-%d", i), false)
+		for f := 0; f < breakerThreshold; f++ {
+			breakers.Record(fmt.Sprintf("cell-%d", i), false)
+		}
 	}
 	rec := get(t, s, "/readyz")
 	if rec.Code != http.StatusServiceUnavailable {
@@ -715,7 +717,7 @@ func TestReadyzQuarantineThreshold(t *testing.T) {
 // TestMetricsEndpoint: after traffic, every layer of the snapshot is
 // populated — request counters, engine reuse counters, the histogram.
 func TestMetricsEndpoint(t *testing.T) {
-	s := testServer(t, Options{Workers: 2, QueueDepth: 4, WorkloadCap: 8})
+	s := testServer(t, Options{Workers: 2})
 	for i := 0; i < 3; i++ {
 		if rec := post(t, s, "/run", RunRequest{App: "amazon", Config: "base", MaxEvents: 16}); rec.Code != http.StatusOK {
 			t.Fatalf("run %d: status %d", i, rec.Code)
@@ -741,8 +743,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Cells.Completed != 3 || snap.CellLatency.Count != 3 {
 		t.Fatalf("cell counters: %+v / latency count %d, want 3", snap.Cells, snap.CellLatency.Count)
 	}
-	if snap.Queue.Capacity != 6 || snap.Queue.Workers != 2 {
-		t.Fatalf("queue geometry %+v, want capacity 6 / workers 2", snap.Queue)
+	if snap.Queue.Capacity != 2+queueDepth || snap.Queue.Workers != 2 {
+		t.Fatalf("queue geometry %+v, want capacity %d / workers 2", snap.Queue, 2+queueDepth)
 	}
 	var total int64
 	for _, c := range snap.CellLatency.Counts {
@@ -756,7 +758,8 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestWorkloadCacheEviction: a cache capped below the distinct-workload
 // count evicts and the service keeps answering correctly.
 func TestWorkloadCacheEviction(t *testing.T) {
-	s := testServer(t, Options{Workers: 1, WorkloadCap: 1})
+	s := testServer(t, Options{Workers: 1})
+	s.runner.SetWorkloadCap(1)
 	for _, app := range []string{"amazon", "bing", "amazon"} {
 		if rec := post(t, s, "/run", RunRequest{App: app, Config: "base", MaxEvents: 16}); rec.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", app, rec.Code)

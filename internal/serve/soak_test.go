@@ -47,7 +47,7 @@ func TestSoakMixedConfigs(t *testing.T) {
 		}
 	}
 
-	s := testServer(t, Options{Workers: 4, QueueDepth: 256, WorkloadCap: 8})
+	s := testServer(t, Options{Workers: 4})
 	const (
 		goroutines   = 12
 		perGoroutine = 10

@@ -27,7 +27,7 @@ const DefaultTenant = "default"
 
 // ErrQuota marks an acquisition refused because the tenant exhausted
 // its cumulative cell budget, or because the queue already tracks
-// MaxTenants other tenants. espd maps it to 429 — the client may retry
+// maxTenants other tenants. espd maps it to 429 — the client may retry
 // later; the work was never queued.
 var ErrQuota = fault.Sentinel("tenantq: tenant quota exhausted", fault.KindQuota)
 
@@ -66,31 +66,21 @@ type Options struct {
 	// Slots bounds concurrently granted acquisitions — the worker-slot
 	// pool DRR arbitrates (required, >= 1).
 	Slots int
-	// Quantum is the DRR round size in cells per unit weight (<= 0: 8,
-	// about one sweep batch). Smaller quanta interleave tenants more
-	// finely; larger ones batch better.
-	Quantum float64
 	// Tenants configures tenants by name; unlisted tenants get the
 	// zero TenantConfig.
 	Tenants map[string]TenantConfig
-	// MaxTenants bounds distinct tenant names the queue will track, a
-	// cardinality guard against tenant-id spray: past it, acquisitions
-	// under new names are rejected with ErrQuota (<= 0: 256).
-	MaxTenants int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Slots < 1 {
-		o.Slots = 1
-	}
-	if o.Quantum <= 0 {
-		o.Quantum = 8
-	}
-	if o.MaxTenants <= 0 {
-		o.MaxTenants = 256
-	}
-	return o
-}
+const (
+	// quantum is the DRR round size in cells per unit weight, about one
+	// sweep batch. Smaller quanta interleave tenants more finely; larger
+	// ones batch better.
+	quantum = 8
+	// maxTenants bounds distinct tenant names the queue will track, a
+	// cardinality guard against tenant-id spray: past it, acquisitions
+	// under new names are refused with ErrQuota.
+	maxTenants = 256
+)
 
 // waiter is one blocked Acquire.
 type waiter struct {
@@ -148,7 +138,7 @@ type Queue struct {
 // New assembles a Queue.
 func New(opt Options) *Queue {
 	return &Queue{
-		opt:     opt.withDefaults(),
+		opt:     opt,
 		tenants: make(map[string]*tenant),
 		fresh:   true,
 	}
@@ -180,7 +170,7 @@ func (q *Queue) tenantLocked(name string) *tenant {
 	if tn, ok := q.tenants[name]; ok {
 		return tn
 	}
-	if len(q.tenants) >= q.opt.MaxTenants {
+	if len(q.tenants) >= maxTenants {
 		return nil
 	}
 	tn := &tenant{name: name, cfg: q.opt.Tenants[name]}
@@ -200,7 +190,7 @@ func (q *Queue) Acquire(ctx context.Context, name string, cost int) (release fun
 	tn := q.tenantLocked(name)
 	if tn == nil {
 		q.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d distinct tenants already tracked", ErrQuota, q.opt.MaxTenants)
+		return nil, fmt.Errorf("%w: %d distinct tenants already tracked", ErrQuota, maxTenants)
 	}
 	if budget := tn.cfg.CellBudget; budget > 0 && tn.consumed+int64(cost) > budget {
 		tn.quota += int64(cost)
@@ -300,11 +290,11 @@ func (q *Queue) dispatchLocked() {
 		}
 		tn := q.ring[q.cur]
 		if q.fresh {
-			tn.deficit += q.opt.Quantum * tn.cfg.weight()
+			tn.deficit += quantum * tn.cfg.weight()
 			// Cap banked credit at one round past the head waiter, so a
 			// tenant whose costlier head waiter was abandoned cannot
 			// hoard a burst for the cheaper one behind it.
-			if bank := float64(tn.waiters[0].cost) + q.opt.Quantum*tn.cfg.weight(); tn.deficit > bank {
+			if bank := float64(tn.waiters[0].cost) + quantum*tn.cfg.weight(); tn.deficit > bank {
 				tn.deficit = bank
 			}
 			q.fresh = false

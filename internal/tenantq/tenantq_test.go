@@ -29,13 +29,13 @@ func waitQueued(t *testing.T, q *Queue, n int) {
 // single slot, then releases the blocker and records the tenant name
 // of every grant in order (each grantee releases immediately, so
 // grants serialize through the one slot).
-func collectGrantOrder(t *testing.T, weights map[string]float64, perTenant int, quantum float64) []string {
+func collectGrantOrder(t *testing.T, weights map[string]float64, perTenant int) []string {
 	t.Helper()
 	tenants := make(map[string]TenantConfig, len(weights))
 	for name, w := range weights {
 		tenants[name] = TenantConfig{Weight: w}
 	}
-	q := New(Options{Slots: 1, Quantum: quantum, Tenants: tenants})
+	q := New(Options{Slots: 1, Tenants: tenants})
 
 	blockerRelease, err := q.Acquire(context.Background(), "blocker", 1)
 	if err != nil {
@@ -79,7 +79,7 @@ func collectGrantOrder(t *testing.T, weights map[string]float64, perTenant int, 
 func TestDRRProportionality(t *testing.T) {
 	weights := map[string]float64{"a": 1, "b": 2, "c": 4}
 	const perTenant = 140
-	order := collectGrantOrder(t, weights, perTenant, 1)
+	order := collectGrantOrder(t, weights, perTenant)
 
 	// Permutation: every acquisition granted exactly once.
 	counts := map[string]int{}
@@ -96,9 +96,9 @@ func TestDRRProportionality(t *testing.T) {
 	}
 
 	// Weight-proportionality while every tenant is still backlogged:
-	// with quantum 1 and unit costs a full lap grants exactly weight_t
-	// cells per tenant, so any prefix deviates from the ideal share by
-	// at most one round.
+	// with unit costs a full lap grants exactly quantum·weight_t cells
+	// per tenant, so any prefix deviates from the ideal share by at
+	// most one of that tenant's turns.
 	var sumW float64
 	for _, w := range weights {
 		sumW += w
@@ -119,7 +119,7 @@ func TestDRRProportionality(t *testing.T) {
 		running[name]++
 		for tn, w := range weights {
 			ideal := float64(n+1) * w / sumW
-			slack := w + 1 // one DRR round of that tenant, plus rounding
+			slack := quantum*w + 1 // one DRR turn of that tenant, plus rounding
 			if diff := running[tn] - ideal; diff > slack || diff < -slack {
 				t.Fatalf("after %d grants tenant %s has %v cells, ideal %.1f (slack %v): order unfair",
 					n+1, tn, running[tn], ideal, slack)
@@ -138,7 +138,7 @@ func TestDRRRandomizedNoStarvation(t *testing.T) {
 		weights[fmt.Sprintf("t%d", i)] = 1 + rng.Float64()*7
 	}
 	const perTenant = 60
-	order := collectGrantOrder(t, weights, perTenant, 4)
+	order := collectGrantOrder(t, weights, perTenant)
 	counts := map[string]int{}
 	for _, name := range order {
 		counts[name]++
@@ -182,16 +182,18 @@ func TestQuotaCellBudget(t *testing.T) {
 	rel()
 }
 
+// TestMaxTenantsCardinalityGuard: the queue tracks maxTenants distinct
+// names and refuses the next new one.
 func TestMaxTenantsCardinalityGuard(t *testing.T) {
-	q := New(Options{Slots: 4, MaxTenants: 2})
-	for _, name := range []string{"a", "b"} {
-		rel, err := q.Acquire(context.Background(), name, 1)
+	q := New(Options{Slots: 4})
+	for i := 0; i < maxTenants; i++ {
+		rel, err := q.Acquire(context.Background(), fmt.Sprintf("t%d", i), 1)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("tenant %d of %d: %v", i+1, maxTenants, err)
 		}
 		rel()
 	}
-	_, err := q.Acquire(context.Background(), "c", 1)
+	_, err := q.Acquire(context.Background(), "one-too-many", 1)
 	mustQuota(t, err)
 }
 
