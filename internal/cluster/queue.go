@@ -26,14 +26,22 @@ type shard struct {
 	cancels  []context.CancelFunc // live attempts' contexts, canceled when one wins
 }
 
+// stealAfter is how long a healthy owner's current attempt must have
+// run before an idle peer may steal a shard still queued for it. While
+// every attempt finishes sooner, owners take their own queued shards
+// and each app's arena is built on one worker only; a straggler's
+// queue, or a long shard's, is taken once its attempt has run this
+// long.
+const stealAfter = 2 * time.Second
+
 // shardQueue is the coordinator's work pool: a mutex/cond queue that
 // prefers affinity (a worker takes its own shards first) but lets an
-// idle worker steal anyone's shard, so one slow or dead node cannot
-// strand the tail of a sweep. When hedging is enabled, an idle worker
-// with no queued work may also re-dispatch a straggling in-flight shard
-// (first result wins; the loser's context is canceled). outstanding
-// counts shards not yet merged (queued or in flight); when it hits
-// zero every waiter wakes and drains out.
+// idle worker steal from a straggling or quarantined owner, so one slow
+// or dead node cannot strand the tail of a sweep. When hedging is
+// enabled, an idle worker with no queued work may also re-dispatch a
+// straggling in-flight shard (first result wins; the loser's context
+// is canceled). outstanding counts shards not yet merged (queued or in
+// flight); when it hits zero every waiter wakes and drains out.
 type shardQueue struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -56,14 +64,15 @@ func newShardQueue(shards []*shard, hedgeAfter time.Duration) *shardQueue {
 }
 
 // take blocks until a shard is available to worker (affinity first,
-// then shards last tried elsewhere, then anything, then — with hedging
-// on — a straggling in-flight shard), the queue closes, or all work
-// completes; the latter two return nil. hedge reports that the shard is
-// a duplicate dispatch racing a live attempt. allowed gates admission
-// (the caller's node breaker): while false the worker waits without
-// taking work; poke wakes it to re-check after cooldowns (and to
-// re-evaluate hedge timers).
-func (q *shardQueue) take(worker string, allowed func() bool) (sh *shard, hedge bool) {
+// then shards last tried elsewhere, then anything it may steal, then —
+// with hedging on — a straggling in-flight shard), the queue closes, or
+// all work completes; the latter two return nil. hedge reports that the
+// shard is a duplicate dispatch racing a live attempt. allowed gates
+// admission (the caller's node breaker): while false the worker waits
+// without taking work; healthy reports whether a worker's breaker is
+// closed (see mayTake). poke wakes it to re-check after cooldowns (and
+// to re-evaluate steal and hedge timers).
+func (q *shardQueue) take(worker string, allowed func() bool, healthy func(string) bool) (sh *shard, hedge bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -71,7 +80,7 @@ func (q *shardQueue) take(worker string, allowed func() bool) (sh *shard, hedge 
 			return nil, false
 		}
 		if allowed == nil || allowed() {
-			if i := q.pick(worker); i >= 0 {
+			if i := q.pick(worker, healthy); i >= 0 {
 				sh := q.ready[i]
 				q.ready = append(q.ready[:i], q.ready[i+1:]...)
 				sh.running = 1
@@ -94,21 +103,39 @@ func (q *shardQueue) take(worker string, allowed func() bool) (sh *shard, hedge 
 // pick returns the index of the best shard for worker, or -1. Order
 // inside each preference class is FIFO, so placement order is honored
 // and reschedules go to the back half only by arrival time.
-func (q *shardQueue) pick(worker string) int {
+func (q *shardQueue) pick(worker string, healthy func(string) bool) int {
 	for i, sh := range q.ready {
 		if sh.preferred == worker {
 			return i
 		}
 	}
 	for i, sh := range q.ready {
-		if sh.last != worker {
+		if sh.last != worker && q.mayTake(sh, healthy) {
 			return i
 		}
 	}
-	if len(q.ready) > 0 {
-		return 0
+	for i, sh := range q.ready {
+		if q.mayTake(sh, healthy) {
+			return i
+		}
 	}
 	return -1
+}
+
+// mayTake reports whether a worker other than sh's owner may run it: a
+// shard that failed somewhere may go anywhere, and one still queued for
+// its owner only once the owner is quarantined or has run its current
+// attempt for stealAfter. Callers hold q.mu.
+func (q *shardQueue) mayTake(sh *shard, healthy func(string) bool) bool {
+	if sh.last != "" || !healthy(sh.preferred) {
+		return true
+	}
+	for in := range q.inflight {
+		if in.last == sh.preferred && time.Since(in.started) >= stealAfter {
+			return true
+		}
+	}
+	return false
 }
 
 // hedgeCandidate finds an in-flight shard worth duplicating: a single
