@@ -6,7 +6,10 @@
 // the queue bound, panic isolation, per-cell retries with a circuit
 // breaker, crash-safe sweep checkpoints, SIGTERM drain). A cell stops at
 // its next event once its timeout passes (504) or its client leaves
-// (499), and its machine serves the next cell.
+// (499), and its machine serves the next cell. -mem-budget bounds the
+// bytes of live workloads, cached or held by a running cell; a cell
+// whose workload does not fit, even with every idle cached one
+// evicted, is refused (503).
 //
 // Endpoints:
 //
@@ -59,7 +62,7 @@ func main() {
 		workers       = flag.Int("workers", 0, "concurrent simulation workers (0: NumCPU)")
 		logFmt        = flag.String("log", "text", "log format: text or json")
 		checkpointDir = flag.String("checkpoint-dir", "", "directory for crash-safe sweep journals (empty: disabled)")
-		memBudget     = flag.Int64("mem-budget", 0, "workload-cache byte budget driving brownout degradation (0: disabled)")
+		memBudget     = flag.Int64("mem-budget", 0, "byte budget over live workloads, cached or running; a cell that does not fit is refused with 503 (0: none)")
 	)
 	var tenantSpecs tenantFlags
 	flag.Var(&tenantSpecs, "tenant", "tenant config as name=weight[:cell_budget] (repeatable)")

@@ -32,8 +32,28 @@ import (
 // straggler's in-flight shard; the hedge must win, the loser's late
 // result must discard, and the merged grid must match the golden
 // corpus cell for cell — the double-dispatch is invisible in the
-// output, and the counters are exact.
+// output, and the counters are exact. The canceled loser here is a
+// LocalWorker, which answers its canceled cells as a result.
 func TestHedgedStragglerParity(t *testing.T) {
+	hedgedStragglerParity(t, func(name string, opt serve.Options) Worker { return newWorker(name, opt) })
+}
+
+// TestHedgedStragglerParityHTTP is TestHedgedStragglerParity over
+// HTTPWorkers, whose canceled loser fails with an error: a failure
+// racing a finished shard is neither a net fault nor a node failure.
+func TestHedgedStragglerParityHTTP(t *testing.T) {
+	hedgedStragglerParity(t, func(name string, opt serve.Options) Worker {
+		opt.Name = name
+		opt.Logger = quietLogger()
+		ts := httptest.NewServer(serve.New(opt))
+		t.Cleanup(ts.Close)
+		return NewHTTPWorker(name, ts.URL, nil)
+	})
+}
+
+// hedgedStragglerParity runs the hedging contract over workers that
+// mkWorker builds.
+func hedgedStragglerParity(t *testing.T, mkWorker func(name string, opt serve.Options) Worker) {
 	golden := readGoldenCorpus(t)
 	dir := t.TempDir()
 
@@ -54,8 +74,8 @@ func TestHedgedStragglerParity(t *testing.T) {
 		}
 		return nil
 	}
-	slow := newWorker(slowName, serve.Options{Workers: 1, FaultHook: slowHook, CheckpointDir: dir})
-	fast := newWorker(fastName, serve.Options{Workers: 2, CheckpointDir: dir})
+	slow := mkWorker(slowName, serve.Options{Workers: 1, FaultHook: slowHook, CheckpointDir: dir})
+	fast := mkWorker(fastName, serve.Options{Workers: 2, CheckpointDir: dir})
 
 	c, err := New(Options{
 		Workers:       []Worker{slow, fast},
@@ -88,6 +108,9 @@ func TestHedgedStragglerParity(t *testing.T) {
 	}
 
 	snap := c.Metrics()
+	if snap.NetFaults != 0 {
+		t.Errorf("net_faults %d, want 0: the canceled hedge loser is not a dead worker", snap.NetFaults)
+	}
 	if snap.Shards.Hedges != 1 || snap.Shards.HedgeWins != 1 {
 		t.Errorf("hedges=%d wins=%d, want exactly 1/1 (the straggler's shard, won by the clean peer)",
 			snap.Shards.Hedges, snap.Shards.HedgeWins)

@@ -222,6 +222,17 @@ func (e *ESP) Reset() {
 	e.lineScratch = e.lineScratch[:0]
 }
 
+// Unbind drops the engine's stream source and every slot's position in
+// it, the spare's included, so an idle engine keeps no workload alive.
+// Reset clears the rest before the next replay.
+func (e *ESP) Unbind() {
+	e.Src = nil
+	for _, s := range e.slots {
+		s.cur = trace.Cursor{}
+	}
+	e.spare.cur = trace.Cursor{}
+}
+
 // clearProfiles empties a study-profile slice while keeping its storage.
 func clearProfiles(ws []*mem.WorkingSet) []*mem.WorkingSet {
 	for i := range ws {

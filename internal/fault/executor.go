@@ -60,17 +60,18 @@ func (e *Executor) Retries() int64 { return e.retries.Load() }
 // run receives the 1-based attempt number. Retrying stops on success,
 // on a non-retryable error, when the attempt budget is exhausted, when
 // ctx is done, or when the breaker opens mid-retry. A run that sheds
-// (KindShed) refused the work, and a canceled one (KindCanceled) was
-// stopped because nobody waits for it; neither says anything about the
-// cell, so neither is counted as an attempt, records an outcome, or
-// keeps a half-open breaker's probe slot.
+// (KindShed) or that the memory budget refuses (KindBrownout) never did
+// the work, and a canceled one (KindCanceled) was stopped because
+// nobody waits for it; none says anything about the cell, so none is
+// counted as an attempt, records an outcome, keeps a half-open
+// breaker's probe slot, or is retried.
 func (e *Executor) Run(ctx context.Context, key string, run func(attempt int) error) Outcome {
 	if !e.breakers.Allow(key) {
 		return Outcome{Skipped: true, Err: ErrBreakerOpen}
 	}
 	for attempt := 1; ; attempt++ {
 		err := run(attempt)
-		if k := Classify(err); k == KindShed || k == KindCanceled {
+		if k := Classify(err); k == KindShed || k == KindBrownout || k == KindCanceled {
 			e.breakers.Release(key)
 			return Outcome{Attempts: attempt - 1, Err: err}
 		}

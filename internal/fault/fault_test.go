@@ -277,6 +277,14 @@ func TestExecutorCanceledIsNotAnAttempt(t *testing.T) {
 	checkNotAnAttempt(t, context.Canceled)
 }
 
+// TestExecutorMemoryRefusalIsNotAnAttempt: a cell refused because its
+// workload does not fit the memory budget says nothing about the cell,
+// so it is neither an attempt nor retried, and it never trips or holds
+// a breaker.
+func TestExecutorMemoryRefusalIsNotAnAttempt(t *testing.T) {
+	checkNotAnAttempt(t, sim.ErrMemory)
+}
+
 // checkNotAnAttempt drives runs that fail with refused through a
 // threshold-1 breaker: each reports zero attempts and feeds the breaker
 // nothing, and a refused half-open probe hands its slot back.

@@ -44,9 +44,9 @@ const (
 	// queue refused yet another distinct tenant name
 	// (tenantq.ErrQuota; espd maps it to 429).
 	KindQuota ErrorKind = "quota"
-	// KindBrownout: the daemon is degrading under memory pressure and
-	// refused work its brownout level does not admit
-	// (tenantq.ErrBrownout; espd maps it to 503).
+	// KindBrownout: the cell was refused because its workload does not
+	// fit the runner's live-byte memory budget, never attempted
+	// (sim.ErrMemory; espd maps it to 503).
 	KindBrownout ErrorKind = "brownout"
 	// KindShed: the work was dropped because it provably could not
 	// finish before its deadline — shed at admission or per cell, never
@@ -82,6 +82,8 @@ func Classify(err error) ErrorKind {
 		return KindPanic
 	case errors.Is(err, sim.ErrBuild):
 		return KindBuild
+	case errors.Is(err, sim.ErrMemory):
+		return KindBrownout
 	case errors.Is(err, trace.ErrBadTrace):
 		// A malformed trace is a materialization failure: the workload
 		// never existed, exactly like a build error.

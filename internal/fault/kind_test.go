@@ -27,13 +27,13 @@ func TestEverySentinelMapsToExactlyOneKind(t *testing.T) {
 		{"fault.ErrBreakerOpen", ErrBreakerOpen, KindBreakerOpen},
 		{"context.Canceled", context.Canceled, KindCanceled},
 		{"context.DeadlineExceeded", context.DeadlineExceeded, KindCanceled},
+		{"sim.ErrMemory", sim.ErrMemory, KindBrownout},
 		// The overload sentinels live in tenantq and the worker-down
 		// sentinel in cluster (both import this package), so the table
 		// exercises the kind-carrying constructor they are declared
 		// with; their own packages' tests pin the exported variables.
 		{"Sentinel(KindNet)", Sentinel("worker down", KindNet), KindNet},
 		{"Sentinel(KindQuota)", Sentinel("tenant quota exhausted", KindQuota), KindQuota},
-		{"Sentinel(KindBrownout)", Sentinel("brownout refused work", KindBrownout), KindBrownout},
 		{"Sentinel(KindShed)", Sentinel("deadline shed", KindShed), KindShed},
 	}
 	known := make(map[ErrorKind]bool)

@@ -8,9 +8,10 @@ import (
 
 // estimator predicts one cell's wall time from history, for
 // deadline-aware admission: an exponentially weighted moving average
-// per cell, keyed by cellKey. It deliberately under-promises — a cell
-// never seen at its size estimates zero (never shed), so shedding only
-// ever fires on evidence about that cell.
+// per cell, keyed by cellKey, for at most estimatorKeys cells. It
+// deliberately under-promises — a cell never seen at its size (or whose
+// entry made room for another) estimates zero (never shed), so shedding
+// only ever fires on evidence about that cell.
 type estimator struct {
 	mu     sync.Mutex
 	perKey map[string]time.Duration
@@ -20,6 +21,10 @@ type estimator struct {
 // shift within a few cells, low enough that one slow outlier does not
 // triple the estimate.
 const ewmaAlpha = 0.3
+
+// estimatorKeys bounds the cells the estimator remembers: clients choose
+// max_events and scale freely, so the keys they can send are unbounded.
+const estimatorKeys = 1024
 
 func newEstimator() *estimator {
 	return &estimator{perKey: make(map[string]time.Duration)}
@@ -43,9 +48,15 @@ func (e *estimator) observe(key string, wall time.Duration) {
 	defer e.mu.Unlock()
 	if prev, ok := e.perKey[key]; ok {
 		e.perKey[key] = prev + time.Duration(ewmaAlpha*float64(wall-prev))
-	} else {
-		e.perKey[key] = wall
+		return
 	}
+	if len(e.perKey) >= estimatorKeys {
+		for k := range e.perKey {
+			delete(e.perKey, k) // an arbitrary cell makes room
+			break
+		}
+	}
+	e.perKey[key] = wall
 }
 
 // cannotFinish is the shed predicate: true when the deadline has

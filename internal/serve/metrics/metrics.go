@@ -85,7 +85,8 @@ type Metrics struct {
 
 	// Overload layer: per-tenant quota refusals (429), cells shed
 	// because they provably could not meet their deadline (504), and
-	// work refused by the memory-pressure brownout (503).
+	// cells refused because their workload did not fit the memory
+	// budget (503).
 	QuotaRejected    atomic.Int64
 	DeadlineShed     atomic.Int64
 	BrownoutRejected atomic.Int64
@@ -115,15 +116,15 @@ type Engine struct {
 	WorkloadBuilds int64 `json:"workload_builds"`
 	WorkloadReuses int64 `json:"workload_cache_hits"`
 	WorkloadEvicts int64 `json:"workload_evictions"`
-	// WorkloadBypasses counts builds that skipped the cache under
-	// memory brownout; CacheBytes is the cache's accounted footprint
-	// (a gauge).
-	WorkloadBypasses int64 `json:"workload_bypasses"`
-	CacheBytes       int64 `json:"workload_cache_bytes"`
-	MachineBuilds    int64 `json:"machine_builds"`
-	MachineReuses    int64 `json:"machine_reuses"`
-	BuildWallMs      int64 `json:"build_wall_ms"`
-	SimWallMs        int64 `json:"sim_wall_ms"`
+	// LiveBytes is the accounted footprint of live workloads, cached or
+	// held by a running cell (a gauge); LivePeakBytes is its high-water
+	// mark.
+	LiveBytes     int64 `json:"workload_live_bytes"`
+	LivePeakBytes int64 `json:"workload_live_peak_bytes"`
+	MachineBuilds int64 `json:"machine_builds"`
+	MachineReuses int64 `json:"machine_reuses"`
+	BuildWallMs   int64 `json:"build_wall_ms"`
+	SimWallMs     int64 `json:"sim_wall_ms"`
 
 	// Sched aggregates responsiveness across every cell that ran under
 	// a materialized dispatch schedule; omitted until one has.
@@ -197,15 +198,12 @@ type Snapshot struct {
 		SweepConflict int64 `json:"sweep_conflicts"`
 	} `json:"resilience"`
 
-	// Overload reports the tenant-scale robustness layer: quota and
-	// brownout refusals, deadline sheds, and the brownout controller's
-	// current level (filled by the server).
+	// Overload reports the tenant-scale robustness layer in cells:
+	// quota refusals, deadline sheds, and memory-budget refusals.
 	Overload struct {
 		QuotaRejected    int64 `json:"quota_rejected"`
 		DeadlineShed     int64 `json:"deadline_shed"`
 		BrownoutRejected int64 `json:"brownout_rejected"`
-
-		Brownout *tenantq.BrownoutSnapshot `json:"brownout,omitempty"`
 	} `json:"overload"`
 
 	// Tenants is the per-tenant breakdown: gauges (queue depth,

@@ -2,7 +2,7 @@ package serve
 
 // Overload-robustness tests: tenant fair queueing under saturation,
 // deadline-aware shedding (including the zero-simulation sweep fast
-// path), per-tenant quotas, and memory-pressure brownout degradation.
+// path), per-tenant quotas, and the memory budget's refusals.
 // Every test ends with assertDrained, so the new admission paths join
 // the leak contract the rest of the suite enforces.
 
@@ -12,13 +12,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"espsim/internal/eventq"
 	"espsim/internal/serve/metrics"
 	"espsim/internal/sim"
 	"espsim/internal/tenantq"
+	"espsim/internal/workload"
 )
 
 // snapshotAdmitted reads per-tenant admitted-cell counts.
@@ -227,6 +230,23 @@ func TestRunDeadlineEvidenceIsPerSize(t *testing.T) {
 	assertDrained(t, s)
 }
 
+// TestEstimatorBounded: however many distinct cell sizes clients send,
+// the estimator remembers at most estimatorKeys of them, and the newest
+// evidence is among those it keeps.
+func TestEstimatorBounded(t *testing.T) {
+	e := newEstimator()
+	for i := 0; i < 10000; i++ {
+		e.observe(cellKey("amazon", "base", i, 1+float64(i%7)/8), time.Second)
+	}
+	if n := len(e.perKey); n > estimatorKeys {
+		t.Fatalf("10000 distinct cells left %d estimator entries, want at most %d", n, estimatorKeys)
+	}
+	last := cellKey("amazon", "base", 9999, 1+float64(9999%7)/8)
+	if !e.cannotFinish(last, time.Now().Add(time.Millisecond), time.Now()) {
+		t.Fatal("the newest cell's evidence was dropped")
+	}
+}
+
 // TestTenantQuotaAndHeader: a tenant's cumulative cell budget refuses
 // the overflow with 429 (kind quota, counted per tenant and globally),
 // the X-ESP-Tenant header is honored, and a header/body disagreement is
@@ -325,65 +345,178 @@ func TestQuotaRefusalsCountCells(t *testing.T) {
 	assertDrained(t, s)
 }
 
-// TestBrownoutDegradationAndRecovery: with a memory budget far below
-// one workload, the first cached build drives the controller to its
-// deepest level — unbounded requests get 503, small bounded ones still
-// run (uncached, counted as bypasses) — and once the trim has the
-// footprint back under the exit watermarks, the controller walks back
-// to normal on its own.
-func TestBrownoutDegradationAndRecovery(t *testing.T) {
-	// The budget is exactly one 32-event amazon workload: the runner's
-	// own eviction leaves the cache at 100% of budget (past every entry
-	// watermark), which is precisely the sustained pressure the
-	// controller exists for.
-	wl, _, err := resolve(sim.NewRunner(), RunRequest{App: "amazon", Config: "base", MaxEvents: 32})
+// arenaBytes is the accounted size of the workload a cell of app at
+// maxEvents replays, as the server's runner builds it.
+func arenaBytes(t *testing.T, app string, maxEvents int) int64 {
+	t.Helper()
+	prof, err := workload.ByName(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Recovery steps down one level per four calm 200 ms ticks: the
-	// browned-out window is far wider than the assertions inside it,
-	// and full recovery takes about 2.4 s.
-	s := testServer(t, Options{Workers: 2, MemBudget: wl.Bytes()})
-	defer s.Close()
-
-	// First run caches a workload and blows the budget.
-	if rec := post(t, s, "/run", RunRequest{App: "amazon", Config: "base", MaxEvents: 32, Tenant: "heavy"}); rec.Code != http.StatusOK {
-		t.Fatalf("first run: status %d: %s", rec.Code, rec.Body.String())
-	}
-	waitFor(t, func() bool { return s.brown.Level() == tenantq.BrownSmallOnly })
-
-	// Unbounded work is refused while browned out...
-	rec := post(t, s, "/run", RunRequest{App: "bing", Config: "base", Tenant: "heavy"})
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("unbounded run under brownout: status %d, want 503: %s", rec.Code, rec.Body.String())
-	}
-	if got := s.met.BrownoutRejected.Load(); got != 1 {
-		t.Errorf("BrownoutRejected counter %d, want 1", got)
-	}
-	// ...but small bounded grids still serve, bypassing the cache.
-	if rec := post(t, s, "/run", RunRequest{App: "bing", Config: "base", MaxEvents: 8, Tenant: "heavy"}); rec.Code != http.StatusOK {
-		t.Fatalf("small run under brownout: status %d: %s", rec.Code, rec.Body.String())
-	}
-	if got := s.runner.Perf().WorkloadBypasses; got == 0 {
-		t.Error("brownout run did not bypass the workload cache")
-	}
-
-	// The trim emptied the cache, so calm observations walk the
-	// controller back down to normal and caching resumes.
-	waitFor(t, func() bool { return s.brown.Level() == tenantq.BrownNormal })
-	if rec := post(t, s, "/run", RunRequest{App: "bing", Config: "base", Tenant: "heavy"}); rec.Code != http.StatusOK {
-		t.Fatalf("unbounded run after recovery: status %d: %s", rec.Code, rec.Body.String())
-	}
-
-	var snap metrics.Snapshot
-	if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &snap); err != nil {
+	w, err := sim.NewRunner().WorkloadSched(prof, maxEvents, eventq.SchedFIFO, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Overload.Brownout == nil {
-		t.Fatal("/metrics overload.brownout missing with a memory budget set")
+	return w.Bytes()
+}
+
+// TestMemoryBudgetSweeps: one worker serves 16 sequential base+NL
+// sweeps under a memory budget. A working set that fits the budget is
+// built once per app and served from the cache from then on; one that
+// does not fit thrashes the cache, but every cell still runs, because
+// one worker holds one workload at a time and an idle one always
+// makes room.
+func TestMemoryBudgetSweeps(t *testing.T) {
+	const maxEvents = 32
+	sizes := map[string]int64{}
+	for _, app := range []string{"amazon", "bing", "pixlr"} {
+		sizes[app] = arenaBytes(t, app, maxEvents)
 	}
-	if snap.Overload.Brownout.Escalations == 0 || snap.Overload.Brownout.Recoveries == 0 {
-		t.Errorf("brownout snapshot %+v, want escalations and recoveries counted", *snap.Overload.Brownout)
+	budget := (sizes["amazon"] + sizes["bing"]) * 100 / 96
+	if sizes["amazon"]+sizes["bing"]+sizes["pixlr"] <= budget {
+		t.Fatalf("three arenas of %v fit the %d-byte budget", sizes, budget)
+	}
+	for _, tc := range []struct {
+		apps   []string
+		builds int64 // 0: any
+	}{
+		{[]string{"amazon", "bing"}, 2},
+		{[]string{"amazon", "bing", "pixlr"}, 0},
+	} {
+		s := testServer(t, Options{Workers: 1, MemBudget: budget})
+		for i := 0; i < 16; i++ {
+			rec := post(t, s, "/sweep", SweepRequest{Apps: tc.apps, Configs: []string{"base", "NL"}, MaxEvents: maxEvents})
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%v sweep %d: status %d: %s", tc.apps, i, rec.Code, rec.Body.String())
+			}
+			var resp SweepResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			for _, cell := range resp.Cells {
+				if cell.Result == nil {
+					t.Fatalf("%v sweep %d: cell %s/%s failed: %s (%s)", tc.apps, i, cell.App, cell.Config, cell.Error, cell.ErrorKind)
+				}
+			}
+		}
+		if got := s.runner.Perf().WorkloadBuilds; tc.builds > 0 && got != tc.builds {
+			t.Errorf("%v under a budget they fit: %d builds, want %d", tc.apps, got, tc.builds)
+		}
+		if got := s.met.BrownoutRejected.Load(); got != 0 {
+			t.Errorf("%v: %d cells refused for memory, want 0", tc.apps, got)
+		}
+		assertDrained(t, s)
+	}
+}
+
+// TestMemoryBudgetConcurrentRuns: more clients than workers run cells
+// of distinct apps at once under a budget of about two arenas, each
+// replay stalled so that three cells run together. A cell
+// whose workload does not fit beside the ones running is refused with
+// 503, counted in brownout_rejected and its tenant's rejected_brownout,
+// and live bytes never pass the budget.
+func TestMemoryBudgetConcurrentRuns(t *testing.T) {
+	const maxEvents = 16
+	apps := []string{"amazon", "bing", "cnn", "pixlr"}
+	sizes := make([]int64, len(apps))
+	for i, app := range apps {
+		sizes[i] = arenaBytes(t, app, maxEvents)
+	}
+	slices.Sort(sizes)
+	// Any two arenas fit, and no three do.
+	budget := sizes[len(sizes)-1] + sizes[len(sizes)-2]
+	if three := sizes[0] + sizes[1] + sizes[2]; three <= budget {
+		t.Fatalf("three arenas (%d bytes) fit the %d-byte budget", three, budget)
+	}
+	stall := func(pt sim.FaultPoint) error {
+		if pt.Op == "run" {
+			time.Sleep(200 * time.Millisecond)
+		}
+		return nil
+	}
+	s := testServer(t, Options{Workers: len(apps) - 1, MemBudget: budget, FaultHook: stall})
+	codes := make(chan int, len(apps))
+	var wg sync.WaitGroup
+	for _, app := range apps {
+		wg.Add(1)
+		go func(app string) {
+			defer wg.Done()
+			codes <- post(t, s, "/run", RunRequest{App: app, Config: "base", MaxEvents: maxEvents}).Code
+		}(app)
+	}
+	wg.Wait()
+	close(codes)
+	ok, refused := 0, 0
+	for code := range codes {
+		switch code {
+		case http.StatusOK:
+			ok++
+		case http.StatusServiceUnavailable:
+			refused++
+		default:
+			t.Errorf("status %d, want 200 or 503", code)
+		}
+	}
+	if ok == 0 || refused == 0 {
+		t.Errorf("%d runs answered 200 and %d 503, want some of each", ok, refused)
+	}
+	snap := metricsSnapshot(t, s)
+	if snap.Overload.BrownoutRejected != int64(refused) {
+		t.Errorf("brownout_rejected %d, want the %d refused runs", snap.Overload.BrownoutRejected, refused)
+	}
+	for _, row := range snap.Tenants {
+		if row.RejectedBrownout != int64(refused) {
+			t.Errorf("tenant %s rejected_brownout %d, want %d", row.Tenant, row.RejectedBrownout, refused)
+		}
+	}
+	if snap.Engine.LivePeakBytes > budget || snap.Engine.LiveBytes > budget {
+		t.Errorf("live workloads peaked at %d bytes (now %d), past the %d-byte budget",
+			snap.Engine.LivePeakBytes, snap.Engine.LiveBytes, budget)
+	}
+	assertDrained(t, s)
+}
+
+// TestMemoryBudgetBelowOneArena: with a budget smaller than any arena,
+// every cell is refused and none is attempted. /run answers 503; each
+// sweep builds its batch's workload once and answers every cell with
+// kind brownout and no attempt, so however many sweeps it refuses, the
+// cell breakers never trip.
+func TestMemoryBudgetBelowOneArena(t *testing.T) {
+	const maxEvents = 16
+	s := testServer(t, Options{Workers: 1, MemBudget: arenaBytes(t, "amazon", maxEvents) / 2})
+	rec := post(t, s, "/run", RunRequest{App: "amazon", Config: "base", MaxEvents: maxEvents})
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("run past the budget: status %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	const sweeps = breakerThreshold + 1
+	configs := []string{"base", "NL", "ESP+NL"}
+	for i := 0; i < sweeps; i++ {
+		rec := post(t, s, "/sweep", SweepRequest{Apps: []string{"amazon"}, Configs: configs, MaxEvents: maxEvents})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("sweep %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		var resp SweepResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range resp.Cells {
+			if cell.ErrorKind != "brownout" || cell.Attempts != 0 || cell.Result != nil {
+				t.Fatalf("sweep %d: cell %s/%s: kind %q attempts %d, want brownout and 0", i, cell.App, cell.Config, cell.ErrorKind, cell.Attempts)
+			}
+		}
+	}
+	snap := metricsSnapshot(t, s)
+	if snap.Resilience.BreakerTrips != 0 {
+		t.Errorf("%d breaker trips from refused cells, want 0", snap.Resilience.BreakerTrips)
+	}
+	if want := int64(1 + sweeps); snap.Engine.WorkloadBuilds != want {
+		t.Errorf("%d workload builds, want %d: one per refused run or batch", snap.Engine.WorkloadBuilds, want)
+	}
+	if want := int64(1 + sweeps*len(configs)); snap.Overload.BrownoutRejected != want {
+		t.Errorf("brownout_rejected %d, want %d refused cells", snap.Overload.BrownoutRejected, want)
+	}
+	if snap.Engine.LiveBytes != 0 || snap.Engine.LivePeakBytes != 0 {
+		t.Errorf("refused workloads left %d live bytes (peak %d), want 0", snap.Engine.LiveBytes, snap.Engine.LivePeakBytes)
 	}
 	assertDrained(t, s)
 }

@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -345,8 +346,8 @@ func scaledProfile(app string, scale float64) (workload.Profile, error) {
 
 // traceWorkload decodes an inline base64 ESPT trace under lim and
 // materializes it under the requested dispatch policy (v2 traces carry
-// per-event scheduling metadata). Inline traces bypass the LRU cache
-// (they have no stable identity), but still share the pooled machines.
+// per-event scheduling metadata). Inline traces are not cached (they
+// have no stable identity), but still share the pooled machines.
 func traceWorkload(traceB64 string, maxEvents int, policy esp.SchedPolicy, lim trace.Limits) (*sim.Workload, error) {
 	raw, err := base64.StdEncoding.DecodeString(traceB64)
 	if err != nil {
@@ -359,32 +360,42 @@ func traceWorkload(traceB64 string, maxEvents int, policy esp.SchedPolicy, lim t
 	return sim.MaterializeSourceSched("trace", &eventq.TraceSource{Events: events}, maxEvents, policy)
 }
 
-// resolve turns one validated (app-or-trace, config) pair into the two
-// planes a runner needs. Preset workloads go through the runner's LRU
-// cache keyed by (profile, MaxEvents, policy, queue depth) — which
-// subsumes (app, scale), since scale changes the profile value — so
-// concurrent requests share one materialized arena, built only as deep
-// as the cell's MaxPending reads. A name, knob, or inline trace that
-// does not resolve is ErrInvalid; a preset that fails to build is the
-// runner's own error (sim.ErrBuild, retryable).
-func resolve(r *sim.Runner, req RunRequest) (*sim.Workload, esp.Config, error) {
+// cellRun replays one resolved cell on a runner under ctx, labelled
+// label.
+type cellRun func(ctx context.Context, label string) (esp.Result, error)
+
+// resolve turns one validated (app-or-trace, config) pair into the
+// name its workload runs under, its machine configuration and its
+// replay. A preset replays through the runner's LRU cache keyed by
+// (profile, MaxEvents, policy, queue depth) — which subsumes (app,
+// scale), since scale changes the profile value — so concurrent
+// requests share one materialized arena, built only as deep as the
+// cell's MaxPending reads. An inline trace is materialized here and
+// held by the runner only for its replay. A name, knob, or inline trace
+// that does not resolve is ErrInvalid; a preset that fails to build
+// fails its replay with the runner's own error (sim.ErrBuild,
+// retryable).
+func resolve(r *sim.Runner, req RunRequest) (string, esp.Config, cellRun, error) {
 	cfg, err := cellConfig(req.Config, req.Sched, req.MaxEvents, req.MaxPending)
 	if err != nil {
-		return nil, esp.Config{}, invalid(err)
+		return "", esp.Config{}, nil, invalid(err)
 	}
 	if req.TraceB64 != "" {
 		w, err := traceWorkload(req.TraceB64, cfg.MaxEvents, cfg.Sched, traceLimits)
 		if err != nil {
-			return nil, esp.Config{}, invalid(err)
+			return "", esp.Config{}, nil, invalid(err)
 		}
-		return w, cfg, nil
+		return w.App, cfg, func(ctx context.Context, label string) (esp.Result, error) {
+			return r.RunWorkload(ctx, label, w, cfg)
+		}, nil
 	}
 	prof, err := scaledProfile(req.App, req.Scale)
 	if err != nil {
-		return nil, esp.Config{}, invalid(err)
+		return "", esp.Config{}, nil, invalid(err)
 	}
-	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched, cfg.MaxPending)
-	return w, cfg, err
+	return prof.Name, cfg, func(ctx context.Context, label string) (esp.Result, error) {
+		return r.RunCell(ctx, label, prof, cfg)
+	}, nil
 }
 
 // workloadName is the name a cell's workload runs and is estimated

@@ -48,10 +48,11 @@ type Options struct {
 	// Tenants configures named tenants; any other tenant gets weight 1
 	// and no cell budget.
 	Tenants map[string]tenantq.TenantConfig
-	// MemBudget bounds the workload cache in accounted bytes and arms
-	// the brownout controller: past its watermarks the daemon stops
-	// caching new workloads, halves concurrency, then admits only small
-	// bounded grids — degrading instead of dying. 0 disables both.
+	// MemBudget bounds live workloads in accounted bytes: the cached
+	// ones and those a running cell holds, inline traces included. A
+	// workload that does not fit even with every idle cached one evicted
+	// is dropped, and its cell refused with 503 (kind brownout). 0: no
+	// byte bound; the cache still keeps at most 32 workloads.
 	MemBudget int64
 }
 
@@ -62,7 +63,7 @@ const (
 	// Workers+queueDepth is refused with 429.
 	queueDepth = 64
 	// workloadCap bounds the runner's LRU workload cache in materialized
-	// arenas.
+	// arenas, the only bound on it when MemBudget is 0.
 	workloadCap = 32
 	// defaultTimeout bounds one cell's simulation when the request does
 	// not set timeout_ms.
@@ -71,10 +72,6 @@ const (
 	// cell, for breakerCooldown before a half-open probe is admitted.
 	breakerThreshold = 5
 	breakerCooldown  = 30 * time.Second
-	// smallGridMax is the largest cells×max_events product the deepest
-	// brownout level still admits; requests without an explicit
-	// max_events bound are never "small".
-	smallGridMax = 4096
 )
 
 func (o Options) withDefaults() Options {
@@ -110,13 +107,8 @@ type Server struct {
 	tickets chan struct{}
 	tq      *tenantq.Queue
 
-	// est predicts cell wall times for deadline-aware admission; brown
-	// is the memory-pressure controller (nil when MemBudget is 0).
-	est   *estimator
-	brown *tenantq.Brownout
-
-	stop     chan struct{}
-	stopOnce sync.Once
+	// est predicts cell wall times for deadline-aware admission.
+	est *estimator
 
 	// exec wraps every sweep cell in the recovery stack: breaker
 	// admission, bounded retries with jittered backoff.
@@ -146,7 +138,6 @@ func New(opt Options) *Server {
 		met:          metrics.New(),
 		tickets:      make(chan struct{}, opt.Workers+queueDepth),
 		est:          newEstimator(),
-		stop:         make(chan struct{}),
 		activeSweeps: make(map[string]struct{}),
 		openJournals: make(map[string]*sweepJournal),
 		mux:          http.NewServeMux(),
@@ -155,13 +146,9 @@ func New(opt Options) *Server {
 	breakers := fault.NewBreakerSet(breakerThreshold, breakerCooldown)
 	s.exec = fault.NewExecutor(fault.RetryPolicy{}, breakers, fault.Retryable, 1)
 	s.runner.SetWorkloadCap(workloadCap)
+	s.runner.SetWorkloadBudget(opt.MemBudget)
 	if opt.FaultHook != nil {
 		s.runner.SetFaultHook(opt.FaultHook)
-	}
-	if opt.MemBudget > 0 {
-		s.brown = tenantq.NewBrownout(opt.MemBudget)
-		s.runner.SetWorkloadBudget(opt.MemBudget)
-		go s.brownoutLoop()
 	}
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
@@ -179,9 +166,7 @@ func New(opt Options) *Server {
 // sweep, so the journal on disk ends bit-complete with no torn tail
 // for the resuming daemon (or a coordinator handoff) to truncate.
 // Journal closes are idempotent, making the handler/Close race safe.
-// It also stops the brownout observation loop.
 func (s *Server) Close() error {
-	s.stopOnce.Do(func() { close(s.stop) })
 	s.sweepMu.Lock()
 	open := make(map[string]*sweepJournal, len(s.openJournals))
 	for id, jr := range s.openJournals {
@@ -245,45 +230,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// observeBrownout feeds the controller the cache's accounted footprint
-// and translates the level it lands on into engine knobs. Called
-// synchronously on every admission (so pressure reacts within one
-// request) and from the background loop (so recovery happens while
-// idle). The knobs are cheap sets, so re-applying the current level on
-// every observation costs nothing and needs no state.
-func (s *Server) observeBrownout() tenantq.BrownoutLevel {
-	if s.brown == nil {
-		return tenantq.BrownNormal
-	}
-	level := s.brown.Observe(s.runner.CacheBytes())
-	s.runner.SetCacheAdmit(level < tenantq.BrownNoCache)
-	if level >= tenantq.BrownNoCache {
-		s.runner.TrimWorkloadCache(s.brown.TrimTarget())
-	}
-	s.tq.SetDegraded(level >= tenantq.BrownHalfConcurrency)
-	return level
-}
-
-// brownoutInterval is the background observation cadence: how quickly
-// the brownout controller notices recovery while the daemon idles
-// (admissions also observe synchronously).
-const brownoutInterval = 200 * time.Millisecond
-
-// brownoutLoop re-observes on a timer so the controller walks back down
-// through its hysteresis while no requests arrive. Stopped by Close.
-func (s *Server) brownoutLoop() {
-	tick := time.NewTicker(brownoutInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			s.observeBrownout()
-		case <-s.stop:
-			return
-		}
-	}
-}
-
 // begin opens a POST endpoint: method check, request counter, the
 // drain gate (503 while draining), and a bounded body. ok false means
 // the response is written; otherwise exit must run when the handler
@@ -324,19 +270,12 @@ type grid struct {
 }
 
 // admit is the refusal ladder every request climbs, cheapest refusal
-// first: brownout (the deepest level admits only grids whose
-// cells×max_events stays within smallGridMax; an unbounded max_events
-// is never small), deadline shed (every cell provably misses the
-// deadline, so nothing is simulated), then a queue ticket. A refusal
-// comes back accounted, its fault.ErrorKind choosing the status;
-// otherwise release must be called exactly once.
+// first: deadline shed (every cell provably misses the deadline, so
+// nothing is simulated), then a queue ticket. A refusal comes back
+// accounted, its fault.ErrorKind choosing the status; otherwise release
+// must be called exactly once.
 func (s *Server) admit(g grid) (release func(), err error) {
 	cells := len(g.apps) * len(g.configs)
-	small := g.maxEvents > 0 && cells*g.maxEvents <= smallGridMax
-	if level := s.observeBrownout(); level >= tenantq.BrownSmallOnly && !small {
-		return nil, s.refuse(g.tenant, fmt.Errorf("%w (%s): only grids with cells*max_events <= %d are admitted",
-			tenantq.ErrBrownout, level, smallGridMax), cells)
-	}
 	if s.allShed(g) {
 		return nil, s.refuse(g.tenant, fmt.Errorf("%w: no cell can finish within the deadline", tenantq.ErrDeadlineShed), cells)
 	}
@@ -377,9 +316,9 @@ var errQueueFull = fault.Sentinel("serve: queue full", fault.KindQuota)
 // tenantq counts its own quota refusals per tenant.
 func (s *Server) refuse(tenant string, err error, cells int) error {
 	switch {
-	case errors.Is(err, tenantq.ErrBrownout):
-		s.met.BrownoutRejected.Add(1)
-		s.tq.CountBrownout(tenant)
+	case errors.Is(err, sim.ErrMemory):
+		s.met.BrownoutRejected.Add(int64(cells))
+		s.tq.CountBrownout(tenant, int64(cells))
 	case errors.Is(err, tenantq.ErrDeadlineShed):
 		s.met.DeadlineShed.Add(int64(cells))
 		s.tq.CountShed(tenant, int64(cells))
@@ -397,25 +336,31 @@ func (s *Server) refuse(tenant string, err error, cells int) error {
 // left too little of the deadline, and replays it on the calling
 // goroutine under ctx bounded by timeout and by what remains of the
 // deadline, so the cell stops when either passes or ctx ends (its
-// client left). It records the cell's metrics and feeds the wall time
-// to the estimator. op ("run" or "sweep") prefixes the cell's label.
+// client left). The time bounds a preset's workload lookup or build as
+// well as its replay. A cell whose workload does not fit the memory
+// budget is refused. It records the cell's metrics and feeds the wall
+// time to the estimator. op ("run" or "sweep") prefixes the cell's
+// label.
 func (s *Server) runCell(ctx context.Context, tenant, op string, c RunRequest, timeout time.Duration, deadline time.Time) (esp.Result, error) {
-	wl, cfg, err := resolve(s.runner, c)
+	app, cfg, run, err := resolve(s.runner, c)
 	if err != nil {
 		return esp.Result{}, err
 	}
-	key := cellKey(wl.App, cfg.Name, c.MaxEvents, c.Scale)
+	key := cellKey(app, cfg.Name, c.MaxEvents, c.Scale)
 	start := time.Now()
 	if !deadline.IsZero() {
 		if s.est.cannotFinish(key, deadline, start) {
 			return esp.Result{}, s.refuse(tenant, fmt.Errorf("%w: %s/%s cannot finish within what queueing left of the deadline",
-				tenantq.ErrDeadlineShed, wl.App, cfg.Name), 1)
+				tenantq.ErrDeadlineShed, app, cfg.Name), 1)
 		}
 		timeout = min(timeout, deadline.Sub(start))
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
-	res, err := s.runner.RunWorkload(ctx, op+"/"+wl.App+"/"+cfg.Name, wl, cfg)
+	res, err := run(ctx, op+"/"+app+"/"+cfg.Name)
 	cancel()
+	if errors.Is(err, sim.ErrMemory) {
+		return esp.Result{}, s.refuse(tenant, err, 1)
+	}
 	wall := time.Since(start)
 	s.met.CellLatency.Observe(wall)
 	timedOut := errors.Is(err, sim.ErrTimeout)
@@ -668,16 +613,24 @@ func (s *Server) untrackJournal(id string, jr *sweepJournal) {
 // stack: breaker admission (a quarantined cell is skipped, not
 // attempted), bounded retries with backoff for retryable failures,
 // structured per-cell errors, and a journal append for every success.
-// The workload is materialized (or LRU-hit) once for the whole batch.
-// A cell that provably cannot finish by the request deadline is shed
-// (never simulated) so the rest of the grid comes back as partial
-// results.
+// The workload is materialized (or LRU-hit) once for the whole batch:
+// once its build is refused for memory, the batch's remaining cells
+// fail with that refusal instead of building again. A cell that
+// provably cannot finish by the request deadline is shed (never
+// simulated) so the rest of the grid comes back as partial results.
 func (s *Server) runBatch(ctx context.Context, tenant string, req SweepRequest, batch []SweepCell, deadline time.Time, jr *sweepJournal) {
 	timeout := timeoutOf(req.TimeoutMs)
+	var refused error
 	for ci := range batch {
 		cell := &batch[ci]
 		if cell.Result != nil {
 			continue // resumed from the journal
+		}
+		if refused != nil {
+			s.refuse(tenant, refused, 1)
+			cell.Error = refused.Error()
+			cell.ErrorKind = string(fault.KindBrownout)
+			continue
 		}
 		if ctx.Err() != nil {
 			// The client is gone: stop burning worker time. Journaled
@@ -713,6 +666,9 @@ func (s *Server) runBatch(ctx context.Context, tenant string, req SweepRequest, 
 		if out.Err != nil {
 			cell.Error = out.Err.Error()
 			cell.ErrorKind = string(fault.Classify(out.Err))
+			if errors.Is(out.Err, sim.ErrMemory) {
+				refused = out.Err
+			}
 			continue
 		}
 		cell.Result = &res
@@ -783,17 +739,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.met.Snapshot()
 	snap.Node = s.opt.Name
 	perf := s.runner.Perf()
+	live, peak := s.runner.LiveBytes()
 	snap.Engine = metrics.Engine{
-		Cells:            perf.Cells,
-		WorkloadBuilds:   perf.WorkloadBuilds,
-		WorkloadReuses:   perf.WorkloadReuses,
-		WorkloadEvicts:   perf.WorkloadEvicts,
-		WorkloadBypasses: perf.WorkloadBypasses,
-		CacheBytes:       s.runner.CacheBytes(),
-		MachineBuilds:    perf.MachineBuilds,
-		MachineReuses:    perf.MachineReuses,
-		BuildWallMs:      perf.BuildWall.Milliseconds(),
-		SimWallMs:        perf.SimWall.Milliseconds(),
+		Cells:          perf.Cells,
+		WorkloadBuilds: perf.WorkloadBuilds,
+		WorkloadReuses: perf.WorkloadReuses,
+		WorkloadEvicts: perf.WorkloadEvicts,
+		LiveBytes:      live,
+		LivePeakBytes:  peak,
+		MachineBuilds:  perf.MachineBuilds,
+		MachineReuses:  perf.MachineReuses,
+		BuildWallMs:    perf.BuildWall.Milliseconds(),
+		SimWallMs:      perf.SimWall.Milliseconds(),
 	}
 	if perf.SchedCells > 0 {
 		se := &metrics.SchedEngine{
@@ -827,10 +784,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.Queue.Capacity = cap(s.tickets)
 	snap.Queue.Workers = s.opt.Workers
 	snap.Tenants = s.tq.Snapshot()
-	if s.brown != nil {
-		bs := s.brown.Snapshot()
-		snap.Overload.Brownout = &bs
-	}
 	breakers := s.exec.Breakers()
 	snap.Resilience.Retries = s.exec.Retries()
 	snap.Resilience.BreakerTrips = breakers.Trips()

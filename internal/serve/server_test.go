@@ -382,7 +382,7 @@ func TestHTTPStatusCoversEveryKind(t *testing.T) {
 		ErrInvalid:              http.StatusBadRequest,
 		errQueueFull:            http.StatusTooManyRequests,
 		tenantq.ErrQuota:        http.StatusTooManyRequests,
-		tenantq.ErrBrownout:     http.StatusServiceUnavailable,
+		sim.ErrMemory:           http.StatusServiceUnavailable,
 		tenantq.ErrDeadlineShed: http.StatusGatewayTimeout,
 		context.Canceled:        statusClientGone,
 		sim.ErrTimeout:          http.StatusGatewayTimeout,

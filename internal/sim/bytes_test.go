@@ -2,6 +2,9 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
 
 	"espsim/internal/trace"
@@ -71,8 +74,8 @@ func TestWorkloadBytesPerInst(t *testing.T) {
 }
 
 // TestRunnerByteBudget: with a budget that fits roughly one workload,
-// the cache evicts under pressure, the accounted footprint stays at or
-// below budget once builds settle, and every run still succeeds.
+// the cache evicts under pressure, live bytes never pass the budget,
+// and every run still succeeds.
 func TestRunnerByteBudget(t *testing.T) {
 	r := NewRunner()
 	profs := smallSuite()
@@ -88,8 +91,8 @@ func TestRunnerByteBudget(t *testing.T) {
 			if _, err := r.RunCell(context.Background(), p.Name, p, espConfig()); err != nil {
 				t.Fatalf("run %s: %v", p.Name, err)
 			}
-			if got := r.CacheBytes(); got > budget {
-				t.Fatalf("cache footprint %d exceeds budget %d", got, budget)
+			if live, _ := r.LiveBytes(); live > budget {
+				t.Fatalf("live workloads take %d bytes, past the %d-byte budget", live, budget)
 			}
 		}
 	}
@@ -102,88 +105,196 @@ func TestRunnerByteBudget(t *testing.T) {
 	}
 }
 
-// TestRunnerCacheAdmit: with admission off, misses build uncached
-// (counted as bypasses, no reuse, footprint flat) while already-cached
-// entries keep serving; turning admission back on restores caching.
-func TestRunnerCacheAdmit(t *testing.T) {
-	r := NewRunner()
-	profs := smallSuite()
-	if _, err := r.Workload(profs[0], 0); err != nil {
-		t.Fatal(err)
-	}
-	cached := r.CacheBytes()
-	if cached <= 0 {
-		t.Fatalf("cached build accounted %d bytes", cached)
-	}
-
-	r.SetCacheAdmit(false)
-	for i := 0; i < 2; i++ {
-		if _, err := r.Workload(profs[1], 0); err != nil {
+// workloadSizes is the accounted size of each profile's full workload.
+func workloadSizes(t *testing.T, profs []workload.Profile) []int64 {
+	t.Helper()
+	sizes := make([]int64, len(profs))
+	for i, p := range profs {
+		w, err := NewWorkload(p, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sizes[i] = w.Bytes()
 	}
-	if got := r.CacheBytes(); got != cached {
-		t.Fatalf("bypass builds grew the cache: %d -> %d", cached, got)
-	}
-	perf := r.Perf()
-	if perf.WorkloadBypasses != 2 {
-		t.Fatalf("counted %d bypasses, want 2", perf.WorkloadBypasses)
-	}
-	// The cached entry still serves while admission is off.
-	if _, err := r.Workload(profs[0], 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Perf().WorkloadReuses; got != 1 {
-		t.Fatalf("cached entry reused %d times under brownout, want 1", got)
-	}
+	return sizes
+}
 
-	r.SetCacheAdmit(true)
-	if _, err := r.Workload(profs[1], 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.CacheBytes(); got <= cached {
-		t.Fatalf("cache did not grow after admission restored: %d", got)
+// holdDuringRun makes r's replays of app block in the fault hook until
+// release is called, at the latest when the test ends, so a test can act
+// while a cell holds app's workload; entered receives once per blocked
+// replay.
+func holdDuringRun(t *testing.T, r *Runner, app string) (entered <-chan struct{}, release func()) {
+	in, out := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(out) }) }
+	t.Cleanup(release)
+	r.SetFaultHook(func(pt FaultPoint) error {
+		if pt.Op == "run" && pt.App == app {
+			select {
+			case in <- struct{}{}:
+				<-out
+			case <-out:
+			}
+		}
+		return nil
+	})
+	return in, release
+}
+
+// TestHeldWorkloadIsNotEvicted: while a cell replays a workload, neither
+// the entry cap nor the byte budget evicts it, however many other
+// workloads pass through the cache, and a second lookup of its key
+// reuses it without building it again.
+func TestHeldWorkloadIsNotEvicted(t *testing.T) {
+	profs := smallSuite()
+	sizes := workloadSizes(t, profs)
+	for _, bound := range []string{"cap", "budget"} {
+		t.Run(bound, func(t *testing.T) {
+			r := NewRunner()
+			if bound == "cap" {
+				r.SetWorkloadCap(1)
+			} else {
+				r.SetWorkloadBudget(sizes[0] + max(sizes[1], sizes[2]))
+			}
+			entered, release := holdDuringRun(t, r, profs[0].Name)
+			done := make(chan error)
+			go func() {
+				_, err := r.RunCell(context.Background(), "held", profs[0], espConfig())
+				done <- err
+			}()
+			<-entered
+			for _, p := range append(profs[1:], profs[1:]...) {
+				if _, err := r.RunCell(context.Background(), p.Name, p, espConfig()); err != nil {
+					t.Fatalf("run %s beside the held workload: %v", p.Name, err)
+				}
+			}
+			held := r.Perf()
+			if _, err := r.Workload(profs[0], 0); err != nil {
+				t.Fatal(err)
+			}
+			release()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			p := r.Perf()
+			if p.WorkloadEvicts == 0 {
+				t.Fatalf("the %s never evicted: %+v", bound, p)
+			}
+			if p.WorkloadBuilds != held.WorkloadBuilds || p.WorkloadReuses != held.WorkloadReuses+1 {
+				t.Fatalf("a second lookup of the held workload built %d and reused %d, want 0 and 1",
+					p.WorkloadBuilds-held.WorkloadBuilds, p.WorkloadReuses-held.WorkloadReuses)
+			}
+		})
 	}
 }
 
-// TestTrimWorkloadCache: trimming evicts LRU-first down to the target,
-// and a workload handed out before the trim stays usable (immutability
-// makes eviction safe mid-replay).
-func TestTrimWorkloadCache(t *testing.T) {
-	r := NewRunner()
+// TestRefusedBuildKeepsIdleWorkloads: a build that cannot fit the budget
+// even with every idle workload evicted fails with ErrMemory and leaves
+// the cache as it was; the idle workloads are still cached and live.
+func TestRefusedBuildKeepsIdleWorkloads(t *testing.T) {
 	profs := smallSuite()
-	for _, p := range profs {
+	sizes := workloadSizes(t, profs[:2])
+	budget := sizes[0] + sizes[1]
+	r := NewRunner()
+	r.SetWorkloadBudget(budget)
+	for _, p := range profs[:2] {
+		if _, err := r.RunCell(context.Background(), p.Name, p, espConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	large := profs[2]
+	large.Events = 200
+	for i := 0; i < 2; i++ {
+		if _, err := r.RunCell(context.Background(), "large", large, espConfig()); !errors.Is(err, ErrMemory) {
+			t.Fatalf("a workload past the whole budget: %v, want ErrMemory", err)
+		}
+	}
+	if live, peak := r.LiveBytes(); live != budget || peak != budget {
+		t.Fatalf("live %d, peak %d bytes after the refusals, want both %d", live, peak, budget)
+	}
+	before := r.Perf()
+	for _, p := range profs[:2] {
 		if _, err := r.Workload(p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	w, err := r.Workload(profs[2], 0) // most recently used
+	p := r.Perf()
+	if p.WorkloadEvicts != 0 || p.WorkloadBuilds != before.WorkloadBuilds || p.WorkloadBuilds != 4 {
+		t.Fatalf("refused builds disturbed the cache: %+v, want 4 builds (2 refused) and no eviction", p)
+	}
+}
+
+// TestRunWorkloadHoldsCallerWorkload: a workload the runner did not
+// build counts as live only while RunWorkload replays it, once however
+// many cells hold it, and one that does not fit the budget is refused.
+func TestRunWorkloadHoldsCallerWorkload(t *testing.T) {
+	prof := smallSuite()[0]
+	w, err := NewWorkload(prof, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := r.CacheBytes()
-	target := w.Bytes() // room for exactly the MRU entry
-	r.TrimWorkloadCache(target)
-	if got := r.CacheBytes(); got > target || got == full {
-		t.Fatalf("trim left %d of %d bytes, target %d", got, full, target)
+	r := NewRunner()
+	entered, release := holdDuringRun(t, r, prof.Name)
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := r.RunWorkload(context.Background(), "caller", w, espConfig())
+			done <- err
+		}()
+		<-entered
 	}
-	if got := r.Perf().WorkloadEvicts; got == 0 {
-		t.Fatal("trim evicted nothing")
+	if live, _ := r.LiveBytes(); live != w.Bytes() {
+		t.Fatalf("two replays of a %d-byte workload count %d live bytes", w.Bytes(), live)
 	}
-	// The surviving entry should be the most recently used one.
-	if _, err := r.Workload(profs[2], 0); err != nil {
-		t.Fatal(err)
+	release()
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := r.Perf().WorkloadReuses; got < 2 {
-		t.Fatalf("MRU entry did not survive the trim (reuses %d)", got)
-	}
-	// Evicted-but-held workloads still replay.
-	if _, err := r.RunWorkload(context.Background(), "held", w, espConfig()); err != nil {
-		t.Fatalf("replay of held workload after trim: %v", err)
+	if live, peak := r.LiveBytes(); live != 0 || peak != w.Bytes() {
+		t.Fatalf("after the replays: live %d, peak %d bytes, want 0 and %d", live, peak, w.Bytes())
 	}
 
-	r.TrimWorkloadCache(0)
-	if got := r.CacheBytes(); got != 0 {
-		t.Fatalf("full trim left %d bytes", got)
+	r.SetWorkloadBudget(w.Bytes() - 1)
+	if _, err := r.RunWorkload(context.Background(), "caller", w, espConfig()); !errors.Is(err, ErrMemory) {
+		t.Fatalf("a workload past the budget: %v, want ErrMemory", err)
 	}
+}
+
+// TestIdleMachineHoldsNoWorkload: once a replay ends, the machine that
+// ran it pins none of the workload's memory, whichever assist it was fit
+// to: an ESP engine's slots drop their speculative stream positions
+// with the workload.
+func TestIdleMachineHoldsNoWorkload(t *testing.T) {
+	prof := workload.Amazon()
+	prof.Events = 200
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	m, err := NewMachine(espConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range fig9Configs() {
+		if err := m.fit(cfg); err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorkload(prof, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := w.Bytes()
+		m.Run(w)
+		held := heap()
+		runtime.KeepAlive(w)
+		if freed := held - heap(); freed < size*9/10 {
+			t.Errorf("%s: dropping a %d-byte workload after its replay freed %d bytes, want at least 90%%", cfg.Name, size, freed)
+		}
+	}
+	runtime.KeepAlive(m)
 }

@@ -235,7 +235,7 @@ events:
 	}
 	// Unbind the workload so a pooled machine never pins its arena.
 	if m.esp != nil {
-		m.esp.Src = nil
+		m.esp.Unbind()
 	}
 	return stopped
 }

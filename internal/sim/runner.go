@@ -29,6 +29,13 @@ var ErrPanic = errors.New("simulation panicked")
 // rebuilds instead of replaying the stale error.
 var ErrBuild = errors.New("workload build failed")
 
+// ErrMemory marks a cell refused because its workload does not fit the
+// runner's memory budget (SetWorkloadBudget), even with every idle
+// cached workload evicted; the workload is dropped.
+// errors.Is(err, ErrMemory) classifies it (the espd service maps it to
+// 503).
+var ErrMemory = errors.New("workload memory budget exceeded")
+
 // FaultPoint identifies one injectable operation for a FaultHook:
 // Op is "build" (workload materialization; Config is empty) or "run"
 // (one cell replay). Done is the cell's context's Done channel for a
@@ -59,12 +66,10 @@ type Perf struct {
 	// WorkloadBuilds counts sessions materialized; WorkloadReuses counts
 	// cells that replayed an already-materialized workload (cache hits);
 	// WorkloadEvicts counts materializations dropped by the LRU cap or
-	// byte budget; WorkloadBypasses counts builds that skipped the cache
-	// because admission was off (memory brownout).
-	WorkloadBuilds   int64
-	WorkloadReuses   int64
-	WorkloadEvicts   int64
-	WorkloadBypasses int64
+	// byte budget.
+	WorkloadBuilds int64
+	WorkloadReuses int64
+	WorkloadEvicts int64
 	// MachineBuilds counts machines assembled, at most the number of
 	// cells that ever ran at once; MachineReuses counts cells that ran
 	// on a pooled machine, fit to their config.
@@ -186,16 +191,21 @@ func cellDepth(prof workload.Profile, maxEvents, maxPending int) int {
 	return viewDepth(maxPending)
 }
 
+// workloadCell is one workload's place in a Runner: the single-flight
+// build of a cache key, or a caller-built workload held by RunWorkload.
 type workloadCell struct {
 	once sync.Once
+	key  workloadKey
 	w    *Workload
 	err  error
-	// elem is the cell's position in the Runner's LRU list (front =
-	// most recently used); nil once evicted.
+	// elem is the cell's position in the Runner's LRU list (front = most
+	// recently used); nil while building, once evicted, and for a
+	// caller-built workload.
 	elem *list.Element
-	// bytes is the workload's accounted footprint, folded into the
-	// Runner's cacheBytes once the build completes (zero while
-	// building or once evicted).
+	// holds counts the cells replaying w; no eviction takes a held cell.
+	// bytes is w's accounted footprint, counted live from the end of its
+	// build until the cell is neither cached nor held.
+	holds int
 	bytes int64
 }
 
@@ -212,23 +222,23 @@ type workloadCell struct {
 // reads (see cellDepth), so the cache keys a workload by profile,
 // MaxEvents, dispatch policy and that depth. The cache is unbounded by
 // default; a long-lived Runner (the espd service) should SetWorkloadCap
-// so distinct keys evict least-recently-used arenas instead of
-// accumulating.
-// Eviction only drops the cache entry — workloads are immutable, so a
-// goroutine still replaying an evicted workload is unaffected.
+// or SetWorkloadBudget so distinct keys evict least-recently-used
+// arenas instead of accumulating. A cell holds its workload from lookup
+// to the end of its replay, and eviction takes only workloads no cell
+// holds.
 type Runner struct {
 	mu          sync.Mutex
 	workloads   map[workloadKey]*workloadCell
-	lru         list.List // of workloadKey, front = most recent
+	lru         list.List // of *workloadCell, front = most recent
 	workloadCap int
-	// workloadBudget bounds the cache in accounted bytes (<= 0:
-	// unbounded); cacheBytes is the current accounted total across
-	// completed cached builds.
-	workloadBudget int64
-	cacheBytes     int64
-	// noAdmit stops new builds from entering the cache (brownout's
-	// no-cache lever); already-cached workloads still serve.
-	noAdmit bool
+	// live maps every live workload to its cell: the cached ones and
+	// the caller-built ones a cell holds. liveBytes is their accounted
+	// total, which admission keeps within a positive budget, and
+	// peakBytes its high-water mark.
+	live      map[*Workload]*workloadCell
+	budget    int64
+	liveBytes int64
+	peakBytes int64
 	// idle holds the machines no cell is using.
 	idle  []*Machine
 	perf  Perf
@@ -237,61 +247,39 @@ type Runner struct {
 
 // NewRunner returns an empty Runner with an unbounded workload cache.
 func NewRunner() *Runner {
-	return &Runner{workloads: make(map[workloadKey]*workloadCell)}
+	return &Runner{workloads: make(map[workloadKey]*workloadCell), live: make(map[*Workload]*workloadCell)}
 }
 
 // SetWorkloadCap bounds the workload cache to n materializations,
-// evicting least-recently-used entries past it (n < 1: unbounded). The
-// cap applies to future insertions and trims the cache immediately.
+// evicting least-recently-used idle entries past it (n < 1: unbounded).
+// The cap applies to future insertions and trims the cache immediately.
 func (r *Runner) SetWorkloadCap(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.workloadCap = n
-	r.evictLocked()
+	r.evictLocked(0)
 }
 
-// SetWorkloadBudget bounds the workload cache to n accounted bytes
-// (Workload.Bytes per entry), evicting least-recently-used entries
-// past it (n <= 0: unbounded). It composes with SetWorkloadCap —
-// whichever bound is tighter evicts first.
+// SetWorkloadBudget bounds live workloads to n accounted bytes
+// (Workload.Bytes each; n <= 0: unbounded). A workload is live from the
+// end of its build while it is cached or a cell holds it. A build, or a
+// caller-built workload RunWorkload is handed, that would pass the
+// budget first evicts least-recently-used idle workloads, but only when
+// that makes it fit; otherwise its cell fails with ErrMemory. It
+// composes with SetWorkloadCap, and trims idle workloads immediately.
 func (r *Runner) SetWorkloadBudget(n int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.workloadBudget = n
-	r.evictLocked()
+	r.budget = n
+	r.evictLocked(0)
 }
 
-// SetCacheAdmit toggles cache admission for new workload builds. While
-// off (memory brownout) a cache miss builds an uncached, unshared
-// workload — correct but without reuse — and cached entries keep
-// serving; the cache never grows.
-func (r *Runner) SetCacheAdmit(on bool) {
-	r.mu.Lock()
-	r.noAdmit = !on
-	r.mu.Unlock()
-}
-
-// CacheBytes reports the accounted footprint of the workload cache.
-func (r *Runner) CacheBytes() int64 {
+// LiveBytes reports the accounted bytes of live workloads and the most
+// that were ever live at once.
+func (r *Runner) LiveBytes() (live, peak int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cacheBytes
-}
-
-// TrimWorkloadCache evicts least-recently-used workloads until the
-// accounted footprint is at or below target bytes — the brownout
-// actor's recovery lever (evicting everything is target 0). Workloads
-// mid-replay are unaffected: eviction only drops the cache's
-// reference, and workloads are immutable.
-func (r *Runner) TrimWorkloadCache(target int64) {
-	if target < 0 {
-		target = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.cacheBytes > target && r.lru.Len() > 0 {
-		r.evictOldestLocked()
-	}
+	return r.liveBytes, r.peakBytes
 }
 
 // SetFaultHook installs h to be consulted before every workload build
@@ -311,32 +299,126 @@ func (r *Runner) Perf() Perf {
 	return r.perf
 }
 
-// evictLocked drops least-recently-used workload cells until the cache
-// respects both the entry cap and the byte budget. Callers hold r.mu.
-func (r *Runner) evictLocked() {
-	for r.lru.Len() > 0 {
+// evictLocked evicts least-recently-used idle cached workloads while the
+// cache holds more than the cap, or while need more bytes would take
+// live workloads past the budget. Callers hold r.mu.
+func (r *Runner) evictLocked(need int64) {
+	for e := r.lru.Back(); e != nil; {
 		overCap := r.workloadCap >= 1 && r.lru.Len() > r.workloadCap
-		overBudget := r.workloadBudget > 0 && r.cacheBytes > r.workloadBudget
+		overBudget := r.budget > 0 && r.liveBytes+need > r.budget
 		if !overCap && !overBudget {
 			return
 		}
-		r.evictOldestLocked()
+		prev := e.Prev()
+		if cell := e.Value.(*workloadCell); cell.holds == 0 {
+			r.lru.Remove(e)
+			cell.elem = nil
+			delete(r.workloads, cell.key)
+			r.dropLocked(cell)
+			r.perf.WorkloadEvicts++
+		}
+		e = prev
 	}
 }
 
-// evictOldestLocked drops the least-recently-used cache entry and
-// returns its bytes to the accounted total. Callers hold r.mu and have
-// checked the LRU is non-empty.
-func (r *Runner) evictOldestLocked() {
-	oldest := r.lru.Back()
-	key := oldest.Value.(workloadKey)
-	r.lru.Remove(oldest)
-	if cell, ok := r.workloads[key]; ok {
-		cell.elem = nil
-		r.cacheBytes -= cell.bytes
-		cell.bytes = 0
-		delete(r.workloads, key)
-		r.perf.WorkloadEvicts++
+// fitLocked makes room under the budget for a workload of need bytes
+// named app, evicting idle cached workloads only when evicting them all
+// would make it fit, so a refused workload leaves the cache as it was.
+// It returns ErrMemory when the held workloads leave too little room.
+// Callers hold r.mu.
+func (r *Runner) fitLocked(app string, need int64) error {
+	if r.budget <= 0 || r.liveBytes+need <= r.budget {
+		return nil
+	}
+	held := r.liveBytes
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		if cell := e.Value.(*workloadCell); cell.holds == 0 {
+			held -= cell.bytes
+		}
+	}
+	if held+need > r.budget {
+		return fmt.Errorf("esp: workload %s: %d bytes do not fit a %d-byte budget with %d held: %w",
+			app, need, r.budget, held, ErrMemory)
+	}
+	r.evictLocked(need)
+	return nil
+}
+
+// countLocked makes cell's built workload live. Callers hold r.mu.
+func (r *Runner) countLocked(cell *workloadCell) {
+	cell.bytes = cell.w.Bytes()
+	r.live[cell.w] = cell
+	r.liveBytes += cell.bytes
+	r.peakBytes = max(r.peakBytes, r.liveBytes)
+}
+
+// dropLocked stops counting cell's workload as live. Callers hold r.mu.
+func (r *Runner) dropLocked(cell *workloadCell) {
+	delete(r.live, cell.w)
+	r.liveBytes -= cell.bytes
+}
+
+// hold returns the cell of key's cached workload, building it on first
+// use, with one hold on it for release to drop. Concurrent callers for
+// the same key block on one materialization.
+func (r *Runner) hold(key workloadKey) (*workloadCell, error) {
+	r.mu.Lock()
+	cell, ok := r.workloads[key]
+	if !ok {
+		cell = &workloadCell{key: key}
+		r.workloads[key] = cell
+	} else if cell.elem != nil {
+		r.lru.MoveToFront(cell.elem)
+	}
+	cell.holds++
+	hook := r.fault
+	r.mu.Unlock()
+
+	built := false
+	cell.once.Do(func() {
+		built = true
+		r.build(cell, hook)
+	})
+	if cell.err != nil {
+		return nil, cell.err
+	}
+	if !built {
+		r.mu.Lock()
+		r.perf.WorkloadReuses++
+		r.mu.Unlock()
+	}
+	return cell, nil
+}
+
+// holdWorkload holds w for one replay: its cached cell when w is live,
+// or a new cell that counts w until release, if the budget has room.
+func (r *Runner) holdWorkload(w *Workload) (*workloadCell, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cell, ok := r.live[w]
+	if !ok {
+		if err := r.fitLocked(w.App, w.Bytes()); err != nil {
+			return nil, err
+		}
+		cell = &workloadCell{w: w}
+		r.countLocked(cell)
+	}
+	cell.holds++
+	return cell, nil
+}
+
+// release drops one hold on cell. An uncached workload stops counting
+// with its last hold; a cached one may now be evicted.
+func (r *Runner) release(cell *workloadCell) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cell.holds--
+	switch {
+	case cell.holds > 0:
+	case cell.elem == nil:
+		r.dropLocked(cell)
+	default:
+		r.evictLocked(0)
 	}
 }
 
@@ -346,9 +428,12 @@ func (r *Runner) evictOldestLocked() {
 // key block on one materialization.
 //
 // Failed builds are never cached: every waiter on the failing
-// materialization observes the same error (wrapped in ErrBuild), but
-// the cache entry is dropped immediately, so a later call — a retry
-// after a transient failure — materializes from scratch.
+// materialization observes the same error (wrapped in ErrBuild, or
+// ErrMemory for a build that does not fit the budget), but the cache
+// entry is dropped immediately, so a later call — a retry after a
+// transient failure — materializes from scratch. The workload is not
+// held once returned: the cache may evict it, and RunWorkload holds it
+// again for its replay.
 func (r *Runner) Workload(prof workload.Profile, maxEvents int) (*Workload, error) {
 	return r.WorkloadSched(prof, maxEvents, eventq.SchedFIFO, specLookahead)
 }
@@ -361,72 +446,20 @@ func (r *Runner) Workload(prof workload.Profile, maxEvents int) (*Workload, erro
 // keeps its views and speculative streams only that deep: a replay
 // under a deeper MaxPending needs its own.
 func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, maxPending int) (*Workload, error) {
-	key := workloadKey{prof: prof, maxEvents: maxEvents, sched: policy, depth: cellDepth(prof, maxEvents, maxPending)}
-	r.mu.Lock()
-	cell, ok := r.workloads[key]
-	if !ok && r.noAdmit {
-		// Brownout: build without caching. Correct but unshared — two
-		// concurrent misses for the same key build twice rather than
-		// grow the cache.
-		hook := r.fault
-		r.perf.WorkloadBypasses++
-		r.mu.Unlock()
-		return r.buildWorkload(key, hook)
+	cell, err := r.hold(workloadKey{prof: prof, maxEvents: maxEvents, sched: policy, depth: cellDepth(prof, maxEvents, maxPending)})
+	if err != nil {
+		return nil, err
 	}
-	if !ok {
-		cell = &workloadCell{}
-		r.workloads[key] = cell
-		cell.elem = r.lru.PushFront(key)
-		r.evictLocked()
-	} else if cell.elem != nil {
-		r.lru.MoveToFront(cell.elem)
-	}
-	hook := r.fault
-	r.mu.Unlock()
-
-	built := false
-	cell.once.Do(func() {
-		built = true
-		cell.w, cell.err = r.buildWorkload(key, hook)
-	})
-	if built && cell.err == nil {
-		// Fold the finished build into the byte budget — unless a
-		// concurrent eviction already dropped the entry.
-		b := cell.w.Bytes()
-		r.mu.Lock()
-		if r.workloads[key] == cell {
-			cell.bytes = b
-			r.cacheBytes += b
-			r.evictLocked()
-		}
-		r.mu.Unlock()
-	}
-	if !built && cell.err == nil {
-		r.mu.Lock()
-		r.perf.WorkloadReuses++
-		r.mu.Unlock()
-	}
-	if cell.err != nil {
-		// Drop the failed materialization so it is not sticky. Guard on
-		// identity: a concurrent retry may already have replaced the entry.
-		r.mu.Lock()
-		if r.workloads[key] == cell {
-			delete(r.workloads, key)
-			if cell.elem != nil {
-				r.lru.Remove(cell.elem)
-				cell.elem = nil
-			}
-		}
-		r.mu.Unlock()
-	}
-	return cell.w, cell.err
+	r.release(cell)
+	return cell.w, nil
 }
 
-// buildWorkload materializes the workload key names with fault-hook and
-// perf accounting, shared by the cached and cache-bypass paths.
-func (r *Runner) buildWorkload(key workloadKey, hook FaultHook) (*Workload, error) {
+// build materializes cell's workload, with fault-hook and perf
+// accounting, and caches it if it fits the budget. A failed or refused
+// build leaves its error in the cell and the cell out of the cache.
+func (r *Runner) build(cell *workloadCell, hook FaultHook) {
 	start := time.Now()
-	prof := key.prof
+	prof := cell.key.prof
 	var w *Workload
 	var err error
 	if hook != nil {
@@ -435,19 +468,27 @@ func (r *Runner) buildWorkload(key workloadKey, hook FaultHook) (*Workload, erro
 		}
 	}
 	if err == nil {
-		w, err = sessionWorkload(prof, key.maxEvents, key.sched, key.depth)
+		w, err = sessionWorkload(prof, cell.key.maxEvents, cell.key.sched, cell.key.depth)
 		if err != nil {
 			err = fmt.Errorf("esp: workload %s: %w: %w", prof.Name, ErrBuild, err)
 		}
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.perf.BuildWall += time.Since(start)
 	r.perf.WorkloadBuilds++
-	r.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = r.fitLocked(prof.Name, w.Bytes())
 	}
-	return w, nil
+	if err != nil {
+		cell.err = err
+		delete(r.workloads, cell.key)
+		return
+	}
+	cell.w = w
+	r.countLocked(cell)
+	cell.elem = r.lru.PushFront(cell)
+	r.evictLocked(0)
 }
 
 // acquireMachine pops an idle machine and fits it to cfg, or assembles
@@ -490,25 +531,38 @@ func (r *Runner) releaseMachine(m *Machine) {
 
 // RunCell simulates one (profile, configuration) cell on the calling
 // goroutine: the workload is materialized once per key (see
-// WorkloadSched) and shared, and a pooled machine is fit to cfg and
-// replays it. label names the cell in panic and stop errors. ctx bounds
-// the replay, not the build: once it is done no further event runs, and
-// the cell fails with ErrTimeout if its deadline passed or with ctx's
-// error otherwise. A stopped cell's machine goes straight
-// back to the pool (every replay resets first); a panicking machine is
-// dropped, never pooled.
+// WorkloadSched) and shared, held from lookup to the end of the replay,
+// and a pooled machine is fit to cfg and replays it. label names the
+// cell in panic and stop errors. ctx bounds the replay, not the build:
+// once it is done no further event runs, and the cell fails with
+// ErrTimeout if its deadline passed or with ctx's error otherwise. A
+// stopped cell's machine goes straight back to the pool (every replay
+// resets first); a panicking machine is dropped, never pooled.
 func (r *Runner) RunCell(ctx context.Context, label string, prof workload.Profile, cfg Config) (Result, error) {
-	w, err := r.WorkloadSched(prof, cfg.MaxEvents, cfg.Sched, cfg.MaxPending)
+	cell, err := r.hold(workloadKey{prof: prof, maxEvents: cfg.MaxEvents, sched: cfg.Sched, depth: cellDepth(prof, cfg.MaxEvents, cfg.MaxPending)})
 	if err != nil {
 		return Result{}, err
 	}
-	return r.RunWorkload(ctx, label, w, cfg)
+	defer r.release(cell)
+	return r.run(ctx, label, cell.w, cfg)
 }
 
 // RunWorkload is RunCell for an already-materialized workload (e.g. one
-// built from a generic source). A workload that keeps shallower queue
-// views than cfg's MaxPending reads is an error.
+// built from a generic source), held for its replay: one the runner
+// does not cache counts against the budget until the replay ends, and
+// fails with ErrMemory if it does not fit. A workload that keeps
+// shallower queue views than cfg's MaxPending reads is an error.
 func (r *Runner) RunWorkload(ctx context.Context, label string, w *Workload, cfg Config) (Result, error) {
+	cell, err := r.holdWorkload(w)
+	if err != nil {
+		return Result{}, err
+	}
+	defer r.release(cell)
+	return r.run(ctx, label, w, cfg)
+}
+
+// run replays the held workload w as cfg on a pooled machine.
+func (r *Runner) run(ctx context.Context, label string, w *Workload, cfg Config) (Result, error) {
 	if d := viewDepth(cfg.MaxPending); w.depth > 0 && d > w.depth {
 		return Result{}, fmt.Errorf("esp: workload %s keeps queue views %d deep, but MaxPending %d reads %d", w.App, w.depth, cfg.MaxPending, d)
 	}

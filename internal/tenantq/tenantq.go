@@ -1,8 +1,8 @@
 // Package tenantq is the overload-robustness layer of the serving
 // stack: weighted deficit-round-robin (DRR) fair queueing across
-// tenants, a per-tenant cumulative cell budget, and a brownout
-// controller that degrades service gracefully under memory pressure
-// instead of letting the daemon OOM.
+// tenants, a per-tenant cumulative cell budget, and per-tenant counts
+// of the cells the serving layer sheds or refuses. Memory is bounded
+// below it, by the runner's live-byte budget (sim.ErrMemory).
 //
 // The unit of cost everywhere is the simulation cell: a /run request
 // costs one cell, a sweep batch costs one cell per configuration.
@@ -30,12 +30,6 @@ const DefaultTenant = "default"
 // maxTenants other tenants. espd maps it to 429 — the client may retry
 // later; the work was never queued.
 var ErrQuota = fault.Sentinel("tenantq: tenant quota exhausted", fault.KindQuota)
-
-// ErrBrownout marks work refused because the daemon is degrading under
-// memory pressure and its current brownout level does not admit the
-// request shape. espd maps it to 503 — retry against a healthier
-// replica, or smaller.
-var ErrBrownout = fault.Sentinel("tenantq: brownout: degraded under memory pressure", fault.KindBrownout)
 
 // ErrDeadlineShed marks work dropped because it provably could not
 // finish before its deadline — shed without simulating, so the cycles
@@ -102,9 +96,9 @@ type tenant struct {
 	inFlight int   // admitted, unreleased cells
 	consumed int64 // cumulative admitted cells
 
-	// Counters for /metrics. admitted/completed move at grant/release,
-	// quota at refusal, all in cells; shed and brownout are fed by the
-	// serving layer via Count*.
+	// Counters for /metrics, all in cells. admitted/completed move at
+	// grant/release, quota at refusal; shed and brownout (memory-budget
+	// refusals) are fed by the serving layer via Count*.
 	admitted  int64
 	completed int64
 	quota     int64
@@ -130,9 +124,8 @@ type Queue struct {
 	// fresh is true when ring[cur] has not yet been credited this turn;
 	// it keeps resumed dispatches (after a release) from re-crediting
 	// the mid-turn tenant.
-	fresh    bool
-	grants   int  // slots currently held
-	degraded bool // brownout: effective slots halved
+	fresh  bool
+	grants int // slots currently held
 }
 
 // New assembles a Queue.
@@ -142,26 +135,6 @@ func New(opt Options) *Queue {
 		tenants: make(map[string]*tenant),
 		fresh:   true,
 	}
-}
-
-// SetDegraded halves the effective slot pool while on (never below
-// one) — the brownout controller's half-concurrency lever. Turning it
-// off re-dispatches immediately.
-func (q *Queue) SetDegraded(on bool) {
-	q.mu.Lock()
-	q.degraded = on
-	q.dispatchLocked()
-	q.mu.Unlock()
-}
-
-func (q *Queue) slotsLocked() int {
-	if q.degraded {
-		if s := q.opt.Slots / 2; s >= 1 {
-			return s
-		}
-		return 1
-	}
-	return q.opt.Slots
 }
 
 // tenantLocked finds or creates a tenant's state; nil means the
@@ -282,7 +255,7 @@ func (q *Queue) unlinkLocked(tn *tenant) {
 // head waiter's cost, so the scan ends when slots or waiters run out.
 func (q *Queue) dispatchLocked() {
 	for len(q.ring) > 0 {
-		if q.grants >= q.slotsLocked() {
+		if q.grants >= q.opt.Slots {
 			return
 		}
 		if q.cur >= len(q.ring) {
@@ -299,7 +272,7 @@ func (q *Queue) dispatchLocked() {
 			}
 			q.fresh = false
 		}
-		for len(tn.waiters) > 0 && q.grants < q.slotsLocked() {
+		for len(tn.waiters) > 0 && q.grants < q.opt.Slots {
 			w := tn.waiters[0]
 			if float64(w.cost) > tn.deficit {
 				break
@@ -317,7 +290,7 @@ func (q *Queue) dispatchLocked() {
 			q.unlinkLocked(tn) // sets fresh: ring[cur] is a new tenant
 			continue
 		}
-		if q.grants >= q.slotsLocked() {
+		if q.grants >= q.opt.Slots {
 			// Paused mid-turn: deficit and cur stand, the next release
 			// resumes here.
 			return
@@ -339,11 +312,11 @@ func (q *Queue) CountShed(name string, cells int64) {
 	q.mu.Unlock()
 }
 
-// CountBrownout attributes one brownout rejection to a tenant.
-func (q *Queue) CountBrownout(name string) {
+// CountBrownout attributes cells refused for memory to a tenant.
+func (q *Queue) CountBrownout(name string, cells int64) {
 	q.mu.Lock()
 	if tn := q.tenantLocked(name); tn != nil {
-		tn.brownout++
+		tn.brownout += cells
 	}
 	q.mu.Unlock()
 }

@@ -228,51 +228,15 @@ func TestAcquireCancelCleansUp(t *testing.T) {
 	}
 }
 
-func TestSetDegradedHalvesSlots(t *testing.T) {
-	q := New(Options{Slots: 4})
-	q.SetDegraded(true)
-	granted := make(chan func(), 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			rel, err := q.Acquire(context.Background(), "t", 1)
-			if err != nil {
-				t.Errorf("acquire: %v", err)
-				return
-			}
-			granted <- rel
-		}()
-	}
-	rels := make([]func(), 0, 4)
-	for i := 0; i < 2; i++ {
-		rels = append(rels, <-granted)
-	}
-	select {
-	case <-granted:
-		t.Fatal("degraded queue granted a third slot of four")
-	case <-time.After(20 * time.Millisecond):
-	}
-	q.SetDegraded(false)
-	for i := 0; i < 2; i++ {
-		rels = append(rels, <-granted)
-	}
-	for _, rel := range rels {
-		rel()
-	}
-	if n := q.InFlightCells(); n != 0 {
-		t.Fatalf("in-flight gauge leaked: %d", n)
-	}
-}
-
-// TestSentinelKinds pins the wire classification of the three overload
-// sentinels, wrapped and bare — the satellite contract behind the
-// distinct 429/503/504 statuses.
+// TestSentinelKinds pins the wire classification of the two overload
+// sentinels, wrapped and bare — the contract behind the distinct
+// 429/504 statuses.
 func TestSentinelKinds(t *testing.T) {
 	cases := []struct {
 		err  error
 		want fault.ErrorKind
 	}{
 		{ErrQuota, fault.KindQuota},
-		{ErrBrownout, fault.KindBrownout},
 		{ErrDeadlineShed, fault.KindShed},
 	}
 	for _, tc := range cases {
