@@ -118,16 +118,19 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSourceWorkload -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzCacheOracle -fuzztime=$(FUZZTIME) ./internal/mem
 
-# loc prints the root module's non-test Go lines: every tracked .go
-# file but tests, testdata/ and the ledgerbench module. With BASE=<rev>
-# it also prints the lines added and removed since that revision, the
-# net delta a simplicity change reports (make loc BASE=HEAD counts
+# loc prints the root module's non-test Go lines: every .go file git
+# tracks or would add (untracked, not ignored) but tests, testdata/ and
+# the ledgerbench module. With BASE=<rev> it also prints the lines added
+# and removed since that revision, an untracked file's lines all added:
+# the net delta a simplicity change reports (make loc BASE=HEAD counts
 # uncommitted work against the last commit).
 LOC_PATHS = '*.go' ':(exclude)*_test.go' ':(exclude)*/testdata/*' ':(exclude)ledgerbench'
 loc:
-	@git ls-files -- $(LOC_PATHS) | xargs cat | wc -l | sed 's/$$/ non-test Go lines/'
-	@if [ -n "$(BASE)" ]; then git diff --numstat $(BASE) -- $(LOC_PATHS) | \
-		awk '{a += $$1; d += $$2} END {printf "+%d/-%d against $(BASE) (net %+d)\n", a, d, a - d}'; fi
+	@git ls-files --cached --others --exclude-standard -- $(LOC_PATHS) | xargs -r cat | wc -l | sed 's/$$/ non-test Go lines/'
+	@if [ -n "$(BASE)" ]; then \
+		new=$$(git ls-files --others --exclude-standard -- $(LOC_PATHS) | xargs -r cat | wc -l); \
+		git diff --numstat $(BASE) -- $(LOC_PATHS) | \
+		awk -v new=$$new '{a += $$1; d += $$2} END {a += new; printf "+%d/-%d against $(BASE) (net %+d)\n", a, d, a - d}'; fi
 
 # tier1 is the robustness gate: everything must be green before merge.
 # lint subsumes vet and adds the domain analyzers, so a contract

@@ -5,10 +5,13 @@
 // workload cache and machine pools hot; rendezvous hashing with loads
 // bounded by each application's size), quarantines sick or flaky
 // workers behind escalating circuit breakers fed by the sweep path and
-// by /readyz probes every 5 s while a sweep runs,
-// lets idle workers steal shards from stragglers, and — when the
+// by one prober's /readyz probes every 5 s while any sweep runs, lets
+// idle workers steal shards from stragglers, reschedules a failed
+// shard (each shard has at most one attempt in flight), and — when the
 // fleet shares a checkpoint directory — hands a dead worker's journal
-// to a peer so completed cells replay instead of re-simulating.
+// to a peer so completed cells replay instead of re-simulating. Each
+// shard attempt that returns logs "cluster shard done" with its app,
+// worker and wall_ms.
 //
 // Endpoints:
 //
@@ -20,7 +23,7 @@
 // Usage:
 //
 //	espcoord -worker w0=http://host0:8080 -worker w1=http://host1:8080 \
-//	         [-addr :8090] [-checkpoint-dir DIR] [-hedge-after 0] \
+//	         [-addr :8090] [-checkpoint-dir DIR] \
 //	         [-tenant name=weight[:cell_budget]]... [-log text|json]
 //
 // The coordination constants are fixed: a shard may fail on 3 workers
@@ -60,7 +63,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "listen address")
 		checkpointDir = flag.String("checkpoint-dir", "", "journal directory the fleet shares (enables handoff; empty: recompute on reschedule)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "re-dispatch an in-flight shard to an idle worker after this long; first result wins (0: disabled)")
 		logFmt        = flag.String("log", "text", "log format: text or json")
 	)
 	var tenantSpecs tenantFlags
@@ -102,7 +104,6 @@ func main() {
 	coord, err := cluster.New(cluster.Options{
 		Workers:       fleet,
 		CheckpointDir: *checkpointDir,
-		HedgeAfter:    *hedgeAfter,
 		Tenants:       tenants,
 		Logger:        log,
 	})

@@ -115,7 +115,7 @@ func (h *Harness) Run(prof workload.Profile, cfg Config) (Result, error) {
 	h.mu.Unlock()
 	cell.once.Do(func() {
 		// The runner shares one materialized workload per profile,
-		// MaxEvents, policy and queue depth (sim.Runner.WorkloadSched)
+		// MaxEvents, policy and queue depth (sim.Runner.RunCell)
 		// across every configuration and fits a pooled machine to each
 		// cell instead of building one; it
 		// also contains panics and stops the replay when ctx ends. The

@@ -9,6 +9,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -253,8 +254,8 @@ func TestWorkSteal(t *testing.T) {
 func TestStealOnlyFromStragglers(t *testing.T) {
 	healthy := func(string) bool { return true }
 	quarantined := func(string) bool { return false }
-	q := newShardQueue([]*shard{{app: "amazon", preferred: "w0"}, {app: "bing", preferred: "w0"}}, 0)
-	running, _ := q.take("w0", nil, healthy)
+	q := newShardQueue([]*shard{{app: "amazon", preferred: "w0"}, {app: "bing", preferred: "w0"}})
+	running := q.take("w0", nil, healthy)
 	if i := q.pick("w1", healthy); i >= 0 {
 		t.Fatalf("w1 took %s from a healthy owner whose attempt just started", q.ready[i].app)
 	}
@@ -385,5 +386,70 @@ func TestStaleProbeKeepsQuarantine(t *testing.T) {
 	<-g.started      // second probe started: the first is accounted
 	if st := c.breakers.StateOf("gated"); st != "open" {
 		t.Fatalf("a probe that started before the trip left the breaker %s, want open", st)
+	}
+}
+
+// stallWorker's shard attempts and probes each run until their context
+// ends; every attempt announces itself on sweeping.
+type stallWorker struct{ sweeping chan struct{} }
+
+func (s *stallWorker) Name() string { return "w0" }
+
+func (s *stallWorker) Sweep(ctx context.Context, _ serve.SweepRequest) (serve.SweepResponse, error) {
+	s.sweeping <- struct{}{}
+	<-ctx.Done()
+	return serve.SweepResponse{}, ctx.Err()
+}
+
+func (s *stallWorker) Probe(ctx context.Context) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestOneProbeLoopPerCoordinator: sweeps in flight share one probe
+// loop, so a worker sees one probe per round however many run, and the
+// loop stops with the last sweep, recording no failure for the probe
+// it cut short.
+func TestOneProbeLoopPerCoordinator(t *testing.T) {
+	const sweeps = 4
+	w := &stallWorker{sweeping: make(chan struct{}, sweeps)}
+	c, err := New(Options{Workers: []Worker{w}, Logger: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.probeEvery = time.Millisecond
+	req := serve.SweepRequest{Apps: []string{"amazon"}, Configs: []string{"base"}}
+	cancels := make([]context.CancelFunc, sweeps)
+	ended := make(chan error, sweeps)
+	for i := range cancels {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancels[i] = cancel
+		go func() {
+			_, err := c.Run(ctx, req)
+			ended <- err
+		}()
+	}
+	for i := 0; i < sweeps; i++ {
+		<-w.sweeping
+	}
+	// The first probe stalls until its loop stops; a loop per sweep
+	// would start a probe of its own within a round or two of it.
+	for c.met.Probes.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * c.probeEvery)
+	if n := c.met.Probes.Load(); n != 1 {
+		t.Fatalf("%d sweeps in flight started %d probes of one worker, want 1", sweeps, n)
+	}
+	for i, cancel := range cancels {
+		cancel()
+		if err := <-ended; !errors.Is(err, context.Canceled) {
+			t.Fatalf("sweep %d: %v, want context.Canceled", i, err)
+		}
+		snap := c.Metrics()
+		if snap.Health.Probes != 1 || snap.Health.Failures != 0 || snap.Workers[0].Breaker != "closed" {
+			t.Fatalf("after %d of %d sweeps ended: %d probes, %d failed, breaker %s; want 1 probe still in flight, none failed, closed",
+				i+1, sweeps, snap.Health.Probes, snap.Health.Failures, snap.Workers[0].Breaker)
+		}
 	}
 }

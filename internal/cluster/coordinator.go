@@ -29,13 +29,6 @@ type Options struct {
 	// and its completed cells replay on whichever peer adopts the
 	// shard. Empty: peers recompute instead (same results, more work).
 	CheckpointDir string
-	// HedgeAfter re-dispatches a shard still in flight after this long
-	// to an idle worker: the two attempts race, the first result wins,
-	// and the loser's context is canceled. The hedge runs journal-less
-	// (two workers must not append one shard journal), so it recomputes
-	// rather than resumes; results are bit-identical either way.
-	// 0 disables hedging.
-	HedgeAfter time.Duration
 	// Tenants mirrors espd's fair-queue configuration at the
 	// coordination layer (unnamed tenants get weight 1, no cell
 	// budget): a sweep is admitted against its tenant's weight and
@@ -59,8 +52,8 @@ const (
 	nodeBreakerThreshold   = 2
 	nodeBreakerCooldown    = 15 * time.Second
 	nodeBreakerMaxCooldown = 2 * time.Minute
-	// probeInterval spaces the health probes that run beside every
-	// sweep; each probe is bounded by probeTimeout.
+	// probeInterval spaces the health probes that run while any sweep
+	// does; each probe is bounded by probeTimeout.
 	probeInterval = 5 * time.Second
 	probeTimeout  = 2 * time.Second
 	// tenantSlots is how many sweeps per worker the fleet-wide tenant
@@ -73,8 +66,8 @@ const (
 const maxCoordSweepID = 48
 
 // Coordinator shards sweeps across a fleet of espd workers. One
-// Coordinator serves many Run calls; node breakers and counters are
-// fleet state, shared across sweeps.
+// Coordinator serves many Run calls; node breakers, counters and the
+// health prober are fleet state, shared across sweeps.
 type Coordinator struct {
 	opt      Options
 	log      *slog.Logger
@@ -83,6 +76,15 @@ type Coordinator struct {
 	breakers *fault.BreakerSet
 	tq       *tenantq.Queue
 	met      counters
+
+	// probeEvery spaces the probe loop's rounds (probeInterval). One
+	// loop runs while any sweep does: sweeps counts the sweeps in
+	// flight, and stopProbes, set while the loop runs, stops it and
+	// waits for it to exit. Both are guarded by probeMu.
+	probeEvery time.Duration
+	probeMu    sync.Mutex
+	sweeps     int
+	stopProbes func()
 }
 
 // New assembles a Coordinator.
@@ -99,6 +101,8 @@ func New(opt Options) (*Coordinator, error) {
 		workers:  make(map[string]Worker, len(opt.Workers)),
 		breakers: fault.NewEscalatingBreakerSet(nodeBreakerThreshold, nodeBreakerCooldown, nodeBreakerMaxCooldown),
 		tq:       tenantq.New(tenantq.Options{Slots: tenantSlots * len(opt.Workers), Tenants: opt.Tenants}),
+
+		probeEvery: probeInterval,
 	}
 	for _, w := range opt.Workers {
 		name := w.Name()
@@ -180,10 +184,11 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 		shards[i] = &shard{app: app, preferred: owners[app]}
 		c.log.Info("cluster placement", "app", app, "worker", owners[app])
 	}
-	q := newShardQueue(shards, c.opt.HedgeAfter)
+	q := newShardQueue(shards)
+	defer c.beginSweep()()
 
-	// Cancellation, breaker-cooldown re-checks, and health probing all
-	// run beside the worker loops for the sweep's duration.
+	// Cancellation and breaker-cooldown re-checks run beside the worker
+	// loops for the sweep's duration.
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()
 	var aux sync.WaitGroup
@@ -201,11 +206,6 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 				q.poke()
 			}
 		}
-	}()
-	aux.Add(1)
-	go func() {
-		defer aux.Done()
-		c.probeLoop(runCtx, probeInterval)
 	}()
 
 	start := time.Now()
@@ -234,65 +234,49 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 }
 
 // runWorker is one fleet member's scheduling loop: take a shard
-// (affinity first, then rescheduled shards and stragglers' queued ones,
-// then a hedge of a straggling attempt), run it,
-// merge or reschedule. The node breaker gates admission — a
-// quarantined worker waits instead of burning shard attempts. With
-// hedging, two attempts may race: the first to return a result merges
-// it and cancels the other; the canceled loser is not a node failure.
+// (affinity first, then rescheduled shards and stragglers' queued
+// ones), run it, merge or reschedule. The node breaker gates admission
+// — a quarantined worker waits instead of burning shard attempts. Once
+// the sweep's context is done, the attempt that returns is discarded
+// whatever it answered, and the loop ends: a canceled attempt says
+// nothing about its node.
 func (c *Coordinator) runWorker(ctx context.Context, w Worker, q *shardQueue, req serve.SweepRequest, deadline time.Time, merged *mergeSet) {
 	name := w.Name()
 	allowed := func() bool { return c.breakers.Allow(name) }
 	healthy := func(owner string) bool { return c.breakers.StateOf(owner) == "closed" }
 	for {
-		sh, hedge := q.take(name, allowed, healthy)
+		sh := q.take(name, allowed, healthy)
 		if sh == nil {
 			return
 		}
-		if hedge {
-			c.met.Hedges.Add(1)
-			c.log.Info("cluster hedge", "app", sh.app, "worker", name)
-		} else if sh.preferred != name {
+		if sh.preferred != name {
 			c.met.Steals.Add(1)
 			c.log.Info("cluster steal", "app", sh.app, "worker", name, "preferred", sh.preferred)
 		}
-		attemptCtx, cancel := context.WithCancel(ctx)
-		q.register(sh, cancel)
-		resp, err := w.Sweep(attemptCtx, shardRequest(req, sh, hedge, deadline))
-		cancel()
+		start := time.Now()
+		resp, err := w.Sweep(ctx, shardRequest(req, sh, deadline))
+		if ctx.Err() != nil {
+			return
+		}
+		c.log.Info("cluster shard done", "app", sh.app, "worker", name,
+			"wall_ms", float64(time.Since(start).Microseconds())/1e3)
+		c.breakers.Record(name, err == nil)
 		if err != nil {
-			finished, retry := q.abort(sh)
-			if finished {
-				// A racing attempt already won and canceled this one:
-				// the "failure" says nothing about the node.
-				continue
-			}
-			c.breakers.Record(name, false)
 			if fault.Classify(err) == fault.KindNet {
 				c.met.NetFaults.Add(1)
 			}
-			c.log.Warn("cluster shard attempt failed", "app", sh.app, "worker", name, "hedge", hedge, "err", err.Error())
-			if !retry {
-				continue // a sibling attempt is still racing; it owns the shard now
-			}
+			c.log.Warn("cluster shard attempt failed", "app", sh.app, "worker", name, "err", err.Error())
 			sh.attempts++
 			if sh.attempts >= maxShardAttempts {
 				c.met.ShardsFailed.Add(1)
 				merged.fail(sh.app, req.Configs, err)
-				q.done()
+				q.done(sh)
 				continue
 			}
 			c.met.Reschedules.Add(1)
 			c.inspectJournal(sh, req)
 			q.requeue(sh)
 			continue
-		}
-		c.breakers.Record(name, true)
-		if !q.complete(sh) {
-			continue // the race was already won; this result discards
-		}
-		if hedge {
-			c.met.HedgeWins.Add(1)
 		}
 		for _, cell := range resp.Cells {
 			switch {
@@ -304,23 +288,22 @@ func (c *Coordinator) runWorker(ctx context.Context, w Worker, q *shardQueue, re
 		}
 		merged.put(sh.app, resp.Cells)
 		c.met.ShardsDone.Add(1)
+		q.done(sh)
 	}
 }
 
 // shardRequest scopes the sweep request to one shard: a single app,
 // the shard label, and a shard-scoped sweep_id so each worker
 // journals its own slice of the grid (and a handed-off shard resumes
-// the dead worker's journal by name). A hedge attempt always runs
-// journal-less: its sibling may hold the journal claim, and two
-// writers must never interleave one file. The worker-relative
-// deadline_ms is re-derived from what remains of the coordinator's
-// anchored deadline — negative once the budget is spent, which the
-// worker answers with an immediate full-shed response.
-func shardRequest(req serve.SweepRequest, sh *shard, hedge bool, deadline time.Time) serve.SweepRequest {
+// the dead worker's journal by name). The worker-relative deadline_ms
+// is re-derived from what remains of the coordinator's anchored
+// deadline — negative once the budget is spent, which the worker
+// answers with an immediate full-shed response.
+func shardRequest(req serve.SweepRequest, sh *shard, deadline time.Time) serve.SweepRequest {
 	sreq := req
 	sreq.Apps = []string{sh.app}
 	sreq.Shard = sh.app
-	if req.SweepID != "" && !sh.noJournal && !hedge {
+	if req.SweepID != "" && !sh.noJournal {
 		sreq.SweepID = req.SweepID + "." + sh.app
 	} else {
 		sreq.SweepID = ""
@@ -374,10 +357,43 @@ func (c *Coordinator) inspectJournal(sh *shard, req serve.SweepRequest) {
 	}
 }
 
+// beginSweep counts one more sweep in flight, starting the probe loop
+// if it is the only one, and returns the func that counts it out: the
+// last sweep to end stops the loop and waits for it to exit.
+func (c *Coordinator) beginSweep() (end func()) {
+	c.probeMu.Lock()
+	defer c.probeMu.Unlock()
+	if c.sweeps++; c.sweeps == 1 {
+		ctx, cancel := context.WithCancel(context.Background())
+		exited := make(chan struct{})
+		go func() {
+			defer close(exited)
+			c.probeLoop(ctx, c.probeEvery)
+		}()
+		c.stopProbes = func() {
+			cancel()
+			<-exited
+		}
+	}
+	return func() {
+		c.probeMu.Lock()
+		var stop func()
+		if c.sweeps--; c.sweeps == 0 {
+			stop, c.stopProbes = c.stopProbes, nil
+		}
+		c.probeMu.Unlock()
+		if stop != nil {
+			stop()
+		}
+	}
+}
+
 // probeLoop health-checks the fleet every interval, feeding outcomes
 // into the node breakers: a worker that stops answering /readyz is
 // quarantined without burning a shard attempt, and a recovered worker
-// closes its breaker on the next green probe.
+// closes its breaker on the next green probe. A probe that returns
+// after ctx is done is discarded: stopping the loop says nothing about
+// the node.
 func (c *Coordinator) probeLoop(ctx context.Context, interval time.Duration) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -394,6 +410,9 @@ func (c *Coordinator) probeLoop(ctx context.Context, interval time.Duration) {
 			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			err := w.Probe(pctx)
 			cancel()
+			if ctx.Err() != nil {
+				return
+			}
 			if err != nil {
 				c.met.ProbeFailures.Add(1)
 				c.breakers.Record(name, false)

@@ -12,6 +12,7 @@ import (
 
 	"espsim/internal/fault"
 	"espsim/internal/serve"
+	"espsim/internal/sim"
 )
 
 // httpWorker serves a fresh espd behind a loopback HTTP server and
@@ -137,5 +138,80 @@ func TestNetFaultsCountDeadWorkers(t *testing.T) {
 	if snap.NetFaults != snap.Shards.Reschedules+snap.Shards.Failed {
 		t.Errorf("net_faults %d, want one per failed attempt (%d rescheduled, %d failed)",
 			snap.NetFaults, snap.Shards.Reschedules, snap.Shards.Failed)
+	}
+}
+
+// TestCanceledSweepIsNoNodeFailure: a client that cancels its sweep
+// while every worker has a shard in flight leaves the fleet as it was.
+// A canceled HTTPWorker attempt fails with ErrWorkerDown and a canceled
+// LocalWorker attempt answers canceled cells; either way the
+// coordinator discards it, so two canceled sweeps record no breaker
+// outcome, net fault, reschedule or finished shard.
+func TestCanceledSweepIsNoNodeFailure(t *testing.T) {
+	names := []string{"w0", "w1"}
+	owned := map[string]bool{}
+	for _, w := range placeFleet(t, names, gridRequest("")) {
+		owned[w] = true
+	}
+	if len(owned) != len(names) {
+		t.Fatalf("placement gives shards to %d of %d workers, want every worker a shard", len(owned), len(names))
+	}
+	fleets := map[string]func(name string, opt serve.Options) Worker{
+		"local": func(name string, opt serve.Options) Worker { return newWorker(name, opt) },
+		"http": func(name string, opt serve.Options) Worker {
+			opt.Name = name
+			opt.Logger = quietLogger()
+			ts := httptest.NewServer(serve.New(opt))
+			t.Cleanup(ts.Close)
+			return NewHTTPWorker(name, ts.URL, nil)
+		},
+	}
+	for kind, mkWorker := range fleets {
+		t.Run(kind, func(t *testing.T) {
+			// Each worker runs one cell of each sweep, which stalls until
+			// the client's cancellation reaches it.
+			const sweeps = 2
+			running := make(chan struct{}, sweeps*len(names))
+			opt := serve.Options{Workers: 1, FaultHook: func(pt sim.FaultPoint) error {
+				if pt.Op == "run" {
+					running <- struct{}{}
+					<-pt.Done
+				}
+				return nil
+			}}
+			var workers []Worker
+			for _, name := range names {
+				workers = append(workers, mkWorker(name, opt))
+			}
+			c, err := New(Options{Workers: workers, Logger: quietLogger()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < sweeps; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				go func() {
+					for range names {
+						<-running
+					}
+					cancel()
+				}()
+				if _, err := c.Run(ctx, gridRequest("")); !errors.Is(err, context.Canceled) {
+					t.Fatalf("sweep %d: %v, want context.Canceled", i, err)
+				}
+			}
+			snap := c.Metrics()
+			if snap.NetFaults != 0 || snap.Shards.Reschedules != 0 || snap.Shards.Done != 0 || snap.Shards.Failed != 0 {
+				t.Errorf("canceled sweeps counted net faults %d, reschedules %d, shards done %d, failed %d; want all 0",
+					snap.NetFaults, snap.Shards.Reschedules, snap.Shards.Done, snap.Shards.Failed)
+			}
+			for _, ws := range snap.Workers {
+				if ws.Breaker != "closed" {
+					t.Errorf("worker %s breaker %s after canceled sweeps, want closed", ws.Name, ws.Breaker)
+				}
+			}
+			if snap.Quarantine.Trips != 0 {
+				t.Errorf("canceled sweeps tripped %d breakers", snap.Quarantine.Trips)
+			}
+		})
 	}
 }

@@ -16,8 +16,6 @@ type counters struct {
 	JournalHandoffs  atomic.Int64 // dead worker's journal adopted by a peer
 	DigestMismatches atomic.Int64 // journal refused: digest described different work
 	ResumedCells     atomic.Int64 // cells replayed from an adopted journal
-	Hedges           atomic.Int64 // straggling shards re-dispatched to an idle worker
-	HedgeWins        atomic.Int64 // hedge attempts that returned the first (merged) result
 	CellsShed        atomic.Int64 // cells workers shed as unfinishable within the deadline
 }
 
@@ -40,8 +38,6 @@ type Snapshot struct {
 		Failed      int64 `json:"failed"`
 		Steals      int64 `json:"steals"`
 		Reschedules int64 `json:"reschedules"`
-		Hedges      int64 `json:"hedges"`
-		HedgeWins   int64 `json:"hedge_wins"`
 	} `json:"shards"`
 
 	// Overload mirrors the fleet-facing degradation machinery: cells a
@@ -81,8 +77,6 @@ func (c *counters) snapshot() Snapshot {
 	s.Shards.Failed = c.ShardsFailed.Load()
 	s.Shards.Steals = c.Steals.Load()
 	s.Shards.Reschedules = c.Reschedules.Load()
-	s.Shards.Hedges = c.Hedges.Load()
-	s.Shards.HedgeWins = c.HedgeWins.Load()
 	s.Overload.CellsShed = c.CellsShed.Load()
 	s.Health.Probes = c.Probes.Load()
 	s.Health.Failures = c.ProbeFailures.Load()

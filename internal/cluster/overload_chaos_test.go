@@ -1,12 +1,10 @@
 package cluster
 
-// Overload-robustness chaos for the coordination plane: hedged
-// re-dispatch of a straggling shard (first result wins, the merged
-// grid stays bit-identical — a hedge must never double-count), and a
-// greedy tenant flooding a degraded fleet while a victim tenant's
-// sweep overtakes via fair queueing, deadline shedding answers in
-// bounded time, and quota breaches surface as 429 through the
-// espcoord HTTP facade.
+// Overload-robustness chaos for the coordination plane: a greedy
+// tenant flooding a degraded fleet while a victim tenant's sweep
+// overtakes via fair queueing, deadline shedding answers in bounded
+// time, and quota breaches surface as 429 through the espcoord HTTP
+// facade.
 
 import (
 	"context"
@@ -22,112 +20,8 @@ import (
 
 	"espsim/internal/fault"
 	"espsim/internal/serve"
-	"espsim/internal/sim"
 	"espsim/internal/tenantq"
 )
-
-// TestHedgedStragglerParity pins the hedging contract: placement puts
-// one shard on a worker whose cells each stall 750ms, the other on a
-// clean peer. The peer finishes its own shard, then re-dispatches the
-// straggler's in-flight shard; the hedge must win, the loser's late
-// result must discard, and the merged grid must match the golden
-// corpus cell for cell — the double-dispatch is invisible in the
-// output, and the counters are exact. The canceled loser here is a
-// LocalWorker, which answers its canceled cells as a result.
-func TestHedgedStragglerParity(t *testing.T) {
-	hedgedStragglerParity(t, func(name string, opt serve.Options) Worker { return newWorker(name, opt) })
-}
-
-// TestHedgedStragglerParityHTTP is TestHedgedStragglerParity over
-// HTTPWorkers, whose canceled loser fails with an error: a failure
-// racing a finished shard is neither a net fault nor a node failure.
-func TestHedgedStragglerParityHTTP(t *testing.T) {
-	hedgedStragglerParity(t, func(name string, opt serve.Options) Worker {
-		opt.Name = name
-		opt.Logger = quietLogger()
-		ts := httptest.NewServer(serve.New(opt))
-		t.Cleanup(ts.Close)
-		return NewHTTPWorker(name, ts.URL, nil)
-	})
-}
-
-// hedgedStragglerParity runs the hedging contract over workers that
-// mkWorker builds.
-func hedgedStragglerParity(t *testing.T, mkWorker func(name string, opt serve.Options) Worker) {
-	golden := readGoldenCorpus(t)
-	dir := t.TempDir()
-
-	// The sweep journals (SweepID set): the straggler's primary attempt
-	// holds the shard journal claim, so the hedge must run journal-less
-	// — if it tried to claim the same journal the sweep would fail.
-	apps := []string{"amazon", "bing"}
-	req := serve.SweepRequest{Apps: apps, Configs: gridConfigs, SweepID: "hedge", MaxEvents: goldenMaxEvents}
-	owners := placeFleet(t, []string{"w0", "w1"}, req)
-	slowName, fastName := owners["amazon"], owners["bing"]
-	if slowName == fastName {
-		t.Fatalf("placement %v puts both shards on one worker", owners)
-	}
-
-	slowHook := func(pt sim.FaultPoint) error {
-		if pt.Op == "run" {
-			time.Sleep(750 * time.Millisecond)
-		}
-		return nil
-	}
-	slow := mkWorker(slowName, serve.Options{Workers: 1, FaultHook: slowHook, CheckpointDir: dir})
-	fast := mkWorker(fastName, serve.Options{Workers: 2, CheckpointDir: dir})
-
-	c, err := New(Options{
-		Workers:       []Worker{slow, fast},
-		HedgeAfter:    20 * time.Millisecond,
-		CheckpointDir: dir,
-		Logger:        quietLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(apps) * len(gridConfigs); len(resp.Cells) != want {
-		t.Fatalf("merged sweep has %d cells, want %d — a hedge double-counted or dropped cells", len(resp.Cells), want)
-	}
-	for i, cell := range resp.Cells {
-		wantApp, wantCfg := apps[i/len(gridConfigs)], gridConfigs[i%len(gridConfigs)]
-		if cell.App != wantApp || cell.Config != wantCfg {
-			t.Fatalf("cell %d is %s/%s, want %s/%s", i, cell.App, cell.Config, wantApp, wantCfg)
-		}
-		key := cell.App + "/" + cell.Config
-		if cell.Result == nil {
-			t.Fatalf("cell %s has no result: error=%q kind=%q", key, cell.Error, cell.ErrorKind)
-		}
-		if !jsonEqual(*cell.Result, golden[key]) {
-			t.Errorf("cell %s deviates from the golden corpus", key)
-		}
-	}
-
-	snap := c.Metrics()
-	if snap.NetFaults != 0 {
-		t.Errorf("net_faults %d, want 0: the canceled hedge loser is not a dead worker", snap.NetFaults)
-	}
-	if snap.Shards.Hedges != 1 || snap.Shards.HedgeWins != 1 {
-		t.Errorf("hedges=%d wins=%d, want exactly 1/1 (the straggler's shard, won by the clean peer)",
-			snap.Shards.Hedges, snap.Shards.HedgeWins)
-	}
-	if snap.Shards.Done != int64(len(apps)) || snap.Shards.Failed != 0 {
-		t.Errorf("shards done=%d failed=%d, want %d/0", snap.Shards.Done, snap.Shards.Failed, len(apps))
-	}
-	// Losing a race is not a node failure: the loser recorded none, so
-	// the slow worker is still one failure short of its threshold.
-	for i := 1; i < nodeBreakerThreshold; i++ {
-		c.breakers.Record(slowName, false)
-	}
-	if snap.Quarantine.Trips != 0 || c.breakers.StateOf(slowName) != "closed" {
-		t.Errorf("quarantine trips %d, slow worker %s — a canceled hedge loser counted as a node failure",
-			snap.Quarantine.Trips, c.breakers.StateOf(slowName))
-	}
-}
 
 // TestGreedyTenantFloodDegradedFleet is the overload acceptance gate:
 // a greedy tenant floods a three-worker fleet one of whose workers is
@@ -285,12 +179,7 @@ func TestGreedyTenantFloodDegradedFleet(t *testing.T) {
 		t.Fatalf("facade answered %d for a quota breach, want 429: %s", rec.Code, rec.Body.String())
 	}
 
-	// Exactness: hedging was off, so the hedge counters must be zero,
-	// and the dead worker served nothing.
-	snap := c.Metrics()
-	if snap.Shards.Hedges != 0 || snap.Shards.HedgeWins != 0 {
-		t.Errorf("hedges=%d wins=%d with hedging disabled, want 0/0", snap.Shards.Hedges, snap.Shards.HedgeWins)
-	}
+	// The dead worker served nothing.
 	if got := workerMetrics(t, dead).Requests.Shard; got != 0 {
 		t.Errorf("dead worker served %d shards", got)
 	}

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"espsim/internal/eventq"
 	"espsim/internal/serve/metrics"
 	"espsim/internal/sim"
 	"espsim/internal/tenantq"
@@ -346,18 +345,20 @@ func TestQuotaRefusalsCountCells(t *testing.T) {
 }
 
 // arenaBytes is the accounted size of the workload a cell of app at
-// maxEvents replays, as the server's runner builds it.
+// maxEvents replays, as the server's runner builds it: what a fresh
+// runner holds live after one such cell.
 func arenaBytes(t *testing.T, app string, maxEvents int) int64 {
 	t.Helper()
 	prof, err := workload.ByName(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := sim.NewRunner().WorkloadSched(prof, maxEvents, eventq.SchedFIFO, 0)
-	if err != nil {
+	r := sim.NewRunner()
+	if _, err := r.RunCell(context.Background(), app, prof, sim.Config{Name: "base", MaxEvents: maxEvents}); err != nil {
 		t.Fatal(err)
 	}
-	return w.Bytes()
+	live, _ := r.LiveBytes()
+	return live
 }
 
 // TestMemoryBudgetSweeps: one worker serves 16 sequential base+NL

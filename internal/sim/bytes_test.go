@@ -79,10 +79,7 @@ func TestWorkloadBytesPerInst(t *testing.T) {
 func TestRunnerByteBudget(t *testing.T) {
 	r := NewRunner()
 	profs := smallSuite()
-	one, err := r.Workload(profs[0], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := cellWorkload(t, r, profs[0], Config{})
 	budget := one.Bytes() + one.Bytes()/2 // room for ~1.5 workloads
 	r.SetWorkloadBudget(budget)
 
@@ -169,9 +166,7 @@ func TestHeldWorkloadIsNotEvicted(t *testing.T) {
 				}
 			}
 			held := r.Perf()
-			if _, err := r.Workload(profs[0], 0); err != nil {
-				t.Fatal(err)
-			}
+			cellWorkload(t, r, profs[0], espConfig())
 			release()
 			if err := <-done; err != nil {
 				t.Fatal(err)
@@ -214,9 +209,7 @@ func TestRefusedBuildKeepsIdleWorkloads(t *testing.T) {
 	}
 	before := r.Perf()
 	for _, p := range profs[:2] {
-		if _, err := r.Workload(p, 0); err != nil {
-			t.Fatal(err)
-		}
+		cellWorkload(t, r, p, espConfig())
 	}
 	p := r.Perf()
 	if p.WorkloadEvicts != 0 || p.WorkloadBuilds != before.WorkloadBuilds || p.WorkloadBuilds != 4 {

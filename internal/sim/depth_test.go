@@ -29,11 +29,7 @@ func TestBoundedWorkloadKeepsViewDepth(t *testing.T) {
 	r := NewRunner()
 	get := func(maxEvents, maxPending int) *Workload {
 		t.Helper()
-		w, err := r.WorkloadSched(prof, maxEvents, eventq.SchedFIFO, maxPending)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w
+		return cellWorkload(t, r, prof, Config{MaxEvents: maxEvents, MaxPending: maxPending})
 	}
 	shallow, deep := get(4, 0), get(4, 8)
 	if n := specOnly(shallow); n > 2 || n >= specOnly(deep) {
@@ -50,16 +46,13 @@ func TestBoundedWorkloadKeepsViewDepth(t *testing.T) {
 	}
 	unbounded := get(0, 0)
 	timed := workload.MobileWeb()
-	tw, err := r.WorkloadSched(timed, 4, eventq.SchedEDF, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tw := cellWorkload(t, r, timed, Config{MaxEvents: 4, Sched: eventq.SchedEDF})
 	for maxPending := 1; maxPending <= 9; maxPending++ {
 		if get(0, maxPending) != unbounded {
 			t.Fatalf("unbounded workload rebuilt for MaxPending %d", maxPending)
 		}
-		if w, err := r.WorkloadSched(timed, 4, eventq.SchedEDF, maxPending); err != nil || w != tw {
-			t.Fatalf("bounded timed workload rebuilt for MaxPending %d (err %v)", maxPending, err)
+		if cellWorkload(t, r, timed, Config{MaxEvents: 4, Sched: eventq.SchedEDF, MaxPending: maxPending}) != tw {
+			t.Fatalf("bounded timed workload rebuilt for MaxPending %d", maxPending)
 		}
 	}
 	if b := r.Perf().WorkloadBuilds; b != 4 {
@@ -78,10 +71,7 @@ func TestShallowWorkloadRefusesDeeperReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner()
-	w, err := r.WorkloadSched(prof, 4, eventq.SchedFIFO, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := cellWorkload(t, r, prof, Config{MaxEvents: 4})
 	cfg := espConfig()
 	cfg.MaxEvents = 4
 	for maxPending := 0; maxPending <= 10; maxPending++ {

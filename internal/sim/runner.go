@@ -25,7 +25,7 @@ var ErrTimeout = errors.New("timeout")
 var ErrPanic = errors.New("simulation panicked")
 
 // ErrBuild marks a workload materialization failure. Failed builds are
-// not cached (see Workload), so a retry after a transient failure
+// not cached (see RunCell), so a retry after a transient failure
 // rebuilds instead of replaying the stale error.
 var ErrBuild = errors.New("workload build failed")
 
@@ -167,7 +167,7 @@ func (p Perf) String() string {
 // workloadKey identifies one materialization: the full profile value
 // (Profile is a comparable struct of scalars) plus the executed-prefix
 // bound, the dispatch policy the schedule was baked under and the depth
-// of queue view kept (cellDepth). Two cells with equal keys share one
+// of queue view kept (see cellKey). Two cells with equal keys share one
 // Workload.
 type workloadKey struct {
 	prof      workload.Profile
@@ -176,19 +176,19 @@ type workloadKey struct {
 	depth     int
 }
 
-// cellDepth is how deep a Runner keeps the queue views of prof's
-// workload for cells that replay maxEvents events under maxPending: as
-// deep as such a replay reads (viewDepth) when maxEvents bounds an
-// untimed session, and whole (specLookahead) otherwise. An unbounded
-// replay runs every event, and a timed session's views name only
-// executed events (the queue holds what has arrived by dispatch), so a
-// shallower workload would hold no less; there one serves every
-// MaxPending.
-func cellDepth(prof workload.Profile, maxEvents, maxPending int) int {
-	if maxEvents <= 0 || prof.Timed {
-		return specLookahead
+// cellKey is the key of the workload a cell of prof replays as cfg. It
+// keeps queue views as deep as such a replay reads (viewDepth) when
+// cfg.MaxEvents bounds an untimed session, and whole (specLookahead)
+// otherwise. An unbounded replay runs every event, and a timed
+// session's views name only executed events (the queue holds what has
+// arrived by dispatch), so a shallower workload would hold no less;
+// there one serves every MaxPending.
+func cellKey(prof workload.Profile, cfg Config) workloadKey {
+	depth := specLookahead
+	if cfg.MaxEvents > 0 && !prof.Timed {
+		depth = viewDepth(cfg.MaxPending)
 	}
-	return viewDepth(maxPending)
+	return workloadKey{prof: prof, maxEvents: cfg.MaxEvents, sched: cfg.Sched, depth: depth}
 }
 
 // workloadCell is one workload's place in a Runner: the single-flight
@@ -219,7 +219,7 @@ type workloadCell struct {
 // state first.
 //
 // A bounded cell's workload is built only as deep as its MaxPending
-// reads (see cellDepth), so the cache keys a workload by profile,
+// reads (see cellKey), so the cache keys a workload by profile,
 // MaxEvents, dispatch policy and that depth. The cache is unbounded by
 // default; a long-lived Runner (the espd service) should SetWorkloadCap
 // or SetWorkloadBudget so distinct keys evict least-recently-used
@@ -422,38 +422,6 @@ func (r *Runner) release(cell *workloadCell) {
 	}
 }
 
-// Workload returns the materialized workload for prof truncated to
-// maxEvents, at full depth (any MaxPending replays it), building it on
-// first use and sharing it afterwards. Concurrent callers for the same
-// key block on one materialization.
-//
-// Failed builds are never cached: every waiter on the failing
-// materialization observes the same error (wrapped in ErrBuild, or
-// ErrMemory for a build that does not fit the budget), but the cache
-// entry is dropped immediately, so a later call — a retry after a
-// transient failure — materializes from scratch. The workload is not
-// held once returned: the cache may evict it, and RunWorkload holds it
-// again for its replay.
-func (r *Runner) Workload(prof workload.Profile, maxEvents int) (*Workload, error) {
-	return r.WorkloadSched(prof, maxEvents, eventq.SchedFIFO, specLookahead)
-}
-
-// WorkloadSched is Workload under an explicit dispatch policy, for
-// cells that replay with MaxPending maxPending. The policy is part of
-// the cache key, so the same profile scheduled two ways materializes
-// two arenas; so is the depth of queue view maxPending reads when
-// maxEvents bounds an untimed session (cellDepth), and the workload
-// keeps its views and speculative streams only that deep: a replay
-// under a deeper MaxPending needs its own.
-func (r *Runner) WorkloadSched(prof workload.Profile, maxEvents int, policy eventq.SchedPolicy, maxPending int) (*Workload, error) {
-	cell, err := r.hold(workloadKey{prof: prof, maxEvents: maxEvents, sched: policy, depth: cellDepth(prof, maxEvents, maxPending)})
-	if err != nil {
-		return nil, err
-	}
-	r.release(cell)
-	return cell.w, nil
-}
-
 // build materializes cell's workload, with fault-hook and perf
 // accounting, and caches it if it fits the budget. A failed or refused
 // build leaves its error in the cell and the cell out of the cache.
@@ -530,16 +498,19 @@ func (r *Runner) releaseMachine(m *Machine) {
 }
 
 // RunCell simulates one (profile, configuration) cell on the calling
-// goroutine: the workload is materialized once per key (see
-// WorkloadSched) and shared, held from lookup to the end of the replay,
-// and a pooled machine is fit to cfg and replays it. label names the
-// cell in panic and stop errors. ctx bounds the replay, not the build:
-// once it is done no further event runs, and the cell fails with
-// ErrTimeout if its deadline passed or with ctx's error otherwise. A
-// stopped cell's machine goes straight back to the pool (every replay
-// resets first); a panicking machine is dropped, never pooled.
+// goroutine: the workload is materialized once per key (see cellKey)
+// and shared, held from lookup to the end of the replay, and a pooled
+// machine is fit to cfg and replays it. A failed build is not cached:
+// the cells waiting on it fail with its error (wrapped in ErrBuild, or
+// ErrMemory for a build that does not fit the budget), and a later cell
+// builds again. label names the cell in panic and stop errors. ctx
+// bounds the replay, not the build: once it is done no further event
+// runs, and the cell fails with ErrTimeout if its deadline passed or
+// with ctx's error otherwise. A stopped cell's machine goes straight
+// back to the pool (every replay resets first); a panicking machine is
+// dropped, never pooled.
 func (r *Runner) RunCell(ctx context.Context, label string, prof workload.Profile, cfg Config) (Result, error) {
-	cell, err := r.hold(workloadKey{prof: prof, maxEvents: cfg.MaxEvents, sched: cfg.Sched, depth: cellDepth(prof, cfg.MaxEvents, cfg.MaxPending)})
+	cell, err := r.hold(cellKey(prof, cfg))
 	if err != nil {
 		return Result{}, err
 	}

@@ -18,6 +18,19 @@ import (
 	"espsim/internal/workload"
 )
 
+// cellWorkload is the workload RunCell replays for a cell of prof as
+// cfg, built on first use and shared after. It is not held once
+// returned, so the cache may evict it.
+func cellWorkload(t *testing.T, r *Runner, prof workload.Profile, cfg Config) *Workload {
+	t.Helper()
+	cell, err := r.hold(cellKey(prof, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.release(cell)
+	return cell.w
+}
+
 // smallSuite returns three distinct small profiles, for cache tests.
 func smallSuite() []workload.Profile {
 	out := []workload.Profile{workload.Amazon(), workload.Bing(), workload.Pixlr()}
@@ -96,31 +109,22 @@ func TestRunnerWorkloadLRU(t *testing.T) {
 	r := NewRunner()
 	r.SetWorkloadCap(2)
 
-	wa, err := r.Workload(profs[0], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Workload(profs[1], 0); err != nil {
-		t.Fatal(err)
-	}
+	wa := cellWorkload(t, r, profs[0], Config{})
+	cellWorkload(t, r, profs[1], Config{})
 	// Touch A so B becomes the LRU entry, then insert C: B is evicted.
-	if again, err := r.Workload(profs[0], 0); err != nil || again != wa {
-		t.Fatalf("re-request of cached workload: got (%p, %v), want the shared %p", again, err, wa)
+	if again := cellWorkload(t, r, profs[0], Config{}); again != wa {
+		t.Fatalf("re-request of cached workload: got %p, want the shared %p", again, wa)
 	}
-	if _, err := r.Workload(profs[2], 0); err != nil {
-		t.Fatal(err)
-	}
+	cellWorkload(t, r, profs[2], Config{})
 	p := r.Perf()
 	if p.WorkloadBuilds != 3 || p.WorkloadReuses != 1 || p.WorkloadEvicts != 1 {
 		t.Fatalf("after insert past cap: perf %+v, want 3 builds / 1 reuse / 1 evict", p)
 	}
 	// A stayed resident (it was freshened); B was evicted and rebuilds.
-	if again, err := r.Workload(profs[0], 0); err != nil || again != wa {
-		t.Fatalf("A should still be cached, got (%p, %v)", again, err)
+	if again := cellWorkload(t, r, profs[0], Config{}); again != wa {
+		t.Fatalf("A should still be cached, got %p", again)
 	}
-	if _, err := r.Workload(profs[1], 0); err != nil {
-		t.Fatal(err)
-	}
+	cellWorkload(t, r, profs[1], Config{})
 	p = r.Perf()
 	if p.WorkloadBuilds != 4 || p.WorkloadEvicts != 2 {
 		t.Fatalf("evicted key must rebuild: perf %+v, want 4 builds / 2 evicts", p)
@@ -133,9 +137,7 @@ func TestRunnerSetWorkloadCapTrims(t *testing.T) {
 	profs := smallSuite()
 	r := NewRunner()
 	for _, p := range profs {
-		if _, err := r.Workload(p, 0); err != nil {
-			t.Fatal(err)
-		}
+		cellWorkload(t, r, p, Config{})
 	}
 	if got := r.Perf().WorkloadEvicts; got != 0 {
 		t.Fatalf("unbounded cache evicted %d workloads", got)
@@ -278,10 +280,7 @@ func workloadDigest(w *Workload) uint64 {
 func TestWorkloadImmutableUnderConcurrentReplay(t *testing.T) {
 	prof := testProfile(t)
 	r := NewRunner()
-	w, err := r.Workload(prof, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := cellWorkload(t, r, prof, Config{MaxEvents: 48, MaxPending: specLookahead})
 	before := workloadDigest(w)
 
 	cfgs := []Config{
@@ -374,10 +373,7 @@ func TestRunWorkloadStopsOnContext(t *testing.T) {
 	prof := testProfile(t)
 	cfg := espConfig()
 	r := NewRunner()
-	w, err := r.Workload(prof, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := cellWorkload(t, r, prof, Config{MaxEvents: 8, MaxPending: specLookahead})
 	if _, err := r.RunWorkload(context.Background(), "warm", w, cfg); err != nil {
 		t.Fatal(err)
 	}
