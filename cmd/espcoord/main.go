@@ -3,15 +3,17 @@
 // the grid application-by-application with affinity placement (every
 // configuration of one application goes to one worker, keeping its
 // workload cache and machine pools hot; rendezvous hashing with loads
-// bounded by each application's size), quarantines sick or flaky
-// workers behind escalating circuit breakers fed by the sweep path and
-// by one prober's /readyz probes every 5 s while any sweep runs, lets
-// idle workers steal shards from stragglers, reschedules a failed
-// shard (each shard has at most one attempt in flight), and — when the
-// fleet shares a checkpoint directory — hands a dead worker's journal
-// to a peer so completed cells replay instead of re-simulating. Each
-// shard attempt that returns logs "cluster shard done" with its app,
-// worker and wall_ms.
+// bounded by each application's size), quarantines workers whose shard
+// attempts fail behind escalating circuit breakers, lets idle workers
+// steal shards from stragglers, and reschedules a failed shard (each
+// shard has at most one attempt in flight) under the same scoped
+// sweep_id, so when the workers share a checkpoint directory the peer
+// that adopts a dead worker's shard replays its completed cells
+// instead of re-simulating them. A worker's /sweep answers are all
+// espcoord learns of it: it neither probes workers nor reads their
+// journals, and a worker that refuses a shard's journal (409) runs the
+// shard again at once without one. Each shard attempt that returns
+// logs "cluster shard done" with its app, worker and wall_ms.
 //
 // Endpoints:
 //
@@ -23,13 +25,14 @@
 // Usage:
 //
 //	espcoord -worker w0=http://host0:8080 -worker w1=http://host1:8080 \
-//	         [-addr :8090] [-checkpoint-dir DIR] \
-//	         [-tenant name=weight[:cell_budget]]... [-log text|json]
+//	         [-addr :8090] [-tenant name=weight[:cell_budget]]... \
+//	         [-log text|json]
 //
 // The coordination constants are fixed: a shard may fail on 3 workers
 // before its cells are reported failed, 2 consecutive failures
-// quarantine a worker for 15 s (doubling per re-trip, up to 2 min), and
-// 64 sweeps per worker are admitted at once.
+// quarantine a worker for 15 s (doubling per re-trip, up to 2 min; the
+// one attempt it is then given re-admits it if it succeeds), and 64
+// sweeps per worker are admitted at once.
 package main
 
 import (
@@ -61,9 +64,8 @@ func main() {
 	var workers workerFlags
 	flag.Var(&workers, "worker", "fleet member as name=url (repeatable)")
 	var (
-		addr          = flag.String("addr", ":8090", "listen address")
-		checkpointDir = flag.String("checkpoint-dir", "", "journal directory the fleet shares (enables handoff; empty: recompute on reschedule)")
-		logFmt        = flag.String("log", "text", "log format: text or json")
+		addr   = flag.String("addr", ":8090", "listen address")
+		logFmt = flag.String("log", "text", "log format: text or json")
 	)
 	var tenantSpecs tenantFlags
 	flag.Var(&tenantSpecs, "tenant", "tenant config as name=weight[:cell_budget] (repeatable)")
@@ -102,10 +104,9 @@ func main() {
 	}
 
 	coord, err := cluster.New(cluster.Options{
-		Workers:       fleet,
-		CheckpointDir: *checkpointDir,
-		Tenants:       tenants,
-		Logger:        log,
+		Workers: fleet,
+		Tenants: tenants,
+		Logger:  log,
 	})
 	if err != nil {
 		log.Error("espcoord: assembling fleet", "err", err.Error())
@@ -117,7 +118,7 @@ func main() {
 		Handler:           cluster.NewServer(coord),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	log.Info("espcoord listening", "addr", *addr, "workers", len(fleet), "checkpoint_dir", *checkpointDir)
+	log.Info("espcoord listening", "addr", *addr, "workers", len(fleet))
 	if err := httpSrv.ListenAndServe(); err != nil {
 		log.Error("espcoord: serve", "err", err.Error())
 		os.Exit(1)

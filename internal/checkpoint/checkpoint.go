@@ -48,7 +48,7 @@ const maxRecordBytes = 16 << 20
 // ErrCorrupt reports a journal whose magic or header frame is damaged —
 // unlike a torn tail, there is nothing safe to resume from.
 //
-//esp:exempt local persistence error, matched with errors.Is at the serve/cluster resume sites; never reaches fault.Classify as a cell outcome
+//esp:exempt local persistence error, matched with errors.Is at espd's resume and /journalz sites; never reaches fault.Classify as a cell outcome
 var ErrCorrupt = errors.New("checkpoint: journal corrupt")
 
 // ErrClosed reports an Append against a journal that was already
@@ -57,12 +57,11 @@ var ErrCorrupt = errors.New("checkpoint: journal corrupt")
 //esp:exempt daemon-internal lifecycle error; never crosses the sweep wire, so it carries no ErrorKind
 var ErrClosed = errors.New("checkpoint: journal closed")
 
-// Meta is the typed journal header shared by espd sweeps and espcoord
-// shard handoff: which sweep (and, for a coordinator-sharded grid,
-// which shard) the records belong to, and a digest pinning every
-// request knob that shapes results. A journal whose digest does not
-// match the work being resumed must not be replayed — it would splice
-// cells from a different grid.
+// Meta is the typed header of an espd sweep journal: which sweep (and,
+// for a coordinator-sharded grid, which shard) the records belong to,
+// and a digest pinning every request knob that shapes results. A
+// journal whose digest does not match the work being resumed must not
+// be replayed — it would splice cells from a different grid.
 type Meta struct {
 	Version int    `json:"version"`
 	SweepID string `json:"sweep_id"`
@@ -203,10 +202,9 @@ func (j *Journal) Close() error {
 
 // Peek replays a journal read-only: the decoded header, every intact
 // record, and whether a torn tail was found (reported, not truncated —
-// Peek must not mutate a file another process may still own). This is
-// the coordinator's handoff view: when a worker dies mid-shard, Peek
-// on its shard journal tells the coordinator what completed and lets
-// it digest-check the header before resuming the rest on a peer.
+// Peek must not mutate a file another process may still own). It is
+// the view espd's GET /journalz serves: which cells of a sweep are
+// durable, and the header they were journaled under.
 func Peek(path string) (meta Meta, records [][]byte, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,10 +1,10 @@
 package cluster
 
 // Cluster-plane behavior with live in-process workers: golden parity
-// across a sharded fleet, work stealing off stragglers, and
-// probe-driven quarantine. Every worker is a real serve.Server driven
-// through its full HTTP stack, so these tests cover the same code
-// path a remote fleet runs.
+// across a sharded fleet, work stealing off stragglers, and quarantine
+// fed by shard attempts alone. Every worker is a real serve.Server
+// driven through its full HTTP stack, so these tests cover the same
+// code path a remote fleet runs.
 
 import (
 	"context"
@@ -15,10 +15,12 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	esp "espsim"
+	"espsim/internal/fault"
 	"espsim/internal/serve"
 	"espsim/internal/serve/metrics"
 	"espsim/internal/sim"
@@ -79,29 +81,6 @@ func placeFleet(t *testing.T, names []string, req serve.SweepRequest) map[string
 		t.Fatal(err)
 	}
 	return owners
-}
-
-// probeUntil drives c's probe loop every millisecond until done holds,
-// failing the test after 10 s.
-func probeUntil(t *testing.T, c *Coordinator, done func() bool) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	stopped := make(chan struct{})
-	go func() {
-		c.probeLoop(ctx, time.Millisecond)
-		close(stopped)
-	}()
-	defer func() {
-		cancel()
-		<-stopped
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for !done() {
-		if time.Now().After(deadline) {
-			t.Fatalf("probe loop never reached its condition: %+v", c.Metrics())
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // assertGridParity checks a merged response against the golden corpus:
@@ -273,10 +252,9 @@ func TestStealOnlyFromStragglers(t *testing.T) {
 	}
 }
 
-// TestProbeQuarantines pins both quarantine paths for a dead worker:
-// its failed shard attempts trip its breaker while the fleet routes
-// around it and the sweep completes bit-identically, and on a fresh
-// coordinator the probe loop alone trips it too.
+// TestProbeQuarantines pins quarantine of a dead worker by its failed
+// shard attempts alone: its breaker trips once, the fleet routes around
+// it, and the sweep completes bit-identically on the healthy worker.
 func TestProbeQuarantines(t *testing.T) {
 	golden := readGoldenCorpus(t)
 	healthy := newWorker("healthy", serve.Options{Workers: 2})
@@ -312,144 +290,152 @@ func TestProbeQuarantines(t *testing.T) {
 	if got := workerMetrics(t, sick).Requests.Shard; got != 0 {
 		t.Errorf("dead worker served %d shards", got)
 	}
+}
 
-	// The probe path: no sweep runs, and the probes alone quarantine
-	// the dead worker and keep the healthy one routable.
-	p, err := New(Options{Workers: []Worker{healthy, sick}, Logger: quietLogger()})
+// TestDrainingWorkerRoutedAround: a draining espd answers every shard
+// with 503, and those answers alone quarantine it. The draining worker
+// is the one placement gives more than one shard, so it fails two of
+// its own attempts back to back; the peer completes the grid
+// bit-identically, and no attempt counts as a net fault, since the
+// node answered.
+func TestDrainingWorkerRoutedAround(t *testing.T) {
+	golden := readGoldenCorpus(t)
+	owners := placeFleet(t, []string{"w0", "w1"}, gridRequest(""))
+	drainName, peerName := owners["amazon"], "w0"
+	if drainName == peerName {
+		peerName = "w1"
+	}
+	owned := 0
+	for _, w := range owners {
+		if w == drainName {
+			owned++
+		}
+	}
+	if owned < 2 {
+		t.Fatalf("placement %v gives the draining worker %d shards, want at least 2", owners, owned)
+	}
+	draining := newWorker(drainName, serve.Options{Workers: 2})
+	draining.srv.BeginDrain()
+	peer := newWorker(peerName, serve.Options{Workers: 2})
+	resp, snap := runFleet(t, []Worker{draining, peer}, gridRequest(""))
+	assertGridParity(t, golden, resp)
+
+	if got := workerMetrics(t, draining).Requests.Shard; got != 0 {
+		t.Errorf("draining worker served %d shards, want 0", got)
+	}
+	for _, ws := range snap.Workers {
+		if ws.Name == drainName && ws.Breaker != "open" {
+			t.Errorf("draining worker breaker %s, want open", ws.Breaker)
+		}
+	}
+	if snap.Shards.Reschedules < 1 {
+		t.Errorf("reschedules %d, want at least 1", snap.Shards.Reschedules)
+	}
+	if snap.NetFaults != 0 {
+		t.Errorf("net_faults %d, want 0: a draining worker answers", snap.NetFaults)
+	}
+}
+
+// slowWorker answers like stubWorker after pause; while stall is set,
+// an attempt instead announces itself on stalled and runs until its
+// context ends.
+type slowWorker struct {
+	stubWorker
+	pause   time.Duration
+	stall   atomic.Bool
+	stalled chan struct{}
+}
+
+func (s *slowWorker) Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error) {
+	if s.stall.Load() {
+		s.stalled <- struct{}{}
+		<-ctx.Done()
+		return serve.SweepResponse{}, ctx.Err()
+	}
+	time.Sleep(s.pause)
+	return s.stubWorker.Sweep(ctx, req)
+}
+
+// TestRecoveredWorkerRejoins: a quarantined worker that recovers is
+// re-admitted by the one attempt its breaker grants after the cooldown,
+// so nothing may spend that attempt without running a shard: not a
+// sweep that has no shard for the worker, and not a sweep canceled
+// while the attempt runs.
+func TestRecoveredWorkerRejoins(t *testing.T) {
+	w0 := &slowWorker{stubWorker: stubWorker{name: "w0"}, stalled: make(chan struct{}, 1)}
+	w1 := &slowWorker{stubWorker: stubWorker{name: "w1"}, pause: 100 * time.Millisecond}
+	c, err := New(Options{Workers: []Worker{w0, w1}, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probeUntil(t, p, func() bool { return p.breakers.StateOf("sick") == "open" })
-	if st := p.breakers.StateOf("healthy"); st != "closed" {
-		t.Errorf("healthy worker breaker %q after probing, want closed", st)
+	const cooldown = time.Millisecond
+	c.breakers = fault.NewEscalatingBreakerSet(nodeBreakerThreshold, cooldown, cooldown)
+
+	// own is an app placed on w0 and other one placed on w1, alone or
+	// together; w1 runs other first and then may steal own from its
+	// quarantined owner, so w0 has 100 ms to take own.
+	var own, other string
+	for _, app := range suiteApps() {
+		owners, err := c.place([]string{app}, serve.SweepRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case owners[app] == "w0" && own == "":
+			own = app
+		case owners[app] == "w1" && other == "":
+			other = app
+		}
 	}
-	if ps := p.Metrics(); ps.Health.Failures < nodeBreakerThreshold || ps.Health.Probes <= ps.Health.Failures {
-		t.Errorf("prober ran %d probes with %d failures, want >= %d failures and some successes",
-			ps.Health.Probes, ps.Health.Failures, nodeBreakerThreshold)
+	if pair, err := c.place([]string{own, other}, serve.SweepRequest{}); err != nil || pair[own] != "w0" || pair[other] != "w1" {
+		t.Fatalf("placement of %q and %q: %v (%v), want w0 and w1", own, other, pair, err)
 	}
-}
-
-// gatedProbeWorker holds its first probe until released, then answers
-// healthy; later probes wait for the prober to stop. Each probe
-// announces itself on started.
-type gatedProbeWorker struct {
-	started chan struct{}
-	release chan struct{}
-	calls   int
-}
-
-func (g *gatedProbeWorker) Name() string { return "gated" }
-
-func (g *gatedProbeWorker) Sweep(context.Context, serve.SweepRequest) (serve.SweepResponse, error) {
-	return serve.SweepResponse{}, ErrWorkerDown
-}
-
-func (g *gatedProbeWorker) Probe(ctx context.Context) error {
-	g.calls++ // the prober probes one node at a time
-	select {
-	case g.started <- struct{}{}:
-	default:
+	sweep := func(ctx context.Context, apps ...string) error {
+		_, err := c.Run(ctx, serve.SweepRequest{Apps: apps, Configs: []string{"base"}})
+		return err
 	}
-	if g.calls == 1 {
-		<-g.release
-		return nil
+	quarantine := func() {
+		t.Helper()
+		for i := 0; i < nodeBreakerThreshold; i++ {
+			c.breakers.Record("w0", false)
+		}
+		if st := c.breakers.StateOf("w0"); st != "open" {
+			t.Fatalf("w0 breaker %s after %d failures, want open", st, nodeBreakerThreshold)
+		}
+		time.Sleep(2 * cooldown)
 	}
-	<-ctx.Done()
-	return ctx.Err()
-}
+	rejoined := func(after string, served int64) {
+		t.Helper()
+		if st, n := c.breakers.StateOf("w0"), w0.shards.Load()-served; st != "closed" || n == 0 {
+			t.Fatalf("after %s, recovered w0 served %d shards of the next sweep with its breaker %s; want 1, closed", after, n, st)
+		}
+	}
 
-// TestStaleProbeKeepsQuarantine: a node that trips while a probe is in
-// flight stays quarantined when that probe then succeeds, because the
-// success describes the node before it failed.
-func TestStaleProbeKeepsQuarantine(t *testing.T) {
-	g := &gatedProbeWorker{started: make(chan struct{}, 1), release: make(chan struct{})}
-	c, err := New(Options{Workers: []Worker{g}, Logger: quietLogger()})
-	if err != nil {
+	// Past its cooldown, w0 waits out a sweep with no shard for it.
+	quarantine()
+	if err := sweep(context.Background(), other); err != nil {
 		t.Fatal(err)
 	}
+	if err := sweep(context.Background(), own, other); err != nil {
+		t.Fatal(err)
+	}
+	rejoined("a sweep with no shard for it", 0)
+
+	// w0's attempt is canceled with its sweep.
+	quarantine()
+	w0.stall.Store(true)
 	ctx, cancel := context.WithCancel(context.Background())
-	stopped := make(chan struct{})
 	go func() {
-		c.probeLoop(ctx, time.Millisecond)
-		close(stopped)
-	}()
-	defer func() {
+		<-w0.stalled
 		cancel()
-		<-stopped
 	}()
-
-	<-g.started // first probe in flight on a healthy node
-	for i := 0; i < nodeBreakerThreshold; i++ {
-		c.breakers.Record("gated", false) // shards fail on the node meanwhile
+	if err := sweep(ctx, own, other); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep: %v, want context.Canceled", err)
 	}
-	close(g.release) // the first probe then answers healthy
-	<-g.started      // second probe started: the first is accounted
-	if st := c.breakers.StateOf("gated"); st != "open" {
-		t.Fatalf("a probe that started before the trip left the breaker %s, want open", st)
-	}
-}
-
-// stallWorker's shard attempts and probes each run until their context
-// ends; every attempt announces itself on sweeping.
-type stallWorker struct{ sweeping chan struct{} }
-
-func (s *stallWorker) Name() string { return "w0" }
-
-func (s *stallWorker) Sweep(ctx context.Context, _ serve.SweepRequest) (serve.SweepResponse, error) {
-	s.sweeping <- struct{}{}
-	<-ctx.Done()
-	return serve.SweepResponse{}, ctx.Err()
-}
-
-func (s *stallWorker) Probe(ctx context.Context) error {
-	<-ctx.Done()
-	return ctx.Err()
-}
-
-// TestOneProbeLoopPerCoordinator: sweeps in flight share one probe
-// loop, so a worker sees one probe per round however many run, and the
-// loop stops with the last sweep, recording no failure for the probe
-// it cut short.
-func TestOneProbeLoopPerCoordinator(t *testing.T) {
-	const sweeps = 4
-	w := &stallWorker{sweeping: make(chan struct{}, sweeps)}
-	c, err := New(Options{Workers: []Worker{w}, Logger: quietLogger()})
-	if err != nil {
+	w0.stall.Store(false)
+	served := w0.shards.Load()
+	if err := sweep(context.Background(), own, other); err != nil {
 		t.Fatal(err)
 	}
-	c.probeEvery = time.Millisecond
-	req := serve.SweepRequest{Apps: []string{"amazon"}, Configs: []string{"base"}}
-	cancels := make([]context.CancelFunc, sweeps)
-	ended := make(chan error, sweeps)
-	for i := range cancels {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancels[i] = cancel
-		go func() {
-			_, err := c.Run(ctx, req)
-			ended <- err
-		}()
-	}
-	for i := 0; i < sweeps; i++ {
-		<-w.sweeping
-	}
-	// The first probe stalls until its loop stops; a loop per sweep
-	// would start a probe of its own within a round or two of it.
-	for c.met.Probes.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * c.probeEvery)
-	if n := c.met.Probes.Load(); n != 1 {
-		t.Fatalf("%d sweeps in flight started %d probes of one worker, want 1", sweeps, n)
-	}
-	for i, cancel := range cancels {
-		cancel()
-		if err := <-ended; !errors.Is(err, context.Canceled) {
-			t.Fatalf("sweep %d: %v, want context.Canceled", i, err)
-		}
-		snap := c.Metrics()
-		if snap.Health.Probes != 1 || snap.Health.Failures != 0 || snap.Workers[0].Breaker != "closed" {
-			t.Fatalf("after %d of %d sweeps ended: %d probes, %d failed, breaker %s; want 1 probe still in flight, none failed, closed",
-				i+1, sweeps, snap.Health.Probes, snap.Health.Failures, snap.Workers[0].Breaker)
-		}
-	}
+	rejoined("a canceled attempt", served)
 }

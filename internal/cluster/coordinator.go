@@ -5,13 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
-	"espsim/internal/checkpoint"
 	"espsim/internal/fault"
 	"espsim/internal/serve"
 	"espsim/internal/tenantq"
@@ -23,12 +20,6 @@ type Options struct {
 	// Workers is the fleet, in a stable order (placement hashes names,
 	// so order only affects log readability). Required, names unique.
 	Workers []Worker
-	// CheckpointDir is the journal directory the fleet shares, when it
-	// does (local fleets, network volumes). It enables journal
-	// handoff: a dead worker's shard journal is digest-checked here
-	// and its completed cells replay on whichever peer adopts the
-	// shard. Empty: peers recompute instead (same results, more work).
-	CheckpointDir string
 	// Tenants mirrors espd's fair-queue configuration at the
 	// coordination layer (unnamed tenants get weight 1, no cell
 	// budget): a sweep is admitted against its tenant's weight and
@@ -52,10 +43,6 @@ const (
 	nodeBreakerThreshold   = 2
 	nodeBreakerCooldown    = 15 * time.Second
 	nodeBreakerMaxCooldown = 2 * time.Minute
-	// probeInterval spaces the health probes that run while any sweep
-	// does; each probe is bounded by probeTimeout.
-	probeInterval = 5 * time.Second
-	probeTimeout  = 2 * time.Second
 	// tenantSlots is how many sweeps per worker the fleet-wide tenant
 	// queue admits at once.
 	tenantSlots = 64
@@ -66,25 +53,16 @@ const (
 const maxCoordSweepID = 48
 
 // Coordinator shards sweeps across a fleet of espd workers. One
-// Coordinator serves many Run calls; node breakers, counters and the
-// health prober are fleet state, shared across sweeps.
+// Coordinator serves many Run calls; node breakers and counters are
+// fleet state, shared across sweeps. A worker's /sweep answers are all
+// it knows of that worker.
 type Coordinator struct {
-	opt      Options
 	log      *slog.Logger
 	names    []string // placement domain, stable order
 	workers  map[string]Worker
 	breakers *fault.BreakerSet
 	tq       *tenantq.Queue
 	met      counters
-
-	// probeEvery spaces the probe loop's rounds (probeInterval). One
-	// loop runs while any sweep does: sweeps counts the sweeps in
-	// flight, and stopProbes, set while the loop runs, stops it and
-	// waits for it to exit. Both are guarded by probeMu.
-	probeEvery time.Duration
-	probeMu    sync.Mutex
-	sweeps     int
-	stopProbes func()
 }
 
 // New assembles a Coordinator.
@@ -96,13 +74,10 @@ func New(opt Options) (*Coordinator, error) {
 		opt.Logger = slog.Default()
 	}
 	c := &Coordinator{
-		opt:      opt,
 		log:      opt.Logger,
 		workers:  make(map[string]Worker, len(opt.Workers)),
 		breakers: fault.NewEscalatingBreakerSet(nodeBreakerThreshold, nodeBreakerCooldown, nodeBreakerMaxCooldown),
 		tq:       tenantq.New(tenantq.Options{Slots: tenantSlots * len(opt.Workers), Tenants: opt.Tenants}),
-
-		probeEvery: probeInterval,
 	}
 	for _, w := range opt.Workers {
 		name := w.Name()
@@ -185,7 +160,6 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 		c.log.Info("cluster placement", "app", app, "worker", owners[app])
 	}
 	q := newShardQueue(shards)
-	defer c.beginSweep()()
 
 	// Cancellation and breaker-cooldown re-checks run beside the worker
 	// loops for the sweep's duration.
@@ -236,10 +210,14 @@ func (c *Coordinator) Run(ctx context.Context, req serve.SweepRequest) (serve.Sw
 // runWorker is one fleet member's scheduling loop: take a shard
 // (affinity first, then rescheduled shards and stragglers' queued
 // ones), run it, merge or reschedule. The node breaker gates admission
-// — a quarantined worker waits instead of burning shard attempts. Once
-// the sweep's context is done, the attempt that returns is discarded
-// whatever it answered, and the loop ends: a canceled attempt says
-// nothing about its node.
+// — a quarantined worker waits instead of burning shard attempts — and
+// only shard attempts feed it. A worker that refuses the shard's
+// journal (409: written for another grid, or corrupt) runs it again at
+// once without one; the refusal is no node failure and consumes no
+// attempt. Once the sweep's context is done, the attempt that returns
+// is discarded whatever it answered, and the loop ends: a canceled
+// attempt says nothing about its node, so a half-open breaker gets its
+// attempt back for the next sweep.
 func (c *Coordinator) runWorker(ctx context.Context, w Worker, q *shardQueue, req serve.SweepRequest, deadline time.Time, merged *mergeSet) {
 	name := w.Name()
 	allowed := func() bool { return c.breakers.Allow(name) }
@@ -255,7 +233,16 @@ func (c *Coordinator) runWorker(ctx context.Context, w Worker, q *shardQueue, re
 		}
 		start := time.Now()
 		resp, err := w.Sweep(ctx, shardRequest(req, sh, deadline))
+		if journalRefused(err) && ctx.Err() == nil {
+			// Journal-less, the worker recomputes every cell rather
+			// than splice another grid's, and cannot answer 409 again.
+			sh.noJournal = true
+			c.met.DigestMismatches.Add(1)
+			c.log.Warn("cluster shard journal refused, rerunning without it", "app", sh.app, "worker", name, "err", err.Error())
+			resp, err = w.Sweep(ctx, shardRequest(req, sh, deadline))
+		}
 		if ctx.Err() != nil {
+			c.breakers.Release(name)
 			return
 		}
 		c.log.Info("cluster shard done", "app", sh.app, "worker", name,
@@ -274,17 +261,24 @@ func (c *Coordinator) runWorker(ctx context.Context, w Worker, q *shardQueue, re
 				continue
 			}
 			c.met.Reschedules.Add(1)
-			c.inspectJournal(sh, req)
 			q.requeue(sh)
 			continue
 		}
+		resumed := 0
 		for _, cell := range resp.Cells {
 			switch {
 			case cell.Resumed:
-				c.met.ResumedCells.Add(1)
+				resumed++
 			case cell.ErrorKind == string(fault.KindShed):
 				c.met.CellsShed.Add(1)
 			}
+		}
+		c.met.ResumedCells.Add(int64(resumed))
+		if resumed > 0 && sh.attempts > 0 {
+			// A failed attempt's journal, in the fleet's shared
+			// directory, was adopted by this worker.
+			c.met.JournalHandoffs.Add(1)
+			c.log.Info("cluster handoff: journal adopted", "app", sh.app, "worker", name, "cells", resumed)
 		}
 		merged.put(sh.app, resp.Cells)
 		c.met.ShardsDone.Add(1)
@@ -316,116 +310,6 @@ func shardRequest(req serve.SweepRequest, sh *shard, deadline time.Time) serve.S
 		sreq.DeadlineMs = rem
 	}
 	return sreq
-}
-
-// inspectJournal is the handoff step between a failed attempt and the
-// reschedule: when the fleet shares a checkpoint directory, peek the
-// shard's journal and digest-check its header. A matching journal
-// with completed cells means the adopting peer will resume them — a
-// handoff, counted once. A mismatched or corrupt journal must not be
-// resumed (it describes different work): the shard reruns journal-less
-// rather than splicing, and the conflict is counted.
-func (c *Coordinator) inspectJournal(sh *shard, req serve.SweepRequest) {
-	if c.opt.CheckpointDir == "" || req.SweepID == "" || sh.noJournal {
-		return
-	}
-	scoped := req.SweepID + "." + sh.app
-	meta, records, _, err := checkpoint.Peek(filepath.Join(c.opt.CheckpointDir, scoped+".espj"))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		return // nothing journaled before the failure
-	case errors.Is(err, checkpoint.ErrCorrupt):
-		sh.noJournal = true
-		c.met.DigestMismatches.Add(1)
-		c.log.Warn("cluster handoff: journal unusable", "app", sh.app, "sweep_id", scoped, "err", err.Error())
-		return
-	case err != nil:
-		return // unreadable (transient IO): let the peer's own open decide
-	}
-	want := serve.SweepDigest([]string{sh.app}, req)
-	if meta.SweepID != scoped || meta.Shard != sh.app || meta.Digest != want {
-		sh.noJournal = true
-		c.met.DigestMismatches.Add(1)
-		c.log.Warn("cluster handoff: digest mismatch", "app", sh.app, "sweep_id", scoped,
-			"journal_digest", meta.Digest, "want", want)
-		return
-	}
-	if len(records) > 0 && !sh.handedOff {
-		sh.handedOff = true
-		c.met.JournalHandoffs.Add(1)
-		c.log.Info("cluster handoff: journal adopted", "app", sh.app, "sweep_id", scoped, "cells", len(records))
-	}
-}
-
-// beginSweep counts one more sweep in flight, starting the probe loop
-// if it is the only one, and returns the func that counts it out: the
-// last sweep to end stops the loop and waits for it to exit.
-func (c *Coordinator) beginSweep() (end func()) {
-	c.probeMu.Lock()
-	defer c.probeMu.Unlock()
-	if c.sweeps++; c.sweeps == 1 {
-		ctx, cancel := context.WithCancel(context.Background())
-		exited := make(chan struct{})
-		go func() {
-			defer close(exited)
-			c.probeLoop(ctx, c.probeEvery)
-		}()
-		c.stopProbes = func() {
-			cancel()
-			<-exited
-		}
-	}
-	return func() {
-		c.probeMu.Lock()
-		var stop func()
-		if c.sweeps--; c.sweeps == 0 {
-			stop, c.stopProbes = c.stopProbes, nil
-		}
-		c.probeMu.Unlock()
-		if stop != nil {
-			stop()
-		}
-	}
-}
-
-// probeLoop health-checks the fleet every interval, feeding outcomes
-// into the node breakers: a worker that stops answering /readyz is
-// quarantined without burning a shard attempt, and a recovered worker
-// closes its breaker on the next green probe. A probe that returns
-// after ctx is done is discarded: stopping the loop says nothing about
-// the node.
-func (c *Coordinator) probeLoop(ctx context.Context, interval time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-		for _, name := range c.names {
-			w := c.workers[name]
-			c.met.Probes.Add(1)
-			before := c.breakers.StateOf(name)
-			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
-			err := w.Probe(pctx)
-			cancel()
-			if ctx.Err() != nil {
-				return
-			}
-			if err != nil {
-				c.met.ProbeFailures.Add(1)
-				c.breakers.Record(name, false)
-				c.log.Warn("cluster probe failed", "worker", name, "err", err.Error())
-				continue
-			}
-			// A success speaks for the node as it was when the probe
-			// started: one that tripped meanwhile stays quarantined.
-			if before != "closed" || c.breakers.StateOf(name) == "closed" {
-				c.breakers.Record(name, true)
-			}
-		}
-	}
 }
 
 // Placements reports the owner of every suite application in a

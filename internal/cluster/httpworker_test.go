@@ -67,29 +67,19 @@ func TestHTTPWorkerFleetMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestHTTPWorkerProbeAndDown: a draining daemon fails Probe, and a
-// closed one is ErrWorkerDown, classified net, for Probe and Sweep.
+// TestHTTPWorkerProbeAndDown: a Sweep to a closed daemon fails with
+// ErrWorkerDown, classified net. (A draining one answers 503; see
+// TestDrainingWorkerRoutedAround.)
 func TestHTTPWorkerProbeAndDown(t *testing.T) {
-	srv, ts, hw := httpWorker(t, "w0")
-	ctx := context.Background()
-	if err := hw.Probe(ctx); err != nil {
-		t.Fatalf("healthy worker failed Probe: %v", err)
-	}
-	srv.BeginDrain()
-	if err := hw.Probe(ctx); err == nil {
-		t.Fatal("draining worker passed Probe")
-	}
-
+	_, ts, hw := httpWorker(t, "w0")
 	ts.Close()
 	req := serve.SweepRequest{Apps: []string{"amazon"}, Configs: []string{"base"}, MaxEvents: goldenMaxEvents}
-	_, sweepErr := hw.Sweep(ctx, req)
-	for op, err := range map[string]error{"Probe": hw.Probe(ctx), "Sweep": sweepErr} {
-		if !errors.Is(err, ErrWorkerDown) {
-			t.Errorf("%s on a closed server: %v, want ErrWorkerDown", op, err)
-		}
-		if k := fault.Classify(err); k != fault.KindNet {
-			t.Errorf("%s on a closed server classifies as %q, want %q", op, k, fault.KindNet)
-		}
+	_, err := hw.Sweep(context.Background(), req)
+	if !errors.Is(err, ErrWorkerDown) {
+		t.Errorf("Sweep on a closed server: %v, want ErrWorkerDown", err)
+	}
+	if k := fault.Classify(err); k != fault.KindNet {
+		t.Errorf("Sweep on a closed server classifies as %q, want %q", k, fault.KindNet)
 	}
 }
 

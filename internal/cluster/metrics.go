@@ -7,15 +7,13 @@ import "sync/atomic"
 type counters struct {
 	SweepsDone       atomic.Int64
 	ShardsDone       atomic.Int64
-	ShardsFailed     atomic.Int64 // terminally failed after MaxShardAttempts
+	ShardsFailed     atomic.Int64 // terminally failed after maxShardAttempts
 	Steals           atomic.Int64 // shard taken by a non-preferred worker
 	Reschedules      atomic.Int64 // failed attempts put back on the queue
 	NetFaults        atomic.Int64 // attempts lost to a dead or unreachable worker (KindNet)
-	Probes           atomic.Int64
-	ProbeFailures    atomic.Int64
-	JournalHandoffs  atomic.Int64 // dead worker's journal adopted by a peer
-	DigestMismatches atomic.Int64 // journal refused: digest described different work
-	ResumedCells     atomic.Int64 // cells replayed from an adopted journal
+	JournalHandoffs  atomic.Int64 // shards that failed an attempt, then came back with resumed cells
+	DigestMismatches atomic.Int64 // shards rerun journal-less after a worker refused their journal (409)
+	ResumedCells     atomic.Int64 // cells workers answered from a journal, adopted or resubmitted
 	CellsShed        atomic.Int64 // cells workers shed as unfinishable within the deadline
 }
 
@@ -54,11 +52,6 @@ type Snapshot struct {
 		Open  int64 `json:"open"`
 	} `json:"quarantine"`
 
-	Health struct {
-		Probes   int64 `json:"probes"`
-		Failures int64 `json:"failures"`
-	} `json:"health"`
-
 	Handoff struct {
 		Journals         int64 `json:"journals"`
 		DigestMismatches int64 `json:"digest_mismatches"`
@@ -78,8 +71,6 @@ func (c *counters) snapshot() Snapshot {
 	s.Shards.Steals = c.Steals.Load()
 	s.Shards.Reschedules = c.Reschedules.Load()
 	s.Overload.CellsShed = c.CellsShed.Load()
-	s.Health.Probes = c.Probes.Load()
-	s.Health.Failures = c.ProbeFailures.Load()
 	s.Handoff.Journals = c.JournalHandoffs.Load()
 	s.Handoff.DigestMismatches = c.DigestMismatches.Load()
 	s.Handoff.ResumedCells = c.ResumedCells.Load()

@@ -97,8 +97,6 @@ func (s *stubWorker) Sweep(_ context.Context, req serve.SweepRequest) (serve.Swe
 	return resp, nil
 }
 
-func (s *stubWorker) Probe(context.Context) error { return nil }
-
 func stubCoordinator(t *testing.T, names []string, logger *slog.Logger) *Coordinator {
 	t.Helper()
 	var workers []Worker

@@ -15,8 +15,7 @@ type shard struct {
 	attempts  int       // failed attempts so far
 	last      string    // worker of the most recent attempt (set under the queue lock)
 	started   time.Time // when the current attempt began
-	noJournal bool      // digest mismatch found: resume would splice, run journal-less
-	handedOff bool      // journal adoption already counted for this shard
+	noJournal bool      // a worker refused the shard's journal: run journal-less
 }
 
 // stealAfter is how long a healthy owner's current attempt must have
@@ -56,9 +55,12 @@ func newShardQueue(shards []*shard) *shardQueue {
 // then shards last tried elsewhere, then anything it may steal), the
 // queue closes, or all work completes; the latter two return nil.
 // allowed gates admission (the caller's node breaker): while false the
-// worker waits without taking work; healthy reports whether a worker's
-// breaker is closed (see mayTake). poke wakes it to re-check after
-// cooldowns (and to re-evaluate the steal timer).
+// worker waits without taking work. It is asked only once there is a
+// shard to hand out, because a breaker past its cooldown admits one
+// half-open attempt per call that answers true, and that attempt must
+// happen. healthy reports whether a worker's breaker is closed (see
+// mayTake). poke wakes it to re-check after cooldowns (and to
+// re-evaluate the steal timer).
 func (q *shardQueue) take(worker string, allowed func() bool, healthy func(string) bool) *shard {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -66,15 +68,13 @@ func (q *shardQueue) take(worker string, allowed func() bool, healthy func(strin
 		if q.closed || q.outstanding == 0 {
 			return nil
 		}
-		if allowed == nil || allowed() {
-			if i := q.pick(worker, healthy); i >= 0 {
-				sh := q.ready[i]
-				q.ready = append(q.ready[:i], q.ready[i+1:]...)
-				sh.started = time.Now()
-				sh.last = worker
-				q.inflight[sh] = struct{}{}
-				return sh
-			}
+		if i := q.pick(worker, healthy); i >= 0 && (allowed == nil || allowed()) {
+			sh := q.ready[i]
+			q.ready = append(q.ready[:i], q.ready[i+1:]...)
+			sh.started = time.Now()
+			sh.last = worker
+			q.inflight[sh] = struct{}{}
+			return sh
 		}
 		q.cond.Wait()
 	}

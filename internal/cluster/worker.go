@@ -2,19 +2,22 @@
 // workers: espcoord shards a sweep grid application-by-application
 // across nodes (affinity placement keeps every configuration of one
 // application on one worker, so its LRU workload cache and machine
-// pools stay hot), watches node health, quarantines sick or flaky
-// nodes behind escalating circuit breakers, steals shards from
-// stragglers, and — when a worker dies mid-shard — hands its
-// checkpoint journal to a peer so the completed cells replay instead
-// of re-simulating. Results are bit-identical to a single-node sweep
-// under any placement or failure schedule, because every cell is
-// deterministic and the journals are digest-checked before reuse.
+// pools stay hot), quarantines nodes whose shard attempts fail behind
+// escalating circuit breakers, steals shards from stragglers, and
+// reschedules a failed shard under the same scoped sweep_id, so a peer
+// sharing the dead worker's checkpoint directory replays its completed
+// cells instead of re-simulating them. A worker's /sweep answers are
+// the coordinator's only source of facts about it. Results are
+// bit-identical to a single-node sweep under any placement or failure
+// schedule, because every cell is deterministic and each worker
+// digest-checks a journal before it resumes one.
 package cluster
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,17 +41,15 @@ var ErrWorkerDown = fault.Sentinel("cluster: worker down", fault.KindNet)
 type Worker interface {
 	Name() string
 	// Sweep runs one shard. An error means the outcome is unknown or
-	// the node refused; the shard will be rescheduled.
+	// the node refused; the shard will be rescheduled, or rerun
+	// journal-less when the refusal is a 409 (see journalRefused).
 	Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error)
-	// Probe is the health check: nil means the node answered /readyz
-	// with 200.
-	Probe(ctx context.Context) error
 }
 
 // LocalWorker adapts an in-process *serve.Server to the Worker
 // interface by driving its HTTP handlers directly — the same code
 // path a remote daemon serves, minus the socket. Kill simulates
-// process death: every call from then on fails with ErrWorkerDown,
+// process death: every Sweep from then on fails with ErrWorkerDown,
 // including a Sweep already in flight (its response is discarded the
 // way a dying process's unsent response would be; its journal appends
 // up to the kill are already durable, which is the point).
@@ -86,23 +87,7 @@ func (lw *LocalWorker) Sweep(ctx context.Context, req serve.SweepRequest) (serve
 		// the process is gone before the response made it out.
 		return serve.SweepResponse{}, fmt.Errorf("%w: %s died mid-sweep", ErrWorkerDown, lw.name)
 	}
-	var resp serve.SweepResponse
-	if err := decodeWorkerResponse(lw.name, rec.code, rec.buf.Bytes(), &resp); err != nil {
-		return serve.SweepResponse{}, err
-	}
-	return resp, nil
-}
-
-// Probe implements Worker. /readyz alone decides: /healthz answers 200
-// to every GET while the process serves.
-func (lw *LocalWorker) Probe(ctx context.Context) error {
-	if lw.dead.Load() {
-		return fmt.Errorf("%w: %s", ErrWorkerDown, lw.name)
-	}
-	if rec := lw.do(ctx, http.MethodGet, "/readyz", nil); rec.code != http.StatusOK {
-		return fmt.Errorf("%w: %s: /readyz answered %d", ErrWorkerDown, lw.name, rec.code)
-	}
-	return nil
+	return decodeWorkerResponse(lw.name, rec.code, rec.buf.Bytes())
 }
 
 // do drives one handler call through the server's full middleware
@@ -159,42 +144,25 @@ func (hw *HTTPWorker) Name() string { return hw.name }
 
 // Sweep implements Worker.
 func (hw *HTTPWorker) Sweep(ctx context.Context, req serve.SweepRequest) (serve.SweepResponse, error) {
-	var resp serve.SweepResponse
-	err := hw.do(ctx, http.MethodPost, "/sweep", req, &resp)
-	return resp, err
-}
-
-// Probe implements Worker.
-func (hw *HTTPWorker) Probe(ctx context.Context) error {
-	return hw.do(ctx, http.MethodGet, "/readyz", nil, &struct{}{})
-}
-
-func (hw *HTTPWorker) do(ctx context.Context, method, path string, body, out any) error {
-	var rdr io.Reader
-	if body != nil {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rdr = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, hw.baseURL+path, rdr)
+	body, err := json.Marshal(req)
 	if err != nil {
-		return err
+		return serve.SweepResponse{}, err
 	}
-	if rdr != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := hw.client.Do(req)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, hw.baseURL+"/sweep", bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrWorkerDown, hw.name, err)
+		return serve.SweepResponse{}, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := hw.client.Do(hreq)
+	if err != nil {
+		return serve.SweepResponse{}, fmt.Errorf("%w: %s: %v", ErrWorkerDown, hw.name, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return fmt.Errorf("%w: %s: reading response: %v", ErrWorkerDown, hw.name, err)
+		return serve.SweepResponse{}, fmt.Errorf("%w: %s: reading response: %v", ErrWorkerDown, hw.name, err)
 	}
-	return decodeWorkerResponse(hw.name, resp.StatusCode, raw, out)
+	return decodeWorkerResponse(hw.name, resp.StatusCode, raw)
 }
 
 // workerHTTPError is a non-200 a live worker chose to send — the node
@@ -209,20 +177,25 @@ func (e *workerHTTPError) Error() string {
 	return fmt.Sprintf("cluster: worker %s answered %d: %s", e.worker, e.code, e.msg)
 }
 
-// decodeWorkerResponse maps one worker reply onto out: 200 decodes,
+// journalRefused reports a worker's 409: it will not resume the
+// shard's journal, because the journal was written for another grid,
+// is corrupt, or is open in a sweep still running there.
+func journalRefused(err error) bool {
+	var herr *workerHTTPError
+	return errors.As(err, &herr) && herr.code == http.StatusConflict
+}
+
+// decodeWorkerResponse maps one worker's /sweep reply: 200 decodes,
 // anything else becomes a workerHTTPError carrying the daemon's
-// {"error": ...} message. One exception: a 504 sweep body that parses
-// as a grid is a deadline shed — every cell is answered (some with
+// {"error": ...} message. One exception: a 504 body that parses as a
+// grid is a deadline shed — every cell is answered (some with
 // ErrorKind "deadline_shed"), which is a result to merge, not a node
 // failure to reschedule against a deadline that already passed.
-func decodeWorkerResponse(worker string, code int, raw []byte, out any) error {
+func decodeWorkerResponse(worker string, code int, raw []byte) (serve.SweepResponse, error) {
+	var resp serve.SweepResponse
 	if code == http.StatusGatewayTimeout {
-		if sresp, ok := out.(*serve.SweepResponse); ok {
-			var cand serve.SweepResponse
-			if err := json.Unmarshal(raw, &cand); err == nil && len(cand.Cells) > 0 {
-				*sresp = cand
-				return nil
-			}
+		if err := json.Unmarshal(raw, &resp); err == nil && len(resp.Cells) > 0 {
+			return resp, nil
 		}
 	}
 	if code != http.StatusOK {
@@ -233,10 +206,10 @@ func decodeWorkerResponse(worker string, code int, raw []byte, out any) error {
 		if eresp.Error == "" {
 			eresp.Error = strings.TrimSpace(string(raw))
 		}
-		return &workerHTTPError{worker: worker, code: code, msg: eresp.Error}
+		return serve.SweepResponse{}, &workerHTTPError{worker: worker, code: code, msg: eresp.Error}
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("cluster: worker %s: undecodable response: %w", worker, err)
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		return serve.SweepResponse{}, fmt.Errorf("cluster: worker %s: undecodable response: %w", worker, err)
 	}
-	return nil
+	return resp, nil
 }

@@ -3,14 +3,15 @@ package serve
 // The drain/handoff contract the cluster plane builds on: a drained
 // (not killed) daemon leaves its sweep journals fsync'd, closed, and
 // torn-tail free even when the drain deadline abandons a wedged
-// handler, and /journalz exposes a read-only peek of any journal so a
-// coordinator can digest-check a dead worker's shard before resuming
-// it on a peer.
+// handler, so a peer sharing the checkpoint directory can resume a
+// dead worker's shard, and /journalz exposes a read-only peek of any
+// journal.
 
 import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -99,7 +100,7 @@ func TestDrainThenResumeJournalIntact(t *testing.T) {
 	if torn {
 		t.Fatal("drained journal has a torn tail; Close must leave it bit-complete")
 	}
-	if meta.SweepID != req.SweepID || meta.Shard != req.Shard || meta.Digest != SweepDigest(req.Apps, req) {
+	if meta.SweepID != req.SweepID || meta.Shard != req.Shard || meta.Digest != sweepDigest(req.Apps, req) {
 		t.Fatalf("journal meta %+v does not describe the sweep", meta)
 	}
 	if len(records) != 1 {
@@ -159,7 +160,7 @@ func TestJournalzPeek(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &jz); err != nil {
 		t.Fatal(err)
 	}
-	if jz.Meta.SweepID != "peek-me" || jz.Meta.Shard != "amazon" || jz.Meta.Digest != SweepDigest(req.Apps, req) {
+	if jz.Meta.SweepID != "peek-me" || jz.Meta.Shard != "amazon" || jz.Meta.Digest != sweepDigest(req.Apps, req) {
 		t.Fatalf("journalz meta %+v does not describe the sweep", jz.Meta)
 	}
 	if jz.Torn {
@@ -209,7 +210,7 @@ func TestJournalzPeek(t *testing.T) {
 func TestResumeDigestsSched(t *testing.T) {
 	s := testServer(t, Options{Workers: 1, CheckpointDir: t.TempDir()})
 	req := SweepRequest{SweepID: "x", Apps: []string{"mobileheavy"}, Configs: []string{"ESP+NL"}, MaxEvents: 24}
-	if got, want := SweepDigest(req.Apps, req), "722a193e1b6279f9ff0203a3ca25712241c078bbdfcf3feee8aca733eb933482"; got != want {
+	if got, want := sweepDigest(req.Apps, req), "722a193e1b6279f9ff0203a3ca25712241c078bbdfcf3feee8aca733eb933482"; got != want {
 		t.Fatalf("FIFO digest %s, want the pre-policy digest %s", got, want)
 	}
 	first := smallSweep(t, s, req, 1)
@@ -225,5 +226,51 @@ func TestResumeDigestsSched(t *testing.T) {
 	prio.Sched = "prio"
 	if rec := post(t, s, "/sweep", prio); rec.Code != http.StatusConflict {
 		t.Fatalf("\"prio\" resubmission of a FIFO journal: status %d, want 409: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestUnresumableJournalConflicts: espd answers every journal it will
+// not resume with 409, the status on which a coordinator reruns the
+// shard without one: bad magic and a damaged header frame
+// (checkpoint.ErrCorrupt) as well as a header that does not decode. The
+// file is left as it was.
+func TestUnresumableJournalConflicts(t *testing.T) {
+	req := SweepRequest{SweepID: "bad", Apps: []string{"amazon"}, Configs: []string{"base"}, MaxEvents: 8}
+	for _, tc := range []struct {
+		name  string
+		write func(path string) error
+	}{
+		{"bad magic", func(path string) error {
+			return os.WriteFile(path, []byte("NOTAJRNLxxxxxxxx"), 0o644)
+		}},
+		{"damaged header frame", func(path string) error {
+			return os.WriteFile(path, append([]byte("ESPJRNL1"), 0x09, 0, 0, 0, 0, 0, 0, 0, 'p'), 0o644)
+		}},
+		{"unreadable header", func(path string) error {
+			j, _, _, err := checkpoint.Open(path, []byte("not a header"))
+			if err != nil {
+				return err
+			}
+			return j.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, req.SweepID+".espj")
+			if err := tc.write(path); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := testServer(t, Options{Workers: 1, CheckpointDir: dir})
+			if rec := post(t, s, "/sweep", req); rec.Code != http.StatusConflict {
+				t.Fatalf("status %d, want 409: %s", rec.Code, rec.Body.String())
+			}
+			if after, err := os.ReadFile(path); err != nil || string(after) != string(before) {
+				t.Fatalf("refused journal changed: %q -> %q (%v)", before, after, err)
+			}
+		})
 	}
 }

@@ -30,15 +30,13 @@ type journalRecord struct {
 	Result esp.Result `json:"result"`
 }
 
-// SweepDigest hashes the result-shaping parameters of a sweep request.
+// sweepDigest hashes the result-shaping parameters of a sweep request.
 // TimeoutMs, SweepID, and Shard are deliberately excluded: they change
 // whether (or where) cells run, never what a finished cell contains.
 // The dispatch policy "sched" resolves to is digested unless it is
 // FIFO, so journals whose digest carries no policy still resume under
-// no "sched" or "fifo". Exported so the espcoord coordinator can
-// digest-check a dead worker's shard journal before handing its cells
-// to a peer.
-func SweepDigest(apps []string, req SweepRequest) string {
+// no "sched" or "fifo".
+func sweepDigest(apps []string, req SweepRequest) string {
 	var sched string
 	if p, _ := esp.SchedByName(req.Sched); p != esp.SchedFIFO {
 		sched = p.String()
@@ -55,8 +53,10 @@ func SweepDigest(apps []string, req SweepRequest) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// errSweepConflict marks a sweep ID reused for a different grid (or
-// already running); the handler maps it to 409.
+// errSweepConflict marks a sweep ID whose journal this request may not
+// resume — written for a different grid, corrupt, or already running;
+// the handler maps it to 409, and a coordinator reruns the shard
+// without a journal.
 var errSweepConflict = errors.New("sweep conflict")
 
 // sweepJournal is the per-sweep checkpoint: a serialized append handle
@@ -68,14 +68,18 @@ type sweepJournal struct {
 }
 
 // openSweepJournal opens (or creates) the journal for req under dir and
-// replays completed cells. A header digest mismatch is an
-// errSweepConflict; a record that fails to decode is skipped (the cell
-// simply re-runs), because a journaled record is advisory — the
-// simulator can always recompute it.
+// replays completed cells. A journal it will not resume is an
+// errSweepConflict: a header digest mismatch, an unreadable header, or
+// a corrupt file (bad magic, damaged header frame). A record that fails
+// to decode is skipped (the cell simply re-runs), because a journaled
+// record is advisory — the simulator can always recompute it.
 func openSweepJournal(dir string, apps []string, req SweepRequest, log *slog.Logger) (*sweepJournal, error) {
-	want := checkpoint.Meta{Version: 1, SweepID: req.SweepID, Shard: req.Shard, Digest: SweepDigest(apps, req)}
+	want := checkpoint.Meta{Version: 1, SweepID: req.SweepID, Shard: req.Shard, Digest: sweepDigest(apps, req)}
 	path := filepath.Join(dir, req.SweepID+".espj")
 	j, storedHeader, records, err := checkpoint.Open(path, want.Encode())
+	if errors.Is(err, checkpoint.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", errSweepConflict, err)
+	}
 	if err != nil {
 		return nil, err
 	}

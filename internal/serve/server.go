@@ -164,7 +164,7 @@ func New(opt Options) *Server {
 // Handlers normally close their own journals on the way out; Close
 // covers the drain-deadline case where a handler was abandoned mid
 // sweep, so the journal on disk ends bit-complete with no torn tail
-// for the resuming daemon (or a coordinator handoff) to truncate.
+// for the resuming daemon (or a peer adopting the shard) to truncate.
 // Journal closes are idempotent, making the handler/Close race safe.
 func (s *Server) Close() error {
 	s.sweepMu.Lock()
@@ -682,8 +682,7 @@ func (s *Server) runBatch(ctx context.Context, tenant string, req SweepRequest, 
 // journalzResponse is the GET /journalz view of one sweep journal: the
 // header meta plus the "app/config" cells already journaled, and
 // whether the tail is torn. It is an operator's peek at which cells are
-// durable; the coordinator's handoff reads the shared checkpoint
-// directory directly and never calls it.
+// durable; no fleet code calls it.
 type journalzResponse struct {
 	Meta  checkpoint.Meta `json:"meta"`
 	Cells []string        `json:"cells"`

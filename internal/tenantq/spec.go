@@ -2,6 +2,7 @@ package tenantq
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -11,7 +12,7 @@ import (
 //
 //	name=weight[:cell_budget]
 //
-// where weight is the tenant's DRR share (> 0) and the optional
+// where weight is the tenant's DRR share (finite, > 0) and the optional
 // cell_budget caps its cumulative admitted cells over the process
 // lifetime (> 0). espd and espcoord both speak this grammar, so a
 // fleet and its workers can be configured from the same flags.
@@ -30,8 +31,8 @@ func ParseTenants(specs []string) (map[string]TenantConfig, error) {
 		}
 		weightStr, budgetStr, hasBudget := strings.Cut(rest, ":")
 		weight, err := strconv.ParseFloat(weightStr, 64)
-		if err != nil || weight <= 0 {
-			return nil, fmt.Errorf("tenant %q: weight %q must be a number > 0", name, weightStr)
+		if err != nil || math.IsNaN(weight) || math.IsInf(weight, 0) || weight <= 0 {
+			return nil, fmt.Errorf("tenant %q: weight %q must be a finite number > 0", name, weightStr)
 		}
 		cfg := TenantConfig{Weight: weight}
 		if hasBudget {

@@ -23,6 +23,7 @@ func TestParseTenants(t *testing.T) {
 
 	for _, bad := range []string{
 		"noequals", "=2", "a=", "a=zero", "a=-1", "a=0",
+		"a=NaN", "a=Inf", "a=+Inf", "a=infinity",
 		"a=1:", "a=1:x", "a=1:-5", "a=1:0",
 	} {
 		if _, err := ParseTenants([]string{bad}); err == nil {
